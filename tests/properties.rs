@@ -9,6 +9,7 @@
 //! `continue` plays the role of `prop_assume!` — cases that don't satisfy
 //! the precondition are skipped, not failed.
 
+use cgra_mt::core::transform::TransformError;
 use cgra_mt::prelude::*;
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -58,17 +59,50 @@ fn random_dfgs_map_and_validate() {
     }
 }
 
+/// The synthetic cases on which Algorithm 1 finds no steady state within
+/// its warm-up budget (`N/II/wrap/M`). Pinned so that a change to the
+/// drifting search cannot gain or lose a steady state unnoticed.
+const NO_STEADY_STATE: &[&str] = &[
+    "N8/II3/wrap/M6",
+    "N10/II1/wrap/M8",
+    "N10/II2/no-wrap/M9",
+    "N10/II3/no-wrap/M9",
+    "N10/II3/wrap/M8",
+    "N11/II1/no-wrap/M9",
+    "N11/II1/no-wrap/M10",
+    "N11/II1/wrap/M8",
+    "N11/II1/wrap/M9",
+    "N11/II2/no-wrap/M7",
+    "N11/II2/no-wrap/M9",
+    "N11/II2/no-wrap/M10",
+    "N11/II2/wrap/M9",
+    "N11/II3/no-wrap/M7",
+    "N11/II3/no-wrap/M9",
+    "N11/II3/no-wrap/M10",
+    "N11/II3/wrap/M8",
+    "N11/II3/wrap/M9",
+    "N11/II3/wrap/M10",
+];
+
 /// Every synthetic canonical ring schedule transforms validly onto every
-/// M, with II_q between the capacity bound and the block bound.
+/// M, with II_q between the capacity bound and the block bound; exactly
+/// the cases in [`NO_STEADY_STATE`] fail, and they fail for that reason.
 #[test]
 fn synthetic_schedules_transform_validly() {
+    let mut failures = Vec::new();
     for n in 2u16..12 {
         for ii in 1u32..4 {
             for wrap in [false, true] {
                 let p = PagedSchedule::synthetic_canonical(n, ii, wrap);
                 for m in 1..=n {
-                    let Ok(plan) = transform_pagemaster(&p, m) else {
-                        continue;
+                    let plan = match transform_pagemaster(&p, m) {
+                        Ok(plan) => plan,
+                        Err(e) => {
+                            assert_eq!(e, TransformError::NoSteadyState, "N={n} II={ii} M={m}");
+                            let w = if wrap { "wrap" } else { "no-wrap" };
+                            failures.push(format!("N{n}/II{ii}/{w}/M{m}"));
+                            continue;
+                        }
                     };
                     let v = validate_plan(&p, &plan);
                     assert!(v.is_empty(), "N={n} II={ii} wrap={wrap} M={m}: {v:?}");
@@ -82,6 +116,7 @@ fn synthetic_schedules_transform_validly() {
             }
         }
     }
+    assert_eq!(failures, NO_STEADY_STATE);
 }
 
 /// Mapped kernels' paged schedules shrink validly with the block strategy
