@@ -2,9 +2,10 @@
 //! polynomial time — constant work per page cell — and is therefore
 //! usable at runtime, unlike recompilation.
 //!
-//! Benches the transform across page counts and IIs, the block variant,
-//! and — for contrast — a full constrained recompilation of a kernel
-//! (what a naive runtime would have to do instead).
+//! Benches the transform across page counts and IIs, open rings on which
+//! the drifting search finds no steady state, the block variant, and —
+//! for contrast — a full constrained recompilation of a kernel (what a
+//! naive runtime would have to do instead).
 
 use cgra_bench::microbench::Bench;
 use cgra_core::transform::{transform_block, Strategy};
@@ -24,6 +25,19 @@ fn bench_pagemaster_scaling(bench: &Bench) {
         let p = PagedSchedule::synthetic_canonical(8, ii, true);
         bench.run(&format!("pagemaster_transform/drifting_II/{ii}"), || {
             transform_pagemaster(black_box(&p), 4).unwrap()
+        });
+    }
+}
+
+/// Full open rings, the schedules a runtime re-plan actually sees. Most
+/// targets find no steady state: the drifting search runs its whole
+/// warm-up window before `Auto` falls back to the block plan. N=32 → 4
+/// finds one (period 2).
+fn bench_open_ring(bench: &Bench) {
+    for (n, m) in [(16u16, 8u16), (18, 9), (32, 16), (32, 31), (32, 4)] {
+        let p = PagedSchedule::synthetic_canonical(n, 1, false);
+        bench.run(&format!("pagemaster_transform/open_ring/{n}to{m}"), || {
+            cgra_core::transform::transform(black_box(&p), m, Strategy::Auto).unwrap()
         });
     }
 }
@@ -58,6 +72,7 @@ fn bench_transform_vs_recompile(bench: &Bench) {
 fn main() {
     let bench = Bench::from_env();
     bench_pagemaster_scaling(&bench);
+    bench_open_ring(&bench);
     bench_block_scaling(&bench);
     bench_transform_vs_recompile(&bench);
 }
