@@ -5,36 +5,34 @@
 //! Fig. 9(b)-style series before timing one baseline and one
 //! multithreaded simulation with the in-repo microbench harness.
 
+use cgra_bench::engine::Engine;
 use cgra_bench::fig9::{self, Fig9Params};
-use cgra_bench::libcache::LibCache;
+use cgra_bench::mapcache::MapCache;
 use cgra_bench::microbench::Bench;
+use cgra_mapper::MapOptions;
+use cgra_obs::Tracer;
 use cgra_sim::{
-    generate, simulate_baseline, simulate_multithreaded, CgraNeed, MtConfig, WorkloadParams,
+    generate, simulate_baseline, simulate_multithreaded_faulty, CgraNeed, MtConfig, WorkloadParams,
 };
 use std::hint::black_box;
 
-fn print_figure(cache: &LibCache) {
+fn print_figure(cache: &MapCache) {
     let params = Fig9Params {
         seeds: 3,
         ..Default::default()
     };
-    let mut points = Vec::new();
-    for &s in &[2usize, 4, 9] {
-        for need in CgraNeed::ALL {
-            for &t in &cgra_bench::THREAD_COUNTS {
-                points.push(fig9::run_point(cache, 6, s, need, t, &params).unwrap());
-            }
-        }
-    }
+    let grid: Vec<_> = fig9::grid().into_iter().filter(|p| p.dim == 6).collect();
+    let results = fig9::sweep(&Engine::default(), cache, &grid, &params, &Tracer::off());
+    let points: Vec<_> = results.into_iter().map(Result::unwrap).collect();
     println!("\n## Figure 9(b) — 6x6 CGRA, improvement over single-threaded baseline\n");
     println!("{}", fig9::render(&points, 6));
 }
 
 fn main() {
-    let cache = LibCache::new();
+    let cache = MapCache::in_memory();
     print_figure(&cache);
 
-    let lib = cache.get(6, 4);
+    let lib = cache.library(&cgra_bench::fabric(6, 4).unwrap(), &MapOptions::default());
     let workload = generate(
         &lib,
         &WorkloadParams {
@@ -50,6 +48,11 @@ fn main() {
         simulate_baseline(black_box(&lib), black_box(&workload))
     });
     bench.run("fig9_simulators/multithreaded_8threads_6x6", || {
-        simulate_multithreaded(black_box(&lib), black_box(&workload), MtConfig::default())
+        simulate_multithreaded_faulty(
+            black_box(&lib),
+            black_box(&workload),
+            MtConfig::default(),
+            &[],
+        )
     });
 }

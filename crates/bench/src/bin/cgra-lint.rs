@@ -3,7 +3,9 @@
 //! Rebuilds every artifact (baseline + constrained mappings, paged
 //! schedule, halving-chain shrink plans, one-dead-page degradation,
 //! kernel profile) for every kernel and analyzes each one with
-//! `cgra-analyze`. Exits 1 if any artifact carries an error diagnostic.
+//! `cgra-analyze`. Exits 1 if any artifact carries an error diagnostic,
+//! 2 on a bad flag (including a `--dim`/`--page` pair that names no
+//! fabric).
 //!
 //! Usage: `cargo run -p cgra-bench --bin cgra-lint --release [-- FLAGS]`
 //!
@@ -13,27 +15,35 @@
 //!   --grid     lint every configuration of the paper grid instead
 //!   --json     emit the findings as one JSON document
 
-use cgra_bench::lint;
+use cgra_bench::{lint, FabricError};
+use std::str::FromStr;
 
-fn arg_value(args: &[String], flag: &str) -> Option<usize> {
+fn arg_value<T: FromStr>(args: &[String], flag: &str) -> Option<T> {
     let i = args.iter().position(|a| a == flag)?;
     let v = args.get(i + 1).unwrap_or_else(|| {
         eprintln!("{flag} requires a value");
         std::process::exit(2);
     });
     v.parse().ok().or_else(|| {
-        eprintln!("{flag}: not a number: {v}");
+        eprintln!("{flag}: not a valid number: {v}");
         std::process::exit(2);
     })
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let dim = arg_value(&args, "--dim").unwrap_or(4) as u16;
+    let dim = arg_value(&args, "--dim").unwrap_or(4);
     let page = arg_value(&args, "--page").unwrap_or(4);
     let grid = args.iter().any(|a| a == "--grid");
 
-    let findings = lint::lint(dim, page, grid);
+    let findings = lint::lint(dim, page, grid).unwrap_or_else(|e| {
+        let flag = match e {
+            FabricError::Dim(_) => "--dim",
+            FabricError::PageSize(..) => "--page",
+        };
+        eprintln!("cgra-lint: {flag}: {e}");
+        std::process::exit(2);
+    });
     let (text, errors) = lint::render(&findings);
     if args.iter().any(|a| a == "--json") {
         println!("{}", lint::render_json(&findings));

@@ -8,11 +8,11 @@
 //!   --strict      run the strict-discipline ablation instead
 //!   --jobs N, -j  worker threads (default: available cores, capped 16);
 //!                 output is byte-identical for every N
-//!   --no-cache    recompute every mapping; neither read nor write
-//!                 target/mapcache
+//!   --no-cache    keep compiled profiles in memory only; neither read
+//!                 nor write target/mapcache
 //!   --trace PATH  append every mapper/transform event to PATH as JSONL
-//!                 (cache hits emit nothing; pair with --no-cache for a
-//!                 complete trace)
+//!                 (disk-cache hits emit nothing; pair with --no-cache
+//!                 to trace every compilation once)
 //!   --metrics     print event counters after the sweep
 //!   --analyze     after the sweep, statically analyze every pipeline
 //!                 artifact on the paper grid with cgra-analyze
@@ -29,17 +29,12 @@ fn main() {
     let cfg = EngineConfig::from_args(&args);
     let engine = Engine::new(cfg);
     let obs = ObsFlags::from_args(&args);
-    let analyze = args.iter().any(|a| a == "--analyze");
-    let cache = if cfg.use_cache {
-        MapCache::persistent().traced(obs.tracer.clone())
-    } else {
-        MapCache::disabled().traced(obs.tracer.clone())
-    };
+    let cache = MapCache::for_config(cfg, obs.tracer.clone());
 
     if args.iter().any(|a| a == "--strict") {
         println!("## Ablation — strict 1-step discipline vs stable-column (4x4, page 4)\n");
         println!("kernel    II(stable)  II(strict)");
-        for (name, stable, strict) in fig8::strict_ablation_with(&engine, &cache, 4, 4) {
+        for (name, stable, strict) in fig8::strict_ablation(&engine, &cache, 4, 4) {
             println!(
                 "{name:>8}  {stable:>10}  {}",
                 strict
@@ -48,10 +43,10 @@ fn main() {
             );
         }
         eprintln!("mapcache: {:?}", cache.stats());
-        finish(&obs, analyze);
+        obs.finish();
         return;
     }
-    let points = fig8::run_all_with(&engine, &cache);
+    let points = fig8::run_all(&engine, &cache);
     // Cache statistics go to stderr so stdout stays byte-deterministic.
     eprintln!("mapcache: {:?}", cache.stats());
 
@@ -83,7 +78,7 @@ fn main() {
                 &rows
             )
         );
-        finish(&obs, analyze);
+        obs.finish();
         return;
     }
 
@@ -95,16 +90,5 @@ fn main() {
     for (dim, size, gm) in fig8::summary(&points) {
         println!("{dim}x{dim}  page {size:>2}: {gm:6.1}%");
     }
-    finish(&obs, analyze);
-}
-
-/// `--analyze` runs after the sweep so a clean run's stdout is already
-/// complete and byte-identical; diagnostics go to stderr and an error
-/// anywhere fails the run.
-fn finish(obs: &ObsFlags, analyze: bool) {
-    let failed = analyze && cgra_bench::lint::analyze_grid_to_stderr();
     obs.finish();
-    if failed {
-        std::process::exit(1);
-    }
 }

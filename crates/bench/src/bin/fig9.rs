@@ -18,8 +18,8 @@
 //!   --smoke               reduced seeds/work (fast CI smoke run)
 //!   --jobs N, -j N        worker threads (default: available cores,
 //!                         capped 16); output is byte-identical for all N
-//!   --no-cache            recompute every mapping; neither read nor
-//!                         write target/mapcache
+//!   --no-cache            keep compiled profiles in memory only;
+//!                         neither read nor write target/mapcache
 //!   --trace PATH          append every mapper/transform/simulator event
 //!                         to PATH as JSONL (replayable by trace_oracle)
 //!   --metrics             print event counters and cycle histograms
@@ -28,21 +28,20 @@
 //!                         cgra-analyze (report on stderr; exit 1 on
 //!                         error diagnostics; stdout is byte-identical
 //!                         to a run without the flag)
-//!                         after the sweep
 
 use cgra_arch::FaultSpec;
 use cgra_bench::engine::{Engine, EngineConfig};
-use cgra_bench::fig9::{self, Fig9Params};
-use cgra_bench::libcache::LibCache;
+use cgra_bench::fig9::{self, Coord, Fig9Params};
+use cgra_bench::mapcache::MapCache;
 use cgra_bench::obsflags::ObsFlags;
+use cgra_sim::CgraNeed;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cfg = EngineConfig::from_args(&args);
     let engine = Engine::new(cfg);
     let obs = ObsFlags::from_args(&args);
-    let analyze = args.iter().any(|a| a == "--analyze");
-    let cache = LibCache::for_config_traced(cfg, obs.tracer.clone());
+    let cache = MapCache::for_config(cfg, obs.tracer.clone());
 
     let mut params = Fig9Params::default();
     if args.iter().any(|a| a == "--smoke") {
@@ -57,7 +56,7 @@ fn main() {
         for (overhead, imp) in fig9::ablation_overhead(&cache, 8, 4) {
             println!("{overhead:>8}, {imp:+.1}%");
         }
-        finish(&obs, analyze);
+        obs.finish();
         return;
     }
     if args.iter().any(|a| a == "--ablation-policy") {
@@ -65,12 +64,12 @@ fn main() {
         for (name, imp) in fig9::ablation_policy(&cache, 8, 4) {
             println!("{name:>16}: {imp:+.1}%");
         }
-        finish(&obs, analyze);
+        obs.finish();
         return;
     }
 
-    // --faults: throughput-vs-fault-rate degradation curve at the
-    // highest-contention operating point, instead of the full grid.
+    // --faults: a fault curve at the highest-contention operating point,
+    // instead of the full grid.
     if let Some(i) = args.iter().position(|a| a == "--faults") {
         let raw = args.get(i + 1).unwrap_or_else(|| {
             eprintln!("--faults requires a spec, e.g. --faults mtbf=20000,count=4");
@@ -88,35 +87,32 @@ fn main() {
             // Fall through to the plain grid: it is fault-free by default,
             // so `--faults off` must be byte-identical to no flag at all.
             eprintln!("--faults off: nothing to inject; running the fault-free grid");
-        } else if base.mttr().is_some() {
-            // Transient faults: the degradation curve gains its repair
-            // dimension — fault-free and no-repair reference rows, then
-            // descending mttr.
-            println!(
-                "## Degradation-and-recovery curve — faults `{base}` (8x8, page 4, 8 threads, need 87.5%)\n"
-            );
-            let curve =
-                fig9::recovery_curve_traced(&engine, &cache, 8, 4, &base, &params, &obs.tracer);
-            println!("{}", fig9::render_recovery_curve(&curve));
-            eprintln!("mapcache: {:?}", cache.map_cache().stats());
-            finish(&obs, analyze);
-            return;
         } else {
-            println!(
-                "## Degradation curve — faults `{base}` (8x8, page 4, 8 threads, need 87.5%)\n"
-            );
-            let curve =
-                fig9::degradation_curve_traced(&engine, &cache, 8, 4, base, &params, &obs.tracer);
-            println!("{}", fig9::render_curve(&curve));
-            eprintln!("mapcache: {:?}", cache.map_cache().stats());
-            finish(&obs, analyze);
+            // Transient faults (an mttr) give the degradation curve its
+            // repair dimension: fault-free and no-repair reference rows,
+            // then descending mttr.
+            let title = if base.mttr().is_some() {
+                "Degradation-and-recovery curve"
+            } else {
+                "Degradation curve"
+            };
+            println!("## {title} — faults `{base}` (8x8, page 4, 8 threads, need 87.5%)\n");
+            let rows = fig9::curve(Coord {
+                faults: base,
+                ..Coord::new(8, 4, CgraNeed::High, 8)
+            });
+            let points: Vec<Coord> = rows.iter().map(|(_, p)| *p).collect();
+            let results = fig9::sweep(&engine, &cache, &points, &params, &obs.tracer);
+            println!("{}", fig9::render_curve(&base, &rows, &results));
+            eprintln!("mapcache: {:?}", cache.stats());
+            obs.finish();
             return;
         }
     }
 
-    let results = fig9::run_all_with_traced(&engine, &cache, &params, &obs.tracer);
+    let results = fig9::sweep(&engine, &cache, &fig9::grid(), &params, &obs.tracer);
     // Cache statistics go to stderr so stdout stays byte-deterministic.
-    eprintln!("mapcache: {:?}", cache.map_cache().stats());
+    eprintln!("mapcache: {:?}", cache.stats());
     let (points, errors) = fig9::partition_results(results);
     for (i, e) in &errors {
         eprintln!("point {i} failed: {e}");
@@ -150,7 +146,7 @@ fn main() {
                 &rows
             )
         );
-        finish(&obs, analyze);
+        obs.finish();
         if !errors.is_empty() {
             std::process::exit(1);
         }
@@ -165,19 +161,8 @@ fn main() {
     for (dim, best) in fig9::headline(&points) {
         println!("{dim}x{dim}: best improvement at 16 threads = {best:+.1}%");
     }
-    finish(&obs, analyze);
-    if !errors.is_empty() {
-        std::process::exit(1);
-    }
-}
-
-/// `--analyze` runs after the sweep so a clean run's stdout is already
-/// complete and byte-identical; diagnostics go to stderr and an error
-/// anywhere fails the run.
-fn finish(obs: &ObsFlags, analyze: bool) {
-    let failed = analyze && cgra_bench::lint::analyze_grid_to_stderr();
     obs.finish();
-    if failed {
+    if !errors.is_empty() {
         std::process::exit(1);
     }
 }

@@ -21,7 +21,8 @@
 //!   failures are not silently dropped.
 //!
 //! `tests/parallel_determinism.rs` enforces the contract end-to-end by
-//! diffing `--jobs 1` against `--jobs 4` runs, cache on and off.
+//! diffing `--jobs 1` against `--jobs 4` runs, in-memory and on-disk
+//! cache.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -62,9 +63,9 @@ pub struct EngineConfig {
     /// Worker threads (1 = fully serial; the reference for determinism
     /// diffs).
     pub jobs: usize,
-    /// Whether mapping results may be served from the cache
-    /// (`--no-cache` clears this; every mapping recomputes from
-    /// scratch).
+    /// Whether compiled profiles are read from and written to the disk
+    /// cache (`--no-cache` clears this; each profile is then compiled
+    /// once per process and kept in memory only).
     pub use_cache: bool,
 }
 

@@ -12,10 +12,11 @@
 //! Used by the `cgra-lint` binary and the `analyze-smoke` CI job; the
 //! figure binaries run the same passes under `--analyze`.
 
+use crate::{fabric, FabricError};
 use cgra_analyze::{
     analyze_degraded, analyze_mapping, analyze_paged, analyze_plan, analyze_profile, Report,
 };
-use cgra_arch::{CgraConfig, FaultMap, PageHealth};
+use cgra_arch::{FaultMap, PageHealth};
 use cgra_core::transform::{transform, Strategy};
 use cgra_core::{transform_degraded, PagedSchedule};
 use cgra_mapper::{map_baseline, map_constrained, MapOptions};
@@ -37,10 +38,11 @@ pub struct LintFinding {
 /// Lint every kernel on one fabric. Kernels the mapper itself cannot
 /// place are skipped (the mapper's error is its own diagnostic channel);
 /// everything the pipeline *did* produce must analyze clean.
-pub fn lint_config(dim: u16, page_size: usize) -> Vec<LintFinding> {
-    let cgra = CgraConfig::square(dim)
-        .with_page_size(page_size)
-        .unwrap_or_else(|e| panic!("{dim}x{dim} page {page_size}: {e}"));
+///
+/// # Errors
+/// [`FabricError`] if `(dim, page_size)` names no fabric.
+pub fn lint_config(dim: u16, page_size: usize) -> Result<Vec<LintFinding>, FabricError> {
+    let cgra = fabric(dim, page_size)?;
     let opts = MapOptions::default();
     let n = cgra.layout().num_pages() as u16;
     let mut out = Vec::new();
@@ -125,21 +127,26 @@ pub fn lint_config(dim: u16, page_size: usize) -> Vec<LintFinding> {
             }
         }
     }
-    out
+    Ok(out)
 }
 
 /// Lint one or all grid configurations; `grid = false` lints only
 /// `(dim, page_size)`.
-pub fn lint(dim: u16, page_size: usize, grid: bool) -> Vec<LintFinding> {
-    if grid {
-        crate::GRID
-            .iter()
-            .flat_map(|&(d, sizes)| sizes.iter().map(move |&s| (d, s)))
-            .flat_map(|(d, s)| lint_config(d, s))
-            .collect()
-    } else {
-        lint_config(dim, page_size)
+///
+/// # Errors
+/// [`FabricError`] if `grid = false` and `(dim, page_size)` names no
+/// fabric.
+pub fn lint(dim: u16, page_size: usize, grid: bool) -> Result<Vec<LintFinding>, FabricError> {
+    if !grid {
+        return lint_config(dim, page_size);
     }
+    let mut out = Vec::new();
+    for &(d, sizes) in &crate::GRID {
+        for &s in sizes {
+            out.extend(lint_config(d, s)?);
+        }
+    }
+    Ok(out)
 }
 
 /// Render findings for humans: every non-clean artifact in full, then a
@@ -199,8 +206,19 @@ pub fn render_json(findings: &[LintFinding]) -> String {
 /// print the human rendering to **stderr** (stdout stays
 /// byte-deterministic), and report whether any artifact had errors.
 pub fn analyze_grid_to_stderr() -> bool {
-    let findings = lint(4, 4, true);
+    let findings = lint(4, 4, true).expect("the paper grid names valid fabrics");
     let (text, errors) = render(&findings);
     eprint!("analyze: {text}");
     errors > 0
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bad_geometry_is_an_error_not_a_panic() {
+        assert_eq!(lint(5, 3, false).err(), Some(FabricError::Dim(5)));
+        assert_eq!(lint(4, 3, false).err(), Some(FabricError::PageSize(4, 3)));
+    }
 }

@@ -24,7 +24,8 @@
 //!
 //! Stale, corrupt, truncated or unreadable disk entries are never
 //! errors: the profile recomputes and the entry is rewritten. Delete
-//! `target/mapcache/` (or pass `--no-cache`) to force a cold run.
+//! `target/mapcache/` to force a cold run; `--no-cache` selects a
+//! memory-only cache, which neither reads nor writes the disk.
 //!
 //! ## Concurrency
 //!
@@ -34,6 +35,7 @@
 //! on the cell — no duplicated mapper work, no torn disk writes (files
 //! are written to a temp name and renamed into place).
 
+use crate::engine::EngineConfig;
 use crate::jsonio::Json;
 use cgra_arch::CgraConfig;
 use cgra_dfg::Dfg;
@@ -102,18 +104,15 @@ impl Key {
     }
 }
 
-type Cell = Arc<OnceLock<Arc<KernelProfile>>>;
-type LibCell = Arc<OnceLock<Arc<KernelLibrary>>>;
+/// A once-computed value shared by every lookup of its key.
+type Cell<T> = Arc<OnceLock<Arc<T>>>;
 
 /// Process-wide cache of compiled kernel profiles and libraries.
 pub struct MapCache {
-    profiles: RwLock<HashMap<Key, Cell>>,
-    libraries: RwLock<HashMap<(u16, usize, u64), LibCell>>,
+    profiles: RwLock<HashMap<Key, Cell<KernelProfile>>>,
+    libraries: RwLock<HashMap<(u16, usize, u64), Cell<KernelLibrary>>>,
     /// `None` = memory only; `Some(dir)` = also read/write JSON entries.
     disk_dir: Option<PathBuf>,
-    /// When false, every lookup recomputes and nothing is stored — the
-    /// `--no-cache` mode, and the uncached arm of the determinism test.
-    enabled: bool,
     /// Receives mapper/transform events for every *compilation* (memory
     /// and disk hits emit nothing — the search they would describe never
     /// ran). Each profile's events are forwarded as one contiguous batch,
@@ -129,19 +128,17 @@ impl std::fmt::Debug for MapCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MapCache")
             .field("disk_dir", &self.disk_dir)
-            .field("enabled", &self.enabled)
             .field("stats", &self.stats())
             .finish()
     }
 }
 
 impl MapCache {
-    fn with(disk_dir: Option<PathBuf>, enabled: bool) -> Self {
+    fn with(disk_dir: Option<PathBuf>) -> Self {
         MapCache {
             profiles: RwLock::new(HashMap::new()),
             libraries: RwLock::new(HashMap::new()),
             disk_dir,
-            enabled,
             tracer: Tracer::off(),
             mem_hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
@@ -152,34 +149,30 @@ impl MapCache {
 
     /// Memory-only cache (the default for tests and library use).
     pub fn in_memory() -> Self {
-        Self::with(None, true)
+        Self::with(None)
     }
 
     /// Cache persisted under `dir` (created on first write).
     pub fn persistent_at(dir: impl Into<PathBuf>) -> Self {
-        Self::with(Some(dir.into()), true)
+        Self::with(Some(dir.into()))
     }
 
-    /// Cache persisted at the default location: `$CGRA_MAPCACHE_DIR` if
-    /// set, else `target/mapcache` relative to the working directory.
-    pub fn persistent() -> Self {
-        let dir = std::env::var_os("CGRA_MAPCACHE_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from("target/mapcache"));
-        Self::persistent_at(dir)
-    }
-
-    /// A cache that never caches: every call recomputes (`--no-cache`).
-    pub fn disabled() -> Self {
-        Self::with(None, false)
-    }
-
-    /// Emit mapper/transform events for every compilation to `tracer`.
-    /// Cache hits (memory or disk) emit nothing: the events describe a
-    /// search, and a hit means no search ran.
-    pub fn traced(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
-        self
+    /// The cache a sweep binary runs on: persisted under
+    /// `$CGRA_MAPCACHE_DIR` if set, else `target/mapcache` relative to the
+    /// working directory, and memory-only under `--no-cache`.
+    ///
+    /// Every compilation is emitted to `tracer`. Cache hits (memory or
+    /// disk) emit nothing: the events describe a search, and a hit means
+    /// no search ran.
+    pub fn for_config(cfg: EngineConfig, tracer: Tracer) -> Self {
+        let dir = cfg.use_cache.then(|| {
+            std::env::var_os("CGRA_MAPCACHE_DIR")
+                .map_or_else(|| PathBuf::from("target/mapcache"), PathBuf::from)
+        });
+        MapCache {
+            tracer,
+            ..Self::with(dir)
+        }
     }
 
     /// Counters so far.
@@ -209,11 +202,7 @@ impl MapCache {
             page_size: cgra.layout().shape().size(),
             opts_fp: opts.fingerprint(),
         };
-        if !self.enabled {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return Arc::new(compile(dfg, cgra, opts, &self.tracer));
-        }
-        let cell = self.cell(&key);
+        let cell = cell(&self.profiles, &key);
         if let Some(hit) = cell.get() {
             self.mem_hits.fetch_add(1, Ordering::Relaxed);
             return hit.clone();
@@ -234,48 +223,22 @@ impl MapCache {
     /// The full benchmark library for a fabric, assembled from (and
     /// sharing) the per-kernel profile cache.
     pub fn library(&self, cgra: &CgraConfig, opts: &MapOptions) -> Arc<KernelLibrary> {
-        let build = || {
-            let profiles = cgra_dfg::kernels::all()
-                .iter()
-                .map(|k| (*self.profile(k, cgra, opts)).clone())
-                .collect();
-            Arc::new(KernelLibrary {
-                profiles,
-                num_pages: cgra.layout().num_pages() as u16,
-            })
-        };
-        if !self.enabled {
-            return build();
-        }
         let key = (
             mesh_dim(cgra),
             cgra.layout().shape().size(),
             opts.fingerprint(),
         );
-        let cell = {
-            let read = self.libraries.read().expect("library lock");
-            read.get(&key).cloned()
-        }
-        .unwrap_or_else(|| {
-            self.libraries
-                .write()
-                .expect("library lock")
-                .entry(key)
-                .or_default()
-                .clone()
-        });
-        cell.get_or_init(build).clone()
-    }
-
-    fn cell(&self, key: &Key) -> Cell {
-        if let Some(cell) = self.profiles.read().expect("profile lock").get(key) {
-            return cell.clone();
-        }
-        self.profiles
-            .write()
-            .expect("profile lock")
-            .entry(key.clone())
-            .or_default()
+        cell(&self.libraries, &key)
+            .get_or_init(|| {
+                let profiles = cgra_dfg::kernels::all()
+                    .iter()
+                    .map(|k| (*self.profile(k, cgra, opts)).clone())
+                    .collect();
+                Arc::new(KernelLibrary {
+                    profiles,
+                    num_pages: cgra.layout().num_pages() as u16,
+                })
+            })
             .clone()
     }
 
@@ -306,10 +269,17 @@ impl MapCache {
     }
 }
 
-impl Default for MapCache {
-    fn default() -> Self {
-        Self::in_memory()
+/// The cell for `key`, inserted empty on first sight. Lookups take the
+/// read lock; only a first sight takes the write lock.
+fn cell<K: Clone + Eq + std::hash::Hash, T>(map: &RwLock<HashMap<K, Cell<T>>>, key: &K) -> Cell<T> {
+    if let Some(cell) = map.read().expect("cache lock").get(key) {
+        return cell.clone();
     }
+    map.write()
+        .expect("cache lock")
+        .entry(key.clone())
+        .or_default()
+        .clone()
 }
 
 fn compile(dfg: &Dfg, cgra: &CgraConfig, opts: &MapOptions, tracer: &Tracer) -> KernelProfile {
@@ -427,7 +397,7 @@ pub fn profile_from_json(j: &Json) -> Option<KernelProfile> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::libcache::cgra;
+    use crate::fabric;
 
     fn sample_profile() -> KernelProfile {
         KernelProfile {
@@ -448,7 +418,7 @@ mod tests {
     #[test]
     fn memory_cache_computes_once() {
         let cache = MapCache::in_memory();
-        let fabric = cgra(4, 4);
+        let fabric = fabric(4, 4).unwrap();
         let opts = MapOptions::default();
         let k = cgra_dfg::kernels::mpeg2();
         let a = cache.profile(&k, &fabric, &opts);
@@ -459,23 +429,10 @@ mod tests {
     }
 
     #[test]
-    fn disabled_cache_always_recomputes_identically() {
-        let cache = MapCache::disabled();
-        let fabric = cgra(4, 4);
-        let opts = MapOptions::default();
-        let k = cgra_dfg::kernels::sor();
-        let a = cache.profile(&k, &fabric, &opts);
-        let b = cache.profile(&k, &fabric, &opts);
-        assert!(!Arc::ptr_eq(&a, &b));
-        assert_eq!(*a, *b, "mapping must be deterministic");
-        assert_eq!(cache.stats().misses, 2);
-    }
-
-    #[test]
     fn disk_round_trip_and_corruption_fallback() {
         let dir = std::env::temp_dir().join(format!("mapcache-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let fabric = cgra(4, 4);
+        let fabric = fabric(4, 4).unwrap();
         let opts = MapOptions::default();
         let k = cgra_dfg::kernels::fir();
 
@@ -517,7 +474,7 @@ mod tests {
         // from the dead writer still sitting in the directory.
         let dir = std::env::temp_dir().join(format!("mapcache-trunc-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let fabric = cgra(4, 4);
+        let fabric = fabric(4, 4).unwrap();
         let opts = MapOptions::default();
         let k = cgra_dfg::kernels::fir();
 
@@ -558,7 +515,7 @@ mod tests {
         // check in `parse_entry` can catch this.
         let dir = std::env::temp_dir().join(format!("mapcache-sem-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let fabric = cgra(4, 4);
+        let fabric = fabric(4, 4).unwrap();
         let opts = MapOptions::default();
         let k = cgra_dfg::kernels::fir();
 
@@ -588,7 +545,7 @@ mod tests {
     #[test]
     fn library_shares_profile_cache() {
         let cache = MapCache::in_memory();
-        let fabric = cgra(4, 4);
+        let fabric = fabric(4, 4).unwrap();
         let opts = MapOptions::default();
         // Warm one kernel's profile, then build the library: only the
         // remaining kernels should be misses.
@@ -603,7 +560,7 @@ mod tests {
     #[test]
     fn different_opts_are_different_entries() {
         let cache = MapCache::in_memory();
-        let fabric = cgra(4, 4);
+        let fabric = fabric(4, 4).unwrap();
         let k = cgra_dfg::kernels::sobel();
         cache.profile(&k, &fabric, &MapOptions::default());
         cache.profile(&k, &fabric, &MapOptions::fast());

@@ -1,4 +1,5 @@
-//! `--trace` / `--metrics` flag handling shared by the figure binaries.
+//! `--trace` / `--metrics` / `--analyze` flag handling shared by the
+//! figure binaries.
 //!
 //! Observability is strictly opt-in: with neither flag the binaries get
 //! a [`Tracer::off`] and their stdout stays byte-identical to a build
@@ -6,7 +7,9 @@
 //! `<path>` as one JSON object per line (a trace the `trace_oracle`
 //! binary can replay); with `--metrics` events are folded into counters
 //! and histograms printed to stdout after the sweep. Both flags may be
-//! combined — the tracer tees into both sinks.
+//! combined — the tracer tees into both sinks. `--analyze` lints every
+//! pipeline artifact of the paper grid when the run finishes (report on
+//! stderr).
 
 use cgra_obs::{JsonlSink, MetricsSink, TraceSink, Tracer};
 use std::sync::Arc;
@@ -14,15 +17,16 @@ use std::sync::Arc;
 /// Parsed observability flags plus the live sinks behind the tracer.
 #[derive(Debug)]
 pub struct ObsFlags {
-    /// Hand this to the traced sweep entry points (and to
-    /// [`MapCache::traced`](crate::mapcache::MapCache::traced)). Off when
-    /// neither flag was passed.
+    /// Hand this to the sweep entry points and to
+    /// [`MapCache::for_config`](crate::mapcache::MapCache::for_config).
+    /// Off when neither `--trace` nor `--metrics` was passed.
     pub tracer: Tracer,
     metrics: Option<Arc<MetricsSink>>,
+    analyze: bool,
 }
 
 impl ObsFlags {
-    /// Parse `--trace <path>` and `--metrics` out of `args`.
+    /// Parse `--trace <path>`, `--metrics` and `--analyze` out of `args`.
     ///
     /// Exits with status 2 (usage error) when `--trace` lacks a path or
     /// the file cannot be created.
@@ -48,18 +52,28 @@ impl ObsFlags {
         ObsFlags {
             tracer: Tracer::tee(sinks),
             metrics,
+            analyze: args.iter().any(|a| a == "--analyze"),
         }
     }
 
-    /// Flush the trace file and, when `--metrics` was passed, print the
-    /// folded metrics to stdout. Call once, before every process exit
-    /// (including error exits — `std::process::exit` skips destructors,
-    /// so the trace file's buffered tail would otherwise be lost).
+    /// Finish the run. Under `--analyze`, statically analyze every
+    /// pipeline artifact on the paper grid (report on stderr, so a clean
+    /// run's stdout stays byte-identical to one without the flag). Then
+    /// flush the trace file and, when `--metrics` was passed, print the
+    /// folded metrics to stdout. Exits 1 if the analysis found an error.
+    ///
+    /// Call once, before every process exit (including error exits —
+    /// `std::process::exit` skips destructors, so the trace file's
+    /// buffered tail would otherwise be lost).
     pub fn finish(&self) {
+        let failed = self.analyze && crate::lint::analyze_grid_to_stderr();
         self.tracer.flush();
         if let Some(m) = &self.metrics {
             println!("## Metrics\n");
             print!("{}", m.render());
+        }
+        if failed {
+            std::process::exit(1);
         }
     }
 }

@@ -15,7 +15,7 @@
 //!    spills are chosen adaptively from routing-failure statistics.
 
 use crate::ems::MapResult;
-use crate::engine::{schedule_from_traced, FailureStats};
+use crate::engine::{schedule, FailureStats};
 use crate::error::MapError;
 use crate::mapping::MapMode;
 use crate::opts::MapOptions;
@@ -122,7 +122,7 @@ fn map_with_mode(
     let mut last_err = None;
     for _round in 0..=opts.spill_rounds {
         let mdfg = MapDfg::with_spills(dfg, &spilled);
-        let out = schedule_from_traced(&mdfg, cgra, mode, opts, None, tracer);
+        let out = schedule(&mdfg, cgra, mode, opts, None, tracer);
         match out.mapping {
             Ok(mapping) => {
                 return Ok(MapResult {

@@ -2,7 +2,7 @@
 //! compiler based on the EMS mapping algorithm") used to establish the
 //! baseline II for every kernel.
 
-use crate::engine::{mii_with_mem, schedule_from_traced};
+use crate::engine::{mii_with_mem, schedule};
 use crate::error::MapError;
 use crate::mapping::{MapMode, Mapping};
 use crate::opts::MapOptions;
@@ -47,7 +47,7 @@ pub fn map_baseline_traced(
     tracer: &Tracer,
 ) -> Result<MapResult, MapError> {
     let mdfg = MapDfg::unspilled(dfg);
-    let out = schedule_from_traced(&mdfg, cgra, MapMode::Baseline, opts, None, tracer);
+    let out = schedule(&mdfg, cgra, MapMode::Baseline, opts, None, tracer);
     out.mapping.map(|mapping| MapResult {
         mapping,
         mdfg,

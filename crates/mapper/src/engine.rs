@@ -544,33 +544,14 @@ pub struct ScheduleOutcome {
 }
 
 /// Search for a modulo schedule of `mdfg` on `cgra` under `mode`, between
-/// the MII and `mii + opts.max_ii_slack`.
+/// the MII and `mii + opts.max_ii_slack`, starting the II search at
+/// `start_ii` when given (the constrained mapper holds II fixed across
+/// spill rounds this way).
+///
+/// The search's decisions — begin, backtracks, validator evictions,
+/// final placements/routes, end — are emitted to `tracer`. With the
+/// tracer off, events are never constructed.
 pub fn schedule(
-    mdfg: &MapDfg,
-    cgra: &CgraConfig,
-    mode: MapMode,
-    opts: &MapOptions,
-) -> ScheduleOutcome {
-    schedule_from(mdfg, cgra, mode, opts, None)
-}
-
-/// Like [`schedule`] but starting the II search at `start_ii` (used by the
-/// constrained mapper to hold II fixed across spill rounds).
-pub fn schedule_from(
-    mdfg: &MapDfg,
-    cgra: &CgraConfig,
-    mode: MapMode,
-    opts: &MapOptions,
-    start_ii: Option<u32>,
-) -> ScheduleOutcome {
-    schedule_from_traced(mdfg, cgra, mode, opts, start_ii, &Tracer::off())
-}
-
-/// Like [`schedule_from`], emitting the search's decisions — begin,
-/// backtracks, validator evictions, final placements/routes, end — to
-/// `tracer`. With the tracer off this *is* [`schedule_from`]: events are
-/// never constructed.
-pub fn schedule_from_traced(
     mdfg: &MapDfg,
     cgra: &CgraConfig,
     mode: MapMode,
@@ -730,6 +711,17 @@ mod tests {
         MapDfg::unspilled(&b.build().unwrap())
     }
 
+    /// Schedule `mdfg` on a 4x4 under default options and check the
+    /// mapping with the independent validator.
+    fn schedule_4x4(mdfg: &MapDfg, mode: MapMode) -> Mapping {
+        let cgra = cgra_arch::CgraConfig::square(4);
+        let opts = MapOptions::default();
+        let out = schedule(mdfg, &cgra, mode, &opts, None, &Tracer::off());
+        let m = out.mapping.expect("kernel maps");
+        assert!(validate_mapping(mdfg, &cgra, &m, mode).is_empty());
+        m
+    }
+
     #[test]
     fn asap_with_mem_adds_store_latency() {
         let mut b = DfgBuilder::new("m");
@@ -748,21 +740,12 @@ mod tests {
 
     #[test]
     fn schedules_simple_chain_at_ii_one() {
-        let mdfg = chain3();
-        let cgra = cgra_arch::CgraConfig::square(4);
-        let out = schedule(&mdfg, &cgra, MapMode::Baseline, &MapOptions::default());
-        let m = out.mapping.expect("chain maps");
-        assert_eq!(m.ii, 1);
-        assert!(validate_mapping(&mdfg, &cgra, &m, MapMode::Baseline).is_empty());
+        assert_eq!(schedule_4x4(&chain3(), MapMode::Baseline).ii, 1);
     }
 
     #[test]
     fn constrained_schedules_simple_chain() {
-        let mdfg = chain3();
-        let cgra = cgra_arch::CgraConfig::square(4);
-        let out = schedule(&mdfg, &cgra, MapMode::Constrained, &MapOptions::default());
-        let m = out.mapping.expect("chain maps under constraints");
-        assert!(validate_mapping(&mdfg, &cgra, &m, MapMode::Constrained).is_empty());
+        schedule_4x4(&chain3(), MapMode::Constrained);
     }
 
     #[test]
@@ -773,11 +756,7 @@ mod tests {
         let d = b.apply(OpKind::Add, &[c]);
         b.carried_edge(d, a, 1);
         let mdfg = MapDfg::unspilled(&b.build().unwrap());
-        let cgra = cgra_arch::CgraConfig::square(4);
-        let out = schedule(&mdfg, &cgra, MapMode::Baseline, &MapOptions::default());
-        let m = out.mapping.expect("recurrent kernel maps");
-        assert!(m.ii >= 3);
-        assert!(validate_mapping(&mdfg, &cgra, &m, MapMode::Baseline).is_empty());
+        assert!(schedule_4x4(&mdfg, MapMode::Baseline).ii >= 3);
     }
 
     #[test]
@@ -790,10 +769,6 @@ mod tests {
         }
         b.apply(OpKind::Store, &[prev]);
         let mdfg = MapDfg::unspilled(&b.build().unwrap());
-        let cgra = cgra_arch::CgraConfig::square(4);
-        let out = schedule(&mdfg, &cgra, MapMode::Baseline, &MapOptions::default());
-        let m = out.mapping.expect("deep chain maps");
-        assert!(m.ii >= 2);
-        assert!(validate_mapping(&mdfg, &cgra, &m, MapMode::Baseline).is_empty());
+        assert!(schedule_4x4(&mdfg, MapMode::Baseline).ii >= 2);
     }
 }

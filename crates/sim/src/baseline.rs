@@ -81,8 +81,12 @@ mod tests {
     use cgra_mapper::MapOptions;
 
     fn lib() -> KernelLibrary {
-        KernelLibrary::compile_benchmarks(&cgra_arch::CgraConfig::square(4), &MapOptions::default())
-            .expect("library compiles")
+        KernelLibrary::compile_benchmarks(
+            &cgra_arch::CgraConfig::square(4),
+            &MapOptions::default(),
+            &cgra_obs::Tracer::off(),
+        )
+        .expect("library compiles")
     }
 
     #[test]

@@ -29,45 +29,26 @@ pub struct PointReport {
 
 /// Generate the workload for `params` and simulate it on both systems.
 ///
+/// `faults` is expanded into concrete events over the library's fabric
+/// and injected into the multithreaded run, which is emitted to
+/// `tracer`. The baseline system models today's monolithic CGRA, which
+/// has no page-level fault story: it stays fault-free and untraced, the
+/// fixed reference degradation curves compare against.
+///
 /// Re-entrant: depends only on the arguments, so concurrent calls from
-/// any number of threads (sharing one `&KernelLibrary`) produce
-/// identical results to serial calls. The workload is regenerated from
-/// `params.seed` — callers get determinism by deriving that seed from
-/// point coordinates, never from worker identity or call order.
+/// any number of threads (sharing one `&KernelLibrary` and one `Tracer`)
+/// produce identical results to serial calls. The workload is
+/// regenerated from `params.seed` — callers get determinism by deriving
+/// that seed from point coordinates, never from worker identity or call
+/// order. Callers that need each point's events contiguous in a shared
+/// sink should wrap the call in
+/// [`Tracer::batched`](cgra_obs::Tracer::batched).
 ///
 /// # Errors
 ///
 /// Propagates any [`SimError`] from the multithreaded simulator so the
 /// bench engine can report a poisoned point in its own result slot.
 pub fn simulate_point(
-    lib: &KernelLibrary,
-    params: &WorkloadParams,
-    mt: MtConfig,
-) -> Result<PointReport, SimError> {
-    simulate_point_faulty(lib, params, mt, FaultSpec::Off)
-}
-
-/// [`simulate_point`] under a fault schedule: `faults` is expanded into
-/// concrete events over the library's fabric and injected into the
-/// multithreaded run (the baseline system models today's monolithic
-/// CGRA, which has no page-level fault story — it stays fault-free so
-/// degradation curves compare against a fixed reference).
-pub fn simulate_point_faulty(
-    lib: &KernelLibrary,
-    params: &WorkloadParams,
-    mt: MtConfig,
-    faults: FaultSpec,
-) -> Result<PointReport, SimError> {
-    simulate_point_faulty_traced(lib, params, mt, faults, &Tracer::off())
-}
-
-/// [`simulate_point_faulty`] with the multithreaded run emitted to
-/// `tracer` (the baseline FCFS run is a fixed reference and stays
-/// untraced). Still re-entrant: `Tracer` is `Send + Sync`, so concurrent
-/// sweep points may share one sink — callers that need each point's
-/// events contiguous should wrap the call in
-/// [`Tracer::batched`](cgra_obs::Tracer::batched).
-pub fn simulate_point_faulty_traced(
     lib: &KernelLibrary,
     params: &WorkloadParams,
     mt: MtConfig,
@@ -104,7 +85,7 @@ pub fn assert_parallel_safe() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multithreaded::simulate_multithreaded;
+    use crate::multithreaded::simulate_multithreaded_faulty;
     use crate::workload::CgraNeed;
     use cgra_mapper::MapOptions;
 
@@ -113,6 +94,7 @@ mod tests {
         let lib = KernelLibrary::compile_benchmarks(
             &cgra_arch::CgraConfig::square(4),
             &MapOptions::default(),
+            &Tracer::off(),
         )
         .unwrap();
         let params = WorkloadParams {
@@ -122,33 +104,20 @@ mod tests {
             bursts: 2,
             seed: 11,
         };
-        let combined = simulate_point(&lib, &params, MtConfig::default()).unwrap();
+        let combined = simulate_point(
+            &lib,
+            &params,
+            MtConfig::default(),
+            FaultSpec::Off,
+            &Tracer::off(),
+        )
+        .unwrap();
         let workload = generate(&lib, &params);
         assert_eq!(combined.baseline, simulate_baseline(&lib, &workload));
         assert_eq!(
             combined.multithreaded,
-            simulate_multithreaded(&lib, &workload, MtConfig::default()).unwrap()
+            simulate_multithreaded_faulty(&lib, &workload, MtConfig::default(), &[]).unwrap()
         );
-    }
-
-    #[test]
-    fn off_spec_equals_plain_point() {
-        let lib = KernelLibrary::compile_benchmarks(
-            &cgra_arch::CgraConfig::square(4),
-            &MapOptions::default(),
-        )
-        .unwrap();
-        let params = WorkloadParams {
-            threads: 4,
-            need: CgraNeed::High,
-            work_per_thread: 10_000,
-            bursts: 2,
-            seed: 3,
-        };
-        let plain = simulate_point(&lib, &params, MtConfig::default()).unwrap();
-        let off =
-            simulate_point_faulty(&lib, &params, MtConfig::default(), FaultSpec::Off).unwrap();
-        assert_eq!(plain, off);
     }
 
     #[test]
@@ -156,6 +125,7 @@ mod tests {
         let lib = KernelLibrary::compile_benchmarks(
             &cgra_arch::CgraConfig::square(4),
             &MapOptions::default(),
+            &Tracer::off(),
         )
         .unwrap();
         let all_params: Vec<WorkloadParams> = (0..8)
@@ -167,14 +137,14 @@ mod tests {
                 seed: i as u64,
             })
             .collect();
-        let serial: Vec<Result<PointReport, SimError>> = all_params
-            .iter()
-            .map(|p| simulate_point(&lib, p, MtConfig::default()))
-            .collect();
+        let point = |p: &WorkloadParams| {
+            simulate_point(&lib, p, MtConfig::default(), FaultSpec::Off, &Tracer::off())
+        };
+        let serial: Vec<Result<PointReport, SimError>> = all_params.iter().map(point).collect();
         let parallel: Vec<Result<PointReport, SimError>> = std::thread::scope(|s| {
             let handles: Vec<_> = all_params
                 .iter()
-                .map(|p| s.spawn(|| simulate_point(&lib, p, MtConfig::default())))
+                .map(|p| s.spawn(move || point(p)))
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });

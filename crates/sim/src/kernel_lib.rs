@@ -190,15 +190,10 @@ pub struct KernelLibrary {
 }
 
 impl KernelLibrary {
-    /// Compile all 11 benchmark kernels for a fabric.
-    pub fn compile_benchmarks(cgra: &CgraConfig, opts: &MapOptions) -> Result<Self, MapError> {
-        Self::compile_benchmarks_traced(cgra, opts, &Tracer::off())
-    }
-
-    /// [`compile_benchmarks`](Self::compile_benchmarks) with every
-    /// kernel's compilation emitted to `tracer` (one `MapBegin`/`MapEnd`
-    /// segment per mapper search, in `cgra_dfg::kernels::NAMES` order).
-    pub fn compile_benchmarks_traced(
+    /// Compile all 11 benchmark kernels for a fabric, every kernel's
+    /// compilation emitted to `tracer` (one `MapBegin`/`MapEnd` segment
+    /// per mapper search, in `cgra_dfg::kernels::NAMES` order).
+    pub fn compile_benchmarks(
         cgra: &CgraConfig,
         opts: &MapOptions,
         tracer: &Tracer,

@@ -6,7 +6,7 @@
 //!
 //! * [`baseline::simulate_baseline`] — today's single-threaded,
 //!   non-preemptive CGRA: kernels occupy the whole array FCFS.
-//! * [`multithreaded::simulate_multithreaded`] — the paper's proposal:
+//! * [`multithreaded::simulate_multithreaded_faulty`] — the paper's proposal:
 //!   page-granular space multiplexing with PageMaster shrink/expand,
 //!   driven by pre-computed `II_q(M)` tables from real transforms.
 //!
@@ -36,12 +36,11 @@ pub mod workload;
 
 pub use alloc::{Allocator, ExpandPolicy, Expansion, PageDeath, RequestOutcome};
 pub use baseline::simulate_baseline;
-pub use entry::{simulate_point, simulate_point_faulty, simulate_point_faulty_traced, PointReport};
+pub use entry::{simulate_point, PointReport};
 pub use error::SimError;
 pub use kernel_lib::{halving_chain, KernelLibrary, KernelProfile};
 pub use multithreaded::{
-    simulate_multithreaded, simulate_multithreaded_faulty, simulate_multithreaded_faulty_traced,
-    MtConfig,
+    simulate_multithreaded_faulty, simulate_multithreaded_faulty_traced, MtConfig,
 };
 pub use stats::{improvement_percent, FaultStats, SimReport};
 pub use workload::{generate, CgraNeed, Segment, ThreadSpec, WorkloadParams};

@@ -717,20 +717,12 @@ impl<'a> Sim<'a> {
     }
 }
 
-/// Simulate the multithreaded system; deterministic for a given workload.
-pub fn simulate_multithreaded(
-    lib: &KernelLibrary,
-    threads: &[ThreadSpec],
-    cfg: MtConfig,
-) -> Result<SimReport, SimError> {
-    simulate_multithreaded_faulty(lib, threads, cfg, &[])
-}
-
-/// Simulate the multithreaded system under a fault schedule.
+/// Simulate the multithreaded system under a fault schedule;
+/// deterministic for a given workload and schedule.
 ///
 /// `faults` need not be sorted; events are applied in `(time, page)`
 /// order, each one strictly before any thread event at a later time.
-/// With an empty schedule this is exactly [`simulate_multithreaded`].
+/// An empty schedule is the fault-free system.
 pub fn simulate_multithreaded_faulty(
     lib: &KernelLibrary,
     threads: &[ThreadSpec],
@@ -817,6 +809,7 @@ mod tests {
         KernelLibrary::compile_benchmarks(
             &cgra_arch::CgraConfig::square(dim),
             &MapOptions::default(),
+            &Tracer::off(),
         )
         .expect("library compiles")
     }
@@ -830,7 +823,7 @@ mod tests {
                 iterations: 50,
             }],
         };
-        let r = simulate_multithreaded(&lib, &[spec], MtConfig::default()).unwrap();
+        let r = simulate_multithreaded_faulty(&lib, &[spec], MtConfig::default(), &[]).unwrap();
         let ii = lib.profile(0).ii_constrained as u64;
         assert_eq!(r.makespan, 50 * ii);
         assert_eq!(r.shrinks, 0);
@@ -840,8 +833,8 @@ mod tests {
     fn deterministic() {
         let lib = lib(4);
         let w = generate(&lib, &WorkloadParams::default());
-        let a = simulate_multithreaded(&lib, &w, MtConfig::default()).unwrap();
-        let b = simulate_multithreaded(&lib, &w, MtConfig::default()).unwrap();
+        let a = simulate_multithreaded_faulty(&lib, &w, MtConfig::default(), &[]).unwrap();
+        let b = simulate_multithreaded_faulty(&lib, &w, MtConfig::default(), &[]).unwrap();
         assert_eq!(a, b);
     }
 
@@ -858,7 +851,9 @@ mod tests {
                 iterations: 100,
             }],
         };
-        let r = simulate_multithreaded(&lib, &[spec.clone(), spec], MtConfig::default()).unwrap();
+        let r =
+            simulate_multithreaded_faulty(&lib, &[spec.clone(), spec], MtConfig::default(), &[])
+                .unwrap();
         assert_eq!(r.shrinks, 0, "unused-portion rule should serve both");
         let ii = lib.profile(small).ii_constrained as u64;
         assert_eq!(r.makespan, 100 * ii);
@@ -878,7 +873,7 @@ mod tests {
             },
         );
         let base = crate::baseline::simulate_baseline(&lib, &w);
-        let mt = simulate_multithreaded(&lib, &w, MtConfig::default()).unwrap();
+        let mt = simulate_multithreaded_faulty(&lib, &w, MtConfig::default(), &[]).unwrap();
         let imp = improvement_percent(base.makespan, mt.makespan);
         assert!(
             imp > 20.0,
@@ -897,14 +892,15 @@ mod tests {
                 ..Default::default()
             },
         );
-        let zero = simulate_multithreaded(&lib, &w, MtConfig::default()).unwrap();
-        let heavy = simulate_multithreaded(
+        let zero = simulate_multithreaded_faulty(&lib, &w, MtConfig::default(), &[]).unwrap();
+        let heavy = simulate_multithreaded_faulty(
             &lib,
             &w,
             MtConfig {
                 switch_overhead: 1000,
                 ..Default::default()
             },
+            &[],
         )
         .unwrap();
         assert!(heavy.makespan >= zero.makespan);
@@ -922,7 +918,7 @@ mod tests {
                 _ => 0,
             })
             .sum();
-        let r = simulate_multithreaded(&lib, &w, MtConfig::default()).unwrap();
+        let r = simulate_multithreaded_faulty(&lib, &w, MtConfig::default(), &[]).unwrap();
         assert_eq!(r.cgra_iterations, total);
     }
 
@@ -944,20 +940,10 @@ mod tests {
         // arrives with nothing shrinkable left and must queue until one
         // of the others finishes.
         let threads = [spec(200), spec(200), spec(200), spec(200), spec(50)];
-        let r = simulate_multithreaded(&lib, &threads, MtConfig::default()).unwrap();
+        let r = simulate_multithreaded_faulty(&lib, &threads, MtConfig::default(), &[]).unwrap();
         assert!(r.stall_cycles > 0, "fifth thread should have waited: {r:?}");
         assert!(r.thread_finish.iter().all(|&f| f > 0));
         assert_eq!(r.shrinks, 3, "arrivals 1..3 each shrink a tenant");
-    }
-
-    #[test]
-    fn zero_fault_schedule_is_identical_to_plain_path() {
-        let lib = lib(4);
-        let w = generate(&lib, &WorkloadParams::default());
-        let plain = simulate_multithreaded(&lib, &w, MtConfig::default()).unwrap();
-        let faulty = simulate_multithreaded_faulty(&lib, &w, MtConfig::default(), &[]).unwrap();
-        assert_eq!(plain, faulty);
-        assert!(!faulty.faults.any());
     }
 
     #[test]
@@ -1373,8 +1359,13 @@ mod tests {
             }],
         };
         let ii = lib.profile(big).ii_constrained as u64;
-        let clean =
-            simulate_multithreaded(&lib, std::slice::from_ref(&spec), MtConfig::default()).unwrap();
+        let clean = simulate_multithreaded_faulty(
+            &lib,
+            std::slice::from_ref(&spec),
+            MtConfig::default(),
+            &[],
+        )
+        .unwrap();
         let degraded = simulate_multithreaded_faulty(
             &lib,
             &[spec],

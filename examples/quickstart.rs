@@ -77,7 +77,7 @@ fn main() {
     // ------------------------------------------------------------------
     // 5. System view: 4 threads sharing the CGRA (Fig. 9 in miniature).
     // ------------------------------------------------------------------
-    let lib = KernelLibrary::compile_benchmarks(&cgra, &opts).expect("library");
+    let lib = KernelLibrary::compile_benchmarks(&cgra, &opts, &Tracer::off()).expect("library");
     let workload = generate(
         &lib,
         &WorkloadParams {
@@ -89,7 +89,8 @@ fn main() {
         },
     );
     let fcfs = simulate_baseline(&lib, &workload);
-    let mt = simulate_multithreaded(&lib, &workload, MtConfig::default()).expect("simulates");
+    let mt = simulate_multithreaded_faulty(&lib, &workload, MtConfig::default(), &[])
+        .expect("simulates");
     println!(
         "\n4 threads, 87.5% CGRA need: FCFS makespan {} vs multithreaded {} ({:+.1}%)",
         fcfs.makespan,

@@ -369,7 +369,8 @@ fn allocator_expand_respects_want_caps() {
 #[test]
 fn simulator_agrees_with_hand_computation() {
     let cgra = CgraConfig::square(4);
-    let lib = KernelLibrary::compile_benchmarks(&cgra, &MapOptions::default()).unwrap();
+    let lib =
+        KernelLibrary::compile_benchmarks(&cgra, &MapOptions::default(), &Tracer::off()).unwrap();
     // One thread, one segment: both systems compute exactly.
     let spec = cgra_mt::sim::ThreadSpec {
         segments: vec![cgra_mt::sim::Segment::Cgra {
@@ -378,7 +379,7 @@ fn simulator_agrees_with_hand_computation() {
         }],
     };
     let base = simulate_baseline(&lib, std::slice::from_ref(&spec));
-    let mt = simulate_multithreaded(&lib, &[spec], MtConfig::default()).unwrap();
+    let mt = simulate_multithreaded_faulty(&lib, &[spec], MtConfig::default(), &[]).unwrap();
     assert_eq!(base.makespan, 7 * lib.profile(0).ii_baseline as u64);
     assert_eq!(mt.makespan, 7 * lib.profile(0).ii_constrained as u64);
 }
@@ -387,7 +388,8 @@ fn simulator_agrees_with_hand_computation() {
 fn multithreaded_never_stalls_forever() {
     // 16 threads on the tiny 4x4: stalls happen, but everything finishes.
     let cgra = CgraConfig::square(4);
-    let lib = KernelLibrary::compile_benchmarks(&cgra, &MapOptions::default()).unwrap();
+    let lib =
+        KernelLibrary::compile_benchmarks(&cgra, &MapOptions::default(), &Tracer::off()).unwrap();
     let w = generate(
         &lib,
         &WorkloadParams {
@@ -398,7 +400,7 @@ fn multithreaded_never_stalls_forever() {
             seed: 5,
         },
     );
-    let r = simulate_multithreaded(&lib, &w, MtConfig::default()).unwrap();
+    let r = simulate_multithreaded_faulty(&lib, &w, MtConfig::default(), &[]).unwrap();
     assert_eq!(r.thread_finish.len(), 16);
     assert!(r.thread_finish.iter().all(|&f| f > 0));
 }
