@@ -1,9 +1,8 @@
 //! Degradation analysis: a [`DegradedPlan`] re-checked against the live
 //! [`FaultMap`], from first principles.
 //!
-//! The inner shrink plan is analyzed like any other
-//! ([`analyze_plan`](crate::plan::analyze_plan)); on top, the
-//! column→page remap must satisfy:
+//! The inner shrink plan is analyzed like any other ([`analyze_plan`]);
+//! on top, the column→page remap must satisfy:
 //!
 //! * every column is backed by an in-range, usable page (A301);
 //! * the backing pages form one contiguous ascending run, so the ring

@@ -9,11 +9,11 @@
 //! treats any survivor as an analyzer bug (100 % kill rate required).
 //!
 //! Operators that have a choice of mutation site (which edge to stretch,
-//! which placement to clone) draw it from a seeded splitmix64 stream, so
-//! a run is reproducible from its seed while still exercising different
-//! sites across seeds. Every operator is constructed so the expected
-//! code fires for *any* qualifying site — the seed varies coverage, not
-//! correctness.
+//! which placement to clone) draw it from a seeded [`splitmix64`]
+//! stream, so a run is reproducible from its seed while still exercising
+//! different sites across seeds. Every operator is constructed so the
+//! expected code fires for *any* qualifying site — the seed varies
+//! coverage, not correctness.
 
 // Operators are deliberately terse (r/m/i/j for result/mutant/indices)
 // and the registry is one long literal list — both idiomatic here.
@@ -21,6 +21,7 @@
 
 use std::collections::HashMap;
 
+use cgra_arch::fault::splitmix64;
 use cgra_arch::{CgraConfig, FaultMap, PageHealth, PageId, PeCapability, PeId};
 use cgra_core::fold::fold_to_page;
 use cgra_core::transform::{transform_block, Strategy};
@@ -145,20 +146,11 @@ fn good_profile() -> (u32, u32, u16, Vec<(u16, u32)>) {
     (3, 4, 2, vec![(4, 4), (2, 4), (1, 8)])
 }
 
-/// One splitmix64 step — tiny, deterministic, dependency-free.
-fn next(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Pick one qualifying mutation site; panics if an operator found none
 /// (a fixture regression, not a survivable outcome).
 fn pick<'a, T>(state: &mut u64, items: &'a [T], what: &str) -> &'a T {
     assert!(!items.is_empty(), "no mutation candidates for {what}");
-    &items[usize::try_from(next(state) % items.len() as u64).unwrap()]
+    &items[usize::try_from(splitmix64(state) % items.len() as u64).unwrap()]
 }
 
 /// One mutation operator: a named artifact-breaking transformation and
@@ -239,8 +231,8 @@ fn clone_onto_occupied_slot(a: &Artifacts, s: &mut u64) -> Report {
     let r = &a.fir;
     let mut m = r.mapping.clone();
     let n = m.placements.len();
-    let i = usize::try_from(next(s) % n as u64).unwrap();
-    let j = (i + 1 + usize::try_from(next(s) % (n as u64 - 1)).unwrap()) % n;
+    let i = usize::try_from(splitmix64(s) % n as u64).unwrap();
+    let j = (i + 1 + usize::try_from(splitmix64(s) % (n as u64 - 1)).unwrap()) % n;
     m.placements[j] = m.placements[i];
     analyze_mapping(&r.mdfg, &a.cgra, &m, r.mode)
 }
@@ -553,7 +545,7 @@ fn reexpand_before_repair(a: &Artifacts, _s: &mut u64) -> Report {
 fn jump_quarantine(a: &Artifacts, s: &mut u64) -> Report {
     let mut r = a.recovery.clone();
     // Activate somewhere strictly inside the quarantine window.
-    let early = next(s) % r.quarantine;
+    let early = splitmix64(s) % r.quarantine;
     r.repaired[0].activated_at = r.repaired[0].repaired_at + early;
     analyze_recovery(&a.p8, &r, &a.healed)
 }
@@ -561,7 +553,7 @@ fn jump_quarantine(a: &Artifacts, s: &mut u64) -> Report {
 fn lose_iterations(a: &Artifacts, s: &mut u64) -> Report {
     let mut r = a.recovery.clone();
     // Resume anywhere but where the thread left off.
-    r.resume_iteration = r.completed_iterations + 1 + next(s) % 7;
+    r.resume_iteration = r.completed_iterations + 1 + splitmix64(s) % 7;
     analyze_recovery(&a.p8, &r, &a.healed)
 }
 
@@ -570,7 +562,7 @@ fn lose_iterations(a: &Artifacts, s: &mut u64) -> Report {
 fn escape_target_page(a: &Artifacts, s: &mut u64) -> Report {
     let layout = a.cgra_rf32.layout();
     let mut folded = a.folded.clone();
-    let i = usize::try_from(next(s) % folded.ops.len() as u64).unwrap();
+    let i = usize::try_from(splitmix64(s) % folded.ops.len() as u64).unwrap();
     let off_page = layout
         .pes_of(layout.next_page(folded.target))
         .next()
@@ -582,8 +574,8 @@ fn escape_target_page(a: &Artifacts, s: &mut u64) -> Report {
 fn collide_folded_ops(a: &Artifacts, s: &mut u64) -> Report {
     let mut folded = a.folded.clone();
     let n = folded.ops.len();
-    let i = usize::try_from(next(s) % n as u64).unwrap();
-    let j = (i + 1 + usize::try_from(next(s) % (n as u64 - 1)).unwrap()) % n;
+    let i = usize::try_from(splitmix64(s) % n as u64).unwrap();
+    let j = (i + 1 + usize::try_from(splitmix64(s) % (n as u64 - 1)).unwrap()) % n;
     folded.ops[j] = folded.ops[i];
     analyze_fold(&a.fir32, &a.cgra_rf32, &folded)
 }
@@ -649,7 +641,7 @@ fn flip_orientation(a: &Artifacts, s: &mut u64) -> Report {
     let n = folded.orientations.len();
     // Never page 0 (identity is correct there by construction, so flip
     // a later page).
-    let i = 1 + usize::try_from(next(s) % (n as u64 - 1)).unwrap();
+    let i = 1 + usize::try_from(splitmix64(s) % (n as u64 - 1)).unwrap();
     folded.orientations[i] = if folded.orientations[i] == cgra_arch::Orientation::Identity {
         cgra_arch::Orientation::Rot180
     } else {

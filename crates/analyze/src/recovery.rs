@@ -2,9 +2,8 @@
 //! [`FaultMap`], from first principles.
 //!
 //! The inner re-expanded plan is analyzed like any other
-//! ([`analyze_plan`](crate::plan::analyze_plan)), and the column→page
-//! remap is held to the same structural rules as a degraded plan's
-//! (contiguity A302, injectivity A303, bookkeeping A305). On top, the
+//! ([`analyze_plan`]), and the column→page remap is held to the same
+//! structural rules as a degraded plan's (contiguity A302, injectivity A303, bookkeeping A305). On top, the
 //! recovery-specific invariants:
 //!
 //! * **A310** — repaired-page reuse legality: no recovered column may

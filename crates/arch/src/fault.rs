@@ -2,23 +2,14 @@
 //!
 //! The paper's core argument (§VI–VII) is that page-level virtualization
 //! lets a thread keep making progress as resources are taken away from
-//! it. A faulty PE or page is just another way resources disappear at
-//! runtime: a [`FaultMap`] records which pages of a fabric are healthy,
-//! degraded (usable at reduced rate) or dead (unusable), and
+//! it. A faulty page is just another way resources disappear at runtime:
+//! a [`FaultMap`] records which pages of a fabric are healthy, degraded
+//! (usable at reduced rate), dead (unusable) or under repair, and
 //! [`FaultSpec`] describes *when* faults strike — a targeted page at a
 //! fixed time, or MTBF-style random arrivals from a deterministic seeded
-//! stream.
-//!
-//! The map composes with the existing page geometry: PE-level faults are
-//! folded onto their containing page via [`PageLayout::page_of`], and the
-//! intra-page coordinates of faulty PEs transform under the D4 subgroup
-//! in [`Orientation`] exactly like relocated page mappings do, so a
-//! runtime that mirrors a page onto a partially-faulty tile can ask where
-//! the faults land in the mirrored frame.
+//! stream ([`splitmix64`]). Faults strike whole pages, the unit the
+//! runtime allocates and reshapes schedules over.
 
-use crate::mirror::Orientation;
-use crate::page::{PageLayout, PageShape};
-use crate::topology::{PeId, Pos};
 use serde::{Deserialize, Serialize};
 
 /// Health of one page of the grid.
@@ -40,50 +31,20 @@ pub enum PageHealth {
 /// Health of every page in a fabric, in ring order.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultMap {
-    shape: PageShape,
     health: Vec<PageHealth>,
-    /// Intra-page coordinates of faulty PEs, per page (identity frame).
-    faulty_pes: Vec<Vec<Pos>>,
 }
 
 impl FaultMap {
-    /// An all-healthy map over `num_pages` pages of 1×1 shape (the
-    /// page-count-only abstraction the simulator uses).
+    /// An all-healthy map over `num_pages` pages.
     pub fn new(num_pages: u16) -> Self {
         FaultMap {
-            shape: PageShape::new(1, 1),
             health: vec![PageHealth::Healthy; num_pages as usize],
-            faulty_pes: vec![Vec::new(); num_pages as usize],
         }
-    }
-
-    /// An all-healthy map matching a concrete page layout.
-    pub fn for_layout(layout: &PageLayout) -> Self {
-        FaultMap {
-            shape: layout.shape(),
-            health: vec![PageHealth::Healthy; layout.num_pages()],
-            faulty_pes: vec![Vec::new(); layout.num_pages()],
-        }
-    }
-
-    /// A map with the pages containing the given PEs marked per the
-    /// escalation policy of [`FaultMap::mark_pe`].
-    pub fn from_dead_pes(layout: &PageLayout, pes: &[PeId]) -> Self {
-        let mut map = Self::for_layout(layout);
-        for &pe in pes {
-            map.mark_pe(layout, pe);
-        }
-        map
     }
 
     /// Number of pages covered.
     pub fn num_pages(&self) -> u16 {
         self.health.len() as u16
-    }
-
-    /// The page shape faults are recorded against.
-    pub fn shape(&self) -> PageShape {
-        self.shape
     }
 
     /// Health of one page.
@@ -118,9 +79,7 @@ impl FaultMap {
         }
     }
 
-    /// Repairing → Healthy: repair finished; the page's recorded PE
-    /// faults are cleared so majority-vote escalation restarts from
-    /// scratch if it is struck again. Only a page actually in
+    /// Repairing → Healthy: repair finished. Only a page actually in
     /// [`Repairing`] transitions — a page re-killed mid-repair stays
     /// dead.
     ///
@@ -128,42 +87,7 @@ impl FaultMap {
     pub fn complete_repair(&mut self, page: u16) {
         if self.health[page as usize] == PageHealth::Repairing {
             self.health[page as usize] = PageHealth::Healthy;
-            self.faulty_pes[page as usize].clear();
         }
-    }
-
-    /// Record a faulty PE. The containing page becomes [`Degraded`]
-    /// (the mapping can route around one bad PE at reduced rate); once
-    /// more than half the page's PEs are faulty the page is [`Dead`].
-    ///
-    /// [`Degraded`]: PageHealth::Degraded
-    /// [`Dead`]: PageHealth::Dead
-    pub fn mark_pe(&mut self, layout: &PageLayout, pe: PeId) {
-        let page = layout.page_of(pe);
-        let local = layout.intra_pos(pe);
-        let faults = &mut self.faulty_pes[page.index()];
-        if !faults.contains(&local) {
-            faults.push(local);
-        }
-        let health = if faults.len() * 2 > self.shape.size() {
-            PageHealth::Dead
-        } else {
-            PageHealth::Degraded
-        };
-        // Never *improve* a page (a directly-killed page stays dead).
-        if self.health[page.index()] != PageHealth::Dead {
-            self.health[page.index()] = health;
-        }
-    }
-
-    /// Intra-page coordinates of a page's faulty PEs as seen through
-    /// `orient` — where the faults land when the page's mapping is
-    /// mirrored/rotated onto this tile.
-    pub fn faulty_pes(&self, page: u16, orient: Orientation) -> Vec<Pos> {
-        self.faulty_pes[page as usize]
-            .iter()
-            .map(|&p| orient.apply(p, self.shape.h, self.shape.w))
-            .collect()
     }
 
     /// Pages that can still execute ops, in ring order.
@@ -401,10 +325,14 @@ impl std::fmt::Display for FaultSpecError {
 
 impl std::error::Error for FaultSpecError {}
 
-/// SplitMix64 — a tiny deterministic stream, enough for fault arrival
-/// draws (the workload RNG lives in the in-repo `rand` crate; this keeps
-/// `cgra-arch` dependency-free).
-fn splitmix64(state: &mut u64) -> u64 {
+/// One step of SplitMix64: advances `state` and returns the next value of
+/// a tiny deterministic stream.
+///
+/// It drives the fault arrival draws of [`FaultSpec::schedule`] and the
+/// analyzer's mutation-site choices, keeping `cgra-arch` dependency-free.
+/// The stream is part of the reproducibility contract: a given seed must
+/// keep producing the same fault schedule, so the constants never change.
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -695,7 +623,6 @@ impl std::fmt::Display for FaultSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::Mesh;
 
     #[test]
     fn fresh_map_is_all_healthy() {
@@ -736,43 +663,6 @@ mod tests {
         m.mark_page(1, PageHealth::Degraded);
         assert_eq!(m.surviving_runs(), vec![(0, 4)]);
         assert_eq!(m.degraded_pages(), vec![1]);
-    }
-
-    #[test]
-    fn pe_faults_escalate_by_majority() {
-        let layout = PageLayout::for_size(Mesh::new(4, 4), 4).unwrap();
-        let mut m = FaultMap::for_layout(&layout);
-        // Page 0 is the TL 2x2 quadrant: PEs at (0,0),(0,1),(1,0),(1,1).
-        let mesh = layout.mesh();
-        m.mark_pe(&layout, mesh.pe(Pos::new(0, 0)));
-        assert_eq!(m.health(0), PageHealth::Degraded);
-        m.mark_pe(&layout, mesh.pe(Pos::new(0, 1)));
-        assert_eq!(m.health(0), PageHealth::Degraded); // 2 of 4: not a majority
-        m.mark_pe(&layout, mesh.pe(Pos::new(1, 0)));
-        assert_eq!(m.health(0), PageHealth::Dead); // 3 of 4
-                                                   // Other pages untouched.
-        assert_eq!(m.health(1), PageHealth::Healthy);
-    }
-
-    #[test]
-    fn duplicate_pe_fault_is_idempotent() {
-        let layout = PageLayout::for_size(Mesh::new(4, 4), 4).unwrap();
-        let mut m = FaultMap::for_layout(&layout);
-        let pe = layout.mesh().pe(Pos::new(0, 0));
-        m.mark_pe(&layout, pe);
-        m.mark_pe(&layout, pe);
-        assert_eq!(m.faulty_pes(0, Orientation::Identity).len(), 1);
-        assert_eq!(m.health(0), PageHealth::Degraded);
-    }
-
-    #[test]
-    fn faulty_pe_positions_transform_under_orientation() {
-        let layout = PageLayout::for_size(Mesh::new(4, 4), 4).unwrap();
-        let mut m = FaultMap::for_layout(&layout);
-        m.mark_pe(&layout, layout.mesh().pe(Pos::new(0, 0))); // local (0,0) of page 0
-        assert_eq!(m.faulty_pes(0, Orientation::Identity), vec![Pos::new(0, 0)]);
-        assert_eq!(m.faulty_pes(0, Orientation::MirrorV), vec![Pos::new(0, 1)]);
-        assert_eq!(m.faulty_pes(0, Orientation::Rot180), vec![Pos::new(1, 1)]);
     }
 
     #[test]
@@ -939,25 +829,6 @@ mod tests {
         m.mark_page(3, PageHealth::Dead); // re-struck while repairing
         m.complete_repair(3);
         assert_eq!(m.health(3), PageHealth::Dead);
-    }
-
-    #[test]
-    fn repair_clears_pe_faults_for_fresh_majority_vote() {
-        let layout = PageLayout::for_size(Mesh::new(4, 4), 4).unwrap();
-        let mut m = FaultMap::for_layout(&layout);
-        let mesh = layout.mesh();
-        // Kill page 0 by majority vote.
-        m.mark_pe(&layout, mesh.pe(Pos::new(0, 0)));
-        m.mark_pe(&layout, mesh.pe(Pos::new(0, 1)));
-        m.mark_pe(&layout, mesh.pe(Pos::new(1, 0)));
-        assert_eq!(m.health(0), PageHealth::Dead);
-        m.begin_repair(0);
-        m.complete_repair(0);
-        assert_eq!(m.health(0), PageHealth::Healthy);
-        assert!(m.faulty_pes(0, Orientation::Identity).is_empty());
-        // A fresh single PE fault only degrades — the vote restarted.
-        m.mark_pe(&layout, mesh.pe(Pos::new(0, 0)));
-        assert_eq!(m.health(0), PageHealth::Degraded);
     }
 
     #[test]

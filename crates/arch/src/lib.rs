@@ -18,10 +18,10 @@
 //! * [`mirror`] — orientation transforms used when a page's intra-page
 //!   mapping must be mirrored during a shrink (Fig. 6).
 //! * [`memory`] — the shared row buses to data memory.
-//! * [`fault`] — the fault model: per-page health, PE-level fault
-//!   folding onto pages, and deterministic seeded injection schedules.
-//! * [`config`] — [`CgraConfig`](config::CgraConfig), the validated bundle
-//!   of all architectural parameters.
+//! * [`fault`] — the fault model: per-page health and deterministic
+//!   seeded injection schedules.
+//! * [`config`] — [`CgraConfig`], the validated bundle of all
+//!   architectural parameters.
 //!
 //! Nothing here is specific to any one mapping algorithm; the mapper and
 //! PageMaster crates build on these types.

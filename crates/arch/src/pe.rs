@@ -4,7 +4,7 @@
 //! and executes one micro-operation per cycle: add/sub/shift/logic,
 //! multiply, or load/store. Fabrics in the literature differ in whether
 //! every PE may multiply or touch memory; the model captures this with a
-//! per-PE capability set so heterogeneous fabrics (cf. Ahn et al. [26])
+//! per-PE capability set so heterogeneous fabrics (cf. Ahn et al. \[26\])
 //! can be described, while the paper's homogeneous fabric is the default.
 
 use serde::{Deserialize, Serialize};

@@ -4,7 +4,7 @@
 //! scheduling, a value written in iteration *i* must not be clobbered by
 //! the same instruction's write in iteration *i+1* while consumers of
 //! iteration *i* are still pending — rotation renames registers each II
-//! boundary exactly as in Rau's rotating files [10]. The PageMaster
+//! boundary exactly as in Rau's rotating files \[10\]. The PageMaster
 //! transformation additionally parks values in the RF while their consumer
 //! page waits its turn (§VI-E: "N rotating registers in each PE will
 //! ensure that the original mapping ... can be shrunk to a single page").

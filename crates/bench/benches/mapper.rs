@@ -1,10 +1,9 @@
 //! Mapper compile-time comparison (§III's motivation: "the running time
 //! to generate a schedule for all CGRA compilation techniques is large"):
-//! list-scheduling baseline vs constrained vs DRESC-style simulated
-//! annealing, on representative kernels.
+//! list-scheduling baseline vs constrained, on representative kernels.
 
 use cgra_bench::microbench::Bench;
-use cgra_mapper::{map_anneal, map_baseline, map_constrained, AnnealOptions, MapOptions};
+use cgra_mapper::{map_baseline, map_constrained, MapOptions};
 use std::hint::black_box;
 
 fn main() {
@@ -20,9 +19,4 @@ fn main() {
             map_constrained(black_box(&kernel), &cgra, &opts).unwrap()
         });
     }
-    // Annealing is far slower; one kernel suffices to make the point.
-    let kernel = cgra_dfg::kernels::mpeg2();
-    bench.run("mapper_compile_time/anneal/mpeg2", || {
-        map_anneal(black_box(&kernel), &cgra, &opts, &AnnealOptions::default()).unwrap()
-    });
 }

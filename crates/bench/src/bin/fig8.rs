@@ -7,7 +7,8 @@
 //!   --csv         emit CSV instead of tables
 //!   --strict      run the strict-discipline ablation instead
 //!   --jobs N, -j  worker threads (default: available cores, capped 16);
-//!                 output is byte-identical for every N
+//!                 output is byte-identical for every N; a missing or
+//!                 non-positive value exits 2
 //!   --no-cache    keep compiled profiles in memory only; neither read
 //!                 nor write target/mapcache
 //!   --trace PATH  append every mapper/transform event to PATH as JSONL
@@ -26,7 +27,10 @@ use cgra_bench::obsflags::ObsFlags;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = EngineConfig::from_args(&args);
+    let cfg = EngineConfig::from_args(&args).unwrap_or_else(|e| {
+        eprintln!("fig8: {e}");
+        std::process::exit(2);
+    });
     let engine = Engine::new(cfg);
     let obs = ObsFlags::from_args(&args);
     let cache = MapCache::for_config(cfg, obs.tracer.clone());

@@ -17,7 +17,8 @@
 //!                         instead; `off` runs the plain fault-free grid
 //!   --smoke               reduced seeds/work (fast CI smoke run)
 //!   --jobs N, -j N        worker threads (default: available cores,
-//!                         capped 16); output is byte-identical for all N
+//!                         capped 16); output is byte-identical for all N;
+//!                         a missing or non-positive value exits 2
 //!   --no-cache            keep compiled profiles in memory only;
 //!                         neither read nor write target/mapcache
 //!   --trace PATH          append every mapper/transform/simulator event
@@ -38,7 +39,10 @@ use cgra_sim::CgraNeed;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = EngineConfig::from_args(&args);
+    let cfg = EngineConfig::from_args(&args).unwrap_or_else(|e| {
+        eprintln!("fig9: {e}");
+        std::process::exit(2);
+    });
     let engine = Engine::new(cfg);
     let obs = ObsFlags::from_args(&args);
     let cache = MapCache::for_config(cfg, obs.tracer.clone());

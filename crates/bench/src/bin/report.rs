@@ -5,8 +5,9 @@
 //! Usage: `cargo run -p cgra-bench --bin report --release > experiments.out`
 //!
 //! Flags: `--jobs N` / `-j N` (worker threads; stdout is byte-identical
-//! for every N) and `--no-cache` (keep compiled profiles in memory only,
-//! skip target/mapcache).
+//! for every N; a missing or non-positive value exits 2) and
+//! `--no-cache` (keep compiled profiles in memory only, skip
+//! target/mapcache).
 
 use cgra_bench::engine::{Engine, EngineConfig};
 use cgra_bench::fig9::Fig9Params;
@@ -18,7 +19,10 @@ use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = EngineConfig::from_args(&args);
+    let cfg = EngineConfig::from_args(&args).unwrap_or_else(|e| {
+        eprintln!("report: {e}");
+        std::process::exit(2);
+    });
     let engine = Engine::new(cfg);
     // One cache for the whole report: Fig. 8 warms exactly the per-kernel
     // profiles the Fig. 9 libraries are assembled from.

@@ -78,35 +78,53 @@ impl Default for EngineConfig {
     }
 }
 
+/// A bad `--jobs` / `-j` argument.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum JobsError {
+    /// The flag is the last argument, with no value after it.
+    Missing,
+    /// The value is not a positive integer.
+    Invalid(String),
+}
+
+impl std::fmt::Display for JobsError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            JobsError::Missing => write!(f, "--jobs requires a value, e.g. --jobs 4"),
+            JobsError::Invalid(value) => {
+                write!(f, "--jobs expects a positive integer, got {value:?}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for JobsError {}
+
 impl EngineConfig {
     /// Parse `--jobs N` / `-j N` and `--no-cache` from CLI arguments,
     /// ignoring everything else (binaries layer their own flags on top).
     ///
-    /// # Panics
-    /// Panics with a usage message if `--jobs` is missing its value or
-    /// the value is not a positive integer.
-    pub fn from_args<S: AsRef<str>>(args: &[S]) -> Self {
+    /// # Errors
+    /// [`JobsError`] if `--jobs` is missing its value or the value is not
+    /// a positive integer.
+    pub fn from_args<S: AsRef<str>>(args: &[S]) -> Result<Self, JobsError> {
         let mut cfg = EngineConfig::default();
         let mut it = args.iter().map(|a| a.as_ref());
         while let Some(arg) = it.next() {
             match arg {
                 "--jobs" | "-j" => {
-                    let value = it
-                        .next()
-                        .unwrap_or_else(|| panic!("--jobs requires a value, e.g. --jobs 4"));
+                    let value = it.next().ok_or(JobsError::Missing)?;
                     cfg.jobs = value
                         .parse::<usize>()
                         .ok()
                         .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| {
-                            panic!("--jobs expects a positive integer, got {value:?}")
-                        });
+                        .ok_or_else(|| JobsError::Invalid(value.to_owned()))?;
                 }
                 "--no-cache" => cfg.use_cache = false,
                 _ => {}
             }
         }
-        cfg
+        Ok(cfg)
     }
 }
 
@@ -280,20 +298,31 @@ mod tests {
 
     #[test]
     fn config_parsing() {
-        let cfg = EngineConfig::from_args(&["--csv", "--jobs", "3", "--no-cache"]);
+        let cfg = EngineConfig::from_args(&["--csv", "--jobs", "3", "--no-cache"]).unwrap();
         assert_eq!(cfg.jobs, 3);
         assert!(!cfg.use_cache);
-        let cfg = EngineConfig::from_args(&["-j", "12"]);
+        let cfg = EngineConfig::from_args(&["-j", "12"]).unwrap();
         assert_eq!(cfg.jobs, 12);
         assert!(cfg.use_cache);
-        let cfg = EngineConfig::from_args(&[] as &[&str]);
+        let cfg = EngineConfig::from_args(&[] as &[&str]).unwrap();
         assert!(cfg.jobs >= 1);
     }
 
     #[test]
-    #[should_panic(expected = "--jobs expects a positive integer")]
-    fn bad_jobs_value_panics() {
-        EngineConfig::from_args(&["--jobs", "zero"]);
+    fn bad_jobs_value_is_a_typed_error() {
+        for bad in ["zero", "0"] {
+            let err = EngineConfig::from_args(&["--jobs", bad]).unwrap_err();
+            assert_eq!(err, JobsError::Invalid(bad.to_owned()));
+            assert_eq!(
+                err.to_string(),
+                format!("--jobs expects a positive integer, got \"{bad}\"")
+            );
+        }
+        for flag in ["--jobs", "-j"] {
+            let err = EngineConfig::from_args(&["--csv", flag]).unwrap_err();
+            assert_eq!(err, JobsError::Missing);
+            assert!(err.to_string().starts_with("--jobs requires a value"));
+        }
     }
 
     /// Concurrency proof that works even on a single-core machine:

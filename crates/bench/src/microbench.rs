@@ -32,12 +32,6 @@ impl Bench {
         }
     }
 
-    /// Override the per-benchmark sampling time budget.
-    pub fn with_min_time(mut self, min_time: Duration) -> Self {
-        self.min_time = min_time;
-        self
-    }
-
     /// Override the per-benchmark iteration cap.
     pub fn with_max_iters(mut self, max_iters: usize) -> Self {
         self.max_iters = max_iters.max(1);

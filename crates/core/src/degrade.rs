@@ -4,7 +4,7 @@
 //! a fabric fault is the same event with a different cause — pages
 //! disappear at runtime and the thread must keep making progress on
 //! whatever survives. This module composes the PageMaster transformation
-//! with a [`FaultMap`](cgra_arch::FaultMap):
+//! with a [`FaultMap`]:
 //!
 //! 1. find the **longest surviving contiguous run** of usable pages in
 //!    the thread's ring region (ring-path dependences only hop between

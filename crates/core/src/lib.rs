@@ -15,13 +15,13 @@
 //! * [`validate`] — an independent checker for every §VI-C constraint
 //!   (slot exclusivity, dependence timing and column adjacency, capacity
 //!   bound), plus the dead-page checks for degraded plans.
-//! * [`degrade`] — [`DegradedPlan`](degrade::DegradedPlan): shrinking
-//!   onto the surviving contiguous run of a faulty page region instead
-//!   of panicking when pages die.
-//! * [`recovery`] — [`RecoveryPlan`](recovery::RecoveryPlan): the undo,
-//!   re-expanding onto repaired pages back toward the full-ring
-//!   schedule, with the quarantine/iteration bookkeeping the analyzer
-//!   audits (codes A310–A312).
+//! * [`degrade`] — [`DegradedPlan`]: shrinking onto the surviving
+//!   contiguous run of a faulty page region instead of panicking when
+//!   pages die.
+//! * [`recovery`] — [`RecoveryPlan`]: the undo, re-expanding onto
+//!   repaired pages back toward the full-ring schedule, with the
+//!   quarantine/iteration bookkeeping the analyzer audits (codes
+//!   A310–A312).
 //! * [`fold`] — the PE-level shrink-to-one-page of Fig. 6, with
 //!   intra-page mirroring and rotating-register pressure checks.
 //!

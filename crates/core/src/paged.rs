@@ -70,16 +70,6 @@ impl PageDep {
     pub fn gap(&self) -> u32 {
         self.to_time - self.from_time
     }
-
-    /// Producer cell coordinates `(page, slot)` under the given II.
-    pub fn from_cell(&self, ii: u32) -> (u16, u32) {
-        (self.from_page, self.from_time % ii)
-    }
-
-    /// Consumer cell coordinates `(page, slot)` under the given II.
-    pub fn to_cell(&self, ii: u32) -> (u16, u32) {
-        (self.to_page, self.to_time % ii)
-    }
 }
 
 /// Why page-level extraction failed.

@@ -2,7 +2,7 @@
 //!
 //! Modulo-scheduling precedence: if `u → v` has distance `d`, then under
 //! initiation interval `II` the start times satisfy
-//! `start(v) ≥ start(u) + latency(u) − II·d` (Rau [11]). All analyses here
+//! `start(v) ≥ start(u) + latency(u) − II·d` (Rau \[11\]). All analyses here
 //! derive from this inequality.
 
 use crate::graph::{Dfg, NodeId};

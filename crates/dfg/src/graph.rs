@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Identifier of a DFG node (dense index into [`Dfg::nodes`]).
+/// Identifier of a DFG node: a dense index, resolved by [`Dfg::node`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct NodeId(pub u32);
 

@@ -1,7 +1,7 @@
 //! # cgra-mapper — modulo-scheduling CGRA mappers
 //!
 //! Maps loop-kernel DFGs onto a CGRA: joint scheduling, placement, and
-//! operand routing, minimising the initiation interval (II). Three entry
+//! operand routing, minimising the initiation interval (II). Two entry
 //! points:
 //!
 //! * [`map_baseline`] — conventional mapping (the paper's unmodified
@@ -10,8 +10,6 @@
 //!   ring-topology page dataflow and memory spilling of long-lived
 //!   temporaries, producing schedules the PageMaster transformation can
 //!   reshape at runtime.
-//! * [`map_anneal`] — a DRESC-style simulated-annealing mapper, the slow
-//!   second baseline.
 //!
 //! Every mapping can be re-checked from scratch with
 //! [`validate_mapping`]; nothing downstream trusts the search engine.
@@ -30,8 +28,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod anneal;
-pub mod bitstream;
 pub mod constrained;
 pub mod ems;
 pub mod engine;
@@ -42,8 +38,6 @@ pub mod opts;
 pub mod route;
 pub mod spill;
 
-pub use anneal::{map_anneal, AnnealOptions};
-pub use bitstream::{encode as encode_config, ConfigImage, Instr, OperandSrc};
 pub use constrained::{map_constrained, map_constrained_strict, map_constrained_traced};
 pub use ems::{kernel_mii, map_baseline, map_baseline_traced, MapResult};
 pub use error::MapError;

@@ -122,12 +122,6 @@ impl MapDfg {
     pub fn is_spill_node(&self, n: NodeId) -> bool {
         n.index() >= self.original_nodes
     }
-
-    /// Original-kernel edges of the augmented graph that remain routable
-    /// (not spilled, not memory), as augmented-edge indices.
-    pub fn routable_edges(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.dfg.num_edges()).filter(|&i| !self.mem_edge[i])
-    }
 }
 
 #[cfg(test)]

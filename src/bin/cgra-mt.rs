@@ -130,7 +130,6 @@ fn main() {
                 "baseline" => map_baseline(&dfg, &cgra, &opts),
                 "constrained" => map_constrained(&dfg, &cgra, &opts),
                 "strict" => map_constrained_strict(&dfg, &cgra, &opts),
-                "anneal" => map_anneal(&dfg, &cgra, &opts, &Default::default()),
                 other => fail(&format!("unknown mode '{other}'")),
             }
             .unwrap_or_else(|e| fail(&format!("mapping failed: {e}")));
@@ -246,7 +245,7 @@ USAGE:
   cgra-mt analyze  <kernel> [--cgra N]          II bounds and structure
   cgra-mt dot      <kernel>                     Graphviz dump
   cgra-mt map      <kernel> [--cgra N] [--page-size S]
-                   [--mode baseline|constrained|strict|anneal] [--placements]
+                   [--mode baseline|constrained|strict] [--placements]
   cgra-mt shrink   <kernel> --pages M           runtime PageMaster shrink
   cgra-mt exec     <kernel> [--iters K]         functional check vs interpreter
 

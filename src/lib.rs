@@ -10,8 +10,8 @@
 //! * [`arch`] — the CGRA fabric model (mesh, rotating RFs, pages,
 //!   mirroring).
 //! * [`dfg`] — loop-kernel dataflow graphs and the 11-benchmark suite.
-//! * [`mapper`] — modulo-scheduling mappers: baseline, simulated
-//!   annealing, and the paper's paging-constrained variants.
+//! * [`mapper`] — modulo-scheduling mappers: baseline and the paper's
+//!   paging-constrained variants.
 //! * [`core`] — page-level schedules, the PageMaster transformation, and
 //!   its validators (the paper's contribution).
 //! * [`sim`] — the discrete-event multithreaded-system simulator behind
@@ -74,8 +74,8 @@ pub mod prelude {
     pub use cgra_dfg::{Dfg, DfgBuilder, OpKind};
     pub use cgra_exec::{execute, interpret, ExecError, InputStreams, MachineSchedule};
     pub use cgra_mapper::{
-        map_anneal, map_baseline, map_constrained, map_constrained_strict, validate_mapping,
-        MapMode, MapOptions, MapResult,
+        map_baseline, map_constrained, map_constrained_strict, validate_mapping, MapMode,
+        MapOptions, MapResult,
     };
     pub use cgra_obs::Tracer;
     pub use cgra_sim::{
