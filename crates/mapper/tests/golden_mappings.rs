@@ -1,0 +1,142 @@
+//! Golden snapshot of the mapper's decisions: for each fabric, kernel
+//! and mode, the achieved II, the spilled edges and an FNV-1a digest of
+//! every placement and route, one line each, compared byte-for-byte
+//! against `tests/golden/`.
+//!
+//! The search is deterministic for a fixed `MapOptions`, so any change
+//! to what it finds — a different placement, route, spill pick or II —
+//! shows up here, while a pure speed-up of the search leaves the files
+//! untouched. If a change is intentional, refresh the snapshots with
+//! `UPDATE_GOLDEN=1 cargo test --release -p cgra-mapper --test
+//! golden_mappings -- --include-ignored`.
+//!
+//! The default test covers baseline and constrained mode on the 4×4
+//! fabric with 4-PE pages. The full paper grid, with strict mode on three
+//! fabrics, is `#[ignore]`d: run it in release with `--include-ignored`.
+
+use cgra_arch::CgraConfig;
+use cgra_dfg::graph::Dfg;
+use cgra_dfg::random::{random_dfg, RandomDfgParams};
+use cgra_mapper::{map_baseline, map_constrained, map_constrained_strict, MapOptions, MapResult};
+use cgra_mapper::{validate_mapping, MapError};
+use std::fmt::Write as _;
+use std::path::PathBuf;
+
+/// The paper's experimental grid: `(dimension, page sizes)` (§VII-A).
+const GRID: [(u16, &[usize]); 3] = [(4, &[2, 4, 8]), (6, &[2, 4, 9]), (8, &[2, 4, 8])];
+
+/// Fabrics that also run strict mode.
+const STRICT_FABRICS: [(u16, usize); 3] = [(4, 4), (6, 9), (8, 8)];
+
+/// Seeds of the random kernels mapped next to the paper kernels.
+const RANDOM_SEEDS: std::ops::Range<u64> = 0..8;
+
+type Mapper = fn(&Dfg, &CgraConfig, &MapOptions) -> Result<MapResult, MapError>;
+
+const BASELINE: (&str, Mapper) = ("baseline", map_baseline);
+const CONSTRAINED: (&str, Mapper) = ("constrained", map_constrained);
+const STRICT: (&str, Mapper) = ("strict", map_constrained_strict);
+
+fn fabric(dim: u16, page_size: usize) -> CgraConfig {
+    CgraConfig::square(dim)
+        .with_page_size(page_size)
+        .expect("grid fabric")
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+/// One snapshot line: the mapping's II, spills and digest, or the error.
+fn line(out: &mut String, dim: u16, page_size: usize, dfg: &Dfg, (mode, map): (&str, Mapper)) {
+    let cgra = fabric(dim, page_size);
+    let _ = write!(out, "{dim}x{dim}/p{page_size} {} {mode}: ", dfg.name);
+    match map(dfg, &cgra, &MapOptions::default()) {
+        Ok(r) => {
+            let violations = validate_mapping(&r.mdfg, &cgra, &r.mapping, r.mode);
+            assert!(violations.is_empty(), "{}: {violations:?}", dfg.name);
+            let body = format!("{:?}|{:?}", r.mapping.placements, r.mapping.routes);
+            let _ = writeln!(
+                out,
+                "ii={} spills={:?} digest={:016x}",
+                r.ii(),
+                r.mdfg.spilled,
+                fnv1a(body.as_bytes())
+            );
+        }
+        Err(e) => {
+            let _ = writeln!(out, "error: {e}");
+        }
+    }
+}
+
+/// The 11 paper kernels followed by the random kernels.
+fn kernels() -> Vec<Dfg> {
+    let random = RANDOM_SEEDS.map(|seed| {
+        random_dfg(
+            seed,
+            RandomDfgParams {
+                recurrences: (seed % 3) as usize,
+                ..Default::default()
+            },
+        )
+    });
+    cgra_dfg::kernels::all().into_iter().chain(random).collect()
+}
+
+/// One line per kernel and mode on one fabric.
+fn fabric_lines(out: &mut String, dim: u16, page_size: usize, modes: &[(&str, Mapper)]) {
+    for dfg in kernels() {
+        for &mode in modes {
+            line(out, dim, page_size, &dfg, mode);
+        }
+    }
+}
+
+fn check_golden(name: &str, actual: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, actual).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden file {} ({e}); regenerate with UPDATE_GOLDEN=1",
+            path.display()
+        )
+    });
+    assert_eq!(
+        actual, expected,
+        "snapshot {name} diverged; if intentional, rerun with UPDATE_GOLDEN=1"
+    );
+}
+
+#[test]
+fn mappings_4x4_page4() {
+    let mut out = String::new();
+    fabric_lines(&mut out, 4, 4, &[BASELINE, CONSTRAINED]);
+    check_golden("mappings_4x4_p4.txt", &out);
+}
+
+#[test]
+#[ignore = "full grid and strict mode: slow in debug; run in release with --include-ignored"]
+fn mappings_full_grid() {
+    let mut out = String::new();
+    for (dim, sizes) in GRID {
+        for &page_size in sizes {
+            fabric_lines(&mut out, dim, page_size, &[BASELINE, CONSTRAINED]);
+        }
+    }
+    for (dim, page_size) in STRICT_FABRICS {
+        fabric_lines(&mut out, dim, page_size, &[STRICT]);
+    }
+    check_golden("mappings_grid.txt", &out);
+}
