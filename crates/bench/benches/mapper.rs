@@ -1,6 +1,8 @@
 //! Mapper compile-time comparison (§III's motivation: "the running time
 //! to generate a schedule for all CGRA compilation techniques is large"):
-//! list-scheduling baseline vs constrained, on representative kernels.
+//! list-scheduling baseline vs constrained, on representative kernels,
+//! plus the two slowest cold compiles of the paper grid (constrained
+//! `swim` and `sobel` on the 8×8 with 2-PE pages).
 
 use cgra_bench::microbench::Bench;
 use cgra_mapper::{map_baseline, map_constrained, MapOptions};
@@ -18,5 +20,15 @@ fn main() {
         bench.run(&format!("mapper_compile_time/constrained/{name}"), || {
             map_constrained(black_box(&kernel), &cgra, &opts).unwrap()
         });
+    }
+    let wide = cgra_arch::CgraConfig::square(8)
+        .with_page_size(2)
+        .expect("2-PE pages tile an 8x8");
+    for name in ["swim", "sobel"] {
+        let kernel = cgra_dfg::kernels::by_name(name).unwrap();
+        bench.run(
+            &format!("mapper_compile_time/constrained_8x8_p2/{name}"),
+            || map_constrained(black_box(&kernel), &wide, &opts).unwrap(),
+        );
     }
 }

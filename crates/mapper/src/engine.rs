@@ -8,6 +8,19 @@
 //! the spot if any edge cannot be routed). Randomised restarts with
 //! jittered tie-breaking stand in for EMS's backtracking; kernels at CGRA
 //! scale (≤ ~50 ops) converge within a handful of restarts.
+//!
+//! Placement visits its `(time, PE)` candidates lazily and stops at the
+//! first one that commits, so a node that places early costs only the
+//! candidates it tried. The candidate PEs are sorted once by page
+//! distance (from the node's target page), affinity and id; the walk then
+//! runs time-major (time outer, PEs inner) or page-major (per
+//! page-distance group, time outer, the group's PEs inner). That is the
+//! order of sorting every `(time, PE)` pair by `(time, page distance,
+//! affinity, PE)` or `(page distance, time, affinity, PE)`, without
+//! building the list, so the first pair that commits is the same; the
+//! random draws happen once per PE, before the walk. Like the routing
+//! pruning of [`crate::route`], this saves work without changing a
+//! decision.
 
 use crate::error::MapError;
 use crate::mapping::{MapMode, Mapping, Placement, RouteHop};
@@ -370,32 +383,6 @@ impl<'a> Attempt<'a> {
     fn run(&mut self, order: &[NodeId], asap: &[u32], rng: &mut StdRng) -> Result<(), NodeId> {
         for &v in order {
             if !self.place_node(v, asap, rng) {
-                // Opt-in diagnostics for mapper tuning.
-                if std::env::var_os("CGRA_MAPPER_DEBUG").is_some() {
-                    let (plo, phi) = self.page_bounds(v);
-                    eprintln!(
-                        "[mapper] ii={} failed at {} ({:?}) asap={} pages=[{},{}]",
-                        self.ii,
-                        v,
-                        self.mdfg.dfg.node(v).op,
-                        asap[v.index()],
-                        plo,
-                        phi
-                    );
-                    for e in self.mdfg.dfg.pred_edges(v) {
-                        let src = self.mdfg.dfg.edge(e).src;
-                        if let Some(p) = self.placed[src.index()] {
-                            eprintln!(
-                                "[mapper]   pred {} ({:?}) at ({}, t{}) page {}",
-                                src,
-                                self.mdfg.dfg.node(src).op,
-                                p.pe,
-                                p.time,
-                                self.cgra.layout().page_of(p.pe)
-                            );
-                        }
-                    }
-                }
                 return Err(v);
             }
         }
@@ -477,7 +464,14 @@ impl<'a> Attempt<'a> {
             .collect();
         let mesh = self.cgra.mesh();
         let layout = self.cgra.layout();
-        let pes: Vec<(u16, u32, cgra_arch::PeId)> = mesh
+        // Ring modes flow forward as a wavefront: prefer pages near the
+        // ASAP-proportional target. Baseline placement is page-agnostic
+        // (affinity only).
+        let target = self.mode.ring_constrained().then(|| {
+            self.target_page(v, asap, self.used_pages_estimate())
+                .clamp(page_lo, page_hi)
+        });
+        let mut pes: Vec<(u16, u32, cgra_arch::PeId)> = mesh
             .pes()
             .filter(|&pe| {
                 let p = layout.page_of(pe).0;
@@ -485,49 +479,41 @@ impl<'a> Attempt<'a> {
             })
             .map(|pe| {
                 let affinity: u32 = neighbour_pes.iter().map(|&np| mesh.distance(pe, np)).sum();
-                // Ring modes flow forward as a wavefront: prefer pages
-                // near the ASAP-proportional target. Baseline placement is
-                // page-agnostic (affinity only).
-                let page_key = if self.mode.ring_constrained() {
-                    let used = self.used_pages_estimate();
-                    let target = self.target_page(v, asap, used).clamp(page_lo, page_hi);
-                    layout.page_of(pe).0.abs_diff(target)
-                } else {
-                    0
-                };
-                (page_key, affinity + rng.gen_range(0..3), pe)
+                let page_key = target.map_or(0, |target| layout.page_of(pe).0.abs_diff(target));
+                let aff = affinity + rng.gen_range(0..3);
+                // The mapping snapshots pin an order that treats affinity
+                // as a 16-bit field; a few neighbour distances stay far
+                // below that.
+                debug_assert!(aff < 1 << 16, "affinity {aff} exceeds 16 bits");
+                (page_key, aff, pe)
             })
             .collect();
+        pes.sort_unstable();
         // Candidate order. For *source* ops (no placed producers — loads,
         // constants) the best page comes first: time-major ordering would
         // exhaust each row bus's slot 0 across the whole array, scattering
         // co-consumed loads onto far pages. For ops with placed producers
         // the earliest time comes first (tight schedules), with the page
         // preference breaking ties.
-        let has_placed_pred = dfg.pred_edges(v).any(|e| {
-            let src = dfg.edge(e).src;
-            src != v && self.placed[src.index()].is_some() && !self.mdfg.is_mem_edge(e.index())
-        }) || self.time_major;
-        let mut candidates: Vec<(u64, cgra_arch::PeId, i64)> = Vec::new();
-        for t in lo..=hi_window {
-            for &(page_key, aff, pe) in &pes {
-                let key = if has_placed_pred {
-                    ((t - lo) as u64) << 32 | (page_key as u64) << 16 | aff as u64
-                } else {
-                    (page_key as u64) << 32 | ((t - lo) as u64) << 16 | aff as u64
-                };
-                candidates.push((key, pe, t));
-            }
-        }
-        candidates.sort_unstable();
-
-        for &(_, pe, t) in &candidates {
-            let cand = Placement { pe, time: t as u32 };
-            if self.try_commit(v, cand) {
-                if self.mode.ring_constrained() {
-                    self.scc_page[self.scc_of[v.index()]] = Some(layout.page_of(pe).0);
+        let time_major = self.time_major
+            || dfg.pred_edges(v).any(|e| {
+                let src = dfg.edge(e).src;
+                src != v && self.placed[src.index()].is_some() && !self.mdfg.is_mem_edge(e.index())
+            });
+        // Walk `(t, pe)` lazily and stop at the first commit: page-major
+        // tries each `page_key` group at every time before the next group;
+        // time-major is the same walk over one group holding every PE.
+        for group in pes.chunk_by(|a, b| time_major || a.0 == b.0) {
+            for t in lo..=hi_window {
+                for &(_, _, pe) in group {
+                    let cand = Placement { pe, time: t as u32 };
+                    if self.try_commit(v, cand) {
+                        if self.mode.ring_constrained() {
+                            self.scc_page[self.scc_of[v.index()]] = Some(layout.page_of(pe).0);
+                        }
+                        return true;
+                    }
                 }
-                return true;
             }
         }
         false
@@ -656,11 +642,6 @@ pub fn schedule(
                         restart,
                         violations: violations.len() as u32,
                     });
-                    if std::env::var_os("CGRA_MAPPER_DEBUG").is_some() {
-                        eprintln!(
-                            "[mapper] ii={ii} restart {restart}: attempt rejected: {violations:?}"
-                        );
-                    }
                 }
                 Err(failed) => {
                     tracer.emit(|| TraceEvent::Backtrack {

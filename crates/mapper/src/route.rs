@@ -20,6 +20,17 @@
 //!   page-level schedule contains only the canonical 1-step dependences
 //!   of §VI-C (the input discipline for the paper's drifting Algorithm 1
 //!   placement).
+//!
+//! Baseline and ring routing prune their search with a lower bound on the
+//! hops a value still needs, `h(pe) = max(distance(pe, to) − 1,
+//! page(to) − page(pe) − 1)`; the page term applies only under the ring,
+//! where a consumer on an earlier page is unreachable. A hop moves one
+//! link, advances at most one page and takes one cycle, so the bound is
+//! exact to prune with: a request none of whose start sites could meet
+//! the deadline or the hop budget fails before any search, and a state
+//! `(pe, t)` with `t + h(pe) > deadline` is never pushed. Everything
+//! reachable from such a state is as hopeless, so the states that remain
+//! pop in the same order and the route found is unchanged.
 
 use crate::mapping::RouteHop;
 use crate::mrt::Mrt;
@@ -74,9 +85,36 @@ fn ring_ok(ring: Option<&PageLayout>, from: PeId, to: PeId) -> bool {
 /// consumers without re-routing from the producer).
 pub type ValueSite = (PeId, u32);
 
+/// A lower bound on the hops a value on `pe` still needs before the
+/// consumer on `to` can read it, or `None` when no path exists. Each hop
+/// moves one link, so at least `distance − 1` hops remain (the consumer
+/// reads across the last link). Under the ring, each hop advances at most
+/// one page and never goes back, so at least `page(to) − page(pe) − 1`
+/// hops remain, and a consumer on an earlier page is out of reach. The
+/// bound is 0 exactly on the PEs the consumer can read from.
+fn hops_lower_bound(mesh: Mesh, ring: Option<&PageLayout>, pe: PeId, to: PeId) -> Option<u32> {
+    let links = mesh.distance(pe, to).saturating_sub(1);
+    let Some(layout) = ring else {
+        return Some(links);
+    };
+    let (from_page, to_page) = (layout.page_of(pe).0, layout.page_of(to).0);
+    let pages = to_page.checked_sub(from_page)?.saturating_sub(1);
+    Some(links.max(pages as u32))
+}
+
 /// Shared 0-1 BFS with free waiting; `ring` optionally restricts every
 /// step (and the final read) to ring-path page motion. `extra_sites` are
 /// additional starting states beyond the producer.
+///
+/// The search is pruned with [`hops_lower_bound`] `h`, without changing
+/// the route it finds. A state `(pe, t)` is *dead* when
+/// `t + h(pe) > deadline`: every hop takes a cycle, so no goal is
+/// reachable from it. A hop lowers `h` by at most one and takes a cycle,
+/// and a wait keeps `h` and takes a cycle, so every successor of a dead
+/// state is dead too. Dead states are therefore never pushed: no live
+/// state's cost or parent is set through one, and the live states pop in
+/// the same order. If every start site is dead or needs more hops than
+/// `hop_budget`, the search returns `None` before allocating anything.
 fn bfs_route(
     mesh: Mesh,
     mrt: &Mrt,
@@ -88,15 +126,20 @@ fn bfs_route(
     if req.deadline < req.avail {
         return None;
     }
+    let bound_at = |pe: PeId| hops_lower_bound(mesh, ring, pe, req.to_pe);
     // Direct read from the producer or any existing site.
-    let direct_from = |pe: PeId, avail: u32| {
-        avail <= req.deadline
-            && (pe == req.to_pe || mesh.adjacent(pe, req.to_pe))
-            && ring_ok(ring, pe, req.to_pe)
-    };
+    let direct_from = |pe: PeId, avail: u32| avail <= req.deadline && bound_at(pe) == Some(0);
     if direct_from(req.from_pe, req.avail) || extra_sites.iter().any(|&(pe, a)| direct_from(pe, a))
     {
         return Some(RoutePlan::Direct);
+    }
+    let reachable_from = |pe: PeId, avail: u32| {
+        bound_at(pe).is_some_and(|h| h <= hop_budget && avail.saturating_add(h) <= req.deadline)
+    };
+    if !reachable_from(req.from_pe, req.avail)
+        && !extra_sites.iter().any(|&(pe, a)| reachable_from(pe, a))
+    {
+        return None;
     }
     let start = req.avail.min(
         extra_sites
@@ -107,15 +150,19 @@ fn bfs_route(
     );
     let window = (req.deadline - start) as usize + 1;
     let n = mesh.num_pes();
+    // `h` per PE; `u32::MAX` where the consumer is out of reach.
+    let bound: Vec<u32> = mesh
+        .pes()
+        .map(|pe| bound_at(pe).unwrap_or(u32::MAX))
+        .collect();
+    let live = |pe: PeId, t: u32| t.saturating_add(bound[pe.index()]) <= req.deadline;
     let idx = |pe: PeId, t: u32| (t - start) as usize * n + pe.index();
     const UNSEEN: u32 = u32::MAX;
     let mut cost = vec![UNSEEN; n * window];
     let mut parent: Vec<(usize, bool)> = vec![(usize::MAX, false); n * window];
     let mut dq: VecDeque<(PeId, u32)> = VecDeque::new();
-    cost[idx(req.from_pe, req.avail)] = 0;
-    dq.push_back((req.from_pe, req.avail));
-    for &(pe, a) in extra_sites {
-        if a <= req.deadline && cost[idx(pe, a)] == UNSEEN {
+    for (pe, a) in std::iter::once((req.from_pe, req.avail)).chain(extra_sites.iter().copied()) {
+        if live(pe, a) && cost[idx(pe, a)] == UNSEEN {
             cost[idx(pe, a)] = 0;
             dq.push_back((pe, a));
         }
@@ -124,7 +171,7 @@ fn bfs_route(
     let mut goal: Option<(PeId, u32)> = None;
     while let Some((pe, t)) = dq.pop_front() {
         let c = cost[idx(pe, t)];
-        if (pe == req.to_pe || mesh.adjacent(pe, req.to_pe)) && ring_ok(ring, pe, req.to_pe) {
+        if bound[pe.index()] == 0 {
             goal = Some((pe, t));
             break;
         }
@@ -133,7 +180,7 @@ fn bfs_route(
         }
         // Wait (cost 0) — push front.
         let wi = idx(pe, t + 1);
-        if cost[wi] == UNSEEN || cost[wi] > c {
+        if live(pe, t + 1) && (cost[wi] == UNSEEN || cost[wi] > c) {
             cost[wi] = c;
             parent[wi] = (idx(pe, t), false);
             dq.push_front((pe, t + 1));
@@ -141,7 +188,7 @@ fn bfs_route(
         // Hop (cost 1) — push back.
         if c < hop_budget {
             for nb in mesh.neighbors(pe) {
-                if !ring_ok(ring, pe, nb) || !mrt.pe_free(nb, t as u64) {
+                if !ring_ok(ring, pe, nb) || !mrt.pe_free(nb, t as u64) || !live(nb, t + 1) {
                     continue;
                 }
                 let hi = idx(nb, t + 1);
@@ -280,6 +327,173 @@ pub fn route_strict(
 mod tests {
     use super::*;
     use cgra_arch::CgraConfig;
+
+    /// The router without the lower-bound pruning: the reference the
+    /// pruned search must agree with on every request.
+    fn bfs_route_unpruned(
+        mesh: Mesh,
+        mrt: &Mrt,
+        req: RouteRequest,
+        ring: Option<&PageLayout>,
+        hop_budget: u32,
+        extra_sites: &[ValueSite],
+    ) -> Option<RoutePlan> {
+        if req.deadline < req.avail {
+            return None;
+        }
+        // Direct read from the producer or any existing site.
+        let direct_from = |pe: PeId, avail: u32| {
+            avail <= req.deadline
+                && (pe == req.to_pe || mesh.adjacent(pe, req.to_pe))
+                && ring_ok(ring, pe, req.to_pe)
+        };
+        if direct_from(req.from_pe, req.avail)
+            || extra_sites.iter().any(|&(pe, a)| direct_from(pe, a))
+        {
+            return Some(RoutePlan::Direct);
+        }
+        let start = req.avail.min(
+            extra_sites
+                .iter()
+                .map(|&(_, a)| a)
+                .min()
+                .unwrap_or(req.avail),
+        );
+        let window = (req.deadline - start) as usize + 1;
+        let n = mesh.num_pes();
+        let idx = |pe: PeId, t: u32| (t - start) as usize * n + pe.index();
+        const UNSEEN: u32 = u32::MAX;
+        let mut cost = vec![UNSEEN; n * window];
+        let mut parent: Vec<(usize, bool)> = vec![(usize::MAX, false); n * window];
+        let mut dq: VecDeque<(PeId, u32)> = VecDeque::new();
+        cost[idx(req.from_pe, req.avail)] = 0;
+        dq.push_back((req.from_pe, req.avail));
+        for &(pe, a) in extra_sites {
+            if a <= req.deadline && cost[idx(pe, a)] == UNSEEN {
+                cost[idx(pe, a)] = 0;
+                dq.push_back((pe, a));
+            }
+        }
+
+        let mut goal: Option<(PeId, u32)> = None;
+        while let Some((pe, t)) = dq.pop_front() {
+            let c = cost[idx(pe, t)];
+            if (pe == req.to_pe || mesh.adjacent(pe, req.to_pe)) && ring_ok(ring, pe, req.to_pe) {
+                goal = Some((pe, t));
+                break;
+            }
+            if t == req.deadline {
+                continue;
+            }
+            // Wait (cost 0) — push front.
+            let wi = idx(pe, t + 1);
+            if cost[wi] == UNSEEN || cost[wi] > c {
+                cost[wi] = c;
+                parent[wi] = (idx(pe, t), false);
+                dq.push_front((pe, t + 1));
+            }
+            // Hop (cost 1) — push back.
+            if c < hop_budget {
+                for nb in mesh.neighbors(pe) {
+                    if !ring_ok(ring, pe, nb) || !mrt.pe_free(nb, t as u64) {
+                        continue;
+                    }
+                    let hi = idx(nb, t + 1);
+                    if cost[hi] == UNSEEN || cost[hi] > c + 1 {
+                        cost[hi] = c + 1;
+                        parent[hi] = (idx(pe, t), true);
+                        dq.push_back((nb, t + 1));
+                    }
+                }
+            }
+        }
+        let (gpe, gt) = goal?;
+        let mut hops = Vec::new();
+        let mut cur = idx(gpe, gt);
+        while parent[cur].0 != usize::MAX {
+            let (prev, was_hop) = parent[cur];
+            if was_hop {
+                let t = start + (cur / n) as u32;
+                let pe = PeId((cur % n) as u16);
+                // The hop op executes the cycle *before* the value lands.
+                hops.push(RouteHop { pe, time: t - 1 });
+            }
+            cur = prev;
+        }
+        hops.reverse();
+        if hops.is_empty() {
+            return Some(RoutePlan::Direct);
+        }
+        Some(RoutePlan::Chain(hops))
+    }
+
+    /// The pruned router returns exactly what the unpruned search returns,
+    /// on random occupancies, requests, sibling sites and hop budgets,
+    /// with and without the ring constraint.
+    #[test]
+    fn pruned_router_matches_unpruned_reference() {
+        use rand::prelude::*;
+        use rand::rngs::StdRng;
+        let fabrics = [(4, 2), (4, 4), (4, 8), (6, 9), (8, 2), (8, 8)];
+        let mut rng = StdRng::seed_from_u64(0x5EED_B0D5);
+        let (mut direct, mut chains, mut none) = (0, 0, 0);
+        for case in 0..4000 {
+            let (dim, page_size) = fabrics[case % fabrics.len()];
+            let c = CgraConfig::square(dim).with_page_size(page_size).unwrap();
+            let mesh = c.mesh();
+            let n = mesh.num_pes() as u16;
+            let ii = rng.gen_range(1..7u32);
+            let mut mrt = Mrt::new(mesh, ii, 1);
+            let occupancy = rng.gen_range(0.0..0.6);
+            for pe in mesh.pes() {
+                for t in 0..ii {
+                    if rng.gen_bool(occupancy) {
+                        mrt.reserve(pe, t as u64, crate::mrt::SlotUse::Compute(0), false);
+                    }
+                }
+            }
+            let avail = rng.gen_range(0..6u32);
+            let req = RouteRequest {
+                from_pe: PeId(rng.gen_range(0..n)),
+                avail,
+                to_pe: PeId(rng.gen_range(0..n)),
+                deadline: (avail + rng.gen_range(0..16u32)).saturating_sub(1),
+            };
+            let sites: Vec<ValueSite> = (0..rng.gen_range(0..4))
+                .map(|_| {
+                    (
+                        PeId(rng.gen_range(0..n)),
+                        rng.gen_range(0..req.deadline + 4),
+                    )
+                })
+                .collect();
+            let hop_budget = if rng.gen_bool(0.3) {
+                u32::MAX
+            } else {
+                rng.gen_range(0..12u32)
+            };
+            let ring = rng.gen_bool(0.5).then(|| c.layout());
+            let pruned = bfs_route(mesh, &mrt, req, ring, hop_budget, &sites);
+            let reference = bfs_route_unpruned(mesh, &mrt, req, ring, hop_budget, &sites);
+            assert_eq!(
+                pruned,
+                reference,
+                "case {case}: {dim}x{dim}/p{page_size} ii={ii} {req:?} sites={sites:?} \
+                 budget={hop_budget} ring={}",
+                ring.is_some()
+            );
+            match pruned {
+                Some(RoutePlan::Direct) => direct += 1,
+                Some(RoutePlan::Chain(_)) => chains += 1,
+                None => none += 1,
+            }
+        }
+        // Every outcome is exercised many times.
+        assert!(
+            direct > 200 && chains > 200 && none > 200,
+            "{direct} {chains} {none}"
+        );
+    }
 
     fn setup(ii: u32) -> (CgraConfig, Mrt) {
         let c = CgraConfig::square(4);

@@ -168,16 +168,6 @@ impl KernelProfile {
             .find(|&&(pm, _)| pm == m)
             .map(|&(_, ii)| ii)
     }
-
-    /// Cycles per kernel iteration with `m` pages allocated.
-    ///
-    /// # Panics
-    /// Panics if `m` is not on the halving chain the profile was built
-    /// for (use [`try_ii_at`](Self::try_ii_at) on fallible paths).
-    pub fn ii_at(&self, m: u16) -> u32 {
-        self.try_ii_at(m)
-            .unwrap_or_else(|| panic!("{}: no transform cached for M={m}", self.name))
-    }
 }
 
 /// The compiled library: one profile per benchmark kernel.
@@ -249,7 +239,7 @@ mod tests {
             assert!(w[1] >= w[0], "rates not monotone: {iis:?}");
         }
         // One page executes the used pages sequentially.
-        let one = p.ii_at(1);
+        let one = p.try_ii_at(1).expect("1 is on every halving chain");
         assert!(one >= p.ii_constrained * p.used_pages as u32 / 2);
     }
 
@@ -264,12 +254,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no transform cached")]
-    fn ii_at_off_chain_panics() {
+    fn try_ii_at_off_chain_is_none() {
         let cgra = CgraConfig::square(4);
         let p =
             KernelProfile::compile(&cgra_dfg::kernels::laplace(), &cgra, &MapOptions::default())
                 .expect("compiles");
-        p.ii_at(3);
+        assert_eq!(p.try_ii_at(3), None);
     }
 }

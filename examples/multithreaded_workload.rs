@@ -22,13 +22,15 @@ fn main() {
     println!("kernel    footprint(pages)  II(full)  II(half)  II(1 page)");
     let n = lib.num_pages;
     for p in &lib.profiles {
+        // `n`, `n / 2` and 1 are all on the halving chain of `n`.
+        let ii_at = |m: u16| p.try_ii_at(m).expect("on the halving chain");
         println!(
             "{:>8}  {:>16}  {:>8}  {:>8}  {:>10}",
             p.name,
             p.used_pages,
             p.ii_constrained,
-            p.ii_at((n / 2).max(1)),
-            p.ii_at(1)
+            ii_at((n / 2).max(1)),
+            ii_at(1)
         );
     }
 
