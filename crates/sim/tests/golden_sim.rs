@@ -1,0 +1,225 @@
+//! Golden snapshot of the multithreaded simulator's decisions: one line
+//! per run with every `SimReport` field and an FNV-1a digest of the
+//! run's JSONL trace, compared byte-for-byte against `tests/golden/`.
+//!
+//! The runs cross thread count, CGRA need, workload seed, fault schedule
+//! (none, MTBF kills, MTBF transients with repair, one targeted degrade)
+//! and expansion policy, plus one run with a switch overhead. The
+//! simulator is deterministic, so any change to what it decides — a
+//! grant, a shrink victim, an expansion order, a page list in a trace
+//! event, a finish time — shows up here, while a pure speed-up leaves
+//! the files untouched. If a change is intentional, refresh the
+//! snapshots with `UPDATE_GOLDEN=1 cargo test --release -p cgra-sim
+//! --test golden_sim -- --include-ignored`.
+//!
+//! The default test covers the 4×4 fabric with 4-PE pages. The full
+//! paper grid is `#[ignore]`d: run it in release with
+//! `--include-ignored`.
+
+use cgra_arch::{CgraConfig, FaultKind, FaultSpec};
+use cgra_mapper::MapOptions;
+use cgra_obs::{RingSink, Tracer};
+use cgra_sim::{
+    generate, simulate_multithreaded_faulty_traced, CgraNeed, ExpandPolicy, KernelLibrary,
+    MtConfig, WorkloadParams,
+};
+use std::fmt::Write as _;
+use std::path::PathBuf;
+use std::sync::Arc;
+
+/// The paper's experimental grid: `(dimension, page sizes)` (§VII-A).
+const GRID: [(u16, &[usize]); 3] = [(4, &[2, 4, 8]), (6, &[2, 4, 9]), (8, &[2, 4, 8])];
+
+/// Thread counts of Fig. 9.
+const THREADS: [usize; 5] = [1, 2, 4, 8, 16];
+
+/// Workload seeds per point.
+const SEEDS: [u64; 2] = [1, 2];
+
+const POLICIES: [ExpandPolicy; 3] = [
+    ExpandPolicy::SmallestFirst,
+    ExpandPolicy::LargestFirst,
+    ExpandPolicy::None,
+];
+
+/// The fault schedules every point runs under. MTBF specs are reseeded
+/// with the workload seed, so each run strikes its own pages.
+fn fault_specs() -> [FaultSpec; 4] {
+    let mtbf = |kind| FaultSpec::Mtbf {
+        mean: 20_000,
+        count: 4,
+        seed: 0,
+        kind,
+    };
+    [
+        FaultSpec::Off,
+        mtbf(FaultKind::Kill),
+        mtbf(FaultKind::Transient {
+            repair_after: 4_000,
+        }),
+        FaultSpec::At {
+            time: 5_000,
+            page: 0,
+            kind: FaultKind::Degrade,
+        },
+    ]
+}
+
+fn fnv1a(bytes: &[u8], mut h: u64) -> u64 {
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+/// Simulate one run traced and append its snapshot line.
+fn line(
+    out: &mut String,
+    fabric: &str,
+    lib: &KernelLibrary,
+    wl: &WorkloadParams,
+    spec: FaultSpec,
+    cfg: MtConfig,
+) {
+    let _ = write!(
+        out,
+        "{fabric} need={} t={} seed={} faults={spec} policy={:?} overhead={}: ",
+        wl.need.label(),
+        wl.threads,
+        wl.seed,
+        cfg.expand,
+        cfg.switch_overhead
+    );
+    let threads = generate(lib, wl);
+    let faults = spec.reseeded(wl.seed).schedule(lib.num_pages);
+    let sink = Arc::new(RingSink::unbounded());
+    let result = simulate_multithreaded_faulty_traced(
+        lib,
+        &threads,
+        cfg,
+        &faults,
+        &Tracer::new(sink.clone()),
+    );
+    match result {
+        Ok(r) => {
+            let f = r.faults;
+            let _ = write!(
+                out,
+                "makespan={} finish={:?} iters={} page_cycles={} shrinks={} expands={} stall={} \
+                 faults=[{} {} {} {} {} {} {} {} {}]",
+                r.makespan,
+                r.thread_finish,
+                r.cgra_iterations,
+                r.page_cycles,
+                r.shrinks,
+                r.expands,
+                r.stall_cycles,
+                f.injected,
+                f.pages_killed,
+                f.pages_degraded,
+                f.threads_remapped,
+                f.threads_revoked,
+                f.iterations_deferred,
+                f.recovery_cycles,
+                f.repairs,
+                f.reexpansions,
+            );
+        }
+        Err(e) => {
+            let _ = write!(out, "error: {e}");
+        }
+    }
+    let events = sink.drain();
+    let digest = events.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, ev| {
+        fnv1a(b"\n", fnv1a(ev.to_jsonl().as_bytes(), h))
+    });
+    let _ = writeln!(out, " events={} trace={digest:016x}", events.len());
+}
+
+/// Every run on one fabric.
+fn fabric_lines(out: &mut String, dim: u16, page_size: usize) {
+    let cgra = CgraConfig::square(dim)
+        .with_page_size(page_size)
+        .expect("grid fabric");
+    let lib = KernelLibrary::compile_benchmarks(&cgra, &MapOptions::default(), &Tracer::off())
+        .expect("benchmark library compiles");
+    let fabric = format!("{dim}x{dim}/p{page_size}");
+    for need in CgraNeed::ALL {
+        for threads in THREADS {
+            for seed in SEEDS {
+                let wl = WorkloadParams {
+                    threads,
+                    need,
+                    work_per_thread: 60_000,
+                    bursts: 4,
+                    seed,
+                };
+                for spec in fault_specs() {
+                    for expand in POLICIES {
+                        let cfg = MtConfig {
+                            expand,
+                            ..MtConfig::default()
+                        };
+                        line(out, &fabric, &lib, &wl, spec, cfg);
+                    }
+                }
+            }
+        }
+    }
+    // A switch overhead moves every switch boundary: one contended run
+    // under transient faults pins that arithmetic too.
+    let wl = WorkloadParams {
+        threads: 8,
+        need: CgraNeed::High,
+        work_per_thread: 60_000,
+        bursts: 4,
+        seed: 1,
+    };
+    let cfg = MtConfig {
+        switch_overhead: 500,
+        ..MtConfig::default()
+    };
+    let spec = fault_specs()[2];
+    line(out, &fabric, &lib, &wl, spec, cfg);
+}
+
+fn check_golden(name: &str, actual: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, actual).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden file {} ({e}); regenerate with UPDATE_GOLDEN=1",
+            path.display()
+        )
+    });
+    assert_eq!(
+        actual, expected,
+        "snapshot {name} diverged; if intentional, rerun with UPDATE_GOLDEN=1"
+    );
+}
+
+#[test]
+fn sim_4x4_page4() {
+    let mut out = String::new();
+    fabric_lines(&mut out, 4, 4);
+    check_golden("sim_4x4_p4.txt", &out);
+}
+
+#[test]
+#[ignore = "full paper grid: slow in debug; run in release with --include-ignored"]
+fn sim_full_grid() {
+    let mut out = String::new();
+    for (dim, sizes) in GRID {
+        for &page_size in sizes {
+            fabric_lines(&mut out, dim, page_size);
+        }
+    }
+    check_golden("sim_grid.txt", &out);
+}
