@@ -2,9 +2,12 @@
 //! 6x6 CGRA, then times the simulators.
 //!
 //! `cargo bench -p cgra-bench --bench fig9_multithreading` prints the
-//! Fig. 9(b)-style series before timing one baseline and one
-//! multithreaded simulation with the in-repo microbench harness.
+//! Fig. 9(b)-style series before timing, with the in-repo microbench
+//! harness, one baseline and one fault-free multithreaded simulation on
+//! the 6x6 fabric, then one 16-thread multithreaded simulation on the
+//! 8x8 fabric with 2-PE pages under transient MTBF faults with repair.
 
+use cgra_arch::{FaultKind, FaultSpec};
 use cgra_bench::engine::Engine;
 use cgra_bench::fig9::{self, Fig9Params};
 use cgra_bench::mapcache::MapCache;
@@ -54,5 +57,35 @@ fn main() {
             MtConfig::default(),
             &[],
         )
+    });
+
+    let lib = cache.library(&cgra_bench::fabric(8, 2).unwrap(), &MapOptions::default());
+    let workload = generate(
+        &lib,
+        &WorkloadParams {
+            threads: 16,
+            need: CgraNeed::High,
+            work_per_thread: 60_000,
+            bursts: 4,
+            seed: 3,
+        },
+    );
+    let faults = FaultSpec::Mtbf {
+        mean: 20_000,
+        count: 4,
+        seed: 3,
+        kind: FaultKind::Transient {
+            repair_after: 4_000,
+        },
+    }
+    .schedule(lib.num_pages);
+    bench.run("fig9_simulators/multithreaded_16threads_8x8_faults", || {
+        simulate_multithreaded_faulty(
+            black_box(&lib),
+            black_box(&workload),
+            MtConfig::default(),
+            black_box(&faults),
+        )
+        .expect("repairs bring every page back, so every thread finishes")
     });
 }

@@ -5,18 +5,25 @@
 //! half as many pages and the new thread is resized to fit into the freed
 //! portion … threads are expanded as other threads complete."
 //!
-//! Beyond budget *counts*, the allocator tracks page *identity*: which
-//! physical page backs which thread. Counts drive every policy decision
-//! (so fault-free runs are bit-identical to the count-only allocator this
-//! replaced); identity exists so a [`kill_page`](Allocator::kill_page)
-//! fault can find the owning thread and revoke exactly the page that
-//! died. Grants take the lowest-numbered free pages; shrinks return a
+//! Two tables hold the state. The *tenant table* maps each thread id to
+//! its budget (`None` when the thread is not on the CGRA); it is scanned
+//! in ascending id order, so every tie goes to the lowest id. The *page
+//! table* records which thread owns each physical page, so a
+//! [`kill_page`](Allocator::kill_page) fault can find the owning thread
+//! and revoke exactly the page that died. Budgets drive every policy
+//! decision. Grants take the lowest-numbered free pages; shrinks return a
 //! thread's highest-numbered pages — both deterministic.
+//!
+//! Every expansion goes through one loop, `grow`: each round it grows the
+//! affordable tenant with the least policy key by one chain step.
+//! [`expand`](Allocator::expand) and
+//! [`expand_most_shrunk`](Allocator::expand_most_shrunk) differ only in
+//! that key.
 
 use crate::error::SimError;
 use crate::kernel_lib::halving_chain;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
 
 /// How freed pages are redistributed when a thread leaves the CGRA.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -100,7 +107,8 @@ enum PageState {
 pub struct Allocator {
     n: u16,
     free: u16,
-    running: BTreeMap<usize, u16>,
+    /// The tenant table: each thread's budget, indexed by thread id.
+    running: Vec<Option<u16>>,
     chain: Vec<u16>,
     pages: Vec<PageState>,
 }
@@ -111,7 +119,7 @@ impl Allocator {
         Allocator {
             n,
             free: n,
-            running: BTreeMap::new(),
+            running: Vec::new(),
             chain: halving_chain(n),
             pages: vec![PageState::Free; n as usize],
         }
@@ -132,12 +140,22 @@ impl Allocator {
 
     /// Current allocation of a thread (None if not on the CGRA).
     pub fn allocation(&self, thread: usize) -> Option<u16> {
-        self.running.get(&thread).copied()
+        self.running.get(thread).copied().flatten()
     }
 
-    /// Number of threads on the CGRA.
-    pub fn active(&self) -> usize {
-        self.running.len()
+    /// The threads on the CGRA and their budgets, ascending by id.
+    fn tenants(&self) -> impl Iterator<Item = (usize, u16)> + '_ {
+        let budget = |(t, b): (usize, &Option<u16>)| b.map(|b| (t, b));
+        self.running.iter().enumerate().filter_map(budget)
+    }
+
+    /// Enter a thread into the tenant table, growing the table to reach
+    /// its id.
+    fn admit(&mut self, thread: usize, pages: u16) {
+        if thread >= self.running.len() {
+            self.running.resize(thread + 1, None);
+        }
+        self.running[thread] = Some(pages);
     }
 
     /// The thread owning `page`, if any.
@@ -149,13 +167,14 @@ impl Allocator {
     }
 
     /// The physical pages held by `thread`, ascending.
+    pub fn owned(&self, thread: usize) -> impl Iterator<Item = u16> + '_ {
+        let owner = PageState::Owned(thread);
+        (0..self.n).filter(move |&p| self.pages[p as usize] == owner)
+    }
+
+    /// [`owned`](Self::owned), collected (for trace events).
     pub fn pages_of(&self, thread: usize) -> Vec<u16> {
-        self.pages
-            .iter()
-            .enumerate()
-            .filter(|&(_, s)| *s == PageState::Owned(thread))
-            .map(|(i, _)| i as u16)
-            .collect()
+        self.owned(thread).collect()
     }
 
     fn largest_chain_at_most(&self, x: u16) -> Option<u16> {
@@ -220,7 +239,7 @@ impl Allocator {
     /// Request pages for `thread` (wanting `want`, a halving-chain value).
     pub fn request(&mut self, thread: usize, want: u16) -> Result<RequestOutcome, SimError> {
         debug_assert!(self.chain.contains(&want), "want {want} not on chain");
-        if self.running.contains_key(&thread) {
+        if self.allocation(thread).is_some() {
             return Err(SimError::InvariantViolated {
                 detail: format!("thread {thread} requested pages while already on the CGRA"),
             });
@@ -229,16 +248,14 @@ impl Allocator {
         if self.free > 0 {
             if let Some(pages) = self.largest_chain_at_most(self.free.min(want)) {
                 self.take_free(thread, pages)?;
-                self.running.insert(thread, pages);
+                self.admit(thread, pages);
                 return Ok(RequestOutcome::Granted { pages });
             }
         }
         // Shrink the thread using the most pages (ties: lowest id).
         let victim = self
-            .running
-            .iter()
-            .max_by_key(|&(id, &pages)| (pages, std::cmp::Reverse(*id)))
-            .map(|(&id, &pages)| (id, pages));
+            .tenants()
+            .max_by_key(|&(id, pages)| (pages, Reverse(id)));
         let Some((victim, victim_was)) = victim else {
             return Ok(RequestOutcome::Queued);
         };
@@ -246,7 +263,7 @@ impl Allocator {
             return Ok(RequestOutcome::Queued); // everyone already at 1 page
         };
         let freed = victim_was - new_pages;
-        self.running.insert(victim, new_pages);
+        self.running[victim] = Some(new_pages);
         self.give_back(victim, freed)?;
         let pages =
             self.largest_chain_at_most(self.free.min(want))
@@ -254,7 +271,7 @@ impl Allocator {
                     detail: "shrink freed no usable budget".to_string(),
                 })?;
         self.take_free(thread, pages)?;
-        self.running.insert(thread, pages);
+        self.admit(thread, pages);
         Ok(RequestOutcome::Shrunk {
             victim,
             victim_was,
@@ -267,7 +284,8 @@ impl Allocator {
     pub fn release(&mut self, thread: usize) -> Result<u16, SimError> {
         let pages = self
             .running
-            .remove(&thread)
+            .get_mut(thread)
+            .and_then(Option::take)
             .ok_or(SimError::UnknownThread { thread })?;
         self.give_back(thread, pages)?;
         Ok(pages)
@@ -299,7 +317,7 @@ impl Allocator {
                 match self.chain_below(from_pages) {
                     None => {
                         // Was at the chain bottom (one page): fully evicted.
-                        self.running.remove(&victim);
+                        self.running[victim] = None;
                         Ok(PageDeath::Revoked { victim })
                     }
                     Some(to_pages) => {
@@ -307,7 +325,7 @@ impl Allocator {
                         // pages; the rest (beyond the dead one) free up.
                         let extra = from_pages - 1 - to_pages;
                         self.give_back(victim, extra)?;
-                        self.running.insert(victim, to_pages);
+                        self.running[victim] = Some(to_pages);
                         Ok(PageDeath::Shrunk {
                             victim,
                             from_pages,
@@ -351,43 +369,7 @@ impl Allocator {
         &mut self,
         want: impl Fn(usize) -> u16,
     ) -> Result<Vec<Expansion>, SimError> {
-        let mut applied = Vec::new();
-        loop {
-            let mut candidates: Vec<(usize, u16, u16)> = self
-                .running
-                .iter()
-                .map(|(&id, &pages)| (id, pages, want(id)))
-                .filter(|&(_, pages, desired)| pages < desired)
-                .collect();
-            candidates
-                .sort_by_key(|&(id, pages, desired)| (std::cmp::Reverse(desired - pages), id));
-            let mut progressed = false;
-            for (id, pages, desired) in candidates {
-                let Some(up) = self.chain_above(pages) else {
-                    continue;
-                };
-                let up = up.min(desired);
-                if up <= pages {
-                    continue;
-                }
-                let cost = up - pages;
-                if cost <= self.free {
-                    self.take_free(id, cost)?;
-                    self.running.insert(id, up);
-                    applied.push(Expansion {
-                        thread: id,
-                        from_pages: pages,
-                        to_pages: up,
-                    });
-                    progressed = true;
-                    break;
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
-        Ok(applied)
+        self.grow(want, |id, pages, desired| (Reverse(desired - pages), id))
     }
 
     /// Expand running threads into free pages per `policy`. `want(t)`
@@ -397,73 +379,77 @@ impl Allocator {
         policy: ExpandPolicy,
         want: impl Fn(usize) -> u16,
     ) -> Result<Vec<Expansion>, SimError> {
-        if policy == ExpandPolicy::None {
-            return Ok(Vec::new());
+        match policy {
+            ExpandPolicy::SmallestFirst => self.grow(want, |id, pages, _| (pages, id)),
+            ExpandPolicy::LargestFirst => self.grow(want, |id, pages, _| (Reverse(pages), id)),
+            ExpandPolicy::None => Ok(Vec::new()),
         }
-        let mut applied = Vec::new();
-        loop {
-            let mut candidates: Vec<(usize, u16)> = self
-                .running
-                .iter()
-                .map(|(&id, &pages)| (id, pages))
-                .filter(|&(id, pages)| pages < want(id))
-                .collect();
-            match policy {
-                ExpandPolicy::SmallestFirst => candidates.sort_by_key(|&(id, p)| (p, id)),
-                ExpandPolicy::LargestFirst => {
-                    candidates.sort_by_key(|&(id, p)| (std::cmp::Reverse(p), id))
-                }
-                ExpandPolicy::None => unreachable!(),
-            }
-            let mut progressed = false;
-            for (id, pages) in candidates {
-                let Some(up) = self.chain_above(pages) else {
-                    continue;
-                };
-                let up = up.min(want(id));
-                if up <= pages {
-                    continue;
-                }
-                let cost = up - pages;
-                if cost <= self.free {
-                    self.take_free(id, cost)?;
-                    self.running.insert(id, up);
-                    applied.push(Expansion {
-                        thread: id,
-                        from_pages: pages,
-                        to_pages: up,
-                    });
-                    progressed = true;
-                    break;
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
-        Ok(applied)
     }
 
-    /// Sanity: allocations + free + dead always equals N, and the
-    /// identity map agrees with the counts.
+    /// The one expansion loop. Each round grows, by one chain step capped
+    /// at `want`, the tenant with the least `key(id, pages, want)` among
+    /// those below their want whose step the free pages can pay for;
+    /// it stops when no tenant qualifies. Keys end in the thread id, so
+    /// they are unique and the pick is deterministic.
+    fn grow<K: Ord>(
+        &mut self,
+        want: impl Fn(usize) -> u16,
+        key: impl Fn(usize, u16, u16) -> K,
+    ) -> Result<Vec<Expansion>, SimError> {
+        let mut applied = Vec::new();
+        loop {
+            let pick = self
+                .tenants()
+                .filter_map(|(id, pages)| {
+                    let desired = want(id);
+                    let up = self.chain_above(pages)?.min(desired);
+                    (up > pages && up - pages <= self.free)
+                        .then(|| (key(id, pages, desired), id, pages, up))
+                })
+                .min_by(|a, b| a.0.cmp(&b.0));
+            let Some((_, thread, from_pages, to_pages)) = pick else {
+                return Ok(applied);
+            };
+            self.take_free(thread, to_pages - from_pages)?;
+            self.running[thread] = Some(to_pages);
+            applied.push(Expansion {
+                thread,
+                from_pages,
+                to_pages,
+            });
+        }
+    }
+
+    /// Sanity, in one pass over the page table: no page is owned by a
+    /// thread that is not a tenant, each tenant owns exactly its budget,
+    /// the free pages number `free`, and budgets + free + dead sum to N.
     pub fn check_invariant(&self) -> bool {
-        let dead = self
-            .pages
-            .iter()
-            .filter(|s| matches!(s, PageState::Dead))
-            .count() as u16;
-        let free_ident = self
-            .pages
-            .iter()
-            .filter(|s| matches!(s, PageState::Free))
-            .count() as u16;
-        let counts_ok = self.running.values().sum::<u16>() + self.free + dead == self.n;
-        let identity_ok = free_ident == self.free
+        // One count per tenant-table slot; on the stack for the thread
+        // counts a simulation uses.
+        let (mut small, mut large) = ([0u16; 64], Vec::new());
+        let held = if self.running.len() <= small.len() {
+            &mut small[..self.running.len()]
+        } else {
+            large.resize(self.running.len(), 0u16);
+            &mut large[..]
+        };
+        let (mut free, mut dead) = (0u16, 0u16);
+        for page in &self.pages {
+            match *page {
+                PageState::Free => free += 1,
+                PageState::Dead => dead += 1,
+                PageState::Owned(t) if self.allocation(t).is_some() => held[t] += 1,
+                PageState::Owned(_) => return false,
+            }
+        }
+        let budgets: u32 = self.tenants().map(|(_, b)| u32::from(b)).sum();
+        free == self.free
+            && budgets + u32::from(self.free) + u32::from(dead) == u32::from(self.n)
             && self
                 .running
                 .iter()
-                .all(|(&t, &c)| self.pages_of(t).len() as u16 == c);
-        counts_ok && identity_ok
+                .zip(held.iter())
+                .all(|(b, &h)| b.unwrap_or(0) == h)
     }
 }
 
@@ -675,7 +661,6 @@ mod tests {
         let page = a.pages_of(1)[0];
         assert_eq!(a.kill_page(page).unwrap(), PageDeath::Revoked { victim: 1 });
         assert_eq!(a.allocation(1), None);
-        assert_eq!(a.active(), 1);
         assert!(a.check_invariant());
     }
 
@@ -792,5 +777,170 @@ mod tests {
         b.request(0, 2).unwrap();
         b.request(1, 2).unwrap();
         assert!(b.expand_most_shrunk(|_| 2).unwrap().is_empty());
+    }
+
+    /// Two tenants — thread 0 on pages 0–3, thread 1 on pages 4–5 — and
+    /// two free pages, in a consistent state.
+    fn two_tenants() -> Allocator {
+        let mut a = Allocator::new(8);
+        a.request(0, 4).unwrap();
+        a.request(1, 2).unwrap();
+        assert!(a.check_invariant());
+        a
+    }
+
+    #[test]
+    fn invariant_fails_on_a_page_owned_by_a_non_tenant() {
+        let mut a = two_tenants();
+        // Thread 1 left the tenant table without giving its pages back.
+        a.running[1] = None;
+        assert!(!a.check_invariant());
+        // A page names a thread the table has never seen.
+        let mut b = two_tenants();
+        b.pages[6] = PageState::Owned(9);
+        b.free -= 1;
+        assert!(!b.check_invariant());
+    }
+
+    #[test]
+    fn invariant_fails_on_swapped_page_counts() {
+        let mut a = two_tenants();
+        a.running.swap(0, 1);
+        assert!(!a.check_invariant());
+    }
+
+    #[test]
+    fn invariant_fails_on_a_free_count_off_by_one() {
+        let mut a = two_tenants();
+        a.free += 1;
+        assert!(!a.check_invariant());
+        let mut b = two_tenants();
+        b.free -= 1;
+        assert!(!b.check_invariant());
+    }
+
+    #[test]
+    fn invariant_fails_when_counts_do_not_sum_to_n() {
+        // Budgets, free and dead pages all agree with the page table, but
+        // the table has grown a ninth page on an 8-page fabric.
+        let mut a = two_tenants();
+        a.pages.push(PageState::Dead);
+        assert!(!a.check_invariant());
+    }
+
+    /// The two orders of the expansion loop: an [`ExpandPolicy`] or the
+    /// supervision policy of [`Allocator::expand_most_shrunk`].
+    #[derive(Debug, Clone, Copy)]
+    enum Order {
+        Policy(ExpandPolicy),
+        MostShrunk,
+    }
+
+    /// The collect-and-sort selection that `grow` replaced, kept as the
+    /// reference it must agree with: each round sorts the tenants below
+    /// their want by the order's key and grows the first affordable one.
+    fn sorted_reference(
+        a: &mut Allocator,
+        order: Order,
+        want: impl Fn(usize) -> u16,
+    ) -> Vec<Expansion> {
+        let mut applied = Vec::new();
+        loop {
+            let mut candidates: Vec<(usize, u16, u16)> = a
+                .tenants()
+                .map(|(id, pages)| (id, pages, want(id)))
+                .filter(|&(_, pages, desired)| pages < desired)
+                .collect();
+            match order {
+                Order::Policy(ExpandPolicy::SmallestFirst) => {
+                    candidates.sort_by_key(|&(id, p, _)| (p, id))
+                }
+                Order::Policy(ExpandPolicy::LargestFirst) => {
+                    candidates.sort_by_key(|&(id, p, _)| (Reverse(p), id))
+                }
+                Order::Policy(ExpandPolicy::None) => return applied,
+                Order::MostShrunk => candidates.sort_by_key(|&(id, p, d)| (Reverse(d - p), id)),
+            }
+            let pick = candidates.into_iter().find_map(|(id, pages, desired)| {
+                let up = a.chain_above(pages)?.min(desired);
+                (up > pages && up - pages <= a.free).then_some((id, pages, up))
+            });
+            let Some((thread, from_pages, to_pages)) = pick else {
+                return applied;
+            };
+            a.take_free(thread, to_pages - from_pages).unwrap();
+            a.running[thread] = Some(to_pages);
+            applied.push(Expansion {
+                thread,
+                from_pages,
+                to_pages,
+            });
+        }
+    }
+
+    /// A consistent allocator with random tenants (budgets on the chain,
+    /// pages scattered over the fabric, some pages dead), and a random
+    /// want per thread id, some of them off the chain.
+    fn random_tenants(rng: &mut rand::rngs::StdRng) -> (Allocator, Vec<u16>) {
+        use rand::Rng;
+        let n = rng.gen_range(1..=20u16);
+        let mut a = Allocator::new(n);
+        let mut order: Vec<usize> = (0..n as usize).collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.gen_range(0..=i));
+        }
+        let threads = rng.gen_range(1..=10usize);
+        let mut taken = 0;
+        for t in 0..threads {
+            let budget = a.chain[rng.gen_range(0..a.chain.len())] as usize;
+            if rng.gen_bool(0.25) || taken + budget > order.len() {
+                continue;
+            }
+            for &p in &order[taken..taken + budget] {
+                a.pages[p] = PageState::Owned(t);
+            }
+            taken += budget;
+            a.admit(t, budget as u16);
+        }
+        for &p in &order[taken..] {
+            if rng.gen_bool(0.2) {
+                a.pages[p] = PageState::Dead;
+            }
+        }
+        a.free = a.pages.iter().filter(|&&s| s == PageState::Free).count() as u16;
+        assert!(a.check_invariant());
+        let wants = (0..threads).map(|_| rng.gen_range(0..=n + 1)).collect();
+        (a, wants)
+    }
+
+    #[test]
+    fn grow_picks_what_the_sorted_reference_picks() {
+        use rand::SeedableRng;
+        let orders = [
+            Order::Policy(ExpandPolicy::SmallestFirst),
+            Order::Policy(ExpandPolicy::LargestFirst),
+            Order::Policy(ExpandPolicy::None),
+            Order::MostShrunk,
+        ];
+        for seed in 0..500 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let (start, wants) = random_tenants(&mut rng);
+            for order in orders {
+                let want = |t: usize| wants[t];
+                let mut expected = start.clone();
+                let reference = sorted_reference(&mut expected, order, want);
+                let mut actual = start.clone();
+                let grown = match order {
+                    Order::Policy(policy) => actual.expand(policy, want),
+                    Order::MostShrunk => actual.expand_most_shrunk(want),
+                }
+                .unwrap();
+                assert_eq!(grown, reference, "seed {seed}, {order:?}");
+                assert_eq!(actual.running, expected.running, "seed {seed}, {order:?}");
+                assert_eq!(actual.pages, expected.pages, "seed {seed}, {order:?}");
+                assert_eq!(actual.free, expected.free, "seed {seed}, {order:?}");
+                assert!(actual.check_invariant(), "seed {seed}, {order:?}");
+            }
+        }
     }
 }

@@ -151,11 +151,14 @@ impl KernelProfile {
     /// The smallest halving-chain budget that covers the kernel's
     /// footprint — what the thread asks the allocator for.
     pub fn wanted_pages(&self, n: u16) -> u16 {
-        halving_chain(n)
-            .into_iter()
-            .filter(|&m| m >= self.used_pages)
-            .min()
-            .unwrap_or(n)
+        // The chain descends, so the budgets covering the footprint are a
+        // prefix of it: walk it and keep the last one (`n` if none is).
+        let (mut want, mut m) = (n, n);
+        while m >= self.used_pages.max(1) {
+            want = m;
+            m /= 2;
+        }
+        want
     }
 
     /// Cycles per kernel iteration with `m` pages allocated, or `None`
@@ -251,6 +254,27 @@ mod tests {
         let want = p.wanted_pages(4);
         assert!(want >= p.used_pages);
         assert!(halving_chain(4).contains(&want));
+    }
+
+    #[test]
+    fn wanted_pages_is_the_least_chain_budget_covering_the_footprint() {
+        for n in 0..=64u16 {
+            for used in 0..=n + 1 {
+                let p = KernelProfile {
+                    name: String::new(),
+                    ii_baseline: 1,
+                    ii_constrained: 1,
+                    used_pages: used,
+                    ii_by_pages: Vec::new(),
+                };
+                let chain_filter = halving_chain(n)
+                    .into_iter()
+                    .filter(|&m| m >= used)
+                    .min()
+                    .unwrap_or(n);
+                assert_eq!(p.wanted_pages(n), chain_filter, "n={n} used={used}");
+            }
+        }
     }
 
     #[test]

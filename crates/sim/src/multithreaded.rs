@@ -117,6 +117,25 @@ enum Mode {
     Done,
 }
 
+impl Mode {
+    /// The budget a thread in this mode asks for: its kernel's wanted
+    /// pages while it runs or queues, one page otherwise.
+    fn want(self, lib: &KernelLibrary) -> u16 {
+        match self {
+            Mode::OnCgra { kernel, .. } | Mode::Waiting { kernel, .. } => {
+                lib.profile(kernel).wanted_pages(lib.num_pages)
+            }
+            _ => 1,
+        }
+    }
+}
+
+/// The next fabric event of the run loop.
+enum FabricEvent {
+    Repair(RepairAction),
+    Fault(FaultEvent),
+}
+
 struct Sim<'a> {
     lib: &'a KernelLibrary,
     threads: &'a [ThreadSpec],
@@ -158,15 +177,6 @@ impl<'a> Sim<'a> {
         self.last_integral = now;
     }
 
-    fn want(&self, thread: usize) -> u16 {
-        match self.mode[thread] {
-            Mode::OnCgra { kernel, .. } | Mode::Waiting { kernel, .. } => {
-                self.lib.profile(kernel).wanted_pages(self.lib.num_pages)
-            }
-            _ => 1,
-        }
-    }
-
     /// Cycles per iteration for `thread` running `kernel` on `pages`
     /// pages, including the degraded-page slowdown. Typed error instead
     /// of a panic when the budget is off the profile's chain.
@@ -180,9 +190,8 @@ impl<'a> Sim<'a> {
             })? as u64;
         let slowed = self
             .alloc
-            .pages_of(thread)
-            .iter()
-            .any(|&p| self.faults.health(p) == PageHealth::Degraded);
+            .owned(thread)
+            .any(|p| self.faults.health(p) == PageHealth::Degraded);
         Ok(if slowed {
             base * self.cfg.degrade_factor.max(1)
         } else {
@@ -365,8 +374,8 @@ impl<'a> Sim<'a> {
         self.drain_queue(now)?;
 
         // Then grow the survivors.
-        let wants: Vec<u16> = (0..self.threads.len()).map(|t| self.want(t)).collect();
-        let grown = self.alloc.expand(self.cfg.expand, |t| wants[t])?;
+        let (lib, mode) = (self.lib, &self.mode);
+        let grown = self.alloc.expand(self.cfg.expand, |t| mode[t].want(lib))?;
         for ex in grown {
             self.expands += 1;
             if let Mode::OnCgra { kernel, .. } = self.mode[ex.thread] {
@@ -395,8 +404,8 @@ impl<'a> Sim<'a> {
     fn redistribute_repaired(&mut self, now: u64) -> Result<(), SimError> {
         self.drain_queue(now)?;
 
-        let wants: Vec<u16> = (0..self.threads.len()).map(|t| self.want(t)).collect();
-        let grown = self.alloc.expand_most_shrunk(|t| wants[t])?;
+        let (lib, mode) = (self.lib, &self.mode);
+        let grown = self.alloc.expand_most_shrunk(|t| mode[t].want(lib))?;
         for ex in grown {
             self.expands += 1;
             self.fstats.reexpansions += 1;
@@ -662,33 +671,26 @@ impl<'a> Sim<'a> {
             let next_event = self.q.peek_time();
             let next_fault = self.fault_events.get(self.fault_idx).copied();
             let next_repair = self.repairs.peek().map(|&Reverse(a)| a);
-            let repair_first = match (next_repair, next_fault) {
-                (Some(r), Some(f)) => r.time <= f.time,
-                (Some(_), None) => true,
-                (None, _) => false,
+            let fabric = match (next_repair, next_fault) {
+                (Some(r), Some(f)) if f.time < r.time => Some(FabricEvent::Fault(f)),
+                (Some(r), _) => Some(FabricEvent::Repair(r)),
+                (None, f) => f.map(FabricEvent::Fault),
             };
-            let fabric_time = match (next_repair, next_fault) {
-                (None, None) => None,
-                _ if repair_first => next_repair.map(|r| r.time),
-                _ => next_fault.map(|f| f.time),
-            };
-            let fabric_due = match (next_event, fabric_time) {
-                (None, None) => break,
-                (Some(te), Some(ft)) => ft < te,
-                (None, Some(_)) => true,
-                (Some(_), None) => false,
-            };
-            if fabric_due {
-                if repair_first {
+            let due = |at: u64| next_event.is_none_or(|te| at < te);
+            match fabric {
+                Some(FabricEvent::Repair(r)) if due(r.time) => {
                     self.repairs.pop();
-                    self.apply_repair(next_repair.expect("repair_first implies a repair"))?;
-                } else {
-                    self.fault_idx += 1;
-                    self.apply_fault(next_fault.expect("fabric_due implies a fault"))?;
+                    self.apply_repair(r)?;
+                    continue;
                 }
-                continue;
+                Some(FabricEvent::Fault(f)) if due(f.time) => {
+                    self.fault_idx += 1;
+                    self.apply_fault(f)?;
+                    continue;
+                }
+                _ => {}
             }
-            let Some(ev) = self.q.pop() else { continue };
+            let Some(ev) = self.q.pop() else { break };
             let t = ev.thread;
             match self.mode[t] {
                 Mode::Advancing => self.advance(t, ev.time)?,

@@ -200,7 +200,7 @@ struct Shadow {
 }
 
 impl Shadow {
-    fn check(&self, a: &cgra_mt::sim::Allocator, step: usize) {
+    fn check(&self, a: &cgra_mt::sim::Allocator, threads: usize, step: usize) {
         let total: u16 = self.owned.values().sum();
         assert!(
             total <= self.n,
@@ -213,7 +213,8 @@ impl Shadow {
             self.n - total,
             "step {step}: free-page conservation (double ownership?)"
         );
-        assert_eq!(a.active(), self.owned.len(), "step {step}: active count");
+        let active = (0..threads).filter(|&t| a.allocation(t).is_some()).count();
+        assert_eq!(active, self.owned.len(), "step {step}: active count");
         for (&t, &p) in &self.owned {
             assert_eq!(a.allocation(t), Some(p), "step {step}: thread {t}");
             assert!(
@@ -321,7 +322,7 @@ fn allocator_random_sequences_preserve_invariants() {
                     }
                 }
             }
-            shadow.check(&a, step);
+            shadow.check(&a, next_thread, step);
         }
 
         // Freed pages are reusable: drain everything, then one thread can
@@ -330,7 +331,7 @@ fn allocator_random_sequences_preserve_invariants() {
             a.release(t).unwrap();
             shadow.owned.remove(&t);
         }
-        shadow.check(&a, usize::MAX);
+        shadow.check(&a, next_thread, usize::MAX);
         assert_eq!(a.free_pages(), n);
         assert_eq!(
             a.request(next_thread, n).unwrap(),
