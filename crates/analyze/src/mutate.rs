@@ -19,8 +19,6 @@
 // and the registry is one long literal list — both idiomatic here.
 #![allow(clippy::many_single_char_names, clippy::too_many_lines)]
 
-use std::collections::HashMap;
-
 use cgra_arch::fault::splitmix64;
 use cgra_arch::{CgraConfig, FaultMap, PageHealth, PageId, PeCapability, PeId};
 use cgra_core::fold::fold_to_page;
@@ -418,20 +416,20 @@ fn overpark_paged_dep(a: &Artifacts, _s: &mut u64) -> Report {
 
 fn remove_plan_cell(a: &Artifacts, _s: &mut u64) -> Report {
     let mut plan = a.plan4.clone();
-    plan.placements[0].remove(&(0, 0));
+    plan.placements[0].pop();
     analyze_plan(&a.p8, &plan)
 }
 
 fn column_out_of_range(a: &Artifacts, _s: &mut u64) -> Report {
     let mut plan = a.plan4.clone();
-    plan.placements[0].get_mut(&(1, 0)).unwrap().col = plan.m + 3;
+    plan.cell_mut(0, 1, 0).unwrap().col = plan.m + 3;
     analyze_plan(&a.p8, &plan)
 }
 
 fn collide_plan_cells(a: &Artifacts, _s: &mut u64) -> Report {
     let mut plan = a.plan4.clone();
-    let c = plan.placements[0][&(0, 0)];
-    plan.placements[0].insert((1, 0), c);
+    let c = plan.cell(0, 0, 0).unwrap();
+    *plan.cell_mut(0, 1, 0).unwrap() = c;
     analyze_plan(&a.p8, &plan)
 }
 
@@ -447,15 +445,15 @@ fn equalize_dep_times(a: &Artifacts, s: &mut u64) -> Report {
             .collect();
     let d = *pick(s, &cands, "equalize-dep-times");
     let mut plan = a.plan4.clone();
-    let c = plan.placements[0][&(d.from_page, d.from_time % ii)];
-    plan.placements[0].insert((d.to_page, d.to_time % ii), c);
+    let c = plan.cell(0, d.from_page, d.from_time % ii).unwrap();
+    *plan.cell_mut(0, d.to_page, d.to_time % ii).unwrap() = c;
     analyze_plan(&a.p8, &plan)
 }
 
 fn teleport_column(a: &Artifacts, _s: &mut u64) -> Report {
     let mut plan = a.plan4.clone();
     for slot in 0..a.p8.ii {
-        plan.placements[0].get_mut(&(0, slot)).unwrap().col = 3;
+        plan.cell_mut(0, 0, slot).unwrap().col = 3;
     }
     analyze_plan(&a.p8, &plan)
 }
@@ -472,20 +470,18 @@ fn wobble_parked_column(a: &Artifacts, _s: &mut u64) -> Report {
     // exactly, but page 1 — which parks a value for 3 cycles — no
     // longer keeps one column.
     let base = &a.parked_plan;
-    let p0 = base.placements[0].clone();
-    let mut p1 = HashMap::new();
-    for (&(page, slot), &c) in &p0 {
-        let mut c2 = c;
-        c2.time += base.span;
-        if page == 0 {
-            c2.col = p0[&(1, slot)].col;
-        } else if page == 1 {
-            c2.col = p0[&(0, slot)].col;
-        }
-        p1.insert((page, slot), c2);
-    }
     let mut plan = base.clone();
-    plan.placements = vec![p0, p1];
+    let mut p1 = base.placements[0].clone();
+    for c in &mut p1 {
+        c.time += base.span;
+    }
+    plan.placements.push(p1);
+    for slot in 0..base.ii_p {
+        let c0 = base.cell(0, 0, slot).unwrap().col;
+        let c1 = base.cell(0, 1, slot).unwrap().col;
+        plan.cell_mut(1, 0, slot).unwrap().col = c1;
+        plan.cell_mut(1, 1, slot).unwrap().col = c0;
+    }
     plan.period = 2;
     plan.span = base.span * 2;
     analyze_plan(&a.parked_p, &plan)

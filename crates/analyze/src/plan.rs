@@ -119,8 +119,8 @@ mod tests {
     fn collision_reports_a212() {
         let p = PagedSchedule::synthetic_canonical(4, 1, false);
         let mut plan = transform_block(&p, 2).unwrap();
-        let c2 = plan.placements[0][&(2, 0)];
-        plan.placements[0].insert((3, 0), c2);
+        let c2 = plan.cell(0, 2, 0).unwrap();
+        *plan.cell_mut(0, 3, 0).unwrap() = c2;
         let rep = analyze_plan(&p, &plan);
         assert!(
             rep.codes().contains(&Code::A212PlanSlotCollision),

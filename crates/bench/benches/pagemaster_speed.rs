@@ -29,16 +29,22 @@ fn bench_pagemaster_scaling(bench: &Bench) {
     }
 }
 
-/// Full open rings, the schedules a runtime re-plan actually sees. Most
-/// targets find no steady state: the drifting search runs its whole
-/// warm-up window before `Auto` falls back to the block plan. N=32 → 4
-/// finds one (period 2).
+/// Full open rings, the schedules a runtime re-plan actually sees.
+/// `drifting` times Algorithm 1 itself: every target but N=32 → 4
+/// (period 2) finds no steady state, so those rows run the whole warm-up
+/// window. `auto` times what the runtime pays: Block straight away when
+/// M | N, and the search plus the block fallback for 32 → 31.
 fn bench_open_ring(bench: &Bench) {
     for (n, m) in [(16u16, 8u16), (18, 9), (32, 16), (32, 31), (32, 4)] {
         let p = PagedSchedule::synthetic_canonical(n, 1, false);
-        bench.run(&format!("pagemaster_transform/open_ring/{n}to{m}"), || {
-            cgra_core::transform::transform(black_box(&p), m, Strategy::Auto).unwrap()
-        });
+        bench.run(
+            &format!("pagemaster_transform/open_ring/drifting/{n}to{m}"),
+            || transform_pagemaster(black_box(&p), m),
+        );
+        bench.run(
+            &format!("pagemaster_transform/open_ring/auto/{n}to{m}"),
+            || cgra_core::transform::transform(black_box(&p), m, Strategy::Auto).unwrap(),
+        );
     }
 }
 

@@ -34,7 +34,6 @@
 
 use crate::paged::{Discipline, PagedSchedule};
 use crate::transform::{CellPlacement, ShrinkPlan, Strategy, TransformError};
-use std::collections::HashMap;
 
 /// Iterations simulated before giving up on steady state.
 const WARMUP_ITERS: u32 = 512;
@@ -124,23 +123,20 @@ pub fn transform_pagemaster(p: &PagedSchedule, m: u16) -> Result<ShrinkPlan, Tra
     let n = p.num_pages;
     if m == n {
         // Identity: every page keeps its own column.
-        let mut placement = HashMap::new();
-        for page in 0..n {
-            for slot in 0..p.ii {
-                placement.insert(
-                    (page, slot),
-                    CellPlacement {
-                        col: page,
-                        time: slot as u64,
-                    },
-                );
-            }
-        }
+        let row = (0..n)
+            .flat_map(|page| {
+                (0..p.ii).map(move |slot| CellPlacement {
+                    col: page,
+                    time: slot as u64,
+                })
+            })
+            .collect();
         return Ok(ShrinkPlan {
             m,
+            ii_p: p.ii,
             period: 1,
             span: p.ii as u64,
-            placements: vec![placement],
+            placements: vec![row],
             strategy: Strategy::PageMaster,
         });
     }
@@ -248,19 +244,19 @@ pub fn transform_pagemaster(p: &PagedSchedule, m: u16) -> Result<ShrinkPlan, Tra
                 .map(|k| cell(pos, base_iter, k).1)
                 .min()
                 .expect("non-empty schedule");
-            let mut placements = Vec::with_capacity(period as usize);
-            for j in 0..period {
-                let mut map = HashMap::with_capacity(cells);
-                for page in 0..n {
-                    for slot in 0..p.ii {
-                        let (col, t) = pos[at(page, (base_iter + j) * ii + slot as u64)];
-                        map.insert((page, slot), CellPlacement { col, time: t - t0 });
-                    }
-                }
-                placements.push(map);
-            }
+            let placements = (base_iter..base_iter + period)
+                .map(|iter| {
+                    (0..cells)
+                        .map(|k| {
+                            let (col, t) = cell(pos, iter, k);
+                            CellPlacement { col, time: t - t0 }
+                        })
+                        .collect()
+                })
+                .collect();
             let plan = ShrinkPlan {
                 m,
+                ii_p: p.ii,
                 period: period as u32,
                 span: shift as u64,
                 placements,
@@ -351,24 +347,21 @@ fn place_page_column(d1: u16, d2: u16, m: u16, cols: &Columns) -> Result<u16, Tr
 /// M = 1: execute cells sequentially in dependence order `(slot, page)`
 /// (Fig. 6). `II_q = N · II_p` exactly.
 fn fold_to_single_column(p: &PagedSchedule) -> ShrinkPlan {
-    let n = p.num_pages;
-    let mut placement = HashMap::new();
-    for slot in 0..p.ii {
-        for page in 0..n {
-            placement.insert(
-                (page, slot),
-                CellPlacement {
-                    col: 0,
-                    time: slot as u64 * n as u64 + page as u64,
-                },
-            );
-        }
-    }
+    let n = p.num_pages as u64;
+    let row = (0..n)
+        .flat_map(|page| {
+            (0..p.ii as u64).map(move |slot| CellPlacement {
+                col: 0,
+                time: slot * n + page,
+            })
+        })
+        .collect();
     ShrinkPlan {
         m: 1,
+        ii_p: p.ii,
         period: 1,
-        span: n as u64 * p.ii as u64,
-        placements: vec![placement],
+        span: n * p.ii as u64,
+        placements: vec![row],
         strategy: Strategy::PageMaster,
     }
 }
@@ -378,10 +371,11 @@ fn fold_to_single_column(p: &PagedSchedule) -> ShrinkPlan {
 /// columns, returning a typed [`DegradedPlan`](crate::degrade::DegradedPlan)
 /// instead of panicking when pages have died.
 ///
-/// Uses [`Strategy::Auto`] underneath — Algorithm 1 for canonical
-/// schedules, the block transform otherwise — because a fault can strike
-/// a thread running *any* discipline; the caller gets a sound plan either
-/// way. See [`crate::degrade`] for the run-selection rules.
+/// Uses [`Strategy::Auto`] underneath — the block transform where it is
+/// optimal or the schedule is not canonical, Algorithm 1 otherwise —
+/// because a fault can strike a thread running *any* discipline; the
+/// caller gets a sound plan either way. See [`crate::degrade`] for the
+/// run-selection rules.
 ///
 /// # Errors
 ///
@@ -446,7 +440,7 @@ mod tests {
         let plan = transform_pagemaster(&p, 1).expect("folds");
         assert_eq!(plan.ii_q(), 8.0);
         // Dependence order: (n, t) before (n, t+1) and after (n-1, t).
-        let t = |page: u16, slot: u32| plan.placements[0][&(page, slot)].time;
+        let t = |page: u16, slot: u32| plan.cell(0, page, slot).unwrap().time;
         assert!(t(1, 0) > t(0, 0));
         assert!(t(0, 1) > t(3, 0));
     }
@@ -457,7 +451,7 @@ mod tests {
         let plan = transform_pagemaster(&p, 4).expect("identity");
         assert_eq!(plan.ii_q(), 3.0);
         for page in 0..4u16 {
-            assert_eq!(plan.placements[0][&(page, 0)].col, page);
+            assert_eq!(plan.cell(0, page, 0).unwrap().col, page);
         }
     }
 
@@ -480,14 +474,24 @@ mod tests {
 
     #[test]
     fn open_ring_without_steady_state_falls_back_to_block() {
-        // The full open ring N=16 → 8 keeps drifting for the whole warm-up
+        // The full open ring N=18 → 17 keeps drifting for the whole warm-up
         // window; `Auto` then hands out the block plan (2 rounds per slot).
+        let p = PagedSchedule::synthetic_canonical(18, 1, false);
+        assert_eq!(
+            transform_pagemaster(&p, 17).unwrap_err(),
+            TransformError::NoSteadyState
+        );
+        let plan = crate::transform::transform(&p, 17, Strategy::Auto).expect("block fallback");
+        assert_eq!(plan.strategy, Strategy::Block);
+        assert_eq!(plan.span, 2);
+        // N=16 → 8 drifts forever too, but M | N: `Auto` takes the optimal
+        // block plan without running the search.
         let p = PagedSchedule::synthetic_canonical(16, 1, false);
         assert_eq!(
             transform_pagemaster(&p, 8).unwrap_err(),
             TransformError::NoSteadyState
         );
-        let plan = crate::transform::transform(&p, 8, Strategy::Auto).expect("block fallback");
+        let plan = crate::transform::transform(&p, 8, Strategy::Auto).expect("block");
         assert_eq!(plan.strategy, Strategy::Block);
         assert_eq!(plan.span, 2);
     }

@@ -3,27 +3,34 @@
 //! A [`ShrinkPlan`] reschedules an `N`-page schedule onto `M ≤ N` page
 //! *columns*. It is periodic: the placement pattern repeats every
 //! `period` source iterations, spanning `span` cycles, so the achieved
-//! initiation interval is `span / period` (per source iteration).
+//! initiation interval is `span / period` (per source iteration). Each
+//! iteration of the period is one dense row of `N · II_p` placements,
+//! indexed `page · II_p + slot` ([`ShrinkPlan::cell`]).
 //!
 //! Two strategies:
 //!
 //! * [`Strategy::Block`] — column-stable: page `n` always executes in
 //!   column `snake(n)`; iteration time is sliced into `⌈N/M⌉` rounds.
-//!   Sound for *any* ring-path schedule (including RF parking, i.e. the
+//!   Sound for *any* ring-path schedule without wrap dependences
+//!   (including RF parking, i.e. the
 //!   [`Discipline::Stable`](crate::paged::Discipline) schedules the
 //!   default constrained mapper emits), and exactly optimal
-//!   (`II_q = II_p·N/M`) whenever `M` divides `N` — which the paper's
-//!   halving policy guarantees.
+//!   (`II_q = II_p·N/M`, period 1) whenever `M` divides `N`.
 //! * [`Strategy::PageMaster`] — the paper's Algorithm 1: drifting
 //!   placement seeded by the two-hop interleave, packing partial rows as
-//!   tails. Requires canonical 1-step dependences; handles full-ring
-//!   (wrap) schedules; can beat the block bound when `M ∤ N` by packing
-//!   `II_q` toward `⌈N·II_p/M⌉`.
+//!   tails. Requires canonical 1-step dependences and handles full-ring
+//!   (wrap) schedules. When `M ∤ N` its steady state may beat the block
+//!   bound (6 → 5 on a wrap ring: 1.58 against 2) or lose to it (open
+//!   ring 9 → 8: 4.5 against 2), and on some rings it finds none at all
+//!   (EXPERIMENTS.md, C2).
+//!
+//! [`Strategy::Auto`] takes Block wherever Block is provably optimal
+//! (`M | N`, no wrap dependences) or Algorithm 1 cannot run (not
+//! canonical), and otherwise tries Algorithm 1 first.
 
 use crate::paged::{Discipline, PagedSchedule};
 use cgra_obs::{TraceEvent, Tracer};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Which transformation algorithm to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -32,7 +39,9 @@ pub enum Strategy {
     Block,
     /// The paper's drifting Algorithm 1 (canonical schedules only).
     PageMaster,
-    /// PageMaster when the schedule is canonical, otherwise Block.
+    /// Block when it is optimal (`M | N` and no wrap dependences) or the
+    /// schedule is not canonical; otherwise PageMaster, falling back to
+    /// Block when the drifting search finds no steady state.
     Auto,
 }
 
@@ -51,13 +60,17 @@ pub struct CellPlacement {
 pub struct ShrinkPlan {
     /// Number of target page columns (M).
     pub m: u16,
+    /// Slots per page of the source schedule (`II_p`): the stride of a
+    /// placement row.
+    pub ii_p: u32,
     /// Source iterations per steady-state period.
     pub period: u32,
     /// Cycles per period.
     pub span: u64,
-    /// Placement of cell `(page, slot)` for each iteration of the period:
-    /// `placements[iter][(page, slot)]`.
-    pub placements: Vec<HashMap<(u16, u32), CellPlacement>>,
+    /// One dense row per iteration of the period: cell `(page, slot)` of
+    /// iteration `iter` is `placements[iter][page · ii_p + slot]`. Read
+    /// it through [`ShrinkPlan::cell`].
+    pub placements: Vec<Vec<CellPlacement>>,
     /// The strategy that produced the plan.
     pub strategy: Strategy,
 }
@@ -75,11 +88,41 @@ impl ShrinkPlan {
         self.span.div_ceil(self.period as u64) as u32
     }
 
+    /// Placement of cell `(page, slot)` in period iteration `iter`, or
+    /// `None` when the plan has no such cell (`slot ≥ ii_p`, or the row
+    /// is too short).
+    pub fn cell(&self, iter: usize, page: u16, slot: u32) -> Option<CellPlacement> {
+        self.placements
+            .get(iter)?
+            .get(self.index(page, slot)?)
+            .copied()
+    }
+
+    /// Mutable access to the placement [`ShrinkPlan::cell`] reads.
+    pub fn cell_mut(&mut self, iter: usize, page: u16, slot: u32) -> Option<&mut CellPlacement> {
+        let k = self.index(page, slot)?;
+        self.placements.get_mut(iter)?.get_mut(k)
+    }
+
+    fn index(&self, page: u16, slot: u32) -> Option<usize> {
+        (slot < self.ii_p).then(|| page as usize * self.ii_p as usize + slot as usize)
+    }
+
     /// Placement of cell `(page, slot)` at absolute source iteration `j`.
+    ///
+    /// # Panics
+    ///
+    /// If the plan has no such cell; [`validate_plan`] reports those as
+    /// [`MissingCell`].
+    ///
+    /// [`validate_plan`]: crate::validate::validate_plan
+    /// [`MissingCell`]: crate::validate::TransformViolation::MissingCell
     pub fn at(&self, page: u16, slot: u32, iter: u64) -> CellPlacement {
         let idx = (iter % self.period as u64) as usize;
         let rounds = iter / self.period as u64;
-        let c = self.placements[idx][&(page, slot)];
+        let c = self
+            .cell(idx, page, slot)
+            .unwrap_or_else(|| panic!("plan has no cell ({page},{slot}) in iteration {idx}"));
         CellPlacement {
             col: c.col,
             time: c.time + rounds * self.span,
@@ -169,30 +212,31 @@ pub fn transform_block(p: &PagedSchedule, m: u16) -> Result<ShrinkPlan, Transfor
     }
     let n = p.num_pages;
     let k = n.div_ceil(m) as u64; // rounds per slot step
-    let span = p.ii as u64 * k;
-    let mut placement = HashMap::with_capacity(n as usize * p.ii as usize);
-    for page in 0..n {
-        for slot in 0..p.ii {
-            placement.insert(
-                (page, slot),
-                CellPlacement {
-                    col: snake_col(page, m),
-                    time: slot as u64 * k + (page / m) as u64,
-                },
-            );
-        }
-    }
+    let row = (0..n)
+        .flat_map(|page| {
+            (0..p.ii).map(move |slot| CellPlacement {
+                col: snake_col(page, m),
+                time: slot as u64 * k + (page / m) as u64,
+            })
+        })
+        .collect();
     Ok(ShrinkPlan {
         m,
+        ii_p: p.ii,
         period: 1,
-        span,
-        placements: vec![placement],
+        span: p.ii as u64 * k,
+        placements: vec![row],
         strategy: Strategy::Block,
     })
 }
 
-/// Transform with the requested strategy ([`Strategy::Auto`] picks
-/// PageMaster for canonical schedules, Block otherwise).
+/// Transform with the requested strategy.
+///
+/// [`Strategy::Auto`] returns the block plan when `M` divides `N` and
+/// the schedule has no wrap dependences: Block then reaches the
+/// capacity optimum `II_p·N/M` with period 1, so the drifting search
+/// could not do better. Non-canonical schedules also take Block. Every
+/// other case tries Algorithm 1 and falls back to Block when it fails.
 pub fn transform(
     p: &PagedSchedule,
     m: u16,
@@ -202,10 +246,11 @@ pub fn transform(
         Strategy::Block => transform_block(p, m),
         Strategy::PageMaster => crate::pagemaster::transform_pagemaster(p, m),
         Strategy::Auto => {
-            if p.discipline == Discipline::Canonical {
-                crate::pagemaster::transform_pagemaster(p, m).or_else(|_| transform_block(p, m))
-            } else {
+            let block_optimal = p.num_pages.checked_rem(m) == Some(0) && !p.has_wrap_deps();
+            if p.discipline != Discipline::Canonical || block_optimal {
                 transform_block(p, m)
+            } else {
+                crate::pagemaster::transform_pagemaster(p, m).or_else(|_| transform_block(p, m))
             }
         }
     }

@@ -146,10 +146,10 @@ pub fn validate_plan(p: &PagedSchedule, plan: &ShrinkPlan) -> Vec<TransformViola
     let ii = p.ii as u64;
 
     // --- Shape: every cell placed, columns in range. ---
-    for (j, map) in plan.placements.iter().enumerate() {
+    for j in 0..plan.placements.len() {
         for page in 0..p.num_pages {
             for slot in 0..p.ii {
-                match map.get(&(page, slot)) {
+                match plan.cell(j, page, slot) {
                     None => violations.push(TransformViolation::MissingCell {
                         period_index: j as u32,
                         page,
@@ -191,10 +191,9 @@ pub fn validate_plan(p: &PagedSchedule, plan: &ShrinkPlan) -> Vec<TransformViola
     // --- Column stability map for parked values. ---
     let col_stable: Vec<Option<u16>> = (0..p.num_pages)
         .map(|page| {
-            let mut cols = plan
-                .placements
-                .iter()
-                .flat_map(|m| (0..p.ii).map(move |slot| m[&(page, slot)].col));
+            let mut cols = (0..plan.placements.len()).flat_map(|j| {
+                (0..p.ii).filter_map(move |slot| plan.cell(j, page, slot).map(|c| c.col))
+            });
             let first = cols.next()?;
             cols.all(|c| c == first).then_some(first)
         })
@@ -314,13 +313,28 @@ mod tests {
         let p = PagedSchedule::synthetic_canonical(4, 1, false);
         let mut plan = transform_block(&p, 2).unwrap();
         // Move page 3 into the same slot as page 2.
-        let c2 = plan.placements[0][&(2, 0)];
-        plan.placements[0].insert((3, 0), c2);
+        let c2 = plan.cell(0, 2, 0).unwrap();
+        *plan.cell_mut(0, 3, 0).unwrap() = c2;
         let v = validate_plan(&p, &plan);
         assert!(
             v.iter()
                 .any(|x| matches!(x, TransformViolation::SlotCollision { .. })),
             "{v:?}"
+        );
+    }
+
+    #[test]
+    fn short_row_reports_the_missing_cell() {
+        let p = PagedSchedule::synthetic_canonical(4, 2, false);
+        let mut plan = transform_block(&p, 2).unwrap();
+        plan.placements[0].pop();
+        assert_eq!(
+            validate_plan(&p, &plan),
+            vec![TransformViolation::MissingCell {
+                period_index: 0,
+                page: 3,
+                slot: 1
+            }]
         );
     }
 
@@ -331,7 +345,7 @@ mod tests {
         // Put consumer page 1 before its producer page 0... block at M=4
         // places all pages at time 0 in distinct columns; deps (0,t)->(1,t+1)
         // cross iterations, so instead break a column.
-        plan.placements[0].get_mut(&(1, 0)).unwrap().col = 3;
+        plan.cell_mut(0, 1, 0).unwrap().col = 3;
         let v = validate_plan(&p, &plan);
         assert!(
             v.iter().any(|x| matches!(

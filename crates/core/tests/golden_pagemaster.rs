@@ -74,14 +74,16 @@ fn render_plan(plan: &ShrinkPlan) -> String {
     let _ = writeln!(out, "span: {}", plan.span);
     let _ = writeln!(out, "ii_q_ceil: {}", plan.ii_q_ceil());
     let _ = writeln!(out, "strategy: {:?}", plan.strategy);
-    for (iter, placements) in plan.placements.iter().enumerate() {
-        let mut cells: Vec<_> = placements
-            .iter()
-            .map(|(&(page, slot), c)| (page, slot, c.col, c.time))
-            .collect();
-        cells.sort_unstable();
-        for (page, slot, col, time) in cells {
-            let _ = writeln!(out, "iter {iter}: p{page} s{slot} -> col {col} t{time}");
+    // Rows are dense and page-major, so cells come out in (page, slot)
+    // order.
+    for (iter, row) in plan.placements.iter().enumerate() {
+        for (k, c) in row.iter().enumerate() {
+            let (page, slot) = (k / plan.ii_p as usize, k % plan.ii_p as usize);
+            let _ = writeln!(
+                out,
+                "iter {iter}: p{page} s{slot} -> col {} t{}",
+                c.col, c.time
+            );
         }
     }
     out

@@ -12,6 +12,13 @@ use crate::stats::SimReport;
 use crate::workload::{Segment, ThreadSpec};
 
 /// Simulate the baseline system; deterministic for a given workload.
+///
+/// # Panics
+///
+/// If a segment names a kernel outside `lib`. Check a workload that did
+/// not come from [`generate`](crate::workload::generate) over the same
+/// library first; `simulate_multithreaded_faulty` rejects it with
+/// [`SimError::UnknownKernel`](crate::SimError::UnknownKernel).
 pub fn simulate_baseline(lib: &KernelLibrary, threads: &[ThreadSpec]) -> SimReport {
     let mut q = EventQueue::new(threads.len());
     let mut seg_idx = vec![0usize; threads.len()];
@@ -106,6 +113,19 @@ mod tests {
         assert_eq!(r.makespan, 100 + 10 * ii);
         assert_eq!(r.stall_cycles, 0);
         assert_eq!(r.cgra_iterations, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn unknown_kernel_panics() {
+        let lib = lib();
+        let spec = ThreadSpec {
+            segments: vec![Segment::Cgra {
+                kernel: lib.len(),
+                iterations: 1,
+            }],
+        };
+        simulate_baseline(&lib, &[spec]);
     }
 
     #[test]

@@ -29,6 +29,13 @@ pub enum SimError {
         /// The page budget with no cached transform.
         m: u16,
     },
+    /// A workload segment named a kernel the library does not have.
+    UnknownKernel {
+        /// The kernel id the segment named.
+        kernel: usize,
+        /// Kernels in the library (valid ids are `0..kernels`).
+        kernels: usize,
+    },
     /// A fault event named a page outside the fabric.
     PageOutOfRange {
         /// The offending page.
@@ -63,6 +70,9 @@ impl std::fmt::Display for SimError {
             }
             SimError::ProfileMissing { kernel, m } => {
                 write!(f, "{kernel}: no transform cached for M={m}")
+            }
+            SimError::UnknownKernel { kernel, kernels } => {
+                write!(f, "kernel {kernel} not in a library of {kernels} kernels")
             }
             SimError::PageOutOfRange { page, num_pages } => {
                 write!(f, "page {page} outside fabric of {num_pages} pages")

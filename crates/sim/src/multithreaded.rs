@@ -725,6 +725,12 @@ impl<'a> Sim<'a> {
 /// `faults` need not be sorted; events are applied in `(time, page)`
 /// order, each one strictly before any thread event at a later time.
 /// An empty schedule is the fault-free system.
+///
+/// # Errors
+///
+/// [`SimError::UnknownKernel`] before the run starts when a segment
+/// names a kernel outside `lib`; otherwise any [`SimError`] the run
+/// reaches.
 pub fn simulate_multithreaded_faulty(
     lib: &KernelLibrary,
     threads: &[ThreadSpec],
@@ -746,6 +752,19 @@ pub fn simulate_multithreaded_faulty_traced(
     faults: &[FaultEvent],
     tracer: &Tracer,
 ) -> Result<SimReport, SimError> {
+    let unknown = threads
+        .iter()
+        .flat_map(|t| &t.segments)
+        .find_map(|s| match *s {
+            Segment::Cgra { kernel, .. } if kernel >= lib.len() => Some(kernel),
+            _ => None,
+        });
+    if let Some(kernel) = unknown {
+        return Err(SimError::UnknownKernel {
+            kernel,
+            kernels: lib.len(),
+        });
+    }
     let mut fault_events = faults.to_vec();
     fault_events.sort_by_key(|f| (f.time, f.page));
     tracer.emit(|| TraceEvent::SimBegin {
@@ -814,6 +833,33 @@ mod tests {
             &Tracer::off(),
         )
         .expect("library compiles")
+    }
+
+    #[test]
+    fn unknown_kernel_is_a_typed_error() {
+        let lib = lib(4);
+        let spec = ThreadSpec {
+            segments: vec![
+                Segment::Cpu(10),
+                Segment::Cgra {
+                    kernel: lib.len(),
+                    iterations: 5,
+                },
+            ],
+        };
+        let sink = std::sync::Arc::new(cgra_obs::RingSink::unbounded());
+        let tracer = Tracer::new(sink.clone());
+        let err =
+            simulate_multithreaded_faulty_traced(&lib, &[spec], MtConfig::default(), &[], &tracer)
+                .unwrap_err();
+        assert_eq!(
+            err,
+            SimError::UnknownKernel {
+                kernel: lib.len(),
+                kernels: lib.len()
+            }
+        );
+        assert!(sink.is_empty(), "rejected before the run starts");
     }
 
     #[test]

@@ -119,6 +119,61 @@ fn synthetic_schedules_transform_validly() {
     assert_eq!(failures, NO_STEADY_STATE);
 }
 
+/// `Strategy::Auto` takes the block plan exactly when it is provably
+/// optimal (M | N, no wrap dependences) and otherwise returns what the
+/// previous rule did, Algorithm 1 with a block fallback (an error only on
+/// the wrap rings of [`NO_STEADY_STATE`]); its II_q never exceeds that
+/// rule's. Covers every small synthetic ring at every M and the open
+/// rings of the paper grid along their halving chains.
+#[test]
+fn auto_takes_block_exactly_when_it_is_optimal() {
+    let small = (2u16..12).flat_map(|n| {
+        (1u32..4).flat_map(move |ii| {
+            [false, true]
+                .into_iter()
+                .flat_map(move |wrap| (1..=n).map(move |m| (n, ii, wrap, m)))
+        })
+    });
+    let halving = |n: u16| std::iter::successors(Some(n), |&m| (m > 1).then_some(m / 2));
+    let open = [16u16, 18, 32]
+        .into_iter()
+        .flat_map(|n| halving(n).map(move |m| (n, 1, false, m)));
+    for (n, ii, wrap, m) in small.chain(open) {
+        let case = format!("N={n} II={ii} wrap={wrap} M={m}");
+        let p = PagedSchedule::synthetic_canonical(n, ii, wrap);
+        let auto = transform(&p, m, Strategy::Auto);
+        let old = transform_pagemaster(&p, m).or_else(|_| transform_block(&p, m));
+        if n % m != 0 || wrap {
+            assert_eq!(auto, old, "{case}");
+        }
+        let (Ok(auto), Ok(old)) = (auto, old) else {
+            assert!(wrap, "{case}: only a wrap ring may fail to transform");
+            continue;
+        };
+        let v = validate_plan(&p, &auto);
+        assert!(v.is_empty(), "{case}: {v:?}");
+        if n % m == 0 && !wrap {
+            assert_eq!(auto.strategy, Strategy::Block, "{case}");
+            assert_eq!(auto.period, 1, "{case}");
+            assert_eq!(auto.span, u64::from(ii * u32::from(n / m)), "{case}");
+            if m == 1 || m == n {
+                // Block's placements are the fold's and the identity's.
+                let relabelled = ShrinkPlan {
+                    strategy: old.strategy,
+                    ..auto.clone()
+                };
+                assert_eq!(relabelled, old, "{case}");
+            }
+        }
+        assert!(
+            auto.ii_q() <= old.ii_q() + 1e-9,
+            "{case}: II_q {} above the previous rule's {}",
+            auto.ii_q(),
+            old.ii_q()
+        );
+    }
+}
+
 /// Mapped kernels' paged schedules shrink validly with the block strategy
 /// for every divisor-chain M.
 #[test]
