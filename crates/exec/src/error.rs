@@ -8,6 +8,7 @@
 //! whole process.
 
 use cgra_arch::topology::PeId;
+use cgra_dfg::graph::OpKind;
 
 /// Why execution (interpretation or machine run) failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,6 +46,15 @@ pub enum ExecError {
     },
     /// The DFG has a zero-distance cycle, so no topological order exists.
     CyclicDfg,
+    /// A node's op reads an operand it has no producer for.
+    MissingOperand {
+        /// Node index.
+        node: u32,
+        /// The node's op.
+        op: OpKind,
+        /// Index of the missing operand.
+        operand: usize,
+    },
 }
 
 impl std::fmt::Display for ExecError {
@@ -65,6 +75,9 @@ impl std::fmt::Display for ExecError {
                 write!(f, "no input for n{node} iteration {iteration}")
             }
             ExecError::CyclicDfg => write!(f, "zero-distance cycle: no topological order"),
+            ExecError::MissingOperand { node, op, operand } => {
+                write!(f, "n{node} ({op:?}) has no operand {operand}")
+            }
         }
     }
 }

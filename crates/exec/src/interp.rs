@@ -97,7 +97,8 @@ fn topo_order(dfg: &Dfg) -> Result<Vec<NodeId>, ExecError> {
 ///
 /// [`ExecError::MissingInput`] when a stream load has no value for some
 /// iteration, [`ExecError::CyclicDfg`] when the graph has a
-/// zero-distance cycle.
+/// zero-distance cycle, [`ExecError::MissingOperand`] when a node lacks an
+/// operand its op reads.
 pub fn interpret(dfg: &Dfg, inputs: &InputStreams, iters: usize) -> Result<Outputs, ExecError> {
     let order = topo_order(dfg)?;
     // values[node][iteration]
@@ -126,7 +127,7 @@ pub fn interpret(dfg: &Dfg, inputs: &InputStreams, iters: usize) -> Result<Outpu
                         iteration: i,
                     })?
                 }
-                _ => eval(op, &operands),
+                _ => eval(v, op, &operands)?,
             };
         }
     }

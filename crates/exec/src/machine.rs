@@ -266,7 +266,7 @@ pub fn execute(
                                 node: v.0,
                                 iteration: j as usize,
                             })?,
-                        _ => eval(op, &operands),
+                        _ => eval(v, op, &operands)?,
                     };
                 publish(&mut published, (pe_v, node, j), time + 1, value);
                 if op == OpKind::Store {

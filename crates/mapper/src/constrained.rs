@@ -122,7 +122,7 @@ fn map_with_mode(
     let mut last_err = None;
     for _round in 0..=opts.spill_rounds {
         let mdfg = MapDfg::with_spills(dfg, &spilled);
-        let out = schedule(&mdfg, cgra, mode, opts, None, tracer);
+        let out = schedule(&mdfg, cgra, mode, opts, tracer);
         match out.mapping {
             Ok(mapping) => {
                 return Ok(MapResult {

@@ -47,7 +47,7 @@ pub fn map_baseline_traced(
     tracer: &Tracer,
 ) -> Result<MapResult, MapError> {
     let mdfg = MapDfg::unspilled(dfg);
-    let out = schedule(&mdfg, cgra, MapMode::Baseline, opts, None, tracer);
+    let out = schedule(&mdfg, cgra, MapMode::Baseline, opts, tracer);
     out.mapping.map(|mapping| MapResult {
         mapping,
         mdfg,

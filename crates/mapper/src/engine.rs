@@ -21,14 +21,25 @@
 //! random draws happen once per PE, before the walk. Like the routing
 //! pruning of [`crate::route`], this saves work without changing a
 //! decision.
+//!
+//! One [`schedule`] call owns a `Workspace`: the [`Router`] every
+//! attempt routes through, the routable-SCC ids (a property of the graph,
+//! not of the II or the restart), and the buffers placement fills per
+//! node — incident edges, neighbour PEs, candidate PEs and fanout sites.
+//! An attempt allocates only its own MRT, placement and route tables, and
+//! a routed chain only its hop list. The router
+//! answers each request exactly as a fresh search would (see
+//! [`crate::route`]), and the buffers are cleared before each use, so
+//! every decision — and every traced event — is the same as with fresh
+//! allocations.
 
 use crate::error::MapError;
 use crate::mapping::{MapMode, Mapping, Placement, RouteHop};
 use crate::mrt::{Mrt, SlotUse};
 use crate::opts::MapOptions;
-use crate::route::{route_baseline, route_ring, route_strict, RoutePlan, RouteRequest};
+use crate::route::{RoutePlan, RouteRequest, Router, ValueSite};
 use crate::spill::MapDfg;
-use cgra_arch::CgraConfig;
+use cgra_arch::{CgraConfig, PeId};
 use cgra_dfg::graph::NodeId;
 use cgra_obs::{TraceEvent, Tracer};
 use rand::prelude::*;
@@ -117,18 +128,49 @@ fn routable_scc_of(mdfg: &MapDfg) -> Vec<usize> {
     comp_of
 }
 
-struct Attempt<'a> {
+/// What every attempt of one [`schedule`] call shares: the router and
+/// the buffers placement refills per node.
+struct Workspace<'a> {
+    router: Router<'a>,
+    /// Routable-SCC id per node (ring modes only).
+    scc_of: Vec<usize>,
+    /// Edges of the node being committed whose other end is placed.
+    incident: Vec<usize>,
+    /// PEs of the placed neighbours of the node being placed.
+    neighbour_pes: Vec<PeId>,
+    /// Candidate PEs of the node being placed, with their sort keys.
+    pes: Vec<(u16, u32, PeId)>,
+    /// Landings of the routed value's committed sibling routes.
+    sites: Vec<ValueSite>,
+}
+
+impl<'a> Workspace<'a> {
+    fn new(mdfg: &MapDfg, cgra: &'a CgraConfig, mode: MapMode, opts: &MapOptions) -> Self {
+        Workspace {
+            router: Router::new(cgra, mode, opts.chain_budget),
+            scc_of: if mode.ring_constrained() {
+                routable_scc_of(mdfg)
+            } else {
+                Vec::new()
+            },
+            incident: Vec::new(),
+            neighbour_pes: Vec::new(),
+            pes: Vec::new(),
+            sites: Vec::new(),
+        }
+    }
+}
+
+struct Attempt<'a, 'w> {
     mdfg: &'a MapDfg,
     cgra: &'a CgraConfig,
     mode: MapMode,
     ii: u32,
-    opts: &'a MapOptions,
+    ws: &'w mut Workspace<'a>,
     mrt: Mrt,
     placed: Vec<Option<Placement>>,
     routes: Vec<Option<Vec<RouteHop>>>,
     stats: FailureStats,
-    /// Routable-SCC id per node (ring modes only).
-    scc_of: Vec<usize>,
     /// Page already chosen for an SCC, once any member is placed.
     scc_page: Vec<Option<u16>>,
     /// Restart-diversity knob: order all candidates time-major (see
@@ -136,20 +178,15 @@ struct Attempt<'a> {
     time_major: bool,
 }
 
-impl<'a> Attempt<'a> {
+impl<'a, 'w> Attempt<'a, 'w> {
     fn new(
         mdfg: &'a MapDfg,
         cgra: &'a CgraConfig,
         mode: MapMode,
         ii: u32,
-        opts: &'a MapOptions,
+        ws: &'w mut Workspace<'a>,
     ) -> Self {
-        let scc_of = if mode.ring_constrained() {
-            routable_scc_of(mdfg)
-        } else {
-            Vec::new()
-        };
-        let num_sccs = scc_of.iter().copied().max().map_or(0, |m| m + 1);
+        let num_sccs = ws.scc_of.iter().copied().max().map_or(0, |m| m + 1);
         Attempt {
             mrt: Mrt::new(cgra.mesh(), ii, cgra.mem().buses_per_row()),
             placed: vec![None; mdfg.dfg.num_nodes()],
@@ -157,14 +194,13 @@ impl<'a> Attempt<'a> {
             stats: FailureStats {
                 edge_route_failures: vec![0; mdfg.dfg.num_edges()],
             },
-            scc_of,
             scc_page: vec![None; num_sccs],
             time_major: false,
             mdfg,
             cgra,
             mode,
             ii,
-            opts,
+            ws,
         }
     }
 
@@ -178,7 +214,8 @@ impl<'a> Attempt<'a> {
         if !self.mode.ring_constrained() {
             return (0, last);
         }
-        if let Some(p) = self.scc_page[self.scc_of[v.index()]] {
+        let scc_of = &self.ws.scc_of;
+        if let Some(p) = self.scc_page[scc_of[v.index()]] {
             return (p, p);
         }
         let dfg = &self.mdfg.dfg;
@@ -194,7 +231,7 @@ impl<'a> Attempt<'a> {
             }
             if let Some(pu) = self.placed[src.index()] {
                 lo = lo.max(layout.page_of(pu.pe).0);
-            } else if let Some(p) = self.scc_page[self.scc_of[src.index()]] {
+            } else if let Some(p) = self.scc_page[scc_of[src.index()]] {
                 // The producer is unplaced but its recurrence is already
                 // pinned: it will end up on page `p`.
                 lo = lo.max(p);
@@ -210,7 +247,7 @@ impl<'a> Attempt<'a> {
             }
             if let Some(pw) = self.placed[dst.index()] {
                 hi = hi.min(layout.page_of(pw.pe).0);
-            } else if let Some(p) = self.scc_page[self.scc_of[dst.index()]] {
+            } else if let Some(p) = self.scc_page[scc_of[dst.index()]] {
                 hi = hi.min(p);
             }
         }
@@ -252,40 +289,52 @@ impl<'a> Attempt<'a> {
         // Fanout sharing: committed routes of sibling edges from the same
         // producer already carry this value; later consumers may pick it
         // up at any of their landings.
-        let sites: Vec<crate::route::ValueSite> = if self.mode.allows_waiting() {
-            self.mdfg
-                .dfg
-                .succ_edges(e.src)
-                .filter(|e2| e2.index() != edge_index && !self.mdfg.is_mem_edge(e2.index()))
-                .filter_map(|e2| self.routes[e2.index()].as_ref())
-                .flatten()
-                .map(|h| (h.pe, h.time + 1))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let plan = match self.mode {
-            MapMode::Baseline => route_baseline(self.cgra.mesh(), &self.mrt, req, &sites),
-            MapMode::Constrained => route_ring(
-                self.cgra.mesh(),
-                self.cgra.layout(),
-                &self.mrt,
-                req,
-                self.opts.chain_budget,
-                &sites,
-            ),
-            MapMode::ConstrainedStrict => route_strict(
-                self.cgra.mesh(),
-                self.cgra.layout(),
-                &self.mrt,
-                req,
-                self.opts.chain_budget,
-            ),
-        };
+        let ws = &mut *self.ws;
+        ws.sites.clear();
+        if self.mode.allows_waiting() {
+            ws.sites.extend(
+                self.mdfg
+                    .dfg
+                    .succ_edges(e.src)
+                    .filter(|e2| e2.index() != edge_index && !self.mdfg.is_mem_edge(e2.index()))
+                    .filter_map(|e2| self.routes[e2.index()].as_ref())
+                    .flatten()
+                    .map(|h| (h.pe, h.time + 1)),
+            );
+        }
+        let plan = ws.router.route(&self.mrt, req, &ws.sites);
         if plan.is_none() {
             self.stats.edge_route_failures[edge_index] += 1;
         }
         plan
+    }
+
+    /// Route edge `ei` of `v`'s tentative placement `cand` and reserve the
+    /// route's hops. On failure nothing of the edge stays reserved.
+    fn commit_edge(&mut self, ei: usize, v: NodeId, cand: Placement) -> bool {
+        let hops = match self.route_edge(ei, v, cand) {
+            None => return false,
+            Some(RoutePlan::Direct) => Vec::new(),
+            Some(RoutePlan::Chain(hops)) => hops,
+        };
+        // Reserve hop slots; an intra-chain modulo alias is a commit
+        // failure (rare; the restart will re-roll).
+        let slot = SlotUse::Route(ei as u32);
+        let mut done = 0;
+        while done < hops.len() && self.mrt.pe_free(hops[done].pe, hops[done].time as u64) {
+            self.mrt
+                .reserve(hops[done].pe, hops[done].time as u64, slot, false);
+            done += 1;
+        }
+        if done < hops.len() {
+            for h in &hops[..done] {
+                self.mrt.release(h.pe, h.time as u64, slot, false);
+            }
+            self.stats.edge_route_failures[ei] += 1;
+            return false;
+        }
+        self.routes[ei] = Some(hops);
+        true
     }
 
     /// Try to commit `v` at `cand`: reserve its slot, route and reserve
@@ -305,77 +354,49 @@ impl<'a> Attempt<'a> {
             op.is_mem(),
         );
 
-        let mut committed_edges: Vec<(usize, Vec<RouteHop>)> = Vec::new();
-        let rollback = |attempt: &mut Self, committed: &[(usize, Vec<RouteHop>)]| {
-            for (ei, hops) in committed {
+        // Collect incident edges whose counterpart is already placed.
+        // None of them has a route yet: `v` is their unplaced end.
+        let dfg = &self.mdfg.dfg;
+        let mut incident = std::mem::take(&mut self.ws.incident);
+        incident.clear();
+        incident.extend(
+            dfg.pred_edges(v)
+                .filter(|e| {
+                    let src = dfg.edge(*e).src;
+                    src == v || self.placed[src.index()].is_some()
+                })
+                .chain(dfg.succ_edges(v).filter(|e| {
+                    let dst = dfg.edge(*e).dst;
+                    dst != v && self.placed[dst.index()].is_some()
+                }))
+                .map(|e| e.index()),
+        );
+
+        let committed = incident
+            .iter()
+            .take_while(|&&ei| self.commit_edge(ei, v, cand))
+            .count();
+        let ok = committed == incident.len();
+        if ok {
+            self.placed[v.index()] = Some(cand);
+        } else {
+            // Roll back the routes committed so far, then `v`'s own slot.
+            for &ei in &incident[..committed] {
+                let hops = self.routes[ei].take().expect("committed edge has a route");
                 for h in hops {
-                    attempt
-                        .mrt
-                        .release(h.pe, h.time as u64, SlotUse::Route(*ei as u32), false);
+                    self.mrt
+                        .release(h.pe, h.time as u64, SlotUse::Route(ei as u32), false);
                 }
-                attempt.routes[*ei] = None;
             }
-            attempt.mrt.release(
+            self.mrt.release(
                 cand.pe,
                 cand.time as u64,
                 SlotUse::Compute(v.0),
                 op.is_mem(),
             );
-        };
-
-        // Collect incident edges whose counterpart is already placed.
-        let incident: Vec<usize> = self
-            .mdfg
-            .dfg
-            .pred_edges(v)
-            .filter(|e| {
-                self.placed[self.mdfg.dfg.edge(*e).src.index()].is_some()
-                    || self.mdfg.dfg.edge(*e).src == v
-            })
-            .chain(self.mdfg.dfg.succ_edges(v).filter(|e| {
-                let dst = self.mdfg.dfg.edge(*e).dst;
-                dst != v && self.placed[dst.index()].is_some()
-            }))
-            .map(|e| e.index())
-            .collect();
-
-        for ei in incident {
-            match self.route_edge(ei, v, cand) {
-                Some(plan) => {
-                    let hops = plan.hops().to_vec();
-                    // Reserve hop slots; an intra-chain modulo alias is a
-                    // commit failure (rare; the restart will re-roll).
-                    let mut ok = true;
-                    let mut done = 0;
-                    for h in &hops {
-                        if !self.mrt.pe_free(h.pe, h.time as u64) {
-                            ok = false;
-                            break;
-                        }
-                        self.mrt
-                            .reserve(h.pe, h.time as u64, SlotUse::Route(ei as u32), false);
-                        done += 1;
-                    }
-                    if !ok {
-                        for h in hops.iter().take(done) {
-                            self.mrt
-                                .release(h.pe, h.time as u64, SlotUse::Route(ei as u32), false);
-                        }
-                        self.stats.edge_route_failures[ei] += 1;
-                        rollback(self, &committed_edges);
-                        return false;
-                    }
-                    self.routes[ei] = Some(hops.clone());
-                    committed_edges.push((ei, hops));
-                }
-                None => {
-                    rollback(self, &committed_edges);
-                    return false;
-                }
-            }
         }
-        self.placed[v.index()] = Some(cand);
-        true
+        self.ws.incident = incident;
+        ok
     }
 
     /// Place every node in `order`; `Err` carries the node that could
@@ -455,13 +476,15 @@ impl<'a> Attempt<'a> {
         if page_hi < page_lo {
             return false;
         }
-        let neighbour_pes: Vec<cgra_arch::PeId> = dfg
-            .pred_edges(v)
-            .map(|e| dfg.edge(e).src)
-            .chain(dfg.succ_edges(v).map(|e| dfg.edge(e).dst))
-            .filter(|&n| n != v)
-            .filter_map(|n| self.placed[n.index()].map(|p| p.pe))
-            .collect();
+        let neighbour_pes = &mut self.ws.neighbour_pes;
+        neighbour_pes.clear();
+        neighbour_pes.extend(
+            dfg.pred_edges(v)
+                .map(|e| dfg.edge(e).src)
+                .chain(dfg.succ_edges(v).map(|e| dfg.edge(e).dst))
+                .filter(|&n| n != v)
+                .filter_map(|n| self.placed[n.index()].map(|p| p.pe)),
+        );
         let mesh = self.cgra.mesh();
         let layout = self.cgra.layout();
         // Ring modes flow forward as a wavefront: prefer pages near the
@@ -471,23 +494,26 @@ impl<'a> Attempt<'a> {
             self.target_page(v, asap, self.used_pages_estimate())
                 .clamp(page_lo, page_hi)
         });
-        let mut pes: Vec<(u16, u32, cgra_arch::PeId)> = mesh
-            .pes()
-            .filter(|&pe| {
-                let p = layout.page_of(pe).0;
-                (page_lo..=page_hi).contains(&p)
-            })
-            .map(|pe| {
-                let affinity: u32 = neighbour_pes.iter().map(|&np| mesh.distance(pe, np)).sum();
-                let page_key = target.map_or(0, |target| layout.page_of(pe).0.abs_diff(target));
-                let aff = affinity + rng.gen_range(0..3);
-                // The mapping snapshots pin an order that treats affinity
-                // as a 16-bit field; a few neighbour distances stay far
-                // below that.
-                debug_assert!(aff < 1 << 16, "affinity {aff} exceeds 16 bits");
-                (page_key, aff, pe)
-            })
-            .collect();
+        let mut pes = std::mem::take(&mut self.ws.pes);
+        pes.clear();
+        let neighbour_pes = &self.ws.neighbour_pes;
+        pes.extend(
+            mesh.pes()
+                .filter(|&pe| {
+                    let p = layout.page_of(pe).0;
+                    (page_lo..=page_hi).contains(&p)
+                })
+                .map(|pe| {
+                    let affinity: u32 = neighbour_pes.iter().map(|&np| mesh.distance(pe, np)).sum();
+                    let page_key = target.map_or(0, |target| layout.page_of(pe).0.abs_diff(target));
+                    let aff = affinity + rng.gen_range(0..3);
+                    // The mapping snapshots pin an order that treats
+                    // affinity as a 16-bit field; a few neighbour distances
+                    // stay far below that.
+                    debug_assert!(aff < 1 << 16, "affinity {aff} exceeds 16 bits");
+                    (page_key, aff, pe)
+                }),
+        );
         pes.sort_unstable();
         // Candidate order. For *source* ops (no placed producers — loads,
         // constants) the best page comes first: time-major ordering would
@@ -503,20 +529,21 @@ impl<'a> Attempt<'a> {
         // Walk `(t, pe)` lazily and stop at the first commit: page-major
         // tries each `page_key` group at every time before the next group;
         // time-major is the same walk over one group holding every PE.
-        for group in pes.chunk_by(|a, b| time_major || a.0 == b.0) {
-            for t in lo..=hi_window {
-                for &(_, _, pe) in group {
-                    let cand = Placement { pe, time: t as u32 };
-                    if self.try_commit(v, cand) {
-                        if self.mode.ring_constrained() {
-                            self.scc_page[self.scc_of[v.index()]] = Some(layout.page_of(pe).0);
-                        }
-                        return true;
-                    }
-                }
-            }
+        let placed = pes
+            .chunk_by(|a, b| time_major || a.0 == b.0)
+            .flat_map(|group| {
+                (lo..=hi_window).flat_map(move |t| group.iter().map(move |c| (t, c.2)))
+            })
+            .map(|(t, pe)| Placement { pe, time: t as u32 })
+            .find(|&cand| self.try_commit(v, cand));
+        self.ws.pes = pes;
+        let Some(cand) = placed else {
+            return false;
+        };
+        if self.mode.ring_constrained() {
+            self.scc_page[self.ws.scc_of[v.index()]] = Some(layout.page_of(cand.pe).0);
         }
-        false
+        true
     }
 }
 
@@ -530,9 +557,7 @@ pub struct ScheduleOutcome {
 }
 
 /// Search for a modulo schedule of `mdfg` on `cgra` under `mode`, between
-/// the MII and `mii + opts.max_ii_slack`, starting the II search at
-/// `start_ii` when given (the constrained mapper holds II fixed across
-/// spill rounds this way).
+/// the MII and `mii + opts.max_ii_slack`.
 ///
 /// The search's decisions — begin, backtracks, validator evictions,
 /// final placements/routes, end — are emitted to `tracer`. With the
@@ -542,7 +567,6 @@ pub fn schedule(
     cgra: &CgraConfig,
     mode: MapMode,
     opts: &MapOptions,
-    start_ii: Option<u32>,
     tracer: &Tracer,
 ) -> ScheduleOutcome {
     tracer.emit(|| TraceEvent::MapBegin {
@@ -551,14 +575,14 @@ pub fn schedule(
         mode: format!("{mode:?}"),
     });
     let mii = mii_with_mem(mdfg, cgra);
-    let lo = start_ii.unwrap_or(mii).max(mii);
     let hi = mii + opts.max_ii_slack;
     let mut stats = FailureStats {
         edge_route_failures: vec![0; mdfg.dfg.num_edges()],
     };
     let heights = cgra_dfg::analysis::heights(&mdfg.dfg);
+    let mut ws = Workspace::new(mdfg, cgra, mode, opts);
 
-    for ii in lo..=hi {
+    for ii in mii..=hi {
         let Some(asap) = asap_with_mem(mdfg, ii) else {
             continue;
         };
@@ -581,7 +605,7 @@ pub fn schedule(
                     n.0,
                 )
             });
-            let mut attempt = Attempt::new(mdfg, cgra, mode, ii, opts);
+            let mut attempt = Attempt::new(mdfg, cgra, mode, ii, &mut ws);
             // Alternate candidate-ordering strategy across restarts: some
             // kernels pack better page-major (bus-heavy), others
             // time-major (dependence-heavy).
@@ -659,10 +683,6 @@ pub fn schedule(
                 *a += *b;
             }
         }
-        if start_ii.is_some() {
-            // Spill-round mode: caller controls the II ladder.
-            break;
-        }
     }
     tracer.emit(|| TraceEvent::MapEnd {
         kernel: mdfg.dfg.name.clone(),
@@ -697,7 +717,7 @@ mod tests {
     fn schedule_4x4(mdfg: &MapDfg, mode: MapMode) -> Mapping {
         let cgra = cgra_arch::CgraConfig::square(4);
         let opts = MapOptions::default();
-        let out = schedule(mdfg, &cgra, mode, &opts, None, &Tracer::off());
+        let out = schedule(mdfg, &cgra, mode, &opts, &Tracer::off());
         let m = out.mapping.expect("kernel maps");
         assert!(validate_mapping(mdfg, &cgra, &m, mode).is_empty());
         m

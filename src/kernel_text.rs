@@ -219,6 +219,35 @@ carried acc acc 1
         assert!(load("builtin:nope").is_err());
     }
 
+    /// A `sub` with no producer parses and maps (arity is not part of
+    /// DFG validation), and both executors reject it with a typed error
+    /// naming the node, the op and the operand.
+    #[test]
+    fn operandless_op_is_a_typed_exec_error() {
+        use cgra_exec::ExecError;
+        use cgra_mapper::{map_baseline, MapOptions};
+        let dfg = parse("node x sub\nnode out store\nedge x out\n").unwrap();
+        let err = ExecError::MissingOperand {
+            node: 0,
+            op: OpKind::Sub,
+            operand: 0,
+        };
+        assert_eq!(err.to_string(), "n0 (Sub) has no operand 0");
+        let want = Err(err);
+        let inputs = cgra_exec::InputStreams::random(&dfg, 3, 1);
+        assert_eq!(cgra_exec::interpret(&dfg, &inputs, 3), want);
+        let cgra = cgra_arch::CgraConfig::square(4);
+        let mapped = map_baseline(&dfg, &cgra, &MapOptions::default()).unwrap();
+        let out = cgra_exec::execute(
+            &mapped.mdfg,
+            cgra.mesh(),
+            &cgra_exec::MachineSchedule::from_mapping(&mapped.mapping),
+            &inputs,
+            3,
+        );
+        assert_eq!(out, want);
+    }
+
     #[test]
     fn parsed_kernel_maps_and_executes() {
         use cgra_mapper::{map_constrained, MapOptions};
