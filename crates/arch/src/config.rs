@@ -7,6 +7,49 @@ use crate::register::RotatingRf;
 use crate::topology::Mesh;
 use serde::{Deserialize, Serialize};
 
+/// The largest even side length whose PE count still fits a `u16` PE id.
+const MAX_DIM: u16 = 254;
+
+/// A `(dim, page_size)` pair that names no fabric.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FabricError {
+    /// The side length is zero, odd or above 254: 2×2 pages must tile a
+    /// square mesh of at most `u16::MAX` PEs.
+    Dim(u16),
+    /// `(dim, page_size)`: pages of that many PEs do not tile the mesh.
+    PageSize(u16, usize),
+}
+
+impl std::fmt::Display for FabricError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FabricError::Dim(dim) => {
+                write!(f, "side length {dim} must be even and in 2..={MAX_DIM}")
+            }
+            FabricError::PageSize(dim, size) => {
+                write!(f, "page size {size} does not tile a {dim}x{dim} fabric")
+            }
+        }
+    }
+}
+
+impl std::error::Error for FabricError {}
+
+/// The square `dim × dim` fabric with `page_size`-PE pages: the checked
+/// form of `CgraConfig::square(dim).with_page_size(page_size)` for a
+/// geometry that comes from user input.
+///
+/// # Errors
+/// [`FabricError`] naming the side length or page size that does not fit.
+pub fn fabric(dim: u16, page_size: usize) -> Result<CgraConfig, FabricError> {
+    if dim == 0 || !dim.is_multiple_of(2) || dim > MAX_DIM {
+        return Err(FabricError::Dim(dim));
+    }
+    CgraConfig::square(dim)
+        .with_page_size(page_size)
+        .map_err(|_| FabricError::PageSize(dim, page_size))
+}
+
 /// A complete CGRA description: mesh, per-PE capability, rotating RF size,
 /// memory buses, and the conceptual page division.
 ///
@@ -142,6 +185,30 @@ impl CgraConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fabric_matches_square_with_page_size_on_the_paper_grid() {
+        for (dim, sizes) in [(4, [2, 4, 8]), (6, [2, 4, 9]), (8, [2, 4, 8])] {
+            for s in sizes {
+                let expected = CgraConfig::square(dim).with_page_size(s).unwrap();
+                assert_eq!(fabric(dim, s), Ok(expected));
+            }
+        }
+    }
+
+    #[test]
+    fn bad_geometry_is_a_typed_error() {
+        for dim in [0, 5, 7, 256] {
+            assert_eq!(fabric(dim, 4), Err(FabricError::Dim(dim)));
+        }
+        for (dim, page) in [(4, 3), (6, 8), (4, 9)] {
+            assert_eq!(fabric(dim, page), Err(FabricError::PageSize(dim, page)));
+        }
+        assert_eq!(
+            fabric(5, 3).unwrap_err().to_string(),
+            "side length 5 must be even and in 2..=254"
+        );
+    }
 
     #[test]
     fn square_default_is_2x2_pages() {

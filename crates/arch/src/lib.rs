@@ -21,7 +21,8 @@
 //! * [`fault`] — the fault model: per-page health and deterministic
 //!   seeded injection schedules.
 //! * [`config`] — [`CgraConfig`], the validated bundle of all
-//!   architectural parameters.
+//!   architectural parameters, and [`fabric`], the checked square
+//!   fabric that every command line builds from its flags.
 //!
 //! Nothing here is specific to any one mapping algorithm; the mapper and
 //! PageMaster crates build on these types.
@@ -38,7 +39,7 @@ pub mod pe;
 pub mod register;
 pub mod topology;
 
-pub use config::CgraConfig;
+pub use config::{fabric, CgraConfig, FabricError};
 pub use fault::{FaultEvent, FaultKind, FaultMap, FaultSpec, FaultSpecError, PageHealth};
 pub use mirror::Orientation;
 pub use page::{PageId, PageLayout, PageShape};

@@ -35,7 +35,7 @@ fn main() {
     let cache = MapCache::in_memory();
     print_figure(&cache);
 
-    let lib = cache.library(&cgra_bench::fabric(6, 4).unwrap(), &MapOptions::default());
+    let lib = cache.library(&cgra_arch::fabric(6, 4).unwrap(), &MapOptions::default());
     let workload = generate(
         &lib,
         &WorkloadParams {
@@ -59,7 +59,7 @@ fn main() {
         )
     });
 
-    let lib = cache.library(&cgra_bench::fabric(8, 2).unwrap(), &MapOptions::default());
+    let lib = cache.library(&cgra_arch::fabric(8, 2).unwrap(), &MapOptions::default());
     let workload = generate(
         &lib,
         &WorkloadParams {

@@ -15,7 +15,8 @@
 //!   --grid     lint every configuration of the paper grid instead
 //!   --json     emit the findings as one JSON document
 
-use cgra_bench::{lint, FabricError};
+use cgra_arch::FabricError;
+use cgra_bench::lint;
 use std::str::FromStr;
 
 fn arg_value<T: FromStr>(args: &[String], flag: &str) -> Option<T> {

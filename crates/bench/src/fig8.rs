@@ -53,7 +53,7 @@ fn point(cache: &MapCache, dim: u16, page_size: usize, kernel: &cgra_dfg::Dfg) -
 /// Run the Fig. 8 sweep for one `(dim, page_size)` sub-figure.
 ///
 /// # Panics
-/// Panics if `(dim, page_size)` names no fabric (see [`fabric`](crate::fabric)).
+/// Panics if `(dim, page_size)` names no fabric (see [`fabric`](cgra_arch::fabric)).
 pub fn run_config(engine: &Engine, cache: &MapCache, dim: u16, page_size: usize) -> Vec<Fig8Point> {
     let kernels = cgra_dfg::kernels::all();
     engine.run(&kernels, |k| point(cache, dim, page_size, k))
@@ -66,7 +66,7 @@ pub fn run_config(engine: &Engine, cache: &MapCache, dim: u16, page_size: usize)
 /// strict mapping is ablation-only and always computed fresh.
 ///
 /// # Panics
-/// Panics if `(dim, page_size)` names no fabric (see [`fabric`](crate::fabric)).
+/// Panics if `(dim, page_size)` names no fabric (see [`fabric`](cgra_arch::fabric)).
 pub fn strict_ablation(
     engine: &Engine,
     cache: &MapCache,

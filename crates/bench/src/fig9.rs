@@ -120,7 +120,7 @@ impl Default for Fig9Params {
 ///
 /// # Panics
 /// Panics if `(at.dim, at.page_size)` names no fabric (see
-/// [`fabric`](crate::fabric)).
+/// [`fabric`](cgra_arch::fabric)).
 pub fn run_point(
     cache: &MapCache,
     at: &Coord,
@@ -182,7 +182,7 @@ pub fn run_point(
 /// [`SimError`] in its slot while every other point completes.
 ///
 /// # Panics
-/// Panics if a point names no fabric (see [`fabric`](crate::fabric)).
+/// Panics if a point names no fabric (see [`fabric`](cgra_arch::fabric)).
 pub fn sweep(
     engine: &Engine,
     cache: &MapCache,

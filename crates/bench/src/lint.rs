@@ -12,11 +12,10 @@
 //! Used by the `cgra-lint` binary and the `analyze-smoke` CI job; the
 //! figure binaries run the same passes under `--analyze`.
 
-use crate::{fabric, FabricError};
 use cgra_analyze::{
     analyze_degraded, analyze_mapping, analyze_paged, analyze_plan, analyze_profile, Report,
 };
-use cgra_arch::{FaultMap, PageHealth};
+use cgra_arch::{fabric, FabricError, FaultMap, PageHealth};
 use cgra_core::transform::{transform, Strategy};
 use cgra_core::{transform_degraded, PagedSchedule};
 use cgra_mapper::{map_baseline, map_constrained, MapOptions};
@@ -186,7 +185,7 @@ pub fn render(findings: &[LintFinding]) -> (String, usize) {
 
 /// Render findings as one JSON document.
 pub fn render_json(findings: &[LintFinding]) -> String {
-    use crate::jsonio::Json;
+    use cgra_obs::jsonio::Json;
     let arr = findings
         .iter()
         .map(|f| {

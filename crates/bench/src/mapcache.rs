@@ -36,10 +36,10 @@
 //! are written to a temp name and renamed into place).
 
 use crate::engine::EngineConfig;
-use crate::jsonio::Json;
 use cgra_arch::CgraConfig;
 use cgra_dfg::Dfg;
 use cgra_mapper::MapOptions;
+use cgra_obs::jsonio::Json;
 use cgra_obs::Tracer;
 use cgra_sim::{KernelLibrary, KernelProfile};
 use std::collections::HashMap;
@@ -397,7 +397,7 @@ pub fn profile_from_json(j: &Json) -> Option<KernelProfile> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fabric;
+    use cgra_arch::fabric;
 
     fn sample_profile() -> KernelProfile {
         KernelProfile {

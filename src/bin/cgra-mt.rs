@@ -13,6 +13,7 @@
 //! Kernel files use the format documented in
 //! [`cgra_mt::kernel_text`]; `builtin:<name>` loads a benchmark kernel.
 
+use cgra_mt::arch::FabricError;
 use cgra_mt::kernel_text;
 use cgra_mt::prelude::*;
 
@@ -44,11 +45,17 @@ impl Args {
         Args { positional, flags }
     }
 
-    fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.flags
-            .get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+    /// The numeric value of `--key`, or `default` when the flag is absent.
+    ///
+    /// # Errors
+    /// A message naming the flag and the value that does not parse.
+    fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        match self.flags.get(key) {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .map_err(|_| format!("--{key}: {v:?} is not a valid value")),
+        }
     }
 
     fn str(&self, key: &str, default: &str) -> String {
@@ -60,12 +67,29 @@ impl Args {
 }
 
 fn fabric(args: &Args) -> CgraConfig {
-    let dim: u16 = args.num("cgra", 4);
-    let page: usize = args.num("page-size", 4);
-    CgraConfig::square(dim)
-        .with_page_size(page)
-        .unwrap_or_else(|e| fail(&format!("bad fabric: {e}")))
-        .with_rf_size(args.num("rf", 32))
+    let dim = flag(args.num("cgra", 4));
+    let page = flag(args.num("page-size", 4));
+    let rf = flag(args.num("rf", 32));
+    match cgra_mt::arch::fabric(dim, page) {
+        Ok(cgra) => cgra.with_rf_size(rf),
+        Err(e) => {
+            let key = match e {
+                FabricError::Dim(_) => "--cgra",
+                FabricError::PageSize(..) => "--page-size",
+            };
+            bad_flag(&format!("{key}: {e}"))
+        }
+    }
+}
+
+/// A parsed flag value, or exit 2 with the message naming the flag.
+fn flag<T>(value: Result<T, String>) -> T {
+    value.unwrap_or_else(|e| bad_flag(&e))
+}
+
+fn bad_flag(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
 }
 
 fn fail(msg: &str) -> ! {
@@ -165,7 +189,7 @@ fn main() {
         "shrink" => {
             let dfg = load(&args);
             let cgra = fabric(&args);
-            let m: u16 = args.num("pages", 1);
+            let m: u16 = flag(args.num("pages", 1));
             let mapped = map_constrained(&dfg, &cgra, &MapOptions::default())
                 .unwrap_or_else(|e| fail(&format!("mapping failed: {e}")));
             let paged = PagedSchedule::from_mapping(&mapped, &cgra)
@@ -193,10 +217,10 @@ fn main() {
         "exec" => {
             let dfg = load(&args);
             let cgra = fabric(&args);
-            let iters: usize = args.num("iters", 16);
+            let iters: usize = flag(args.num("iters", 16));
             let mapped = map_constrained(&dfg, &cgra, &MapOptions::default())
                 .unwrap_or_else(|e| fail(&format!("mapping failed: {e}")));
-            let inputs = InputStreams::random(&dfg, iters, args.num("seed", 0u64));
+            let inputs = InputStreams::random(&dfg, iters, flag(args.num("seed", 0u64)));
             let golden = interpret(&dfg, &inputs, iters)
                 .unwrap_or_else(|e| fail(&format!("interpretation failed: {e}")));
             let out = execute(

@@ -1,0 +1,46 @@
+//! The `cgra-mt` binary rejects a bad flag value with exit status 2 and
+//! a message naming the flag, instead of a silent default or a panic.
+
+use std::process::Command;
+
+fn run(args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_cgra-mt"))
+        .args(args)
+        .output()
+        .expect("cgra-mt runs");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn bad_flag_values_exit_2_naming_the_flag() {
+    let cases: [(&[&str], &str); 6] = [
+        (&["shrink", "builtin:fir", "--pages", "abc"], "--pages"),
+        (&["analyze", "builtin:fir", "--cgra", "x"], "--cgra"),
+        (&["exec", "builtin:fir", "--iters", "-5"], "--iters"),
+        (&["analyze", "builtin:fir", "--cgra", "0"], "--cgra"),
+        (&["analyze", "builtin:fir", "--cgra", "300"], "--cgra"),
+        (
+            &["analyze", "builtin:fir", "--page-size", "3"],
+            "--page-size",
+        ),
+    ];
+    for (args, flag) in cases {
+        let (code, stderr) = run(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(flag), "{args:?} must name {flag}: {stderr}");
+        let value = args[3];
+        assert!(
+            stderr.contains(value),
+            "{args:?} must name {value}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn good_flags_still_run() {
+    let (code, stderr) = run(&["shrink", "builtin:fir", "--pages", "2"]);
+    assert_eq!(code, Some(0), "{stderr}");
+}
