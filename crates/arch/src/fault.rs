@@ -90,13 +90,6 @@ impl FaultMap {
         }
     }
 
-    /// Pages that can still execute ops, in ring order.
-    pub fn usable_pages(&self) -> Vec<u16> {
-        (0..self.num_pages())
-            .filter(|&p| self.is_usable(p))
-            .collect()
-    }
-
     /// Dead pages, in ring order.
     pub fn dead_pages(&self) -> Vec<u16> {
         (0..self.num_pages())
@@ -109,18 +102,6 @@ impl FaultMap {
         (0..self.num_pages())
             .filter(|&p| self.health(p) == PageHealth::Degraded)
             .collect()
-    }
-
-    /// Pages currently under repair, in ring order.
-    pub fn repairing_pages(&self) -> Vec<u16> {
-        (0..self.num_pages())
-            .filter(|&p| self.health(p) == PageHealth::Repairing)
-            .collect()
-    }
-
-    /// Number of usable pages.
-    pub fn usable_count(&self) -> u16 {
-        self.usable_pages().len() as u16
     }
 
     /// Maximal runs of consecutive *usable* pages in ring order, as
@@ -266,16 +247,6 @@ pub enum FaultSpecError {
 }
 
 impl FaultSpecError {
-    /// The offending clause text.
-    pub fn clause(&self) -> &str {
-        match self {
-            FaultSpecError::BadValue { clause, .. }
-            | FaultSpecError::UnknownClause { clause, .. }
-            | FaultSpecError::Conflict { clause, .. }
-            | FaultSpecError::Incomplete { clause } => clause,
-        }
-    }
-
     /// `(byte offset, byte length)` of the offending clause in the
     /// original input — the span a front-end should underline.
     pub fn span(&self) -> (usize, usize) {
@@ -627,7 +598,6 @@ mod tests {
     #[test]
     fn fresh_map_is_all_healthy() {
         let m = FaultMap::new(8);
-        assert_eq!(m.usable_count(), 8);
         assert!(m.dead_pages().is_empty());
         assert_eq!(m.surviving_runs(), vec![(0, 8)]);
     }
@@ -639,7 +609,6 @@ mod tests {
         assert_eq!(m.surviving_runs(), vec![(0, 3), (4, 4)]);
         assert_eq!(m.longest_surviving_run(), Some((4, 4)));
         assert_eq!(m.dead_pages(), vec![3]);
-        assert_eq!(m.usable_count(), 7);
     }
 
     #[test]
@@ -717,7 +686,6 @@ mod tests {
         }
         // Offsets survive surrounding whitespace.
         let err = FaultSpec::parse("  at=1, page=zzz").unwrap_err();
-        assert_eq!(err.clause(), "page=zzz");
         assert_eq!(err.span(), (8, 8));
         // Incomplete assemblies span the whole (trimmed) input.
         match FaultSpec::parse("at=5000").unwrap_err() {
@@ -807,7 +775,6 @@ mod tests {
         m.begin_repair(2);
         assert_eq!(m.health(2), PageHealth::Repairing);
         assert!(!m.is_usable(2));
-        assert_eq!(m.repairing_pages(), vec![2]);
         assert_eq!(m.surviving_runs(), vec![(0, 2), (3, 1)]);
 
         // Repairing → Healthy.

@@ -369,57 +369,52 @@ impl<'a> Sim<'a> {
     }
 
     /// Serve stalled threads from freed pages, then grow the survivors.
-    /// Runs after every kernel completion and after every page death.
-    fn redistribute(&mut self, now: u64) -> Result<(), SimError> {
+    /// Runs after every kernel completion and page death, and with
+    /// `repaired` after every page repair. Then the recovered capacity
+    /// goes to the *most shrunk* live thread (supervision policy),
+    /// counted as a re-expansion and emitted as `Reexpanded` rather than
+    /// `ThreadExpand`, so the trace tells recovery from routine growth.
+    fn redistribute(&mut self, now: u64, repaired: bool) -> Result<(), SimError> {
         self.drain_queue(now)?;
 
-        // Then grow the survivors.
         let (lib, mode) = (self.lib, &self.mode);
-        let grown = self.alloc.expand(self.cfg.expand, |t| mode[t].want(lib))?;
+        let want = |t: usize| mode[t].want(lib);
+        let grown = if repaired {
+            self.alloc.expand_most_shrunk(want)?
+        } else {
+            self.alloc.expand(self.cfg.expand, want)?
+        };
         for ex in grown {
             self.expands += 1;
-            if let Mode::OnCgra { kernel, .. } = self.mode[ex.thread] {
-                self.pages_busy += (ex.to_pages - ex.from_pages) as u64;
-                let new_rate = self.effective_rate(ex.thread, kernel, ex.to_pages)?;
-                self.set_rate(ex.thread, now, new_rate);
-                let tr = self.tracer;
-                tr.emit(|| TraceEvent::ThreadExpand {
-                    time: now,
-                    thread: ex.thread as u32,
-                    from: ex.from_pages,
-                    to: ex.to_pages,
-                    pages: self.alloc.pages_of(ex.thread),
-                });
+            if repaired {
+                self.fstats.reexpansions += 1;
             }
-        }
-        Ok(())
-    }
-
-    /// Redistribution after a page repair: re-admit queued threads
-    /// first, then hand the remaining recovered capacity to the *most
-    /// shrunk* live thread (supervision policy) via the ordinary
-    /// expansion path, emitted as `Reexpanded` rather than
-    /// `ThreadExpand` so the trace distinguishes recovery from routine
-    /// growth.
-    fn redistribute_repaired(&mut self, now: u64) -> Result<(), SimError> {
-        self.drain_queue(now)?;
-
-        let (lib, mode) = (self.lib, &self.mode);
-        let grown = self.alloc.expand_most_shrunk(|t| mode[t].want(lib))?;
-        for ex in grown {
-            self.expands += 1;
-            self.fstats.reexpansions += 1;
             if let Mode::OnCgra { kernel, .. } = self.mode[ex.thread] {
                 self.pages_busy += (ex.to_pages - ex.from_pages) as u64;
                 let new_rate = self.effective_rate(ex.thread, kernel, ex.to_pages)?;
                 self.set_rate(ex.thread, now, new_rate);
                 let tr = self.tracer;
-                tr.emit(|| TraceEvent::Reexpanded {
-                    time: now,
-                    thread: ex.thread as u32,
-                    from: ex.from_pages,
-                    to: ex.to_pages,
-                    pages: self.alloc.pages_of(ex.thread),
+                tr.emit(|| {
+                    let (time, thread, from, to) =
+                        (now, ex.thread as u32, ex.from_pages, ex.to_pages);
+                    let pages = self.alloc.pages_of(ex.thread);
+                    if repaired {
+                        TraceEvent::Reexpanded {
+                            time,
+                            thread,
+                            from,
+                            to,
+                            pages,
+                        }
+                    } else {
+                        TraceEvent::ThreadExpand {
+                            time,
+                            thread,
+                            from,
+                            to,
+                            pages,
+                        }
+                    }
                 });
             }
         }
@@ -442,7 +437,7 @@ impl<'a> Sim<'a> {
             freed,
         });
         self.advance(thread, now)?;
-        self.redistribute(now)
+        self.redistribute(now, false)
     }
 
     /// Move a thread to its next segment at `now`.
@@ -610,7 +605,7 @@ impl<'a> Sim<'a> {
         }
         // A death can free surplus pages (chain rounding): let
         // waiting threads in and regrow survivors.
-        self.redistribute(now)
+        self.redistribute(now, false)
     }
 
     /// Apply one pending repair action (stale ones — scheduled before
@@ -645,7 +640,7 @@ impl<'a> Sim<'a> {
                     time: now,
                     page: action.page,
                 });
-                self.redistribute_repaired(now)
+                self.redistribute(now, true)
             }
         }
     }
