@@ -3,9 +3,9 @@
 //! The build environment has no registry access, so `serde_json` is not
 //! available; the workspace's `serde` is an offline marker shim (see
 //! `crates/serde`). This module is the real serialization layer for the
-//! workspace: trace events (JSONL, via [`Json::compact`]) and the
-//! on-disk mapping cache in `cgra-bench` (which re-exports this module,
-//! via [`Json::pretty`]). It provides a [`Json`] value tree, a strict
+//! workspace: trace events (JSONL, via [`Json::compact`]), the on-disk
+//! mapping cache in `cgra-bench` and the analyzer's reports (via
+//! [`Json::pretty`]). It provides a [`Json`] value tree, a strict
 //! parser, and stable printers whose output is byte-deterministic
 //! (`BTreeMap` keys make object order canonical).
 

@@ -6,7 +6,8 @@
 //! * [`event::TraceEvent`] — typed events covering the mapper search
 //!   (place / evict / backtrack / route), the PageMaster transform
 //!   (begin / end with page geometry), and the multithreaded simulator
-//!   (queue / start / shrink / expand / fault / revoke).
+//!   (queue / start / shrink / expand / fault / revoke / repair). Each
+//!   event is declared once; its tag and JSONL codec are generated.
 //! * [`sink::TraceSink`] — the sink trait, with ring-buffer
 //!   ([`sink::RingSink`]), JSONL-writer ([`sink::JsonlSink`]) and
 //!   counting ([`metrics::MetricsSink`]) implementations, plus the
@@ -21,9 +22,9 @@
 //!   previously owned, thread cycle accounting sums to the reported
 //!   makespan, and no pages are handed to a thread after their death
 //!   event.
-//! * [`jsonio`] — the workspace's offline JSON codec (moved here from
-//!   `cgra-bench`, which re-exports it), used both for JSONL traces and
-//!   the on-disk mapping cache.
+//! * [`jsonio`] — the workspace's offline JSON codec, used for JSONL
+//!   traces, the on-disk mapping cache in `cgra-bench` and the
+//!   analyzer's JSON reports.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
