@@ -223,3 +223,45 @@ fn sim_full_grid() {
     }
     check_golden("sim_grid.txt", &out);
 }
+
+/// A 16-thread high-need run on the 8×8 fabric with 2-PE pages under
+/// MTBF transient faults with seed 3, a schedule the grid's seeds do not
+/// draw: repairs bring every page back, so every thread finishes.
+#[test]
+#[ignore = "compiles the 8x8/p2 library: slow in debug; run in release with --include-ignored"]
+fn sixteen_threads_finish_under_transient_faults() {
+    let cgra = CgraConfig::square(8)
+        .with_page_size(2)
+        .expect("grid fabric");
+    let lib = KernelLibrary::compile_benchmarks(&cgra, &MapOptions::default(), &Tracer::off())
+        .expect("benchmark library compiles");
+    let threads = generate(
+        &lib,
+        &WorkloadParams {
+            threads: 16,
+            need: CgraNeed::High,
+            work_per_thread: 60_000,
+            bursts: 4,
+            seed: 3,
+        },
+    );
+    let faults = FaultSpec::Mtbf {
+        mean: 20_000,
+        count: 4,
+        seed: 3,
+        kind: FaultKind::Transient {
+            repair_after: 4_000,
+        },
+    }
+    .schedule(lib.num_pages);
+    let r = simulate_multithreaded_faulty_traced(
+        &lib,
+        &threads,
+        MtConfig::default(),
+        &faults,
+        &Tracer::off(),
+    )
+    .expect("repairs bring every page back, so every thread finishes");
+    assert_eq!(r.thread_finish.len(), 16);
+    assert!(r.faults.repairs > 0, "{:?}", r.faults);
+}

@@ -123,8 +123,10 @@ fn synthetic_schedules_transform_validly() {
 /// optimal (M | N, no wrap dependences) and otherwise returns what the
 /// previous rule did, Algorithm 1 with a block fallback (an error only on
 /// the wrap rings of [`NO_STEADY_STATE`]); its II_q never exceeds that
-/// rule's. Covers every small synthetic ring at every M and the open
-/// rings of the paper grid along their halving chains.
+/// rule's. Covers every small synthetic ring at every M, the open rings
+/// of the paper grid along their halving chains plus the degraded open
+/// ring 32 → 31, and larger wrap rings on which Algorithm 1 must find a
+/// steady state (N up to 32, II_p up to 8).
 #[test]
 fn auto_takes_block_exactly_when_it_is_optimal() {
     let small = (2u16..12).flat_map(|n| {
@@ -137,10 +139,16 @@ fn auto_takes_block_exactly_when_it_is_optimal() {
     let halving = |n: u16| std::iter::successors(Some(n), |&m| (m > 1).then_some(m / 2));
     let open = [16u16, 18, 32]
         .into_iter()
-        .flat_map(|n| halving(n).map(move |m| (n, 1, false, m)));
-    for (n, ii, wrap, m) in small.chain(open) {
+        .flat_map(|n| halving(n).map(move |m| (n, 1, false, m)))
+        .chain([(32, 1, false, 31)]);
+    let wrap_rings = [(16u16, 1u32, 8u16), (32, 1, 16), (8, 4, 4), (8, 8, 4)];
+    let large = wrap_rings.map(|(n, ii, m)| (n, ii, true, m));
+    for (n, ii, wrap, m) in small.chain(open).chain(large) {
         let case = format!("N={n} II={ii} wrap={wrap} M={m}");
         let p = PagedSchedule::synthetic_canonical(n, ii, wrap);
+        if wrap && wrap_rings.contains(&(n, ii, m)) {
+            assert!(transform_pagemaster(&p, m).is_ok(), "{case}");
+        }
         let auto = transform(&p, m, Strategy::Auto);
         let old = transform_pagemaster(&p, m).or_else(|_| transform_block(&p, m));
         if n % m != 0 || wrap {
