@@ -79,16 +79,6 @@ pub fn diagnostic_from_transform_violation(v: &TransformViolation) -> Diagnostic
             Span::Global,
             format!("II_q {ii_q} below capacity bound {bound}"),
         ),
-        TransformViolation::OpOnDeadPage { col, page } => Diagnostic::new(
-            Code::A301OpOnDeadPage,
-            Span::Column(*col),
-            format!("scheduled on dead page {page}"),
-        ),
-        TransformViolation::ColumnsNotContiguous { pages } => Diagnostic::new(
-            Code::A302ColumnsNotContiguous,
-            Span::Global,
-            format!("column pages {pages:?} are not a contiguous run"),
-        ),
     }
 }
 

@@ -119,12 +119,6 @@ impl CgraConfig {
         self
     }
 
-    /// Replace the memory model.
-    pub fn with_mem(mut self, mem: MemModel) -> Self {
-        self.mem = mem;
-        self
-    }
-
     /// The PE mesh.
     #[inline]
     pub fn mesh(&self) -> Mesh {

@@ -13,10 +13,6 @@ use serde::{Deserialize, Serialize};
 pub struct MemModel {
     /// Concurrent load/store operations each row bus sustains per cycle.
     buses_per_row: u16,
-    /// Words of global scratch storage the compiler may claim for
-    /// spilled temporaries (§VI-B.1's register-usage constraint forces
-    /// long-lived temporaries into this region).
-    scratch_words: u32,
 }
 
 impl MemModel {
@@ -24,12 +20,9 @@ impl MemModel {
     ///
     /// # Panics
     /// Panics if `buses_per_row` is zero (PEs could never load or store).
-    pub fn new(buses_per_row: u16, scratch_words: u32) -> Self {
+    pub fn new(buses_per_row: u16) -> Self {
         assert!(buses_per_row > 0, "each row needs at least one bus");
-        MemModel {
-            buses_per_row,
-            scratch_words,
-        }
+        MemModel { buses_per_row }
     }
 
     /// Load/store slots available per row per cycle.
@@ -37,18 +30,12 @@ impl MemModel {
     pub fn buses_per_row(&self) -> u16 {
         self.buses_per_row
     }
-
-    /// Global scratch capacity in words.
-    #[inline]
-    pub fn scratch_words(&self) -> u32 {
-        self.scratch_words
-    }
 }
 
 impl Default for MemModel {
-    /// One bus per row, 4 KiB of word-addressed scratch.
+    /// One bus per row.
     fn default() -> Self {
-        MemModel::new(1, 1024)
+        MemModel::new(1)
     }
 }
 
@@ -63,14 +50,13 @@ mod tests {
 
     #[test]
     fn accessors_return_constructor_values() {
-        let m = MemModel::new(2, 512);
+        let m = MemModel::new(2);
         assert_eq!(m.buses_per_row(), 2);
-        assert_eq!(m.scratch_words(), 512);
     }
 
     #[test]
     #[should_panic(expected = "at least one bus")]
     fn zero_buses_panics() {
-        MemModel::new(0, 0);
+        MemModel::new(0);
     }
 }

@@ -251,16 +251,6 @@ impl PageLayout {
         (1..self.num_pages()).all(|i| self.pages_adjacent(PageId(i as u16 - 1), PageId(i as u16)))
     }
 
-    /// Whether the ring *closes*: the last page is adjacent to the first,
-    /// so the wrap-around dependence `P−1 → 0` can be carried physically.
-    /// True for 2-tile-row layouts (e.g. the 2×2-quadrant division of a
-    /// 4×4); false for longer serpentines, where the legal dependences form
-    /// a path — still "a subset of ring topology" (§VI-B.2).
-    pub fn ring_is_closed(&self) -> bool {
-        let n = self.num_pages();
-        n >= 2 && self.pages_adjacent(PageId(0), PageId(n as u16 - 1))
-    }
-
     /// Whether a dependence step from page `a` to page `b` is legal under
     /// the paper's data-flow constraint, *path* semantics: stay on the
     /// page or advance to the next page in ring order, without
@@ -306,10 +296,9 @@ mod tests {
     }
 
     #[test]
-    fn quadrant_ring_is_closed() {
+    fn quadrant_ring_path_is_physical() {
         let l = layout(4, 4, 4);
         assert!(l.ring_path_is_physical());
-        assert!(l.ring_is_closed());
     }
 
     #[test]

@@ -41,15 +41,6 @@ impl PeCapability {
         }
     }
 
-    /// An ALU-only PE (no multiplier, no memory port).
-    pub const fn alu_only() -> Self {
-        PeCapability {
-            alu: true,
-            mul: false,
-            mem: false,
-        }
-    }
-
     /// Builder: enable/disable the multiplier.
     pub const fn with_mul(mut self, mul: bool) -> Self {
         self.mul = mul;
@@ -92,22 +83,12 @@ mod tests {
     }
 
     #[test]
-    fn alu_only_cannot_mul_or_mem() {
-        let pe = PeCapability::alu_only();
+    fn builders_toggle_capabilities() {
+        let pe = PeCapability::full().with_mul(false).with_mem(false);
         assert!(pe.supports(FuClass::Alu));
         assert!(!pe.supports(FuClass::Mul));
         assert!(!pe.supports(FuClass::Mem));
-    }
-
-    #[test]
-    fn every_pe_can_route() {
-        assert!(PeCapability::alu_only().supports(FuClass::Route));
-        assert!(PeCapability::full().supports(FuClass::Route));
-    }
-
-    #[test]
-    fn builders_toggle_capabilities() {
-        let pe = PeCapability::alu_only().with_mul(true).with_mem(true);
-        assert_eq!(pe, PeCapability::full());
+        assert!(pe.supports(FuClass::Route), "every PE can route");
+        assert_eq!(pe.with_mul(true).with_mem(true), PeCapability::full());
     }
 }

@@ -15,10 +15,6 @@
 //!                 (disk-cache hits emit nothing; pair with --no-cache
 //!                 to trace every compilation once)
 //!   --metrics     print event counters after the sweep
-//!   --analyze     after the sweep, statically analyze every pipeline
-//!                 artifact on the paper grid with cgra-analyze
-//!                 (report on stderr; exit 1 on error diagnostics;
-//!                 stdout is byte-identical to a run without the flag)
 
 use cgra_bench::engine::{Engine, EngineConfig};
 use cgra_bench::fig8;

@@ -24,11 +24,6 @@
 //!   --trace PATH          append every mapper/transform/simulator event
 //!                         to PATH as JSONL (replayable by trace_oracle)
 //!   --metrics             print event counters and cycle histograms
-//!   --analyze             after the sweep, statically analyze every
-//!                         pipeline artifact on the paper grid with
-//!                         cgra-analyze (report on stderr; exit 1 on
-//!                         error diagnostics; stdout is byte-identical
-//!                         to a run without the flag)
 
 use cgra_arch::FaultSpec;
 use cgra_bench::engine::{Engine, EngineConfig};

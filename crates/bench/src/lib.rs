@@ -1,8 +1,7 @@
 //! # cgra-bench — the paper's evaluation, regenerated
 //!
 //! Harness functions for every figure in the paper's evaluation section
-//! (§VII), shared by the `fig8`, `fig9` and `report` binaries and the
-//! in-repo benches:
+//! (§VII), shared by the `fig8`, `fig9` and `report` binaries:
 //!
 //! * [`engine`] — the parallel sweep engine (`--jobs N`), with the
 //!   byte-identical-output determinism contract.
@@ -15,10 +14,7 @@
 //! * [`mapcache`] — content-keyed kernel-profile and kernel-library
 //!   cache, persisted to `target/mapcache` (`--no-cache` keeps it in
 //!   memory).
-//! * [`lint`] — the `cgra-lint` pipeline linter over `cgra-analyze`
-//!   (also behind the figure binaries' `--analyze` flag).
-//! * [`microbench`] — minimal wall-clock benchmark harness for the
-//!   `benches/` targets.
+//! * [`lint`] — the `cgra-lint` pipeline linter over `cgra-analyze`.
 //! * [`obsflags`] — `--trace <path>` / `--metrics` flag handling shared
 //!   by the figure binaries (JSONL traces, folded metrics).
 //! * [`table`] — plain-text/markdown table rendering.
@@ -31,7 +27,6 @@ pub mod fig8;
 pub mod fig9;
 pub mod lint;
 pub mod mapcache;
-pub mod microbench;
 pub mod obsflags;
 pub mod table;
 

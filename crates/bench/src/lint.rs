@@ -9,8 +9,7 @@
 //! [`Report`]; an error diagnostic anywhere is a pipeline bug (or a
 //! genuinely unmappable kernel, which the mapper reports separately).
 //!
-//! Used by the `cgra-lint` binary and the `analyze-smoke` CI job; the
-//! figure binaries run the same passes under `--analyze`.
+//! Used by the `cgra-lint` binary and the `analyze-smoke` CI job.
 
 use cgra_analyze::{
     analyze_degraded, analyze_mapping, analyze_paged, analyze_plan, analyze_profile, Report,
@@ -199,16 +198,6 @@ pub fn render_json(findings: &[LintFinding]) -> String {
         })
         .collect();
     Json::Arr(arr).pretty()
-}
-
-/// The `--analyze` hook for the figure binaries: lint the full grid,
-/// print the human rendering to **stderr** (stdout stays
-/// byte-deterministic), and report whether any artifact had errors.
-pub fn analyze_grid_to_stderr() -> bool {
-    let findings = lint(4, 4, true).expect("the paper grid names valid fabrics");
-    let (text, errors) = render(&findings);
-    eprint!("analyze: {text}");
-    errors > 0
 }
 
 #[cfg(test)]

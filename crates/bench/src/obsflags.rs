@@ -1,5 +1,4 @@
-//! `--trace` / `--metrics` / `--analyze` flag handling shared by the
-//! figure binaries.
+//! `--trace` / `--metrics` flag handling shared by the figure binaries.
 //!
 //! Observability is strictly opt-in: with neither flag the binaries get
 //! a [`Tracer::off`] and their stdout stays byte-identical to a build
@@ -7,9 +6,7 @@
 //! `<path>` as one JSON object per line (a trace the `trace_oracle`
 //! binary can replay); with `--metrics` events are folded into counters
 //! and histograms printed to stdout after the sweep. Both flags may be
-//! combined — the tracer tees into both sinks. `--analyze` lints every
-//! pipeline artifact of the paper grid when the run finishes (report on
-//! stderr).
+//! combined — the tracer tees into both sinks.
 
 use cgra_obs::{JsonlSink, MetricsSink, TraceSink, Tracer};
 use std::sync::Arc;
@@ -22,11 +19,10 @@ pub struct ObsFlags {
     /// Off when neither `--trace` nor `--metrics` was passed.
     pub tracer: Tracer,
     metrics: Option<Arc<MetricsSink>>,
-    analyze: bool,
 }
 
 impl ObsFlags {
-    /// Parse `--trace <path>`, `--metrics` and `--analyze` out of `args`.
+    /// Parse `--trace <path>` and `--metrics` out of `args`.
     ///
     /// Exits with status 2 (usage error) when `--trace` lacks a path or
     /// the file cannot be created.
@@ -52,28 +48,20 @@ impl ObsFlags {
         ObsFlags {
             tracer: Tracer::tee(sinks),
             metrics,
-            analyze: args.iter().any(|a| a == "--analyze"),
         }
     }
 
-    /// Finish the run. Under `--analyze`, statically analyze every
-    /// pipeline artifact on the paper grid (report on stderr, so a clean
-    /// run's stdout stays byte-identical to one without the flag). Then
-    /// flush the trace file and, when `--metrics` was passed, print the
-    /// folded metrics to stdout. Exits 1 if the analysis found an error.
+    /// Finish the run: flush the trace file and, when `--metrics` was
+    /// passed, print the folded metrics to stdout.
     ///
     /// Call once, before every process exit (including error exits —
     /// `std::process::exit` skips destructors, so the trace file's
     /// buffered tail would otherwise be lost).
     pub fn finish(&self) {
-        let failed = self.analyze && crate::lint::analyze_grid_to_stderr();
         self.tracer.flush();
         if let Some(m) = &self.metrics {
             println!("## Metrics\n");
             print!("{}", m.render());
-        }
-        if failed {
-            std::process::exit(1);
         }
     }
 }

@@ -52,13 +52,6 @@ impl DegradedPlan {
     pub fn physical_page(&self, col: u16) -> u16 {
         self.column_pages[col as usize]
     }
-
-    /// Whether any plan column sits on a degraded (slow but usable) page.
-    pub fn touches_degraded(&self) -> bool {
-        self.column_pages
-            .iter()
-            .any(|p| self.degraded_pages.contains(p))
-    }
 }
 
 /// Shrink `p` onto the surviving pages of `faults`, using at most
@@ -117,7 +110,7 @@ mod tests {
         assert_eq!(d.effective_pages, 8);
         assert_eq!(d.column_pages, (0..8).collect::<Vec<u16>>());
         assert!(d.dead_pages.is_empty());
-        assert!(!d.touches_degraded());
+        assert!(d.degraded_pages.is_empty());
     }
 
     #[test]
@@ -141,7 +134,7 @@ mod tests {
         let d = transform_degraded(&p, &faults, 4, Strategy::Auto).unwrap();
         assert_eq!(d.effective_pages, 4);
         assert_eq!(d.degraded_pages, vec![1]);
-        assert!(d.touches_degraded());
+        assert!(d.column_pages.contains(&1));
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub mod validate;
 pub use degrade::{transform_degraded, DegradedPlan};
 pub use fold::{fold_to_page, validate_fold, FoldedSchedule};
 pub use paged::{Discipline, PageDep, PagedSchedule};
-pub use pagemaster::{transform_pagemaster, transform_pagemaster_degraded};
+pub use pagemaster::transform_pagemaster;
 pub use recovery::{plan_recovery, RecoveryPlan, RepairedPage};
 pub use transform::{transform_block, transform_traced, ShrinkPlan, Strategy, TransformError};
 pub use validate::{is_slot_optimal, validate_plan, TransformViolation};

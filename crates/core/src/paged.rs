@@ -297,7 +297,7 @@ impl PagedSchedule {
     /// Build a synthetic canonical schedule: every cell occupied, with the
     /// full canonical dependence pattern `(n,t) → (n,t+1)` and
     /// `(n,t) → (n+1,t+1)`, optionally wrapping the ring (as the paper's
-    /// Fig. 7 input does). Used by tests and the transformation benches.
+    /// Fig. 7 input does). Used by tests and `report`'s C1 timing table.
     pub fn synthetic_canonical(num_pages: u16, ii: u32, wrap: bool) -> Self {
         let mut cells = vec![Cell::default(); num_pages as usize * ii as usize];
         for (i, c) in cells.iter_mut().enumerate() {

@@ -29,8 +29,9 @@
 //! signature hash per completed iteration and, at each checkpoint, at most
 //! `MAX_PERIOD` hash compares; only a period whose hashes agree is
 //! compared cell by cell. That is the paper's "low-order polynomial time"
-//! claim, measured in `crates/bench/benches/pagemaster_speed.rs` on both
-//! the steady-state and the no-steady-state path.
+//! claim, measured against ring size by the Claim C1 table of the
+//! `report` binary on both the steady-state and the no-steady-state path,
+//! and inside runtime re-planning by perfbench's `adapt` workload.
 
 use crate::paged::{Discipline, PagedSchedule};
 use crate::transform::{CellPlacement, ShrinkPlan, Strategy, TransformError};
@@ -364,29 +365,6 @@ fn fold_to_single_column(p: &PagedSchedule) -> ShrinkPlan {
         placements: vec![row],
         strategy: Strategy::PageMaster,
     }
-}
-
-/// PageMaster transformation over a faulty page region: shrink `p` onto
-/// the longest surviving contiguous run of `faults`, capped at `budget`
-/// columns, returning a typed [`DegradedPlan`](crate::degrade::DegradedPlan)
-/// instead of panicking when pages have died.
-///
-/// Uses [`Strategy::Auto`] underneath — the block transform where it is
-/// optimal or the schedule is not canonical, Algorithm 1 otherwise —
-/// because a fault can strike a thread running *any* discipline; the
-/// caller gets a sound plan either way. See [`crate::degrade`] for the
-/// run-selection rules.
-///
-/// # Errors
-///
-/// [`TransformError::NoHealthyPages`] when nothing survives; otherwise
-/// whatever the inner transformation reports.
-pub fn transform_pagemaster_degraded(
-    p: &PagedSchedule,
-    faults: &cgra_arch::FaultMap,
-    budget: u16,
-) -> Result<crate::degrade::DegradedPlan, TransformError> {
-    crate::degrade::transform_degraded(p, faults, budget, Strategy::Auto)
 }
 
 #[cfg(test)]

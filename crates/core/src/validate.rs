@@ -76,20 +76,6 @@ pub enum TransformViolation {
         /// The bound `occupied cells / M` (per iteration).
         bound: f64,
     },
-    /// A degraded plan schedules a column onto a dead (or out-of-range)
-    /// physical page.
-    OpOnDeadPage {
-        /// The plan column.
-        col: u16,
-        /// The dead physical page it was assigned.
-        page: u16,
-    },
-    /// A degraded plan's physical pages are not one contiguous ascending
-    /// run — inter-column values could not route on the ring.
-    ColumnsNotContiguous {
-        /// The physical pages as listed, in column order.
-        pages: Vec<u16>,
-    },
 }
 
 impl std::fmt::Display for TransformViolation {
@@ -129,12 +115,6 @@ impl std::fmt::Display for TransformViolation {
             }
             TransformViolation::BelowCapacityBound { ii_q, bound } => {
                 write!(f, "II_q {ii_q} below capacity bound {bound}")
-            }
-            TransformViolation::OpOnDeadPage { col, page } => {
-                write!(f, "column {col} scheduled on dead page {page}")
-            }
-            TransformViolation::ColumnsNotContiguous { pages } => {
-                write!(f, "column pages {pages:?} are not a contiguous run")
             }
         }
     }

@@ -1,4 +1,4 @@
-//! Seeded random DFG generation for property tests and stress benches.
+//! Seeded random DFG generation for property tests and golden snapshots.
 //!
 //! The generator produces *layered* graphs — the shape of real loop-body
 //! DFGs (loads feed arithmetic layers feeding stores) — with optional

@@ -116,12 +116,6 @@ impl MapDfg {
     pub fn is_mem_edge(&self, edge_index: usize) -> bool {
         self.mem_edge[edge_index]
     }
-
-    /// Whether a node is a spill op (inserted, not part of the kernel).
-    #[inline]
-    pub fn is_spill_node(&self, n: NodeId) -> bool {
-        n.index() >= self.original_nodes
-    }
 }
 
 #[cfg(test)]
@@ -152,6 +146,7 @@ mod tests {
         let g = fanout2();
         let m = MapDfg::with_spills(&g, &BTreeSet::from([0]));
         assert_eq!(m.dfg.num_nodes(), g.num_nodes() + 2);
+        assert_eq!(m.original_nodes, g.num_nodes());
         // Original 4 edges: one replaced by 3 (u->st, st=>ld, ld->v1).
         assert_eq!(m.dfg.num_edges(), g.num_edges() + 2);
         assert_eq!(m.mem_edge.iter().filter(|&&b| b).count(), 1);
@@ -164,15 +159,6 @@ mod tests {
         // One store + two loads.
         assert_eq!(m.dfg.num_nodes(), g.num_nodes() + 3);
         assert_eq!(m.mem_edge.iter().filter(|&&b| b).count(), 2);
-    }
-
-    #[test]
-    fn spill_nodes_are_flagged() {
-        let g = fanout2();
-        let m = MapDfg::with_spills(&g, &BTreeSet::from([0]));
-        for n in m.dfg.node_ids() {
-            assert_eq!(m.is_spill_node(n), n.index() >= g.num_nodes());
-        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! handled exactly like a contention shrink — the owning thread is
 //! remapped onto its surviving pages at the next iteration boundary (or
 //! re-queued when it was already at one page) — and a page *degrade*
-//! slows whoever holds the page by `degrade_factor`. Every fault is
+//! halves the speed of whoever holds the page. Every fault is
 //! applied **before** the next thread event at a later time, because
 //! applying one bumps event versions; the loop peeks instead of popping
 //! for exactly this reason. Fault-free runs take the same code path and
@@ -47,6 +47,9 @@ use cgra_obs::{TraceEvent, Tracer};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
+/// II multiplier for a thread holding a *degraded* (but usable) page.
+const DEGRADE_FACTOR: u64 = 2;
+
 /// Multithreaded-system knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct MtConfig {
@@ -54,9 +57,6 @@ pub struct MtConfig {
     pub switch_overhead: u64,
     /// Redistribution policy when pages free up.
     pub expand: ExpandPolicy,
-    /// II multiplier for a thread holding a *degraded* (but usable)
-    /// page. 1 = degraded pages run at full speed.
-    pub degrade_factor: u64,
     /// Cycles a repaired page must stay fault-free *after* its repair
     /// interval elapses before it is re-offered to threads (hysteresis
     /// against flapping pages). Inert without transient faults.
@@ -68,7 +68,6 @@ impl Default for MtConfig {
         MtConfig {
             switch_overhead: 0,
             expand: ExpandPolicy::SmallestFirst,
-            degrade_factor: 2,
             quarantine: 64,
         }
     }
@@ -192,11 +191,7 @@ impl<'a> Sim<'a> {
             .alloc
             .owned(thread)
             .any(|p| self.faults.health(p) == PageHealth::Degraded);
-        Ok(if slowed {
-            base * self.cfg.degrade_factor.max(1)
-        } else {
-            base
-        })
+        Ok(if slowed { base * DEGRADE_FACTOR } else { base })
     }
 
     /// Change a running thread's rate at the next iteration boundary of

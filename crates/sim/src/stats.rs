@@ -83,15 +83,6 @@ impl SimReport {
             self.page_cycles as f64 / self.makespan as f64
         }
     }
-
-    /// Average thread completion time.
-    pub fn mean_finish(&self) -> f64 {
-        if self.thread_finish.is_empty() {
-            0.0
-        } else {
-            self.thread_finish.iter().sum::<u64>() as f64 / self.thread_finish.len() as f64
-        }
-    }
 }
 
 /// Percentage improvement of `ours` over `baseline` in completion time
@@ -133,6 +124,5 @@ mod tests {
         };
         assert_eq!(r.mean_pages_busy(), 4.0);
         assert!(!r.faults.any());
-        assert_eq!(r.mean_finish(), 75.0);
     }
 }
