@@ -6,6 +6,8 @@
 //!
 //! * every revoked page was owned by the revoked thread at that moment,
 //! * no two threads ever hold the same page,
+//! * a shrink or expand event's `from` is the thread's replayed
+//!   holding and its `to` is the length of its page list,
 //! * no page is handed to a thread after its death event (a
 //!   `PageRepaired` event lifts the ban: repair returns the page to the
 //!   grantable pool, and ownership exclusivity must hold across the
@@ -64,6 +66,23 @@ pub enum OracleError {
         owner: u32,
         /// Who was just granted it.
         claimant: u32,
+    },
+    /// A shrink, expand or re-expand event whose page counts disagree
+    /// with the replay: `from` is not the thread's holding before the
+    /// event, or `to` is not the length of its page list.
+    ResizeMismatch {
+        /// Offending event index.
+        index: usize,
+        /// The resized thread.
+        thread: u32,
+        /// Pages the thread held before the event, per the replay.
+        held: u16,
+        /// The event's `from`.
+        from: u16,
+        /// The event's `to`.
+        to: u16,
+        /// Length of the event's page list.
+        listed: u16,
     },
     /// A page appeared in a grant after its `Kill` fault.
     DeadPageAllocated {
@@ -165,6 +184,18 @@ impl std::fmt::Display for OracleError {
             } => write!(
                 f,
                 "event {index}: page {page} granted to thread {claimant} while thread {owner} holds it"
+            ),
+            OracleError::ResizeMismatch {
+                index,
+                thread,
+                held,
+                from,
+                to,
+                listed,
+            } => write!(
+                f,
+                "event {index}: thread {thread} resized {from} -> {to} while holding {held} pages, \
+                 listing {listed}"
             ),
             OracleError::DeadPageAllocated {
                 index,
@@ -395,23 +426,38 @@ pub fn check_trace(events: &[TraceEvent]) -> Result<OracleReport, OracleError> {
             TraceEvent::ThreadShrink {
                 time,
                 thread,
+                from,
+                to,
                 pages,
-                ..
             }
             | TraceEvent::ThreadExpand {
                 time,
                 thread,
+                from,
+                to,
                 pages,
-                ..
             }
             | TraceEvent::Reexpanded {
                 time,
                 thread,
+                from,
+                to,
                 pages,
-                ..
             } => {
                 let state = open_run(&mut run, index, ev)?;
                 state.clock(index, *time)?;
+                let held = state.held.get(thread).map_or(0, Vec::len) as u16;
+                let listed = pages.len() as u16;
+                if held != *from || listed != *to {
+                    return Err(OracleError::ResizeMismatch {
+                        index,
+                        thread: *thread,
+                        held,
+                        from: *from,
+                        to: *to,
+                        listed,
+                    });
+                }
                 state.claim(index, *thread, pages)?;
             }
             TraceEvent::ThreadFinish { time, thread, .. } => {
@@ -807,6 +853,55 @@ mod tests {
                 owner: 0,
                 claimant: 1
             })
+        );
+    }
+
+    #[test]
+    fn resize_with_disagreeing_counts_fires() {
+        // An expansion whose `to` disagrees with its page list.
+        let mut trace = valid_run();
+        trace[7] = TraceEvent::ThreadExpand {
+            time: 100,
+            thread: 1,
+            from: 1,
+            to: 2,
+            pages: vec![0, 1, 2],
+        };
+        assert_eq!(
+            check_trace(&trace),
+            Err(OracleError::ResizeMismatch {
+                index: 7,
+                thread: 1,
+                held: 1,
+                from: 1,
+                to: 2,
+                listed: 3
+            })
+        );
+        // A shrink whose `from` is not what the thread held.
+        let mut trace = valid_run();
+        trace[4] = TraceEvent::ThreadShrink {
+            time: 50,
+            thread: 1,
+            from: 4,
+            to: 1,
+            pages: vec![2],
+        };
+        let err = check_trace(&trace).unwrap_err();
+        assert_eq!(
+            err,
+            OracleError::ResizeMismatch {
+                index: 4,
+                thread: 1,
+                held: 2,
+                from: 4,
+                to: 1,
+                listed: 1
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "event 4: thread 1 resized 4 -> 1 while holding 2 pages, listing 1"
         );
     }
 

@@ -34,7 +34,7 @@ pub mod multithreaded;
 pub mod stats;
 pub mod workload;
 
-pub use alloc::{Allocator, ExpandPolicy, Expansion, PageDeath, RequestOutcome};
+pub use alloc::{Allocator, ExpandPolicy, Expansion, Growth, PageDeath, RequestOutcome};
 pub use baseline::simulate_baseline;
 pub use entry::{simulate_point, PointReport};
 pub use error::SimError;
