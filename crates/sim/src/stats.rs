@@ -62,7 +62,8 @@ pub struct SimReport {
     /// Total kernel iterations executed on the CGRA.
     pub cgra_iterations: u64,
     /// Integral of allocated pages over time (page·cycles) — CGRA
-    /// occupancy.
+    /// occupancy. It equals the occupancy integrated from the run's
+    /// trace page lists; the `golden_sim` test checks that on every run.
     pub page_cycles: u64,
     /// Number of shrink transformations performed.
     pub shrinks: u64,
