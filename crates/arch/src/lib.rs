@@ -39,7 +39,7 @@ pub mod pe;
 pub mod register;
 pub mod topology;
 
-pub use config::{fabric, CgraConfig, FabricError};
+pub use config::{fabric, CgraConfig, FabricError, PAPER_GRID};
 pub use fault::{FaultEvent, FaultKind, FaultMap, FaultSpec, FaultSpecError, PageHealth};
 pub use mirror::Orientation;
 pub use page::{PageId, PageLayout, PageShape};

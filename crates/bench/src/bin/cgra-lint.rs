@@ -1,9 +1,11 @@
 //! `cgra-lint` — static analysis of the whole compilation pipeline.
 //!
-//! Rebuilds every artifact (baseline + constrained mappings, paged
-//! schedule, halving-chain shrink plans, one-dead-page degradation,
-//! kernel profile) for every kernel and analyzes each one with
-//! `cgra-analyze`. Exits 1 if any artifact carries an error diagnostic,
+//! Compiles every kernel once, through the same compile stage as the
+//! figures' profiles, and analyzes each artifact it built (baseline +
+//! constrained mappings, paged schedule, halving-chain shrink plans,
+//! kernel profile) plus a one-dead-page degradation with
+//! `cgra-analyze`. A kernel that fails to compile is named on stderr
+//! and skipped. Exits 1 if any artifact carries an error diagnostic,
 //! 2 on a bad flag (including a `--dim`/`--page` pair that names no
 //! fabric).
 //!

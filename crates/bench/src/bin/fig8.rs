@@ -82,7 +82,7 @@ fn main() {
         return;
     }
 
-    for &(dim, _) in &cgra_bench::GRID {
+    for &(dim, _) in &cgra_arch::PAPER_GRID {
         println!("## Figure 8 — {dim}x{dim} CGRA (100% = identical to baseline)\n");
         println!("{}", fig8::render(&points, dim));
     }

@@ -11,6 +11,8 @@
 //!   --faults SPEC         fault-injection degradation curve instead of
 //!                         the grid: `at=<t>,page=<p>[,degrade]` or
 //!                         `mtbf=<mean>,count=<n>[,seed=<s>][,degrade]`;
+//!                         a `page=` outside the 8x8 page-4 fabric's 16
+//!                         pages exits 2;
 //!                         add `mttr=<cycles>` to make the faults
 //!                         transient (pages repair after that interval)
 //!                         and get the degradation-and-recovery curve
@@ -25,7 +27,7 @@
 //!                         to PATH as JSONL (replayable by trace_oracle)
 //!   --metrics             print event counters and cycle histograms
 
-use cgra_arch::FaultSpec;
+use cgra_arch::{FaultSpec, PAPER_GRID};
 use cgra_bench::engine::{Engine, EngineConfig};
 use cgra_bench::fig9::{self, Coord, Fig9Params};
 use cgra_bench::mapcache::MapCache;
@@ -87,6 +89,29 @@ fn main() {
             // so `--faults off` must be byte-identical to no flag at all.
             eprintln!("--faults off: nothing to inject; running the fault-free grid");
         } else {
+            let at = Coord {
+                faults: base,
+                ..Coord::new(8, 4, CgraNeed::High, 8)
+            };
+            // A targeted fault on a page the fabric does not have would
+            // strike nothing, and the curve would silently repeat its
+            // fault-free row.
+            if let FaultSpec::At { page, .. } = base {
+                let pages = cgra_arch::fabric(at.dim, at.page_size)
+                    .expect("the curve's operating point is a fabric")
+                    .layout()
+                    .num_pages();
+                if usize::from(page) >= pages {
+                    eprintln!(
+                        "--faults {raw}: page={page} is out of range: the {0}x{0} page-{1} \
+                         fabric has {pages} pages (0..={2})",
+                        at.dim,
+                        at.page_size,
+                        pages - 1
+                    );
+                    std::process::exit(2);
+                }
+            }
             // Transient faults (an mttr) give the degradation curve its
             // repair dimension: fault-free and no-repair reference rows,
             // then descending mttr.
@@ -96,10 +121,7 @@ fn main() {
                 "Degradation curve"
             };
             println!("## {title} — faults `{base}` (8x8, page 4, 8 threads, need 87.5%)\n");
-            let rows = fig9::curve(Coord {
-                faults: base,
-                ..Coord::new(8, 4, CgraNeed::High, 8)
-            });
+            let rows = fig9::curve(at);
             let points: Vec<Coord> = rows.iter().map(|(_, p)| *p).collect();
             let results = fig9::sweep(&engine, &cache, &points, &params, &obs.tracer);
             println!("{}", fig9::render_curve(&base, &rows, &results));
@@ -152,7 +174,7 @@ fn main() {
         return;
     }
 
-    for &(dim, _) in &cgra_bench::GRID {
+    for &(dim, _) in &PAPER_GRID {
         println!("## Figure 9 — {dim}x{dim} CGRA (improvement over single-threaded baseline)\n");
         println!("{}", fig9::render(&points, dim));
     }

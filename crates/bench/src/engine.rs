@@ -150,11 +150,6 @@ impl Engine {
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> EngineConfig {
-        self.cfg
-    }
-
     /// Evaluate `f` on every point, sharding across the engine's
     /// workers, and return results **in point order** (index `i` of the
     /// output is `f(&points[i])`, whatever the execution interleaving).
@@ -165,28 +160,6 @@ impl Engine {
         F: Fn(&P) -> R + Sync,
     {
         run_ordered(points, self.cfg.jobs, &f)
-    }
-
-    /// [`Engine::run`], but a panic inside one point is caught and
-    /// reported as `Err(message)` in that point's slot instead of
-    /// aborting the sweep — the last line of defence behind the typed
-    /// errors, for code paths that still assert. Results stay in point
-    /// order; the panic hook output still reaches stderr.
-    pub fn run_caught<P, R, F>(&self, points: &[P], f: F) -> Vec<Result<R, String>>
-    where
-        P: Sync,
-        R: Send,
-        F: Fn(&P) -> R + Sync,
-    {
-        self.run(points, |p| {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(p))).map_err(|payload| {
-                payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "panicked with a non-string payload".to_string())
-            })
-        })
     }
 }
 
@@ -345,23 +318,6 @@ mod tests {
             parallel < serial / 2,
             "expected >=2x overlap: serial {serial:?}, jobs=4 {parallel:?}"
         );
-    }
-
-    #[test]
-    fn run_caught_isolates_a_panicking_point() {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {})); // keep test output quiet
-        let out = Engine::with_jobs(4).run_caught(&[1u32, 2, 3, 4], |&p| {
-            if p == 3 {
-                panic!("point {p} exploded");
-            }
-            p * 10
-        });
-        std::panic::set_hook(prev);
-        assert_eq!(out[0], Ok(10));
-        assert_eq!(out[1], Ok(20));
-        assert_eq!(out[2], Err("point 3 exploded".to_string()));
-        assert_eq!(out[3], Ok(40));
     }
 
     #[test]

@@ -89,7 +89,7 @@ pub fn strict_ablation(
 pub fn run_all(engine: &Engine, cache: &MapCache) -> Vec<Fig8Point> {
     let kernels = cgra_dfg::kernels::all();
     let mut points: Vec<(u16, usize, &cgra_dfg::Dfg)> = Vec::new();
-    for &(dim, sizes) in &crate::GRID {
+    for &(dim, sizes) in &cgra_arch::PAPER_GRID {
         for &s in sizes {
             for k in &kernels {
                 points.push((dim, s, k));

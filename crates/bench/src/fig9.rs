@@ -18,12 +18,12 @@
 use crate::engine::{point_seed, Engine};
 use crate::grid_fabric;
 use crate::mapcache::MapCache;
-use cgra_arch::FaultSpec;
+use cgra_arch::{FaultSpec, PAPER_GRID};
 use cgra_mapper::MapOptions;
 use cgra_obs::Tracer;
 use cgra_sim::{
-    improvement_percent, simulate_point, CgraNeed, ExpandPolicy, FaultStats, MtConfig, PointReport,
-    SimError, WorkloadParams,
+    generate, improvement_percent, simulate_baseline, simulate_multithreaded_faulty_traced,
+    CgraNeed, ExpandPolicy, FaultStats, MtConfig, SimError, SimReport, WorkloadParams,
 };
 use serde::{Deserialize, Serialize};
 
@@ -148,27 +148,33 @@ pub fn run_point(
                     bursts: params.bursts,
                     seed: wl_seed,
                 };
-                let faults = at.faults.reseeded(wl_seed);
-                simulate_point(&lib, &workload, params.mt, faults, tracer)
+                let threads = generate(&lib, &workload);
+                let events = at.faults.reseeded(wl_seed).schedule(lib.num_pages);
+                Ok((
+                    simulate_baseline(&lib, &threads),
+                    simulate_multithreaded_faulty_traced(
+                        &lib, &threads, params.mt, &events, tracer,
+                    )?,
+                ))
             })
-            .collect::<Result<Vec<PointReport>, SimError>>()
+            .collect::<Result<Vec<(SimReport, SimReport)>, SimError>>()
     })?;
-    let mean = |f: fn(&PointReport) -> f64| runs.iter().map(f).sum::<f64>() / params.seeds as f64;
+    let mean = |f: fn(&(SimReport, SimReport)) -> f64| {
+        runs.iter().map(f).sum::<f64>() / params.seeds as f64
+    };
     let mut faults = FaultStats::default();
-    for r in &runs {
-        faults.absorb(&r.multithreaded.faults);
+    for (_, mt) in &runs {
+        faults.absorb(&mt.faults);
     }
     Ok(Fig9Point {
         dim: at.dim,
         page_size: at.page_size,
         need: at.need,
         threads: at.threads,
-        improvement_pct: mean(|r| {
-            improvement_percent(r.baseline.makespan, r.multithreaded.makespan)
-        }),
-        mean_shrinks: mean(|r| r.multithreaded.shrinks as f64),
-        base_makespan: mean(|r| r.baseline.makespan as f64),
-        mt_makespan: mean(|r| r.multithreaded.makespan as f64),
+        improvement_pct: mean(|(base, mt)| improvement_percent(base.makespan, mt.makespan)),
+        mean_shrinks: mean(|(_, mt)| mt.shrinks as f64),
+        base_makespan: mean(|(base, _)| base.makespan as f64),
+        mt_makespan: mean(|(_, mt)| mt.makespan as f64),
         faults,
     })
 }
@@ -208,11 +214,11 @@ pub fn sweep(
     engine.run(points, |at| run_point(cache, at, params, tracer))
 }
 
-/// The full Fig. 9 grid: every fabric of [`crate::GRID`] × CGRA need ×
+/// The full Fig. 9 grid: every fabric of [`PAPER_GRID`] × CGRA need ×
 /// [`crate::THREAD_COUNTS`], fault-free.
 pub fn grid() -> Vec<Coord> {
     let mut points = Vec::new();
-    for &(dim, sizes) in &crate::GRID {
+    for &(dim, sizes) in &PAPER_GRID {
         for &s in sizes {
             for need in CgraNeed::ALL {
                 for &t in &crate::THREAD_COUNTS {
@@ -543,7 +549,7 @@ mod tests {
     #[test]
     fn grid_covers_every_fabric_need_and_thread_count() {
         let points = grid();
-        let fabrics: usize = crate::GRID.iter().map(|(_, sizes)| sizes.len()).sum();
+        let fabrics: usize = PAPER_GRID.iter().map(|(_, sizes)| sizes.len()).sum();
         assert_eq!(
             points.len(),
             fabrics * CgraNeed::ALL.len() * crate::THREAD_COUNTS.len()

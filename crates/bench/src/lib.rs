@@ -42,13 +42,6 @@ pub(crate) fn grid_fabric(dim: u16, page_size: usize) -> CgraConfig {
     cgra_arch::fabric(dim, page_size).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// The paper's experimental grid: `(dimension, page sizes)` per §VII-A.
-/// The 6×6 "8 PE" point is substituted with 3×3 pages (9 PEs) — 8 does
-/// not divide 36 (DESIGN.md, substitution 4). The paper skips 8-PE pages
-/// on the 4×4 for Fig. 9 ("not enough multithreading potential") but maps
-/// them in Fig. 8; we keep the point in both and let the data show it.
-pub const GRID: [(u16, &[usize]); 3] = [(4, &[2, 4, 8]), (6, &[2, 4, 9]), (8, &[2, 4, 8])];
-
 /// Thread counts of Fig. 9.
 pub const THREAD_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];
 

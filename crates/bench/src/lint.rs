@@ -1,24 +1,25 @@
 //! `cgra-lint` — run the whole-pipeline static analyzer over every
 //! kernel and every artifact the compilation pipeline produces.
 //!
-//! For each `(fabric, kernel)` pair the linter rebuilds the full
-//! pipeline — baseline mapping, ring-constrained mapping, extracted
-//! page-level schedule, every halving-chain shrink plan, a one-dead-page
-//! degradation, and the assembled kernel profile — and hands each
-//! artifact to `cgra-analyze`. Every artifact yields one labeled
-//! [`Report`]; an error diagnostic anywhere is a pipeline bug (or a
-//! genuinely unmappable kernel, which the mapper reports separately).
+//! The linter has no pipeline of its own. For each `(fabric, kernel)`
+//! pair it compiles the kernel once through [`Compiled::new`], the same
+//! compile stage the figures' profiles come from, and reports
+//! [`Compiled::audit`]: the baseline mapping, the ring-constrained
+//! mapping, the extracted page-level schedule, every halving-chain
+//! shrink plan and the assembled kernel profile. To these it adds a
+//! one-dead-page degradation of the compiled page-level schedule. Every
+//! artifact yields one labeled [`Report`]; an error diagnostic anywhere
+//! is a pipeline bug.
 //!
 //! Used by the `cgra-lint` binary and the `analyze-smoke` CI job.
 
-use cgra_analyze::{
-    analyze_degraded, analyze_mapping, analyze_paged, analyze_plan, analyze_profile, Report,
-};
+use cgra_analyze::{analyze_degraded, Report};
 use cgra_arch::{fabric, FabricError, FaultMap, PageHealth};
-use cgra_core::transform::{transform, Strategy};
-use cgra_core::{transform_degraded, PagedSchedule};
-use cgra_mapper::{map_baseline, map_constrained, MapOptions};
-use cgra_sim::halving_chain;
+use cgra_core::transform::Strategy;
+use cgra_core::transform_degraded;
+use cgra_mapper::MapOptions;
+use cgra_obs::Tracer;
+use cgra_sim::Compiled;
 
 /// One analyzed artifact: where it came from and what the analyzer said.
 pub struct LintFinding {
@@ -33,97 +34,44 @@ pub struct LintFinding {
     pub report: Report,
 }
 
-/// Lint every kernel on one fabric. Kernels the mapper itself cannot
-/// place are skipped (the mapper's error is its own diagnostic channel);
-/// everything the pipeline *did* produce must analyze clean.
+/// Lint every kernel on one fabric. A kernel that fails to compile is
+/// named on stderr with its error and skipped; everything the pipeline
+/// *did* produce must analyze clean.
 ///
 /// # Errors
 /// [`FabricError`] if `(dim, page_size)` names no fabric.
 pub fn lint_config(dim: u16, page_size: usize) -> Result<Vec<LintFinding>, FabricError> {
     let cgra = fabric(dim, page_size)?;
     let opts = MapOptions::default();
-    let n = cgra.layout().num_pages() as u16;
     let mut out = Vec::new();
-    let mut push = |kernel: &str, artifact: &str, report: Report| {
-        out.push(LintFinding {
-            config: (dim, page_size),
-            kernel: kernel.to_string(),
-            artifact: artifact.to_string(),
-            report,
-        });
-    };
-
     for dfg in cgra_dfg::kernels::all() {
-        let name = dfg.name.clone();
-
-        let Ok(base) = map_baseline(&dfg, &cgra, &opts) else {
-            continue;
-        };
-        push(
-            &name,
-            "baseline-mapping",
-            analyze_mapping(&base.mdfg, &cgra, &base.mapping, base.mode),
-        );
-
-        let Ok(cons) = map_constrained(&dfg, &cgra, &opts) else {
-            continue;
-        };
-        push(
-            &name,
-            "constrained-mapping",
-            analyze_mapping(&cons.mdfg, &cgra, &cons.mapping, cons.mode),
-        );
-
-        let Ok(paged) = PagedSchedule::from_mapping(&cons, &cgra) else {
-            continue;
-        };
-        let paged = paged.trimmed();
-        push(
-            &name,
-            "paged-schedule",
-            analyze_paged(&paged, cgra.rf().size()),
-        );
-
-        let used = paged.num_pages;
-        let mut ii_by_pages = Vec::new();
-        let mut transforms_ok = true;
-        for m in halving_chain(n) {
-            if m >= used {
-                ii_by_pages.push((m, cons.ii()));
+        let c = match Compiled::new(&dfg, &cgra, &opts, &Tracer::off()) {
+            Ok(c) => c,
+            Err(e) => {
+                eprintln!("cgra-lint: {dim}x{dim} page {page_size} {}: {e}", dfg.name);
                 continue;
             }
-            match transform(&paged, m, Strategy::Auto) {
-                Ok(plan) => {
-                    push(&name, &format!("plan-m{m}"), analyze_plan(&paged, &plan));
-                    ii_by_pages.push((m, plan.ii_q_ceil()));
-                }
-                Err(_) => {
-                    transforms_ok = false;
-                    break;
-                }
-            }
-        }
-        if transforms_ok {
-            push(
-                &name,
-                "profile",
-                analyze_profile(&name, base.ii(), cons.ii(), used, &ii_by_pages, n),
-            );
-        }
-
+        };
+        let mut artifacts = c.audit(&cgra);
         // One dead page at the far end of the schedule's footprint: the
         // canonical survivable degradation.
+        let used = c.paged.num_pages;
         if used >= 2 {
             let mut faults = FaultMap::new(used);
             faults.mark_page(0, PageHealth::Dead);
-            if let Ok(d) = transform_degraded(&paged, &faults, used, Strategy::Auto) {
-                push(
-                    &name,
-                    "degraded-dead0",
-                    analyze_degraded(&paged, &d, &faults),
-                );
+            if let Ok(d) = transform_degraded(&c.paged, &faults, used, Strategy::Auto) {
+                artifacts.push((
+                    "degraded-dead0".to_string(),
+                    analyze_degraded(&c.paged, &d, &faults),
+                ));
             }
         }
+        out.extend(artifacts.into_iter().map(|(artifact, report)| LintFinding {
+            config: (dim, page_size),
+            kernel: dfg.name.clone(),
+            artifact,
+            report,
+        }));
     }
     Ok(out)
 }
@@ -139,7 +87,7 @@ pub fn lint(dim: u16, page_size: usize, grid: bool) -> Result<Vec<LintFinding>, 
         return lint_config(dim, page_size);
     }
     let mut out = Vec::new();
-    for &(d, sizes) in &crate::GRID {
+    for &(d, sizes) in &cgra_arch::PAPER_GRID {
         for &s in sizes {
             out.extend(lint_config(d, s)?);
         }

@@ -41,7 +41,7 @@ use cgra_dfg::Dfg;
 use cgra_mapper::MapOptions;
 use cgra_obs::jsonio::Json;
 use cgra_obs::Tracer;
-use cgra_sim::{KernelLibrary, KernelProfile};
+use cgra_sim::{Compiled, KernelLibrary, KernelProfile};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -286,8 +286,9 @@ fn compile(dfg: &Dfg, cgra: &CgraConfig, opts: &MapOptions, tracer: &Tracer) -> 
     // Batched so concurrent misses interleave at whole-profile
     // granularity in a shared sink, never event-by-event.
     tracer.batched(|t| {
-        KernelProfile::compile_traced(dfg, cgra, opts, t)
+        Compiled::new(dfg, cgra, opts, t)
             .unwrap_or_else(|e| panic!("profile {} on {:?}: {e}", dfg.name, cgra))
+            .into_profile(cgra)
     })
 }
 

@@ -18,8 +18,7 @@ use cgra_arch::{CgraConfig, FaultEvent, FaultKind};
 use cgra_mapper::MapOptions;
 use cgra_obs::{check_trace, RingSink, TraceEvent, Tracer};
 use cgra_sim::{
-    simulate_multithreaded_faulty_traced, KernelLibrary, KernelProfile, MtConfig, Segment,
-    ThreadSpec,
+    simulate_multithreaded_faulty_traced, Compiled, KernelLibrary, MtConfig, Segment, ThreadSpec,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -37,13 +36,14 @@ fn capture() -> Vec<TraceEvent> {
     let tracer = Tracer::new(sink.clone());
 
     let cgra = CgraConfig::square(4);
-    let profile = KernelProfile::compile_traced(
+    let profile = Compiled::new(
         &cgra_dfg::kernels::fir(),
         &cgra,
         &MapOptions::default(),
         &tracer,
     )
-    .expect("fir compiles on the 4x4");
+    .expect("fir compiles on the 4x4")
+    .into_profile(&cgra);
     let lib = KernelLibrary {
         profiles: vec![profile],
         num_pages: cgra.layout().num_pages() as u16,

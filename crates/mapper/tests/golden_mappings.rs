@@ -14,16 +14,13 @@
 //! fabric with 4-PE pages. The full paper grid, with strict mode on three
 //! fabrics, is `#[ignore]`d: run it in release with `--include-ignored`.
 
-use cgra_arch::CgraConfig;
+use cgra_arch::{CgraConfig, PAPER_GRID};
 use cgra_dfg::graph::Dfg;
 use cgra_dfg::random::{random_dfg, RandomDfgParams};
 use cgra_mapper::{map_baseline, map_constrained, map_constrained_strict, MapOptions, MapResult};
 use cgra_mapper::{validate_mapping, MapError};
 use std::fmt::Write as _;
 use std::path::PathBuf;
-
-/// The paper's experimental grid: `(dimension, page sizes)` (§VII-A).
-const GRID: [(u16, &[usize]); 3] = [(4, &[2, 4, 8]), (6, &[2, 4, 9]), (8, &[2, 4, 8])];
 
 /// Fabrics that also run strict mode.
 const STRICT_FABRICS: [(u16, usize); 3] = [(4, 4), (6, 9), (8, 8)];
@@ -130,7 +127,7 @@ fn mappings_4x4_page4() {
 #[ignore = "full grid and strict mode: slow in debug; run in release with --include-ignored"]
 fn mappings_full_grid() {
     let mut out = String::new();
-    for (dim, sizes) in GRID {
+    for (dim, sizes) in PAPER_GRID {
         for &page_size in sizes {
             fabric_lines(&mut out, dim, page_size, &[BASELINE, CONSTRAINED]);
         }

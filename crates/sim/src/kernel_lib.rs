@@ -5,11 +5,20 @@
 //! profile: the baseline II, the paging-constrained II, the number of
 //! pages the schedule actually occupies, and the transformed II for every
 //! page budget on the halving chain.
+//!
+//! [`Compiled::new`] is the one compile stage. It builds every artifact
+//! of one kernel, in this order: the baseline and ring-constrained
+//! mappings, the trimmed page-level schedule, one shrink plan per
+//! halving-chain budget below the schedule's footprint (largest first),
+//! and the profile. [`Compiled::audit`] hands each artifact to the
+//! independent static analyzer: `cgra-lint` reports those audits, and
+//! debug builds assert them clean in [`Compiled::into_profile`].
 
+use cgra_analyze::{analyze_mapping, analyze_paged, analyze_plan, analyze_profile, Report};
 use cgra_arch::CgraConfig;
 use cgra_core::transform::{transform_traced, Strategy};
-use cgra_core::PagedSchedule;
-use cgra_mapper::{map_baseline_traced, map_constrained_traced, MapError, MapOptions};
+use cgra_core::{PagedSchedule, ShrinkPlan};
+use cgra_mapper::{map_baseline_traced, map_constrained_traced, MapError, MapOptions, MapResult};
 use cgra_obs::Tracer;
 use serde::{Deserialize, Serialize};
 
@@ -53,99 +62,7 @@ impl KernelProfile {
         cgra: &CgraConfig,
         opts: &MapOptions,
     ) -> Result<Self, MapError> {
-        Self::compile_traced(dfg, cgra, opts, &Tracer::off())
-    }
-
-    /// [`compile`](Self::compile) with both mapper searches and every
-    /// halving-chain transform emitted to `tracer`.
-    pub fn compile_traced(
-        dfg: &cgra_dfg::Dfg,
-        cgra: &CgraConfig,
-        opts: &MapOptions,
-        tracer: &Tracer,
-    ) -> Result<Self, MapError> {
-        let base = map_baseline_traced(dfg, cgra, opts, tracer)?;
-        let cons = map_constrained_traced(dfg, cgra, opts, tracer)?;
-        // Debug builds re-audit every artifact with the independent
-        // static analyzer; release builds trust the producing code.
-        #[cfg(debug_assertions)]
-        for r in [&base, &cons] {
-            let rep = cgra_analyze::analyze_mapping(&r.mdfg, cgra, &r.mapping, r.mode);
-            debug_assert!(
-                !rep.has_errors(),
-                "{} mapping ({:?}) failed analysis:\n{}",
-                dfg.name,
-                r.mode,
-                rep.render()
-            );
-        }
-        let paged = PagedSchedule::from_mapping(&cons, cgra)
-            .map_err(|e| MapError::Unmappable {
-                reason: e.to_string(),
-            })?
-            .trimmed();
-        #[cfg(debug_assertions)]
-        {
-            let rep = cgra_analyze::analyze_paged(&paged, cgra.rf().size());
-            debug_assert!(
-                !rep.has_errors(),
-                "{} paged schedule failed analysis:\n{}",
-                dfg.name,
-                rep.render()
-            );
-        }
-        let used = paged.num_pages;
-        let n = cgra.layout().num_pages() as u16;
-        let mut ii_by_pages = Vec::new();
-        for m in halving_chain(n) {
-            let ii_q = if m >= used {
-                // §VII-B.1: schedules not using the entire CGRA need no
-                // transformation for budgets covering their footprint.
-                cons.ii()
-            } else {
-                let plan = transform_traced(&paged, m, Strategy::Auto, tracer).map_err(|e| {
-                    MapError::Unmappable {
-                        reason: format!("transform to {m} pages: {e}"),
-                    }
-                })?;
-                #[cfg(debug_assertions)]
-                {
-                    let rep = cgra_analyze::analyze_plan(&paged, &plan);
-                    debug_assert!(
-                        !rep.has_errors(),
-                        "{} plan at M={m} failed analysis:\n{}",
-                        dfg.name,
-                        rep.render()
-                    );
-                }
-                plan.ii_q_ceil()
-            };
-            ii_by_pages.push((m, ii_q));
-        }
-        #[cfg(debug_assertions)]
-        {
-            let rep = cgra_analyze::analyze_profile(
-                &dfg.name,
-                base.ii(),
-                cons.ii(),
-                used,
-                &ii_by_pages,
-                n,
-            );
-            debug_assert!(
-                !rep.has_errors(),
-                "{} profile failed analysis:\n{}",
-                dfg.name,
-                rep.render()
-            );
-        }
-        Ok(KernelProfile {
-            name: dfg.name.clone(),
-            ii_baseline: base.ii(),
-            ii_constrained: cons.ii(),
-            used_pages: used,
-            ii_by_pages,
-        })
+        Ok(Compiled::new(dfg, cgra, opts, &Tracer::off())?.into_profile(cgra))
     }
 
     /// The smallest halving-chain budget that covers the kernel's
@@ -173,6 +90,128 @@ impl KernelProfile {
     }
 }
 
+/// Every artifact of one kernel's compilation for one fabric.
+#[derive(Debug, Clone)]
+pub struct Compiled {
+    /// The unconstrained mapping (the single-threaded baseline).
+    pub base: MapResult,
+    /// The paging-constrained mapping.
+    pub cons: MapResult,
+    /// The page-level schedule of `cons`, trimmed to the pages it uses.
+    pub paged: PagedSchedule,
+    /// One shrink plan per halving-chain budget `M < paged.num_pages`,
+    /// largest first. Budgets covering the footprint need no transform.
+    pub plans: Vec<ShrinkPlan>,
+    /// The profile assembled from the artifacts above.
+    pub profile: KernelProfile,
+}
+
+impl Compiled {
+    /// Compile `dfg` for `cgra`: both mapper searches and every
+    /// halving-chain transform, each emitted to `tracer`.
+    ///
+    /// # Errors
+    /// The mapper's [`MapError`] if either search fails;
+    /// [`MapError::Unmappable`] if the page-level schedule cannot be
+    /// extracted or a transform fails.
+    pub fn new(
+        dfg: &cgra_dfg::Dfg,
+        cgra: &CgraConfig,
+        opts: &MapOptions,
+        tracer: &Tracer,
+    ) -> Result<Self, MapError> {
+        let base = map_baseline_traced(dfg, cgra, opts, tracer)?;
+        let cons = map_constrained_traced(dfg, cgra, opts, tracer)?;
+        let paged = PagedSchedule::from_mapping(&cons, cgra)
+            .map_err(|e| MapError::Unmappable {
+                reason: e.to_string(),
+            })?
+            .trimmed();
+        let used = paged.num_pages;
+        let mut plans = Vec::new();
+        let mut ii_by_pages = Vec::new();
+        for m in halving_chain(cgra.layout().num_pages() as u16) {
+            let ii_q = if m >= used {
+                // §VII-B.1: schedules not using the entire CGRA need no
+                // transformation for budgets covering their footprint.
+                cons.ii()
+            } else {
+                let plan = transform_traced(&paged, m, Strategy::Auto, tracer).map_err(|e| {
+                    MapError::Unmappable {
+                        reason: format!("transform to {m} pages: {e}"),
+                    }
+                })?;
+                let ii_q = plan.ii_q_ceil();
+                plans.push(plan);
+                ii_q
+            };
+            ii_by_pages.push((m, ii_q));
+        }
+        let profile = KernelProfile {
+            name: dfg.name.clone(),
+            ii_baseline: base.ii(),
+            ii_constrained: cons.ii(),
+            used_pages: used,
+            ii_by_pages,
+        };
+        Ok(Compiled {
+            base,
+            cons,
+            paged,
+            plans,
+            profile,
+        })
+    }
+
+    /// The static analyzer's report on every artifact, labelled and in
+    /// compile order: `baseline-mapping`, `constrained-mapping`,
+    /// `paged-schedule`, `plan-m<M>` per shrink plan, `profile`.
+    pub fn audit(&self, cgra: &CgraConfig) -> Vec<(String, Report)> {
+        let mapping = |r: &MapResult| analyze_mapping(&r.mdfg, cgra, &r.mapping, r.mode);
+        let mut out = vec![
+            ("baseline-mapping".to_string(), mapping(&self.base)),
+            ("constrained-mapping".to_string(), mapping(&self.cons)),
+            (
+                "paged-schedule".to_string(),
+                analyze_paged(&self.paged, cgra.rf().size()),
+            ),
+        ];
+        for plan in &self.plans {
+            out.push((format!("plan-m{}", plan.m), analyze_plan(&self.paged, plan)));
+        }
+        let p = &self.profile;
+        out.push((
+            "profile".to_string(),
+            analyze_profile(
+                &p.name,
+                p.ii_baseline,
+                p.ii_constrained,
+                p.used_pages,
+                &p.ii_by_pages,
+                cgra.layout().num_pages() as u16,
+            ),
+        ));
+        out
+    }
+
+    /// The profile, all the runtime keeps. Debug builds first assert
+    /// that every [`audit`](Self::audit) report is free of errors;
+    /// release builds trust the producing code.
+    pub fn into_profile(self, cgra: &CgraConfig) -> KernelProfile {
+        #[cfg(debug_assertions)]
+        for (artifact, rep) in self.audit(cgra) {
+            debug_assert!(
+                !rep.has_errors(),
+                "{} {artifact} failed analysis:\n{}",
+                self.profile.name,
+                rep.render()
+            );
+        }
+        let _ = cgra;
+        self.profile
+    }
+}
+
 /// The compiled library: one profile per benchmark kernel.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelLibrary {
@@ -193,7 +232,7 @@ impl KernelLibrary {
     ) -> Result<Self, MapError> {
         let profiles = cgra_dfg::kernels::all()
             .iter()
-            .map(|k| KernelProfile::compile_traced(k, cgra, opts, tracer))
+            .map(|k| Compiled::new(k, cgra, opts, tracer).map(|c| c.into_profile(cgra)))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(KernelLibrary {
             profiles,

@@ -26,7 +26,6 @@
 
 pub mod alloc;
 pub mod baseline;
-pub mod entry;
 pub mod error;
 pub mod event;
 pub mod kernel_lib;
@@ -36,9 +35,8 @@ pub mod workload;
 
 pub use alloc::{Allocator, ExpandPolicy, Expansion, Growth, PageDeath, RequestOutcome};
 pub use baseline::simulate_baseline;
-pub use entry::{simulate_point, PointReport};
 pub use error::SimError;
-pub use kernel_lib::{halving_chain, KernelLibrary, KernelProfile};
+pub use kernel_lib::{halving_chain, Compiled, KernelLibrary, KernelProfile};
 pub use multithreaded::{
     simulate_multithreaded_faulty, simulate_multithreaded_faulty_traced, MtConfig,
 };

@@ -16,7 +16,7 @@
 //! paper grid is `#[ignore]`d: run it in release with
 //! `--include-ignored`.
 
-use cgra_arch::{CgraConfig, FaultKind, FaultSpec};
+use cgra_arch::{CgraConfig, FaultKind, FaultSpec, PAPER_GRID};
 use cgra_mapper::MapOptions;
 use cgra_obs::{check_trace, RingSink, TraceEvent, Tracer};
 use cgra_sim::{
@@ -27,9 +27,6 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
-
-/// The paper's experimental grid: `(dimension, page sizes)` (§VII-A).
-const GRID: [(u16, &[usize]); 3] = [(4, &[2, 4, 8]), (6, &[2, 4, 9]), (8, &[2, 4, 8])];
 
 /// Thread counts of Fig. 9.
 const THREADS: [usize; 5] = [1, 2, 4, 8, 16];
@@ -271,7 +268,7 @@ fn sim_4x4_page4() {
 #[ignore = "full paper grid: slow in debug; run in release with --include-ignored"]
 fn sim_full_grid() {
     let mut out = String::new();
-    for (dim, sizes) in GRID {
+    for (dim, sizes) in PAPER_GRID {
         for &page_size in sizes {
             fabric_lines(&mut out, dim, page_size);
         }

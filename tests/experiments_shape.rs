@@ -32,7 +32,7 @@ fn fig8_geomean(dim: u16, page_size: usize) -> f64 {
 /// Fig. 8 shape: constraint losses shrink as pages grow, on every fabric.
 #[test]
 fn fig8_larger_pages_lose_less() {
-    for &(dim, sizes) in &cgra_bench::GRID {
+    for &(dim, sizes) in &cgra_mt::arch::PAPER_GRID {
         let small = fig8_geomean(dim, sizes[0]);
         let large = fig8_geomean(dim, *sizes.last().unwrap());
         assert!(
