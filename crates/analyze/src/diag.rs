@@ -7,7 +7,7 @@
 //!   (MRT exclusivity, buses, functional units, dataflow shape).
 //! * `A1xx` — rotating-register live-range analysis.
 //! * `A2xx` — paging constraints (§VI-B): ring discipline, paged
-//!   dependences, shrink-plan legality, fold/mirror legality.
+//!   dependences, shrink-plan legality.
 //! * `A3xx` — degradation analysis of a [`DegradedPlan`] against a
 //!   [`FaultMap`], and recovery analysis (`A31x`) of a
 //!   [`RecoveryPlan`] re-expanding onto repaired pages.
@@ -15,6 +15,10 @@
 //!
 //! Codes are **stable**: external tooling may match on them, so a code
 //! is never renumbered or reused once released. New checks append.
+//!
+//! Retired, never reused: `A220`–`A225`, the Fig. 6 fold's own pass. A
+//! fold is now a mapping on the one-page fabric, so the `A0xx`/`A1xx`
+//! mapping checks cover it.
 //!
 //! [`Mapping`]: cgra_mapper::Mapping
 //! [`DegradedPlan`]: cgra_core::DegradedPlan
@@ -66,19 +70,6 @@ pub enum Code {
     A215PlanUnstableParking,
     /// A plan undershoots the §VI-C capacity bound.
     A216PlanBelowCapacity,
-    /// A folded op escaped the target page.
-    A220FoldOutsidePage,
-    /// Two folded steps collide on (PE, cycle mod II_q).
-    A221FoldSlotCollision,
-    /// A folded dataflow step's endpoints are neither equal nor adjacent.
-    A222FoldBrokenStep,
-    /// A folded dataflow step runs backwards in time.
-    A223FoldBackwardsStep,
-    /// A PE's rotating file overflows in the folded schedule.
-    A224FoldRfOverflow,
-    /// The fold's orientation vector disagrees with the Fig. 6 mirror
-    /// rule re-derived from the serpentine page walk.
-    A225OrientationPlanMismatch,
     /// A degraded plan column is backed by a dead or out-of-range page.
     A301OpOnDeadPage,
     /// The surviving pages backing the columns are not one contiguous
@@ -118,7 +109,7 @@ pub enum Code {
 impl Code {
     /// Every code, in ascending numeric order. The mutation suite
     /// asserts each one is produced by at least one operator.
-    pub const ALL: [Code; 37] = [
+    pub const ALL: [Code; 31] = [
         Code::A001PeSlotConflict,
         Code::A002BusOverflow,
         Code::A003MissingFu,
@@ -136,12 +127,6 @@ impl Code {
         Code::A214PlanDepColumns,
         Code::A215PlanUnstableParking,
         Code::A216PlanBelowCapacity,
-        Code::A220FoldOutsidePage,
-        Code::A221FoldSlotCollision,
-        Code::A222FoldBrokenStep,
-        Code::A223FoldBackwardsStep,
-        Code::A224FoldRfOverflow,
-        Code::A225OrientationPlanMismatch,
         Code::A301OpOnDeadPage,
         Code::A302ColumnsNotContiguous,
         Code::A303RemapNotBijective,
@@ -178,12 +163,6 @@ impl Code {
             Code::A214PlanDepColumns => "A214",
             Code::A215PlanUnstableParking => "A215",
             Code::A216PlanBelowCapacity => "A216",
-            Code::A220FoldOutsidePage => "A220",
-            Code::A221FoldSlotCollision => "A221",
-            Code::A222FoldBrokenStep => "A222",
-            Code::A223FoldBackwardsStep => "A223",
-            Code::A224FoldRfOverflow => "A224",
-            Code::A225OrientationPlanMismatch => "A225",
             Code::A301OpOnDeadPage => "A301",
             Code::A302ColumnsNotContiguous => "A302",
             Code::A303RemapNotBijective => "A303",

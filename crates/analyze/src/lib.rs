@@ -1,9 +1,9 @@
 //! `cgra-analyze` — whole-pipeline static schedule analyzer.
 //!
-//! Every artifact the pipeline produces — a modulo [`Mapping`], a
-//! page-level schedule, a §VI-C shrink plan, a degraded plan, a folded
-//! one-page schedule, or a cached kernel profile — can be handed to this
-//! crate and re-checked **from first principles** against the
+//! Every artifact the pipeline produces — a modulo [`Mapping`] (a Fig. 6
+//! fold is one), a page-level schedule, a §VI-C shrink plan, a degraded
+//! plan, or a cached kernel profile — can be handed to this crate and
+//! re-checked **from first principles** against the
 //! architecture and dataflow models, independent of the code that
 //! produced it. Findings are structured [`Diagnostic`]s with stable
 //! codes (`A001`…`A405`), a severity, a source span, and both JSON and
@@ -19,12 +19,11 @@
 //!
 //! * [`analyze_mapping`] — modulo-resource exclusivity, dataflow
 //!   legality, ring discipline, aggregate RF pressure, per-value
-//!   lifetime analysis (`A0xx`/`A1xx`/`A201`).
+//!   lifetime analysis (`A0xx`/`A1xx`/`A201`). A Fig. 6 fold is a
+//!   mapping on the one-page fabric and goes through this pass.
 //! * [`analyze_paged`] — §VI-B paging constraints on a page-level
 //!   schedule (`A202`/`A204`).
 //! * [`analyze_plan`] — §VI-C shrink-plan legality (`A21x`).
-//! * [`analyze_fold`] — Fig. 6 fold including D4 orientation legality
-//!   (`A22x`).
 //! * [`analyze_degraded`] — degradation legality against a fault map
 //!   (`A30x`).
 //! * [`analyze_recovery`] — post-repair re-expansion legality: repaired
@@ -47,7 +46,6 @@
 
 pub mod degrade;
 pub mod diag;
-pub mod fold;
 pub mod mapping;
 pub mod mutate;
 pub mod paged;
@@ -57,7 +55,6 @@ pub mod recovery;
 
 pub use degrade::analyze_degraded;
 pub use diag::{Code, Diagnostic, Report, Severity, Span};
-pub use fold::{analyze_fold, diagnostic_from_fold_violation};
 pub use mapping::{analyze_mapping, diagnostic_from_violation};
 pub use paged::analyze_paged;
 pub use plan::{analyze_plan, diagnostic_from_transform_violation};

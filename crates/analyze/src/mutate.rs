@@ -20,19 +20,19 @@
 #![allow(clippy::many_single_char_names, clippy::too_many_lines)]
 
 use cgra_arch::fault::splitmix64;
-use cgra_arch::{CgraConfig, FaultMap, PageHealth, PageId, PeCapability, PeId};
+use cgra_arch::{CgraConfig, FaultMap, PageHealth, PeCapability, PeId};
 use cgra_core::fold::fold_to_page;
 use cgra_core::transform::{transform_block, Strategy};
 use cgra_core::{
-    plan_recovery, transform_degraded, DegradedPlan, FoldedSchedule, PageDep, PagedSchedule,
-    RecoveryPlan, RepairedPage,
+    plan_recovery, transform_degraded, DegradedPlan, PageDep, PagedSchedule, RecoveryPlan,
+    RepairedPage,
 };
 use cgra_dfg::{kernels, DfgBuilder, OpKind};
 use cgra_mapper::{map_constrained, MapDfg, MapOptions, MapResult, Mapping, Placement};
 
 use crate::diag::{Code, Report};
 use crate::{
-    analyze_degraded, analyze_fold, analyze_mapping, analyze_paged, analyze_plan, analyze_profile,
+    analyze_degraded, analyze_mapping, analyze_paged, analyze_plan, analyze_profile,
     analyze_recovery,
 };
 
@@ -50,11 +50,11 @@ pub struct Artifacts {
     degraded: DegradedPlan,
     healed: FaultMap,
     recovery: RecoveryPlan,
-    cgra_rf32: CgraConfig,
-    fir32: MapResult,
-    folded: FoldedSchedule,
-    yuv32: MapResult,
-    folded_yuv: FoldedSchedule,
+    /// One page of the 4×4 fabric with 32 rotating registers per PE: the
+    /// fabric both folds run on.
+    page: CgraConfig,
+    folded: MapResult,
+    folded_yuv: MapResult,
 }
 
 impl Artifacts {
@@ -98,9 +98,9 @@ impl Artifacts {
 
         let cgra_rf32 = CgraConfig::square(4).with_rf_size(32);
         let fir32 = map_constrained(&kernels::fir(), &cgra_rf32, &opts).expect("fir maps rf32");
-        let folded = fold_to_page(&fir32, &cgra_rf32, PageId(0)).expect("fir folds");
+        let folded = fold_to_page(&fir32, &cgra_rf32).expect("fir folds");
         let yuv32 = map_constrained(&kernels::yuv2rgb(), &cgra_rf32, &opts).expect("yuv maps");
-        let folded_yuv = fold_to_page(&yuv32, &cgra_rf32, PageId(0)).expect("yuv folds");
+        let folded_yuv = fold_to_page(&yuv32, &cgra_rf32).expect("yuv folds");
 
         Artifacts {
             cgra,
@@ -114,10 +114,8 @@ impl Artifacts {
             degraded,
             healed,
             recovery,
-            cgra_rf32,
-            fir32,
+            page: cgra_rf32.page_fabric(),
             folded,
-            yuv32,
             folded_yuv,
         }
     }
@@ -130,8 +128,8 @@ impl Artifacts {
             .merge(analyze_paged(&self.p8, self.cgra.rf().size()))
             .merge(analyze_plan(&self.p8, &self.plan4))
             .merge(analyze_plan(&self.parked_p, &self.parked_plan))
-            .merge(analyze_fold(&self.fir32, &self.cgra_rf32, &self.folded))
-            .merge(analyze_fold(&self.yuv32, &self.cgra_rf32, &self.folded_yuv));
+            .merge(audit_fold(&self.folded, &self.page))
+            .merge(audit_fold(&self.folded_yuv, &self.page));
         let (b, c, u, t) = good_profile();
         rep = rep.merge(analyze_profile("fixture", b, c, u, &t, 4));
         rep.merge(analyze_degraded(&self.p8, &self.degraded, &self.faults))
@@ -553,40 +551,41 @@ fn lose_iterations(a: &Artifacts, s: &mut u64) -> Report {
     analyze_recovery(&a.p8, &r, &a.healed)
 }
 
-// --- A22x: fold mutants -------------------------------------------------
+// --- Fold mutants: a fold is a mapping on the one-page fabric -------------
+
+/// Analyze a fold (or a mutant of one) on `page`.
+fn audit_fold(folded: &MapResult, page: &CgraConfig) -> Report {
+    analyze_mapping(&folded.mdfg, page, &folded.mapping, folded.mode)
+}
 
 fn escape_target_page(a: &Artifacts, s: &mut u64) -> Report {
-    let layout = a.cgra_rf32.layout();
-    let mut folded = a.folded.clone();
-    let i = usize::try_from(splitmix64(s) % folded.ops.len() as u64).unwrap();
-    let off_page = layout
-        .pes_of(layout.next_page(folded.target))
-        .next()
-        .unwrap();
-    folded.ops[i].pe = off_page;
-    analyze_fold(&a.fir32, &a.cgra_rf32, &folded)
+    let mut m = a.folded.clone();
+    let i = usize::try_from(splitmix64(s) % m.mapping.placements.len() as u64).unwrap();
+    // The first PE id past the page: no PE of the page fabric.
+    m.mapping.placements[i].pe = PeId(a.page.num_pes() as u16);
+    audit_fold(&m, &a.page)
 }
 
 fn collide_folded_ops(a: &Artifacts, s: &mut u64) -> Report {
-    let mut folded = a.folded.clone();
-    let n = folded.ops.len();
+    let mut m = a.folded.clone();
+    let n = m.mapping.placements.len();
     let i = usize::try_from(splitmix64(s) % n as u64).unwrap();
     let j = (i + 1 + usize::try_from(splitmix64(s) % (n as u64 - 1)).unwrap()) % n;
-    folded.ops[j] = folded.ops[i];
-    analyze_fold(&a.fir32, &a.cgra_rf32, &folded)
+    m.mapping.placements[j] = m.mapping.placements[i];
+    audit_fold(&m, &a.page)
 }
 
 /// Direct single-fanout edges of the folded FIR: mutating their consumer
 /// op cannot be rescued by a sharing site or an intermediate hop.
-fn lone_direct_fold_edges(a: &Artifacts, need_zero_distance: bool) -> Vec<(usize, usize, usize)> {
-    let r = &a.fir32;
+fn lone_direct_fold_edges(a: &Artifacts, need_zero_distance: bool) -> Vec<(usize, usize)> {
+    let r = &a.folded;
     r.mdfg
         .dfg
         .edges()
         .enumerate()
         .filter(|(ei, e)| {
             !r.mdfg.is_mem_edge(*ei)
-                && a.folded.routes[*ei].is_empty()
+                && r.mapping.routes[*ei].is_empty()
                 && e.src != e.dst
                 && (!need_zero_distance || e.distance == 0)
                 && r.mdfg
@@ -596,54 +595,38 @@ fn lone_direct_fold_edges(a: &Artifacts, need_zero_distance: bool) -> Vec<(usize
                     .count()
                     == 1
         })
-        .map(|(ei, e)| (ei, e.src.index(), e.dst.index()))
+        .map(|(_, e)| (e.src.index(), e.dst.index()))
         .collect()
 }
 
 fn stretch_fold_step(a: &Artifacts, s: &mut u64) -> Report {
-    let layout = a.cgra_rf32.layout();
-    let mesh = a.cgra_rf32.mesh();
+    let mesh = a.page.mesh();
     let cands = lone_direct_fold_edges(a, false);
-    let &(_, src, dst) = pick(s, &cands, "stretch-fold-step");
-    let mut folded = a.folded.clone();
-    let from_pe = folded.ops[src].pe;
-    // The far corner of the target page: in-page (no A220) but not
+    let &(src, dst) = pick(s, &cands, "stretch-fold-step");
+    let mut m = a.folded.clone();
+    let from_pe = m.mapping.placements[src].pe;
+    // The far corner of the page: on the fabric (no A004) but not
     // adjacent to the producer.
-    let far = layout
-        .pes_of(folded.target)
+    let far = mesh
+        .pes()
         .find(|&pe| pe != from_pe && !mesh.adjacent(from_pe, pe))
         .expect("a 2x2 page has a non-adjacent corner");
-    folded.ops[dst].pe = far;
-    analyze_fold(&a.fir32, &a.cgra_rf32, &folded)
+    m.mapping.placements[dst].pe = far;
+    audit_fold(&m, &a.page)
 }
 
 fn reverse_fold_step(a: &Artifacts, s: &mut u64) -> Report {
     let cands = lone_direct_fold_edges(a, true);
-    let &(_, src, dst) = pick(s, &cands, "reverse-fold-step");
-    let mut folded = a.folded.clone();
-    folded.ops[dst].time = folded.ops[src].time;
-    analyze_fold(&a.fir32, &a.cgra_rf32, &folded)
+    let &(src, dst) = pick(s, &cands, "reverse-fold-step");
+    let mut m = a.folded.clone();
+    m.mapping.placements[dst].time = m.mapping.placements[src].time;
+    audit_fold(&m, &a.page)
 }
 
 fn shrink_rotating_file(a: &Artifacts, _s: &mut u64) -> Report {
-    // The fold is unchanged; the fabric it claims to run on shrinks to
-    // a single rotating register per PE.
-    let tiny = CgraConfig::square(4).with_rf_size(1);
-    analyze_fold(&a.yuv32, &tiny, &a.folded_yuv)
-}
-
-fn flip_orientation(a: &Artifacts, s: &mut u64) -> Report {
-    let mut folded = a.folded.clone();
-    let n = folded.orientations.len();
-    // Never page 0 (identity is correct there by construction, so flip
-    // a later page).
-    let i = 1 + usize::try_from(splitmix64(s) % (n as u64 - 1)).unwrap();
-    folded.orientations[i] = if folded.orientations[i] == cgra_arch::Orientation::Identity {
-        cgra_arch::Orientation::Rot180
-    } else {
-        cgra_arch::Orientation::Identity
-    };
-    analyze_fold(&a.fir32, &a.cgra_rf32, &folded)
+    // The fold is unchanged; the page it claims to run on shrinks to a
+    // single rotating register per PE.
+    audit_fold(&a.folded_yuv, &a.page.clone().with_rf_size(1))
 }
 
 // --- A40x: profile mutants ----------------------------------------------
@@ -680,12 +663,11 @@ pub fn operators() -> Vec<Operator> {
         A101RfPressure, A102LifetimeExceedsRotation, A201RingStepViolation, A202DepOverparked,
         A204PagedDepNotRing, A210PlanMissingCell, A211PlanBadColumn, A212PlanSlotCollision,
         A213PlanDepTiming, A214PlanDepColumns, A215PlanUnstableParking, A216PlanBelowCapacity,
-        A220FoldOutsidePage, A221FoldSlotCollision, A222FoldBrokenStep, A223FoldBackwardsStep,
-        A224FoldRfOverflow, A225OrientationPlanMismatch, A301OpOnDeadPage,
-        A302ColumnsNotContiguous, A303RemapNotBijective, A304DegradedShapeMismatch,
-        A305FaultBookkeeping, A306ColumnOnDegradedPage, A310RecoveryOnUnrepairedPage,
-        A311QuarantineViolated, A312IterationLoss, A401ProfileBadIi, A402ProfileConstraintInverted,
-        A403ProfileOffChain, A404ProfileNotMonotone, A405ProfileUsedPagesOutOfRange,
+        A301OpOnDeadPage, A302ColumnsNotContiguous, A303RemapNotBijective,
+        A304DegradedShapeMismatch, A305FaultBookkeeping, A306ColumnOnDegradedPage,
+        A310RecoveryOnUnrepairedPage, A311QuarantineViolated, A312IterationLoss, A401ProfileBadIi,
+        A402ProfileConstraintInverted, A403ProfileOffChain, A404ProfileNotMonotone,
+        A405ProfileUsedPagesOutOfRange,
     };
     vec![
         Operator {
@@ -825,33 +807,28 @@ pub fn operators() -> Vec<Operator> {
         },
         Operator {
             name: "escape-target-page",
-            expected: A220FoldOutsidePage,
+            expected: A004ShapeMismatch,
             run: escape_target_page,
         },
         Operator {
             name: "collide-folded-ops",
-            expected: A221FoldSlotCollision,
+            expected: A001PeSlotConflict,
             run: collide_folded_ops,
         },
         Operator {
             name: "stretch-fold-step",
-            expected: A222FoldBrokenStep,
+            expected: A005BadDataflow,
             run: stretch_fold_step,
         },
         Operator {
             name: "reverse-fold-step",
-            expected: A223FoldBackwardsStep,
+            expected: A005BadDataflow,
             run: reverse_fold_step,
         },
         Operator {
             name: "shrink-rotating-file",
-            expected: A224FoldRfOverflow,
+            expected: A101RfPressure,
             run: shrink_rotating_file,
-        },
-        Operator {
-            name: "flip-orientation",
-            expected: A225OrientationPlanMismatch,
-            run: flip_orientation,
         },
         Operator {
             name: "zero-ii",

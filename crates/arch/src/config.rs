@@ -162,6 +162,20 @@ impl CgraConfig {
     pub fn num_pes(&self) -> usize {
         self.mesh.num_pes()
     }
+
+    /// One page of this fabric as a fabric of its own: a mesh of the
+    /// page's shape holding a single page, with this fabric's PE
+    /// capability, rotating file and row buses. A shrink to one page
+    /// (Fig. 6) is a mapping on it.
+    pub fn page_fabric(&self) -> CgraConfig {
+        let shape = self.layout.shape();
+        let mesh = Mesh::new(shape.h, shape.w);
+        CgraConfig {
+            mesh,
+            layout: PageLayout::new(mesh, shape).expect("a page tiles itself"),
+            ..self.clone()
+        }
+    }
 }
 
 #[cfg(test)]
@@ -229,6 +243,19 @@ mod tests {
             .collect();
         assert_eq!(grid.len(), 9);
         assert!(grid.iter().all(|c| c.layout().ring_path_is_physical()));
+    }
+
+    #[test]
+    fn page_fabric_is_one_page_with_the_same_pes() {
+        let c = fabric(8, 8).unwrap().with_rf_size(20);
+        let p = c.page_fabric();
+        assert_eq!((p.mesh().rows(), p.mesh().cols()), (2, 4));
+        assert_eq!(p.layout().num_pages(), 1);
+        assert_eq!(p.layout().shape(), c.layout().shape());
+        assert_eq!(
+            (p.rf(), p.capability(), p.mem()),
+            (c.rf(), c.capability(), c.mem())
+        );
     }
 
     #[test]

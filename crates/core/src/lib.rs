@@ -23,7 +23,8 @@
 //!   quarantine/iteration bookkeeping the analyzer audits (codes
 //!   A310–A312).
 //! * [`fold`] — the PE-level shrink-to-one-page of Fig. 6, with
-//!   intra-page mirroring and rotating-register pressure checks.
+//!   intra-page mirroring: a mapping on the one-page fabric, which the
+//!   mapper's validator checks like any other.
 //!
 //! ```
 //! use cgra_arch::CgraConfig;
@@ -52,7 +53,7 @@ pub mod transform;
 pub mod validate;
 
 pub use degrade::{transform_degraded, DegradedPlan};
-pub use fold::{fold_to_page, validate_fold, FoldedSchedule};
+pub use fold::fold_to_page;
 pub use paged::{Discipline, PageDep, PagedSchedule};
 pub use pagemaster::transform_pagemaster;
 pub use recovery::{plan_recovery, RecoveryPlan, RepairedPage};

@@ -1,6 +1,6 @@
 //! # cgra-exec — functional execution of CGRA schedules
 //!
-//! Structural validators (crate `cgra-mapper`, `cgra-core`) check that
+//! Structural validators (crates `cgra-mapper`, `cgra-core`) check that
 //! schedules *could* move values correctly; this crate checks that they
 //! *do*: it runs schedules with concrete values and compares against a
 //! golden dataflow interpretation.
@@ -8,9 +8,10 @@
 //! * [`semantics`] — concrete, operand-order-sensitive op semantics.
 //! * [`interp`] — the golden reference: direct DFG interpretation over
 //!   input streams.
-//! * [`machine`] — cycle-level execution of a mapped or PageMaster-folded
-//!   schedule: values only exist where and when their producing steps
-//!   published them; every read asserts physical presence.
+//! * [`machine`] — cycle-level execution of a mapped schedule, a
+//!   PageMaster fold onto one page included (it is a mapping on the
+//!   one-page fabric): values only exist where and when their producing
+//!   steps published them; every read asserts physical presence.
 //! * [`error`] — the shared [`ExecError`] both paths report instead of
 //!   panicking, so a bad schedule or truncated input stream stays a
 //!   value the caller can route.

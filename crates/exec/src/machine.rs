@@ -1,4 +1,4 @@
-//! Cycle-level machine execution of a mapped (or folded) schedule.
+//! Cycle-level machine execution of a mapped schedule.
 //!
 //! Events — every op instance and every routing-hop instance — execute in
 //! strict time order against a store of *published* values: a value
@@ -13,7 +13,6 @@ use crate::error::ExecError;
 use crate::interp::{InputStreams, Outputs};
 use crate::semantics::{const_value, eval, Word};
 use cgra_arch::topology::{Mesh, PeId};
-use cgra_core::FoldedSchedule;
 use cgra_dfg::graph::OpKind;
 use cgra_mapper::{MapDfg, Mapping};
 use std::collections::HashMap;
@@ -40,19 +39,6 @@ impl MachineSchedule {
                 .routes
                 .iter()
                 .map(|hops| hops.iter().map(|h| (h.pe, h.time as u64)).collect())
-                .collect(),
-        }
-    }
-
-    /// View a PageMaster fold.
-    pub fn from_fold(f: &FoldedSchedule) -> Self {
-        MachineSchedule {
-            ii: f.ii_q,
-            placements: f.ops.iter().map(|o| (o.pe, o.time)).collect(),
-            routes: f
-                .routes
-                .iter()
-                .map(|hops| hops.iter().map(|o| (o.pe, o.time)).collect())
                 .collect(),
         }
     }
@@ -347,11 +333,12 @@ mod tests {
         for name in ["mpeg2", "laplace", "sor", "compress"] {
             let kernel = cgra_dfg::kernels::by_name(name).unwrap();
             let mapped = map_constrained(&kernel, &cgra, &MapOptions::default()).unwrap();
-            let folded = cgra_core::fold_to_page(&mapped, &cgra, cgra_arch::PageId(0)).unwrap();
+            let folded = cgra_core::fold_to_page(&mapped, &cgra).unwrap();
             let inputs = InputStreams::random(&kernel, ITERS, 0xF01D);
             let golden = interpret(&kernel, &inputs, ITERS).unwrap();
-            let sched = MachineSchedule::from_fold(&folded);
-            let out = execute(&mapped.mdfg, cgra.mesh(), &sched, &inputs, ITERS)
+            let sched = MachineSchedule::from_mapping(&folded.mapping);
+            let page = cgra.page_fabric().mesh();
+            let out = execute(&folded.mdfg, page, &sched, &inputs, ITERS)
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
             for (store, values) in &golden {
                 assert_eq!(out.get(store), Some(values), "{name}: store n{store}");

@@ -225,6 +225,20 @@ pub fn validate_mapping(
         });
         return violations;
     }
+    // A PE outside the mesh has no MRT row, position or neighbours.
+    let off_mesh = mapping
+        .placements
+        .iter()
+        .map(|p| p.pe)
+        .chain(mapping.routes.iter().flatten().map(|h| h.pe))
+        .find(|pe| pe.index() >= mesh.num_pes());
+    if let Some(pe) = off_mesh {
+        violations.push(Violation::BadEdge {
+            edge: usize::MAX,
+            reason: format!("{pe} is outside the {}x{} mesh", mesh.rows(), mesh.cols()),
+        });
+        return violations;
+    }
 
     // --- Resource reservations: rebuild the MRT from scratch. ---
     let mut mrt = Mrt::new(mesh, ii, cgra.mem().buses_per_row());
@@ -493,6 +507,31 @@ mod tests {
         let mapping = place(&[(0, 0), (5, 1)], 1, 1);
         let v = validate_mapping(&m, &cgra(), &mapping, MapMode::Baseline);
         assert!(matches!(v[0], Violation::BadEdge { .. }));
+    }
+
+    #[test]
+    fn off_mesh_pe_is_a_shape_error() {
+        // PE16 is one past the 4x4 mesh: a placement there, or a hop.
+        let m = two_op_kernel();
+        let placed = place(&[(0, 0), (16, 1)], 2, 1);
+        let mut routed = place(&[(0, 0), (1, 1)], 2, 1);
+        routed.routes[0].push(RouteHop {
+            pe: PeId(16),
+            time: 0,
+        });
+        for mapping in [&placed, &routed] {
+            let v = validate_mapping(&m, &cgra(), mapping, MapMode::Constrained);
+            assert!(
+                matches!(
+                    &v[..],
+                    [Violation::BadEdge {
+                        edge: usize::MAX,
+                        ..
+                    }]
+                ),
+                "{v:?}"
+            );
+        }
     }
 
     #[test]

@@ -24,10 +24,11 @@ fn main() {
 
         let base = map_baseline(&kernel, &cgra, &opts).expect("baseline maps");
         let cons = map_constrained(&kernel, &cgra, &opts).expect("constrained maps");
-        let folded = fold_to_page(&cons, &cgra, PageId(0)).expect("folds");
+        let folded = fold_to_page(&cons, &cgra).expect("folds");
 
-        let run = |mdfg: &cgra_mt::mapper::MapDfg, sched: MachineSchedule| -> bool {
-            match execute(mdfg, cgra.mesh(), &sched, &inputs, iters) {
+        let run = |r: &MapResult, mesh: Mesh| -> bool {
+            let sched = MachineSchedule::from_mapping(&r.mapping);
+            match execute(&r.mdfg, mesh, &sched, &inputs, iters) {
                 Ok(out) => golden
                     .iter()
                     .all(|(store, values)| out.get(store) == Some(values)),
@@ -37,9 +38,9 @@ fn main() {
                 }
             }
         };
-        let ok_base = run(&base.mdfg, MachineSchedule::from_mapping(&base.mapping));
-        let ok_cons = run(&cons.mdfg, MachineSchedule::from_mapping(&cons.mapping));
-        let ok_fold = run(&cons.mdfg, MachineSchedule::from_fold(&folded));
+        let ok_base = run(&base, cgra.mesh());
+        let ok_cons = run(&cons, cgra.mesh());
+        let ok_fold = run(&folded, cgra.page_fabric().mesh());
 
         println!(
             "{:>8}   {:>5}  {:>13}  {:>8}  {:>11}  {:>6}",

@@ -60,16 +60,16 @@ pub use cgra_sim as sim;
 /// The commonly-used surface in one import.
 pub mod prelude {
     pub use cgra_analyze::{
-        analyze_degraded, analyze_fold, analyze_mapping, analyze_paged, analyze_plan,
-        analyze_profile, Code, Diagnostic, Report, Severity, Span,
+        analyze_degraded, analyze_mapping, analyze_paged, analyze_plan, analyze_profile, Code,
+        Diagnostic, Report, Severity, Span,
     };
     pub use cgra_arch::{
         CgraConfig, FaultKind, FaultMap, FaultSpec, Mesh, Orientation, PageHealth, PageId, PeId,
     };
     pub use cgra_core::transform::{transform, Strategy};
     pub use cgra_core::{
-        fold_to_page, transform_block, transform_degraded, transform_pagemaster, validate_fold,
-        validate_plan, DegradedPlan, PagedSchedule, ShrinkPlan,
+        fold_to_page, transform_block, transform_degraded, transform_pagemaster, validate_plan,
+        DegradedPlan, PagedSchedule, ShrinkPlan,
     };
     pub use cgra_dfg::{Dfg, DfgBuilder, OpKind};
     pub use cgra_exec::{execute, interpret, ExecError, InputStreams, MachineSchedule};

@@ -14,7 +14,9 @@
 
 use cgra_bench::lint::{lint, LintFinding};
 use std::fmt::Write as _;
-use std::path::PathBuf;
+
+mod common;
+use common::check_golden;
 
 fn snapshot(findings: &[LintFinding]) -> String {
     let mut out = String::new();
@@ -29,27 +31,6 @@ fn snapshot(findings: &[LintFinding]) -> String {
         );
     }
     out
-}
-
-fn check_golden(name: &str, actual: &str) {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); regenerate with UPDATE_GOLDEN=1",
-            path.display()
-        )
-    });
-    assert_eq!(
-        actual, expected,
-        "snapshot {name} diverged; if intentional, rerun with UPDATE_GOLDEN=1"
-    );
 }
 
 #[test]

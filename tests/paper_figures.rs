@@ -55,8 +55,9 @@ fn fig6_fold_with_mirrors() {
         ]
     );
     let mapped = map_constrained(&kernels::sor(), &cgra, &MapOptions::default()).unwrap();
-    let folded = fold_to_page(&mapped, &cgra, PageId(0)).unwrap();
-    assert!(validate_fold(&mapped, &cgra, &folded).is_empty());
+    let folded = fold_to_page(&mapped, &cgra).unwrap();
+    let page = cgra.page_fabric();
+    assert!(validate_mapping(&folded.mdfg, &page, &folded.mapping, folded.mode).is_empty());
 }
 
 /// Fig. 7: transforming a 6-page ring schedule onto 5 columns packs

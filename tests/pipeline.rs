@@ -61,14 +61,28 @@ fn shrink_then_expand_recovers_full_rate() {
 
 #[test]
 fn fold_to_each_page_of_a_6x6() {
+    // The fold is a mapping on one page; moved onto any page of the 6x6
+    // it is still a legal mapping of the whole fabric.
     let cgra = CgraConfig::square(6).with_rf_size(48);
     let kernel = cgra_mt::dfg::kernels::mpeg2();
     let mapped = map_constrained(&kernel, &cgra, &MapOptions::default()).unwrap();
-    for target in 0..cgra.layout().num_pages() as u16 {
-        let folded = fold_to_page(&mapped, &cgra, PageId(target)).unwrap();
-        let v = validate_fold(&mapped, &cgra, &folded);
-        assert!(v.is_empty(), "target {target}: {v:?}");
-        assert_eq!(folded.ii_q, 9 * mapped.ii() as u64);
+    let folded = fold_to_page(&mapped, &cgra).unwrap();
+    assert_eq!(folded.ii(), 9 * mapped.ii());
+    let page = cgra.page_fabric();
+    let v = validate_mapping(&folded.mdfg, &page, &folded.mapping, folded.mode);
+    assert!(v.is_empty(), "{v:?}");
+    let layout = cgra.layout();
+    for target in layout.pages() {
+        let onto = |pe: PeId| layout.pe_at(target, page.mesh().pos(pe), Orientation::Identity);
+        let mut moved = folded.mapping.clone();
+        for p in &mut moved.placements {
+            p.pe = onto(p.pe);
+        }
+        for h in moved.routes.iter_mut().flatten() {
+            h.pe = onto(h.pe);
+        }
+        let v = validate_mapping(&folded.mdfg, &cgra, &moved, folded.mode);
+        assert!(v.is_empty(), "{target}: {v:?}");
     }
 }
 
