@@ -6,8 +6,8 @@
 //! kernel profile) plus a one-dead-page degradation with
 //! `cgra-analyze`. A kernel that fails to compile is named on stderr
 //! and skipped. Exits 1 if any artifact carries an error diagnostic,
-//! 2 on a bad flag (including a `--dim`/`--page` pair that names no
-//! fabric).
+//! 2 on a bad or unknown flag (including a `--dim`/`--page` pair that
+//! names no fabric).
 //!
 //! Usage: `cargo run -p cgra-bench --bin cgra-lint --release [-- FLAGS]`
 //!
@@ -35,6 +35,12 @@ fn arg_value<T: FromStr>(args: &[String], flag: &str) -> Option<T> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    cgra_bench::reject_unknown_flags(
+        "cgra-lint",
+        &args,
+        &["--grid", "--json"],
+        &["--dim", "--page"],
+    );
     let dim = arg_value(&args, "--dim").unwrap_or(4);
     let page = arg_value(&args, "--page").unwrap_or(4);
     let grid = args.iter().any(|a| a == "--grid");

@@ -15,6 +15,8 @@
 //!                 (disk-cache hits emit nothing; pair with --no-cache
 //!                 to trace every compilation once)
 //!   --metrics     print event counters after the sweep
+//!
+//! Any other argument exits 2, naming it.
 
 use cgra_bench::engine::{Engine, EngineConfig};
 use cgra_bench::fig8;
@@ -23,6 +25,12 @@ use cgra_bench::obsflags::ObsFlags;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    cgra_bench::reject_unknown_flags(
+        "fig8",
+        &args,
+        &["--csv", "--strict", "--no-cache", "--metrics"],
+        &["--jobs", "-j", "--trace"],
+    );
     let cfg = EngineConfig::from_args(&args).unwrap_or_else(|e| {
         eprintln!("fig8: {e}");
         std::process::exit(2);

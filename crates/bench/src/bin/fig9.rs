@@ -26,6 +26,8 @@
 //!   --trace PATH          append every mapper/transform/simulator event
 //!                         to PATH as JSONL (replayable by trace_oracle)
 //!   --metrics             print event counters and cycle histograms
+//!
+//! Any other argument exits 2, naming it.
 
 use cgra_arch::{FaultSpec, PAPER_GRID};
 use cgra_bench::engine::{Engine, EngineConfig};
@@ -36,6 +38,19 @@ use cgra_sim::CgraNeed;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    cgra_bench::reject_unknown_flags(
+        "fig9",
+        &args,
+        &[
+            "--csv",
+            "--ablation-overhead",
+            "--ablation-policy",
+            "--smoke",
+            "--no-cache",
+            "--metrics",
+        ],
+        &["--faults", "--jobs", "-j", "--trace"],
+    );
     let cfg = EngineConfig::from_args(&args).unwrap_or_else(|e| {
         eprintln!("fig9: {e}");
         std::process::exit(2);

@@ -42,6 +42,25 @@ pub(crate) fn grid_fabric(dim: u16, page_size: usize) -> CgraConfig {
     cgra_arch::fabric(dim, page_size).unwrap_or_else(|e| panic!("{e}"))
 }
 
+/// Exit 2 naming the first of `args` that is none of `bin`'s flags:
+/// `switches` stand alone, and each flag in `valued` takes the argument
+/// after it as its value.
+pub fn reject_unknown_flags(bin: &str, args: &[String], switches: &[&str], valued: &[&str]) {
+    let mut it = args.iter().map(String::as_str);
+    while let Some(arg) = it.next() {
+        if valued.contains(&arg) {
+            it.next();
+        } else if !switches.contains(&arg) {
+            let known: Vec<&str> = switches.iter().chain(valued).copied().collect();
+            eprintln!(
+                "{bin}: unknown flag {arg:?}; expected one of {}",
+                known.join(" ")
+            );
+            std::process::exit(2);
+        }
+    }
+}
+
 /// Thread counts of Fig. 9.
 pub const THREAD_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];
 

@@ -1,6 +1,7 @@
-//! The `fig9` binary rejects a targeted fault on a page its curve's
-//! fabric does not have with exit status 2, instead of running a curve
-//! in which the fault strikes nothing.
+//! The figure binaries reject bad input with exit status 2 instead of
+//! running something other than what was asked: `fig9` a targeted fault
+//! on a page its curve's fabric does not have, and every binary a flag
+//! it does not know.
 
 use std::process::Command;
 
@@ -18,4 +19,31 @@ fn fault_on_a_missing_page_exits_2_naming_the_clause_and_page_count() {
         "must name the page count: {stderr}"
     );
     assert!(out.stdout.is_empty(), "no curve may be printed");
+}
+
+#[test]
+fn unknown_flags_exit_2_naming_the_flag() {
+    for (bin, args, bad) in [
+        (
+            env!("CARGO_BIN_EXE_fig9"),
+            &["--smoke", "--fault", "mtbf=20000,count=4", "-j", "2"][..],
+            "--fault",
+        ),
+        (
+            env!("CARGO_BIN_EXE_cgra-lint"),
+            &["--pages", "2"][..],
+            "--pages",
+        ),
+        (env!("CARGO_BIN_EXE_fig8"), &["--stirct"][..], "--stirct"),
+        (env!("CARGO_BIN_EXE_report"), &["--smoke"][..], "--smoke"),
+    ] {
+        let out = Command::new(bin).args(args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag \"{bad}\"")),
+            "{bin} must name {bad}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{bin} {args:?} printed output");
+    }
 }
