@@ -47,13 +47,6 @@ pub struct DegradedPlan {
     pub degraded_pages: Vec<u16>,
 }
 
-impl DegradedPlan {
-    /// The physical page executing plan column `col`.
-    pub fn physical_page(&self, col: u16) -> u16 {
-        self.column_pages[col as usize]
-    }
-}
-
 /// Shrink `p` onto the surviving pages of `faults`, using at most
 /// `budget` columns.
 ///

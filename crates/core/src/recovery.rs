@@ -66,11 +66,6 @@ pub struct RecoveryPlan {
 }
 
 impl RecoveryPlan {
-    /// The physical page executing plan column `col`.
-    pub fn physical_page(&self, col: u16) -> u16 {
-        self.column_pages[col as usize]
-    }
-
     /// Whether the thread is back to the full ring of its source
     /// schedule (`m` recovered columns out of `m` original pages).
     pub fn is_full_ring(&self, p: &PagedSchedule) -> bool {
