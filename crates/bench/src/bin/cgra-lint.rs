@@ -4,10 +4,10 @@
 //! figures' profiles, and analyzes each artifact it built (baseline +
 //! constrained mappings, paged schedule, halving-chain shrink plans,
 //! kernel profile) plus a one-dead-page degradation with
-//! `cgra-analyze`. A kernel that fails to compile is named on stderr
-//! and skipped. Exits 1 if any artifact carries an error diagnostic,
-//! 2 on a bad or unknown flag (including a `--dim`/`--page` pair that
-//! names no fabric).
+//! `cgra-analyze`. Exits 1 if any artifact carries an error diagnostic,
+//! or if a kernel fails to compile or to degrade (naming the fabric, the
+//! kernel and the error on stderr); 2 on a bad or unknown flag
+//! (including a `--dim`/`--page` pair that names no fabric).
 //!
 //! Usage: `cargo run -p cgra-bench --bin cgra-lint --release [-- FLAGS]`
 //!
@@ -18,7 +18,7 @@
 //!   --json     emit the findings as one JSON document
 
 use cgra_arch::FabricError;
-use cgra_bench::lint;
+use cgra_bench::lint::{self, LintError};
 use std::str::FromStr;
 
 fn arg_value<T: FromStr>(args: &[String], flag: &str) -> Option<T> {
@@ -45,13 +45,19 @@ fn main() {
     let page = arg_value(&args, "--page").unwrap_or(4);
     let grid = args.iter().any(|a| a == "--grid");
 
-    let findings = lint::lint(dim, page, grid).unwrap_or_else(|e| {
-        let flag = match e {
-            FabricError::Dim(_) => "--dim",
-            FabricError::PageSize(..) => "--page",
-        };
-        eprintln!("cgra-lint: {flag}: {e}");
-        std::process::exit(2);
+    let findings = lint::lint(dim, page, grid).unwrap_or_else(|e| match e {
+        LintError::Fabric(e) => {
+            let flag = match e {
+                FabricError::Dim(_) => "--dim",
+                FabricError::PageSize(..) => "--page",
+            };
+            eprintln!("cgra-lint: {flag}: {e}");
+            std::process::exit(2);
+        }
+        LintError::Kernel { .. } => {
+            eprintln!("cgra-lint: {e}");
+            std::process::exit(1);
+        }
     });
     let (text, errors) = lint::render(&findings);
     if args.iter().any(|a| a == "--json") {

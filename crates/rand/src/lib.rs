@@ -41,6 +41,17 @@ pub trait SampleUniform: Sized {
     fn sample_range<R: RngCore + ?Sized>(lo: Self, hi: Self, inclusive: bool, rng: &mut R) -> Self;
 }
 
+/// `x % span`. A span that fits in a `u64` — every range but a full
+/// 64-bit one — takes a 64-bit remainder, which is cheaper than the
+/// 128-bit one and gives the same value.
+#[inline]
+fn reduce(x: u64, span: u128) -> u128 {
+    match u64::try_from(span) {
+        Ok(span) => (x % span) as u128,
+        Err(_) => x as u128 % span,
+    }
+}
+
 macro_rules! impl_sample_uniform_int {
     ($($t:ty),*) => {$(
         impl SampleUniform for $t {
@@ -53,7 +64,7 @@ macro_rules! impl_sample_uniform_int {
                 let empty = if inclusive { lo > hi } else { lo >= hi };
                 assert!(!empty, "cannot sample empty range");
                 let span = (hi as i128 - lo as i128) as u128 + inclusive as u128;
-                let v = (rng.next_u64() as u128) % span;
+                let v = reduce(rng.next_u64(), span);
                 (lo as i128 + v as i128) as $t
             }
         }
@@ -212,6 +223,27 @@ mod tests {
             assert!((2..=5).contains(&u));
             let f: f64 = rng.gen_range(0.5..1.5);
             assert!((0.5..1.5).contains(&f));
+        }
+    }
+
+    /// The 64-bit remainder equals the 128-bit one, and a full 64-bit
+    /// range still takes the wide path.
+    #[test]
+    fn reduce_matches_wide_remainder() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let spans = [1u128, 3, u64::MAX as u128, 1 << 64];
+        for _ in 0..1000 {
+            let x = rng.next_u64();
+            let span = rng.next_u64() as u128 % 1000 + 1;
+            for span in spans.into_iter().chain([span]) {
+                assert_eq!(super::reduce(x, span), (x as u128) % span, "{x} % {span}");
+            }
+        }
+        assert_eq!(super::reduce(u64::MAX, 1 << 64), u64::MAX as u128);
+        let mut a = StdRng::seed_from_u64(5);
+        let mut b = a.clone();
+        for _ in 0..100 {
+            assert_eq!(a.gen_range(0..=u64::MAX), b.next_u64());
         }
     }
 
