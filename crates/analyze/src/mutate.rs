@@ -418,6 +418,15 @@ fn remove_plan_cell(a: &Artifacts, _s: &mut u64) -> Report {
     analyze_plan(&a.p8, &plan)
 }
 
+fn drop_period_row(a: &Artifacts, _s: &mut u64) -> Report {
+    // Unroll the block plan to period 2, then lose the second row: the
+    // plan still claims two rows per period but holds one.
+    let mut plan = a.plan4.clone();
+    plan.period = 2;
+    plan.span *= 2;
+    analyze_plan(&a.p8, &plan)
+}
+
 fn column_out_of_range(a: &Artifacts, _s: &mut u64) -> Report {
     let mut plan = a.plan4.clone();
     plan.cell_mut(0, 1, 0).unwrap().col = plan.m + 3;
@@ -729,6 +738,11 @@ pub fn operators() -> Vec<Operator> {
             name: "remove-plan-cell",
             expected: A210PlanMissingCell,
             run: remove_plan_cell,
+        },
+        Operator {
+            name: "drop-period-row",
+            expected: A210PlanMissingCell,
+            run: drop_period_row,
         },
         Operator {
             name: "column-out-of-range",

@@ -106,6 +106,22 @@ mod tests {
     }
 
     #[test]
+    fn malformed_period_reports_a210() {
+        let p = PagedSchedule::synthetic_canonical(4, 1, false);
+        let mut plan = transform_block(&p, 2).unwrap();
+        for period in [2, 0] {
+            plan.period = period;
+            let rep = analyze_plan(&p, &plan);
+            assert_eq!(
+                rep.codes(),
+                vec![Code::A210PlanMissingCell],
+                "{}",
+                rep.render()
+            );
+        }
+    }
+
+    #[test]
     fn collision_reports_a212() {
         let p = PagedSchedule::synthetic_canonical(4, 1, false);
         let mut plan = transform_block(&p, 2).unwrap();
