@@ -1,6 +1,8 @@
 //! Golden snapshot of the multithreaded simulator's decisions: one line
 //! per run with every `SimReport` field and an FNV-1a digest of the
 //! run's JSONL trace, compared byte-for-byte against `tests/golden/`.
+//! Each workload also gets one line for the FCFS baseline
+//! (`simulate_baseline`), which shares the simulator's event queue.
 //!
 //! The runs cross thread count, CGRA need, workload seed, fault schedule
 //! (none, MTBF kills, MTBF transients with repair, one targeted degrade)
@@ -20,8 +22,8 @@ use cgra_arch::{CgraConfig, FaultKind, FaultSpec, PAPER_GRID};
 use cgra_mapper::MapOptions;
 use cgra_obs::{check_trace, RingSink, TraceEvent, Tracer};
 use cgra_sim::{
-    generate, simulate_multithreaded_faulty_traced, CgraNeed, ExpandPolicy, KernelLibrary,
-    MtConfig, WorkloadParams,
+    generate, simulate_baseline, simulate_multithreaded_faulty_traced, CgraNeed, ExpandPolicy,
+    KernelLibrary, MtConfig, WorkloadParams,
 };
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -189,6 +191,24 @@ fn line(
     let _ = writeln!(out, " events={} trace={digest:016x}", events.len());
 }
 
+/// Append the FCFS baseline's snapshot line for one workload.
+fn baseline_line(out: &mut String, fabric: &str, lib: &KernelLibrary, wl: &WorkloadParams) {
+    let r = simulate_baseline(lib, &generate(lib, wl));
+    let _ = writeln!(
+        out,
+        "{fabric} need={} t={} seed={} baseline: makespan={} finish={:?} iters={} page_cycles={} \
+         stall={}",
+        wl.need.label(),
+        wl.threads,
+        wl.seed,
+        r.makespan,
+        r.thread_finish,
+        r.cgra_iterations,
+        r.page_cycles,
+        r.stall_cycles
+    );
+}
+
 /// Every run on one fabric.
 fn fabric_lines(out: &mut String, dim: u16, page_size: usize) {
     let cgra = CgraConfig::square(dim)
@@ -207,6 +227,7 @@ fn fabric_lines(out: &mut String, dim: u16, page_size: usize) {
                     bursts: 4,
                     seed,
                 };
+                baseline_line(out, &fabric, &lib, &wl);
                 for spec in fault_specs() {
                     for expand in POLICIES {
                         let cfg = MtConfig {
