@@ -47,6 +47,11 @@ impl FaultMap {
         self.health.len() as u16
     }
 
+    /// Health of every page, in ring order.
+    pub fn pages(&self) -> &[PageHealth] {
+        &self.health
+    }
+
     /// Health of one page.
     pub fn health(&self, page: u16) -> PageHealth {
         self.health[page as usize]

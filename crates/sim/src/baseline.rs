@@ -46,7 +46,6 @@ pub fn simulate_baseline(lib: &KernelLibrary, threads: &[ThreadSpec]) -> SimRepo
                 if seg_idx[t] >= threads[t].segments.len() {
                     finish[t] = done;
                 } else {
-                    q.bump(t);
                     q.push(done, t);
                 }
             }
@@ -62,7 +61,6 @@ pub fn simulate_baseline(lib: &KernelLibrary, threads: &[ThreadSpec]) -> SimRepo
                 if seg_idx[t] >= threads[t].segments.len() {
                     finish[t] = cgra_free_at;
                 } else {
-                    q.bump(t);
                     q.push(cgra_free_at, t);
                 }
             }
