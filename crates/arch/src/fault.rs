@@ -8,7 +8,9 @@
 //! [`FaultSpec`] describes *when* faults strike — a targeted page at a
 //! fixed time, or MTBF-style random arrivals from a deterministic seeded
 //! stream ([`splitmix64`]). Faults strike whole pages, the unit the
-//! runtime allocates and reshapes schedules over.
+//! runtime allocates and reshapes schedules over. The map keeps health
+//! as page bitsets, so the simulator's page table reads the usable and
+//! degraded sets in place instead of copying them.
 
 use serde::{Deserialize, Serialize};
 
@@ -28,47 +30,82 @@ pub enum PageHealth {
     Repairing,
 }
 
-/// Health of every page in a fabric, in ring order.
+/// Health of every page in a fabric, in ring order, as three page
+/// bitsets in one buffer (see [`FaultMap::words`]).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultMap {
-    health: Vec<PageHealth>,
+    num_pages: u16,
+    /// The usable, degraded and repairing words, back to back.
+    bits: Vec<u64>,
 }
 
 impl FaultMap {
     /// An all-healthy map over `num_pages` pages.
     pub fn new(num_pages: u16) -> Self {
-        FaultMap {
-            health: vec![PageHealth::Healthy; num_pages as usize],
-        }
+        let words = usize::from(num_pages).div_ceil(64).max(1);
+        let mut map = FaultMap {
+            num_pages,
+            bits: vec![0; 3 * words],
+        };
+        (0..num_pages).for_each(|p| map.mark_page(p, PageHealth::Healthy));
+        map
     }
 
     /// Number of pages covered.
     pub fn num_pages(&self) -> u16 {
-        self.health.len() as u16
+        self.num_pages
     }
 
-    /// Health of every page, in ring order.
-    pub fn pages(&self) -> &[PageHealth] {
-        &self.health
+    /// The usable (healthy or degraded), degraded and repairing pages,
+    /// each a page bitset of at least one word: page `p` is bit `p % 64`
+    /// of word `p / 64`. A page in none of them is dead. Each health has
+    /// one encoding: degraded pages are usable, repairing pages are not,
+    /// and no bit lies past the last page.
+    pub fn words(&self) -> [&[u64]; 3] {
+        let (usable, rest) = self.bits.split_at(self.bits.len() / 3);
+        let (degraded, repairing) = rest.split_at(usable.len());
+        [usable, degraded, repairing]
+    }
+
+    /// The word and the bit of `page`; panics past the last page.
+    fn bit(&self, page: u16) -> (usize, u64) {
+        let n = self.num_pages;
+        assert!(page < n, "page {page} out of range for {n} pages");
+        (usize::from(page / 64), 1 << (page % 64))
     }
 
     /// Health of one page.
     pub fn health(&self, page: u16) -> PageHealth {
-        self.health[page as usize]
+        let (w, b) = self.bit(page);
+        match self.words().map(|column| column[w] & b != 0) {
+            [true, true, _] => PageHealth::Degraded,
+            [true, false, _] => PageHealth::Healthy,
+            [false, _, true] => PageHealth::Repairing,
+            [false, _, false] => PageHealth::Dead,
+        }
     }
 
     /// Whether a page can still execute ops (healthy or degraded). A
     /// page under repair is *not* usable until repair completes.
     pub fn is_usable(&self, page: u16) -> bool {
-        matches!(
-            self.health[page as usize],
-            PageHealth::Healthy | PageHealth::Degraded
-        )
+        let (w, b) = self.bit(page);
+        self.bits[w] & b != 0
     }
 
     /// Set a page's health directly.
     pub fn mark_page(&mut self, page: u16, health: PageHealth) {
-        self.health[page as usize] = health;
+        use PageHealth::*;
+        let (w, b) = self.bit(page);
+        let words = self.bits.len() / 3;
+        let set = [
+            matches!(health, Healthy | Degraded),
+            health == Degraded,
+            health == Repairing,
+        ];
+        for (column, on) in set.into_iter().enumerate() {
+            let word = &mut self.bits[column * words + w];
+            *word = (*word & !b) | (b * u64::from(on));
+        }
     }
 
     /// Dead → Repairing: a transient fault has cleared and the page is
@@ -79,8 +116,8 @@ impl FaultMap {
     ///
     /// [`complete_repair`]: FaultMap::complete_repair
     pub fn begin_repair(&mut self, page: u16) {
-        if self.health[page as usize] == PageHealth::Dead {
-            self.health[page as usize] = PageHealth::Repairing;
+        if self.health(page) == PageHealth::Dead {
+            self.mark_page(page, PageHealth::Repairing);
         }
     }
 
@@ -90,8 +127,8 @@ impl FaultMap {
     ///
     /// [`Repairing`]: PageHealth::Repairing
     pub fn complete_repair(&mut self, page: u16) {
-        if self.health[page as usize] == PageHealth::Repairing {
-            self.health[page as usize] = PageHealth::Healthy;
+        if self.health(page) == PageHealth::Repairing {
+            self.mark_page(page, PageHealth::Healthy);
         }
     }
 
@@ -113,20 +150,12 @@ impl FaultMap {
     /// `(start, len)`. The ring path is what carries inter-page
     /// dependences (§VI-B.2), so a shrunk schedule must land on one run.
     pub fn surviving_runs(&self) -> Vec<(u16, u16)> {
-        let mut runs = Vec::new();
-        let mut start = None;
-        for p in 0..self.num_pages() {
-            match (self.is_usable(p), start) {
-                (true, None) => start = Some(p),
-                (false, Some(s)) => {
-                    runs.push((s, p - s));
-                    start = None;
-                }
-                _ => {}
+        let mut runs: Vec<(u16, u16)> = Vec::new();
+        for p in (0..self.num_pages).filter(|&p| self.is_usable(p)) {
+            match runs.last_mut() {
+                Some((start, len)) if *start + *len == p => *len += 1,
+                _ => runs.push((p, 1)),
             }
-        }
-        if let Some(s) = start {
-            runs.push((s, self.num_pages() - s));
         }
         runs
     }
@@ -605,6 +634,22 @@ mod tests {
         let m = FaultMap::new(8);
         assert!(m.dead_pages().is_empty());
         assert_eq!(m.surviving_runs(), vec![(0, 8)]);
+    }
+
+    #[test]
+    fn words_are_the_health_column() {
+        let mut m = FaultMap::new(65);
+        assert_eq!(m.words(), [&[u64::MAX, 1][..], &[0, 0], &[0, 0]]);
+        m.mark_page(0, PageHealth::Degraded);
+        m.mark_page(1, PageHealth::Dead);
+        m.mark_page(64, PageHealth::Repairing);
+        let usable = !0b10;
+        assert_eq!(m.words(), [&[usable, 0][..], &[1, 0], &[0, 1]]);
+        // A degraded page that dies leaves the degraded set.
+        m.mark_page(0, PageHealth::Dead);
+        assert_eq!(m.words(), [&[usable & !1, 0][..], &[0, 0], &[0, 1]]);
+        // The empty fabric still has one (empty) word per column.
+        assert_eq!(FaultMap::new(0).words(), [&[0u64][..], &[0], &[0]]);
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //! paper argues it is negligible against the kernel-memory transfer; the
 //! `fig9 --ablation-overhead` sweep tests that claim).
 //!
-//! The [`Allocator`] owns all page state: each page's health and owner,
-//! and the busy-page count that `page_cycles` integrates. The event loop
-//! keeps no copy. It changes page state only through allocator calls
-//! and derives every rate from the allocator's answers.
+//! The [`Allocator`] owns all page state, each fact once: each page's
+//! health and owner. Budgets, free pages and the busy-page count that
+//! `page_cycles` integrates are popcounts of them. The event loop keeps
+//! no copy. It changes page state only through allocator calls and
+//! derives every rate from the allocator's answers.
 //!
 //! ## Fault injection
 //!
