@@ -20,7 +20,7 @@ use crate::grid_fabric;
 use crate::mapcache::MapCache;
 use cgra_arch::{FaultSpec, PAPER_GRID};
 use cgra_mapper::MapOptions;
-use cgra_obs::Tracer;
+use cgra_obs::{InOrder, Tracer};
 use cgra_sim::{
     generate, improvement_percent, simulate_baseline, simulate_multithreaded_faulty_traced,
     CgraNeed, ExpandPolicy, FaultStats, MtConfig, SimError, SimReport, WorkloadParams,
@@ -108,9 +108,7 @@ impl Default for Fig9Params {
 
 /// Measure one Fig. 9 point, emitting every multithreaded run to
 /// `tracer` (the baseline FCFS runs stay untraced — they are the fixed
-/// reference). The point's whole seed loop is forwarded as one batch, so
-/// parallel sweep points writing to a shared sink interleave at point
-/// granularity, never mid-run.
+/// reference).
 ///
 /// # Errors
 ///
@@ -128,37 +126,33 @@ pub fn run_point(
     tracer: &Tracer,
 ) -> Result<Fig9Point, SimError> {
     let lib = cache.library(&grid_fabric(at.dim, at.page_size), &MapOptions::default());
-    let runs = tracer.batched(|tracer| {
-        (0..params.seeds)
-            .map(|seed| {
-                // Seeded from the point's coordinates only — never from
-                // worker identity or execution order (the engine's
-                // determinism contract).
-                let wl_seed = point_seed(&[
-                    at.dim as u64,
-                    at.page_size as u64,
-                    at.need as u64,
-                    at.threads as u64,
-                    seed,
-                ]);
-                let workload = WorkloadParams {
-                    threads: at.threads,
-                    need: at.need,
-                    work_per_thread: params.work_per_thread,
-                    bursts: params.bursts,
-                    seed: wl_seed,
-                };
-                let threads = generate(&lib, &workload);
-                let events = at.faults.reseeded(wl_seed).schedule(lib.num_pages);
-                Ok((
-                    simulate_baseline(&lib, &threads),
-                    simulate_multithreaded_faulty_traced(
-                        &lib, &threads, params.mt, &events, tracer,
-                    )?,
-                ))
-            })
-            .collect::<Result<Vec<(SimReport, SimReport)>, SimError>>()
-    })?;
+    let runs = (0..params.seeds)
+        .map(|seed| {
+            // Seeded from the point's coordinates only — never from
+            // worker identity or execution order (the engine's
+            // determinism contract).
+            let wl_seed = point_seed(&[
+                at.dim as u64,
+                at.page_size as u64,
+                at.need as u64,
+                at.threads as u64,
+                seed,
+            ]);
+            let workload = WorkloadParams {
+                threads: at.threads,
+                need: at.need,
+                work_per_thread: params.work_per_thread,
+                bursts: params.bursts,
+                seed: wl_seed,
+            };
+            let threads = generate(&lib, &workload);
+            let events = at.faults.reseeded(wl_seed).schedule(lib.num_pages);
+            Ok((
+                simulate_baseline(&lib, &threads),
+                simulate_multithreaded_faulty_traced(&lib, &threads, params.mt, &events, tracer)?,
+            ))
+        })
+        .collect::<Result<Vec<(SimReport, SimReport)>, SimError>>()?;
     let mean = |f: fn(&(SimReport, SimReport)) -> f64| {
         runs.iter().map(f).sum::<f64>() / params.seeds as f64
     };
@@ -180,7 +174,10 @@ pub fn run_point(
 }
 
 /// Run `points` through `engine`, every multithreaded run emitted to
-/// `tracer` (each point one contiguous batch; see [`run_point`]).
+/// `tracer`. Each point's events form one contiguous batch, and the
+/// batches reach `tracer` in point order whatever order the workers
+/// finish in, so a traced sweep writes the same trace on any number of
+/// workers.
 /// Compile events reach the trace only if `cache` itself is traced.
 ///
 /// Each point carries its own `Result`: one poisoned point (a fault
@@ -211,7 +208,11 @@ pub fn sweep(
     });
 
     // Phase 2: the simulation points, self-scheduled across workers.
-    engine.run(points, |at| run_point(cache, at, params, tracer))
+    let numbered: Vec<(usize, &Coord)> = points.iter().enumerate().collect();
+    let in_order = InOrder::new(tracer);
+    engine.run(&numbered, |&(i, at)| {
+        in_order.batched(i, |tracer| run_point(cache, at, params, tracer))
+    })
 }
 
 /// The full Fig. 9 grid: every fabric of [`PAPER_GRID`] × CGRA need ×
@@ -466,6 +467,8 @@ pub fn render_curve(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cgra_obs::RingSink;
+    use std::sync::Arc;
 
     fn quick_params() -> Fig9Params {
         Fig9Params {
@@ -536,6 +539,39 @@ mod tests {
         // The measured cell is rendered signed; everything else is "-".
         assert!(s.contains("50%"));
         assert!(s.lines().count() > crate::THREAD_COUNTS.len() * CgraNeed::ALL.len());
+    }
+
+    #[test]
+    fn parallel_traces_follow_point_order() {
+        // A slow point (16 threads) before a fast one (1 thread): on two
+        // workers the fast point finishes first, and its events must
+        // still follow the slow point's, as they do on one worker.
+        let points = [
+            Coord::new(8, 4, CgraNeed::High, 16),
+            Coord::new(8, 4, CgraNeed::High, 1),
+        ];
+        let cache = MapCache::in_memory();
+        let trace = |jobs| {
+            let ring = Arc::new(RingSink::unbounded());
+            let tracer = Tracer::new(ring.clone());
+            let results = sweep(
+                &Engine::with_jobs(jobs),
+                &cache,
+                &points,
+                &quick_params(),
+                &tracer,
+            );
+            assert!(results.iter().all(Result::is_ok));
+            ring.drain()
+        };
+        let serial = trace(1);
+        assert!(!serial.is_empty());
+        for round in 0..3 {
+            assert!(
+                trace(2) == serial,
+                "round {round}: -j 2 trace differs from -j 1"
+            );
+        }
     }
 
     #[test]

@@ -38,4 +38,4 @@ pub mod sink;
 pub use event::TraceEvent;
 pub use metrics::{CycleHisto, Metrics, MetricsSink};
 pub use oracle::{check_trace, OracleError, OracleReport};
-pub use sink::{JsonlSink, RingSink, TeeSink, TraceSink, Tracer};
+pub use sink::{InOrder, JsonlSink, RingSink, TeeSink, TraceSink, Tracer};
