@@ -9,16 +9,24 @@
 //! * `A2xx` — paging constraints (§VI-B): ring discipline, paged
 //!   dependences, shrink-plan legality.
 //! * `A3xx` — degradation analysis of a [`DegradedPlan`] against a
-//!   [`FaultMap`], and recovery analysis (`A31x`) of a
-//!   [`RecoveryPlan`] re-expanding onto repaired pages.
+//!   [`FaultMap`] (`A30x`: the pages of its run), and recovery analysis
+//!   (`A31x`) of a [`RecoveryPlan`] re-expanding onto repaired pages.
 //! * `A4xx` — profile/cache-entry semantic integrity.
 //!
 //! Codes are **stable**: external tooling may match on them, so a code
 //! is never renumbered or reused once released. New checks append.
 //!
-//! Retired, never reused: `A220`–`A225`, the Fig. 6 fold's own pass. A
-//! fold is now a mapping on the one-page fabric, so the `A0xx`/`A1xx`
-//! mapping checks cover it.
+//! Retired, never reused:
+//!
+//! * `A220`–`A225`, the Fig. 6 fold's own pass. A fold is now a mapping
+//!   on the one-page fabric, so the `A0xx`/`A1xx` mapping checks cover
+//!   it.
+//! * `A302`–`A305` (columns not contiguous, remap not bijective, shape
+//!   mismatch, stale fault bookkeeping). A degraded or recovery plan is
+//!   now a shrink plan and the first page of its run, so its pages are
+//!   ring-consecutive, one per column and as many as the plan's columns
+//!   by construction, and it keeps no copy of the fault map to go
+//!   stale.
 //!
 //! [`Mapping`]: cgra_mapper::Mapping
 //! [`DegradedPlan`]: cgra_core::DegradedPlan
@@ -72,20 +80,10 @@ pub enum Code {
     A216PlanBelowCapacity,
     /// A degraded plan column is backed by a dead or out-of-range page.
     A301OpOnDeadPage,
-    /// The surviving pages backing the columns are not one contiguous
-    /// ascending run.
-    A302ColumnsNotContiguous,
-    /// The column→page remap is not injective (two columns share a
-    /// physical page).
-    A303RemapNotBijective,
-    /// The degraded plan's column count disagrees with its own plan.
-    A304DegradedShapeMismatch,
-    /// The recorded dead/degraded page lists disagree with the fault map.
-    A305FaultBookkeeping,
     /// A column is backed by a degraded (slow but usable) page.
     A306ColumnOnDegradedPage,
-    /// A recovery plan re-places work on a page that is still dead or
-    /// mid-repair (repaired-page reuse legality).
+    /// A recovery plan re-places work on a page that is still dead,
+    /// mid-repair or out of range (repaired-page reuse legality).
     A310RecoveryOnUnrepairedPage,
     /// A recovery plan activates a repaired page before its quarantine
     /// window elapsed.
@@ -109,7 +107,7 @@ pub enum Code {
 impl Code {
     /// Every code, in ascending numeric order. The mutation suite
     /// asserts each one is produced by at least one operator.
-    pub const ALL: [Code; 31] = [
+    pub const ALL: [Code; 27] = [
         Code::A001PeSlotConflict,
         Code::A002BusOverflow,
         Code::A003MissingFu,
@@ -128,10 +126,6 @@ impl Code {
         Code::A215PlanUnstableParking,
         Code::A216PlanBelowCapacity,
         Code::A301OpOnDeadPage,
-        Code::A302ColumnsNotContiguous,
-        Code::A303RemapNotBijective,
-        Code::A304DegradedShapeMismatch,
-        Code::A305FaultBookkeeping,
         Code::A306ColumnOnDegradedPage,
         Code::A310RecoveryOnUnrepairedPage,
         Code::A311QuarantineViolated,
@@ -164,10 +158,6 @@ impl Code {
             Code::A215PlanUnstableParking => "A215",
             Code::A216PlanBelowCapacity => "A216",
             Code::A301OpOnDeadPage => "A301",
-            Code::A302ColumnsNotContiguous => "A302",
-            Code::A303RemapNotBijective => "A303",
-            Code::A304DegradedShapeMismatch => "A304",
-            Code::A305FaultBookkeeping => "A305",
             Code::A306ColumnOnDegradedPage => "A306",
             Code::A310RecoveryOnUnrepairedPage => "A310",
             Code::A311QuarantineViolated => "A311",

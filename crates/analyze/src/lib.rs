@@ -24,10 +24,12 @@
 //! * [`analyze_paged`] — §VI-B paging constraints on a page-level
 //!   schedule (`A202`/`A204`).
 //! * [`analyze_plan`] — §VI-C shrink-plan legality (`A21x`).
-//! * [`analyze_degraded`] — degradation legality against a fault map
-//!   (`A30x`).
+//! * [`analyze_degraded`] — degradation legality against a fault map:
+//!   every page of the plan's run usable (`A301`), degraded pages
+//!   flagged (`A306`), and the inner shrink plan (`A21x`).
 //! * [`analyze_recovery`] — post-repair re-expansion legality: repaired
-//!   page reuse, quarantine, and iteration conservation (`A31x`).
+//!   page reuse, quarantine, and iteration conservation (`A31x`), and
+//!   the inner shrink plan (`A21x`).
 //! * [`analyze_profile`] — semantic integrity of cached kernel profiles
 //!   (`A40x`).
 //!

@@ -497,44 +497,18 @@ fn wobble_parked_column(a: &Artifacts, _s: &mut u64) -> Report {
 // --- A3xx: degradation mutants ------------------------------------------
 
 fn back_column_with_dead_page(a: &Artifacts, _s: &mut u64) -> Report {
+    // Shift the run one page left, onto the dead page 2.
     let mut d = a.degraded.clone();
-    d.column_pages[0] = 2; // the dead page
-    analyze_degraded(&a.p8, &d, &a.faults)
-}
-
-fn shuffle_columns(a: &Artifacts, _s: &mut u64) -> Report {
-    let mut d = a.degraded.clone();
-    d.column_pages.reverse();
-    analyze_degraded(&a.p8, &d, &a.faults)
-}
-
-fn alias_columns(a: &Artifacts, _s: &mut u64) -> Report {
-    let mut d = a.degraded.clone();
-    d.column_pages[1] = d.column_pages[2];
-    analyze_degraded(&a.p8, &d, &a.faults)
-}
-
-fn drop_column(a: &Artifacts, _s: &mut u64) -> Report {
-    let mut d = a.degraded.clone();
-    d.column_pages.pop();
-    analyze_degraded(&a.p8, &d, &a.faults)
-}
-
-fn forget_dead_page(a: &Artifacts, _s: &mut u64) -> Report {
-    let mut d = a.degraded.clone();
-    d.dead_pages.clear();
+    d.first_page -= 1;
     analyze_degraded(&a.p8, &d, &a.faults)
 }
 
 fn degrade_backing_page(a: &Artifacts, _s: &mut u64) -> Report {
     // The fabric worsens under the plan: one backing page turns
-    // degraded-but-usable. Bookkeeping follows, so the only finding is
-    // the advisory warning.
+    // degraded-but-usable, so the only finding is the advisory warning.
     let mut faults = a.faults.clone();
-    faults.mark_page(a.degraded.column_pages[1], PageHealth::Degraded);
-    let mut d = a.degraded.clone();
-    d.degraded_pages = faults.degraded_pages();
-    analyze_degraded(&a.p8, &d, &faults)
+    faults.mark_page(a.degraded.first_page + 1, PageHealth::Degraded);
+    analyze_degraded(&a.p8, &a.degraded, &faults)
 }
 
 // --- A31x: recovery mutants ---------------------------------------------
@@ -672,11 +646,9 @@ pub fn operators() -> Vec<Operator> {
         A101RfPressure, A102LifetimeExceedsRotation, A201RingStepViolation, A202DepOverparked,
         A204PagedDepNotRing, A210PlanMissingCell, A211PlanBadColumn, A212PlanSlotCollision,
         A213PlanDepTiming, A214PlanDepColumns, A215PlanUnstableParking, A216PlanBelowCapacity,
-        A301OpOnDeadPage, A302ColumnsNotContiguous, A303RemapNotBijective,
-        A304DegradedShapeMismatch, A305FaultBookkeeping, A306ColumnOnDegradedPage,
-        A310RecoveryOnUnrepairedPage, A311QuarantineViolated, A312IterationLoss, A401ProfileBadIi,
-        A402ProfileConstraintInverted, A403ProfileOffChain, A404ProfileNotMonotone,
-        A405ProfileUsedPagesOutOfRange,
+        A301OpOnDeadPage, A306ColumnOnDegradedPage, A310RecoveryOnUnrepairedPage,
+        A311QuarantineViolated, A312IterationLoss, A401ProfileBadIi, A402ProfileConstraintInverted,
+        A403ProfileOffChain, A404ProfileNotMonotone, A405ProfileUsedPagesOutOfRange,
     };
     vec![
         Operator {
@@ -778,26 +750,6 @@ pub fn operators() -> Vec<Operator> {
             name: "back-column-with-dead-page",
             expected: A301OpOnDeadPage,
             run: back_column_with_dead_page,
-        },
-        Operator {
-            name: "shuffle-columns",
-            expected: A302ColumnsNotContiguous,
-            run: shuffle_columns,
-        },
-        Operator {
-            name: "alias-columns",
-            expected: A303RemapNotBijective,
-            run: alias_columns,
-        },
-        Operator {
-            name: "drop-column",
-            expected: A304DegradedShapeMismatch,
-            run: drop_column,
-        },
-        Operator {
-            name: "forget-dead-page",
-            expected: A305FaultBookkeeping,
-            run: forget_dead_page,
         },
         Operator {
             name: "degrade-backing-page",

@@ -1,14 +1,14 @@
 //! Recovery analysis: a [`RecoveryPlan`] re-checked against the healed
 //! [`FaultMap`], from first principles.
 //!
-//! The inner re-expanded plan is analyzed like any other
-//! ([`analyze_plan`]), and the column→page remap is held to the same
-//! structural rules as a degraded plan's (contiguity A302, injectivity A303, bookkeeping A305). On top, the
-//! recovery-specific invariants:
+//! A recovery plan is a shrink plan on a page run, like a degraded
+//! plan: the inner re-expanded plan is analyzed like any other
+//! ([`analyze_plan`]), and on top come the recovery invariants:
 //!
 //! * **A310** — repaired-page reuse legality: no recovered column may
-//!   sit on a page that is still dead or mid-repair (`Repairing` is not
-//!   usable; only a committed repair makes a page placeable again);
+//!   sit on a page that is still dead, mid-repair or past the fabric's
+//!   end (`Repairing` is not usable; only a committed repair makes a
+//!   page placeable again) — the same usable-page test as A301;
 //! * **A311** — quarantine respected: every repaired page the plan
 //!   activates must have sat out its full quarantine window
 //!   (`activated_at ≥ repaired_at + quarantine`), the hysteresis that
@@ -18,6 +18,7 @@
 //!   (`resume_iteration == completed_iterations`) — the
 //!   shrink → repair → expand round trip loses nothing.
 
+use crate::degrade::usable_health;
 use crate::diag::{Code, Diagnostic, Report, Span};
 use crate::plan::analyze_plan;
 use cgra_arch::FaultMap;
@@ -27,47 +28,16 @@ use cgra_core::{PagedSchedule, RecoveryPlan};
 /// fault map it re-expands onto.
 pub fn analyze_recovery(p: &PagedSchedule, r: &RecoveryPlan, faults: &FaultMap) -> Report {
     let mut diagnostics = Vec::new();
-    let pages = &r.column_pages;
-
-    if pages.len() != r.plan.m as usize {
-        diagnostics.push(Diagnostic::new(
-            Code::A304DegradedShapeMismatch,
-            Span::Global,
-            format!(
-                "{} column pages for a plan over {} columns",
-                pages.len(),
-                r.plan.m
-            ),
-        ));
-    }
+    let pages = r.column_pages();
 
     // A310: reuse legality. A page is placeable only when the fault map
     // says it is usable *now* — dead and mid-repair pages are not.
-    for (col, &page) in pages.iter().enumerate() {
-        if page >= faults.num_pages() || !faults.is_usable(page) {
+    for (col, page) in (0u16..).zip(pages.clone()) {
+        if usable_health(faults, page).is_none() {
             diagnostics.push(Diagnostic::new(
                 Code::A310RecoveryOnUnrepairedPage,
-                Span::Column(col as u16),
+                Span::Column(col),
                 format!("recovered column backed by unusable page {page}"),
-            ));
-        }
-    }
-
-    if pages.windows(2).any(|w| w[1] != w[0] + 1) {
-        diagnostics.push(Diagnostic::new(
-            Code::A302ColumnsNotContiguous,
-            Span::Global,
-            format!("column pages {pages:?} are not a contiguous ascending run"),
-        ));
-    }
-
-    let mut seen = std::collections::HashSet::new();
-    for (col, &page) in pages.iter().enumerate() {
-        if !seen.insert(page) {
-            diagnostics.push(Diagnostic::new(
-                Code::A303RemapNotBijective,
-                Span::Column(col as u16),
-                format!("physical page {page} backs more than one column"),
             ));
         }
     }
@@ -76,7 +46,7 @@ pub fn analyze_recovery(p: &PagedSchedule, r: &RecoveryPlan, faults: &FaultMap) 
     // work on are held to the window — a page repaired but left out of
     // the run (still quarantined by the supervisor) is fine.
     for rp in &r.repaired {
-        if !pages.contains(&rp.page) {
+        if !pages.contains(&u32::from(rp.page)) {
             continue;
         }
         let earliest = rp.repaired_at.saturating_add(r.quarantine);
@@ -100,18 +70,6 @@ pub fn analyze_recovery(p: &PagedSchedule, r: &RecoveryPlan, faults: &FaultMap) 
             format!(
                 "recovered schedule resumes at iteration {} but the thread completed {}",
                 r.resume_iteration, r.completed_iterations
-            ),
-        ));
-    }
-
-    if r.dead_pages != faults.dead_pages() {
-        diagnostics.push(Diagnostic::new(
-            Code::A305FaultBookkeeping,
-            Span::Global,
-            format!(
-                "plan records dead {:?}, fault map says dead {:?}",
-                r.dead_pages,
-                faults.dead_pages()
             ),
         ));
     }
@@ -151,10 +109,9 @@ mod tests {
 
     #[test]
     fn reusing_a_still_dead_page_is_a310() {
-        let (p, mut r, mut faults) = healed_recovery();
+        let (p, r, mut faults) = healed_recovery();
         // The fabric strikes again after the plan was cut: page 2 dies.
         faults.mark_page(2, PageHealth::Dead);
-        r.dead_pages = faults.dead_pages(); // keep A305 quiet
         let rep = analyze_recovery(&p, &r, &faults);
         assert!(
             rep.codes().contains(&Code::A310RecoveryOnUnrepairedPage),
@@ -165,10 +122,9 @@ mod tests {
 
     #[test]
     fn mid_repair_page_is_a310_too() {
-        let (p, mut r, mut faults) = healed_recovery();
+        let (p, r, mut faults) = healed_recovery();
         faults.mark_page(2, PageHealth::Dead);
         faults.begin_repair(2); // Repairing: still not placeable
-        r.dead_pages = faults.dead_pages();
         let rep = analyze_recovery(&p, &r, &faults);
         assert!(
             rep.codes().contains(&Code::A310RecoveryOnUnrepairedPage),
@@ -211,18 +167,6 @@ mod tests {
         let rep = analyze_recovery(&p, &r, &faults);
         assert!(
             rep.codes().contains(&Code::A312IterationLoss),
-            "{}",
-            rep.render()
-        );
-    }
-
-    #[test]
-    fn stale_dead_bookkeeping_is_a305() {
-        let (p, mut r, faults) = healed_recovery();
-        r.dead_pages = vec![7];
-        let rep = analyze_recovery(&p, &r, &faults);
-        assert!(
-            rep.codes().contains(&Code::A305FaultBookkeeping),
             "{}",
             rep.render()
         );

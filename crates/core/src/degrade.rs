@@ -13,38 +13,42 @@
 //!    route its inter-page values);
 //! 2. shrink the schedule onto `M = min(budget, run length)` columns
 //!    with the ordinary [`transform`] machinery;
-//! 3. record which *physical* page backs each plan column, so the
-//!    validator (and the simulator's allocator) can check that no op
-//!    lands on a dead page.
+//! 3. place the plan on the first `M` pages of that run.
 //!
-//! The result is a typed [`DegradedPlan`] instead of a panic; a fully
-//! dead region reports [`TransformError::NoHealthyPages`].
+//! The result is a [`DegradedPlan`] — a shrink plan and the page its
+//! run starts on — instead of a panic; a fully dead region reports
+//! [`TransformError::NoHealthyPages`].
 
 use crate::paged::PagedSchedule;
 use crate::transform::{transform, ShrinkPlan, Strategy, TransformError};
 use cgra_arch::FaultMap;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
-/// A [`ShrinkPlan`] remapped onto the surviving pages of a faulty region.
+/// A [`ShrinkPlan`] placed on a run of ring-consecutive pages of a
+/// faulty region.
 ///
-/// `plan` is an ordinary shrink plan over `effective_pages` *logical*
-/// columns; `column_pages[c]` names the physical page that backs column
-/// `c`. The physical pages are contiguous and ascending (the surviving
-/// run), so ring adjacency in the plan is physical adjacency on the
-/// fabric.
+/// Column `c` of `plan` runs on physical page `first_page + c`, so ring
+/// adjacency in the plan is physical adjacency on the fabric (§VI-B).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DegradedPlan {
-    /// The shrink plan over the surviving columns.
+    /// The shrink plan over the run's `plan.m` columns.
     pub plan: ShrinkPlan,
-    /// Physical page backing each plan column (`column_pages[col]`).
-    pub column_pages: Vec<u16>,
-    /// The new effective page count (`plan.m`, duplicated for callers
-    /// that only need the headline number).
-    pub effective_pages: u16,
-    /// Dead pages of the fault map at transformation time.
-    pub dead_pages: Vec<u16>,
-    /// Degraded-but-usable pages at transformation time.
-    pub degraded_pages: Vec<u16>,
+    /// The physical page backing column 0.
+    pub first_page: u16,
+}
+
+impl DegradedPlan {
+    /// The physical pages backing the plan's columns, in column order.
+    pub fn column_pages(&self) -> Range<u32> {
+        page_run(self.first_page, self.plan.m)
+    }
+}
+
+/// The pages `first_page..first_page + m`, widened so the end cannot
+/// overflow.
+pub(crate) fn page_run(first_page: u16, m: u16) -> Range<u32> {
+    u32::from(first_page)..u32::from(first_page) + u32::from(m)
 }
 
 /// Shrink `p` onto the surviving pages of `faults`, using at most
@@ -67,20 +71,16 @@ pub fn transform_degraded(
     budget: u16,
     strategy: Strategy,
 ) -> Result<DegradedPlan, TransformError> {
-    let (start, len) = faults
+    let (first_page, len) = faults
         .longest_surviving_run()
         .ok_or(TransformError::NoHealthyPages)?;
     let m = budget.min(len).min(p.num_pages);
     if m == 0 {
         return Err(TransformError::NoHealthyPages);
     }
-    let plan = transform(p, m, strategy)?;
     Ok(DegradedPlan {
-        column_pages: (start..start + m).collect(),
-        effective_pages: m,
-        dead_pages: faults.dead_pages(),
-        degraded_pages: faults.degraded_pages(),
-        plan,
+        plan: transform(p, m, strategy)?,
+        first_page,
     })
 }
 
@@ -100,10 +100,7 @@ mod tests {
         let p = PagedSchedule::synthetic_canonical(8, 2, false);
         let faults = FaultMap::new(8);
         let d = transform_degraded(&p, &faults, 8, Strategy::Auto).unwrap();
-        assert_eq!(d.effective_pages, 8);
-        assert_eq!(d.column_pages, (0..8).collect::<Vec<u16>>());
-        assert!(d.dead_pages.is_empty());
-        assert!(d.degraded_pages.is_empty());
+        assert_eq!(d.column_pages(), 0..8);
     }
 
     #[test]
@@ -114,20 +111,26 @@ mod tests {
         // Runs: [0,2) and [3,8) — the right side wins with 5 pages, and
         // the budget caps the shrink at 4 columns.
         let d = transform_degraded(&p, &faults, 4, Strategy::Auto).unwrap();
-        assert_eq!(d.effective_pages, 4);
-        assert_eq!(d.column_pages, vec![3, 4, 5, 6]);
-        assert_eq!(d.dead_pages, vec![2]);
+        assert_eq!(d.column_pages(), 3..7);
     }
 
     #[test]
-    fn degraded_pages_stay_usable_and_reported() {
+    fn degraded_pages_stay_usable() {
         let p = PagedSchedule::synthetic_canonical(4, 1, false);
         let mut faults = FaultMap::new(4);
         faults.mark_page(1, PageHealth::Degraded);
         let d = transform_degraded(&p, &faults, 4, Strategy::Auto).unwrap();
-        assert_eq!(d.effective_pages, 4);
-        assert_eq!(d.degraded_pages, vec![1]);
-        assert!(d.column_pages.contains(&1));
+        assert_eq!(d.column_pages(), 0..4);
+    }
+
+    #[test]
+    fn a_run_at_the_last_page_does_not_overflow() {
+        let p = PagedSchedule::synthetic_canonical(4, 1, false);
+        let d = DegradedPlan {
+            plan: transform(&p, 4, Strategy::Auto).unwrap(),
+            first_page: u16::MAX,
+        };
+        assert_eq!(d.column_pages(), 65_535..65_539);
     }
 
     #[test]
@@ -163,7 +166,6 @@ mod tests {
         let mut faults = FaultMap::new(ps.num_pages);
         faults.mark_page(0, PageHealth::Dead);
         let d = transform_degraded(&ps, &faults, ps.num_pages, Strategy::Auto).unwrap();
-        assert_eq!(d.effective_pages, ps.num_pages - 1);
-        assert_eq!(d.column_pages.first(), Some(&1));
+        assert_eq!(d.column_pages(), 1..u32::from(ps.num_pages));
     }
 }

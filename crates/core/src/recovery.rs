@@ -1,27 +1,26 @@
 //! Re-expansion after repair: undo a [`DegradedPlan`] once pages heal.
 //!
 //! A transient fault shrinks a thread onto the surviving run of its
-//! region ([`transform_degraded`](crate::degrade::transform_degraded));
-//! when the dead pages are repaired and their quarantine windows elapse,
-//! the supervision policy re-expands the thread. This module produces
-//! the typed plan for that *undo*: a full-ring [`ShrinkPlan`] over the
-//! recovered region (the same PageMaster machinery that shrank the
-//! schedule grows it back), plus the bookkeeping the analyzer needs to
-//! prove the recovery legal —
+//! region ([`transform_degraded`]); when the dead pages are repaired and
+//! their quarantine windows elapse, the supervision policy re-expands
+//! the thread. The undo is the same degradation on the healed map at
+//! the schedule's full page count: a plan on the longest usable run
+//! (the thread's original full-ring schedule once every page healed),
+//! plus what the analyzer needs to prove the cutover legal —
 //!
-//! * which physical pages back the recovered columns (none may still be
-//!   dead or mid-repair — `cgra-analyze` code **A310**),
 //! * when each repaired page was repaired vs. when the plan activates
-//!   it (the quarantine window must be respected — **A311**),
+//!   it (the quarantine window must be respected — `cgra-analyze` code
+//!   **A311**; a column on a page still dead or mid-repair is **A310**),
 //! * how many kernel iterations were completed before the fault and at
 //!   which iteration the recovered schedule resumes (the round trip
 //!   must lose nothing — **A312**).
 
-use crate::degrade::DegradedPlan;
+use crate::degrade::{page_run, transform_degraded, DegradedPlan};
 use crate::paged::PagedSchedule;
-use crate::transform::{transform, ShrinkPlan, Strategy, TransformError};
+use crate::transform::{ShrinkPlan, Strategy, TransformError};
 use cgra_arch::FaultMap;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// One page that came back from a transient fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -35,20 +34,18 @@ pub struct RepairedPage {
     pub activated_at: u64,
 }
 
-/// The undo of a [`DegradedPlan`]: a schedule re-expanded onto the
-/// recovered page region.
+/// The undo of a [`DegradedPlan`]: a schedule re-expanded onto a run of
+/// the recovered page region.
 ///
-/// `plan` is an ordinary plan over `column_pages.len()` logical columns
-/// — at full recovery `plan.m == ` the source schedule's `num_pages`,
-/// i.e. the thread's original full-ring schedule. `column_pages[c]`
-/// names the physical page backing column `c` (contiguous and
-/// ascending, like the degraded plan it undoes).
+/// Column `c` of `plan` runs on physical page `first_page + c`, as in
+/// the degraded plan it undoes. At full recovery `plan.m` is the source
+/// schedule's `num_pages`: the thread's original full-ring schedule.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RecoveryPlan {
     /// The re-expanded plan over the recovered columns.
     pub plan: ShrinkPlan,
-    /// Physical page backing each plan column.
-    pub column_pages: Vec<u16>,
+    /// The physical page backing column 0.
+    pub first_page: u16,
     /// Pages that were repaired to make this expansion possible, with
     /// their repair/activation cycles.
     pub repaired: Vec<RepairedPage>,
@@ -61,11 +58,14 @@ pub struct RecoveryPlan {
     /// Iteration index at which the recovered schedule resumes. Equal
     /// to `completed_iterations` when the round trip loses nothing.
     pub resume_iteration: u64,
-    /// Pages of the region still dead (or mid-repair) at recovery time.
-    pub dead_pages: Vec<u16>,
 }
 
 impl RecoveryPlan {
+    /// The physical pages backing the plan's columns, in column order.
+    pub fn column_pages(&self) -> Range<u32> {
+        page_run(self.first_page, self.plan.m)
+    }
+
     /// Whether the thread is back to the full ring of its source
     /// schedule (`m` recovered columns out of `m` original pages).
     pub fn is_full_ring(&self, p: &PagedSchedule) -> bool {
@@ -88,14 +88,14 @@ impl RecoveryPlan {
 /// `quarantine`. `completed_iterations` is the thread's progress at
 /// cutover; the returned plan resumes exactly there.
 ///
-/// The target size is the longest surviving run of the healed map,
-/// capped at the source schedule's page count — if every page healed,
-/// the result is the thread's original full-ring schedule.
+/// The plan is [`transform_degraded`] on the healed map with the source
+/// schedule's page count as the budget — if every page healed, the
+/// result is the thread's original full-ring schedule.
 ///
 /// # Errors
 ///
 /// [`TransformError::NoHealthyPages`] when the healed map still has no
-/// usable run, or whatever the inner [`transform`] reports.
+/// usable run, or whatever the inner transform reports.
 pub fn plan_recovery(
     p: &PagedSchedule,
     degraded: &DegradedPlan,
@@ -105,28 +105,18 @@ pub fn plan_recovery(
     completed_iterations: u64,
     strategy: Strategy,
 ) -> Result<RecoveryPlan, TransformError> {
-    let (start, len) = faults
-        .longest_surviving_run()
-        .ok_or(TransformError::NoHealthyPages)?;
-    let m = len.min(p.num_pages);
-    if m == 0 {
-        return Err(TransformError::NoHealthyPages);
-    }
+    let DegradedPlan { plan, first_page } = transform_degraded(p, faults, p.num_pages, strategy)?;
     debug_assert!(
-        m >= degraded.effective_pages,
+        plan.m >= degraded.plan.m,
         "recovery must not shrink below the degraded plan"
     );
-    let plan = transform(p, m, strategy)?;
     Ok(RecoveryPlan {
-        column_pages: (start..start + m).collect(),
+        plan,
+        first_page,
         repaired: repaired.to_vec(),
         quarantine,
         completed_iterations,
         resume_iteration: completed_iterations,
-        // `dead_pages()` is every non-usable page, so a page mid-repair
-        // (Repairing) counts as dead here — exactly what A310 audits.
-        dead_pages: faults.dead_pages(),
-        plan,
     })
 }
 
@@ -154,7 +144,7 @@ mod tests {
     #[test]
     fn full_heal_restores_the_full_ring() {
         let (p, d, faults) = shrink_then_heal(8, 2);
-        assert_eq!(d.effective_pages, 5, "shrunk onto the right-side run");
+        assert_eq!(d.plan.m, 5, "shrunk onto the right-side run");
         let repaired = [RepairedPage {
             page: 2,
             repaired_at: 1_000,
@@ -163,10 +153,9 @@ mod tests {
         let r = plan_recovery(&p, &d, &faults, &repaired, 100, 42, Strategy::Auto).unwrap();
         assert!(r.is_full_ring(&p));
         assert_eq!(r.plan.m, 8);
-        assert_eq!(r.column_pages, (0..8).collect::<Vec<u16>>());
+        assert_eq!(r.column_pages(), 0..8);
         assert_eq!(r.iterations_lost(), 0);
         assert_eq!(r.resume_iteration, 42);
-        assert!(r.dead_pages.is_empty());
     }
 
     #[test]
@@ -176,7 +165,7 @@ mod tests {
         faults.mark_page(1, PageHealth::Dead);
         faults.mark_page(6, PageHealth::Dead);
         let d = transform_degraded(&p, &faults, 8, Strategy::Auto).unwrap();
-        assert_eq!(d.effective_pages, 4, "run [2,6) wins");
+        assert_eq!(d.plan.m, 4, "run [2,6) wins");
         // Only page 6 heals; page 1 stays dead.
         faults.begin_repair(6);
         faults.complete_repair(6);
@@ -187,9 +176,8 @@ mod tests {
         }];
         let r = plan_recovery(&p, &d, &faults, &repaired, 200, 10, Strategy::Auto).unwrap();
         assert_eq!(r.plan.m, 6, "run [2,8) after the heal");
-        assert_eq!(r.column_pages, vec![2, 3, 4, 5, 6, 7]);
+        assert_eq!(r.column_pages(), 2..8);
         assert!(!r.is_full_ring(&p));
-        assert_eq!(r.dead_pages, vec![1]);
     }
 
     #[test]
@@ -203,8 +191,7 @@ mod tests {
         faults.begin_repair(3);
         let r = plan_recovery(&p, &d, &faults, &[], 100, 5, Strategy::Auto).unwrap();
         assert_eq!(r.plan.m, 3, "repairing page must not be re-placed");
-        assert_eq!(r.column_pages, vec![0, 1, 2]);
-        assert_eq!(r.dead_pages, vec![3], "mid-repair counts as dead");
+        assert_eq!(r.column_pages(), 0..3);
     }
 
     #[test]
@@ -215,11 +202,8 @@ mod tests {
             faults.mark_page(page, PageHealth::Dead);
         }
         let d = DegradedPlan {
-            plan: transform(&p, 1, Strategy::Auto).unwrap(),
-            column_pages: vec![0],
-            effective_pages: 1,
-            dead_pages: vec![],
-            degraded_pages: vec![],
+            plan: crate::transform::transform(&p, 1, Strategy::Auto).unwrap(),
+            first_page: 0,
         };
         assert!(matches!(
             plan_recovery(&p, &d, &faults, &[], 0, 0, Strategy::Auto),
@@ -237,7 +221,7 @@ mod tests {
         let mut faults = FaultMap::new(ps.num_pages);
         faults.mark_page(0, PageHealth::Dead);
         let d = transform_degraded(&ps, &faults, ps.num_pages, Strategy::Auto).unwrap();
-        assert_eq!(d.effective_pages, ps.num_pages - 1);
+        assert_eq!(d.plan.m, ps.num_pages - 1);
         faults.begin_repair(0);
         faults.complete_repair(0);
         let repaired = [RepairedPage {

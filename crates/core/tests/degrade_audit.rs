@@ -1,8 +1,8 @@
 //! Degradation legality, re-derived by the independent analyzer.
 //!
 //! `transform_degraded`'s structural properties are unit-tested next to
-//! the code; *legality* — no op on a dead page, contiguous ascending
-//! backing run, inner plan soundness — is audited here by
+//! the code; *legality* — no op on a dead or missing page, inner plan
+//! soundness — is audited here by
 //! `cgra-analyze`, which shares none of the transform's logic. (An
 //! integration test because the analyzer is a dev-dependency cycle: it
 //! links this crate's library instance, not the unit-test build.)
@@ -65,13 +65,13 @@ fn real_kernel_one_dead_page_analyzes_clean() {
 
 #[test]
 fn hand_broken_degraded_plan_is_rejected() {
-    // Point a column at the dead page: the analyzer must refuse what the
+    // Start the run on the dead page: the analyzer must refuse what the
     // transform would never produce.
     let p = PagedSchedule::synthetic_canonical(8, 2, false);
     let mut faults = FaultMap::new(8);
     faults.mark_page(2, PageHealth::Dead);
     let mut d = transform_degraded(&p, &faults, 4, Strategy::Auto).unwrap();
-    d.column_pages[0] = 2;
+    d.first_page = 2;
     let rep = cgra_analyze::analyze_degraded(&p, &d, &faults);
     assert!(rep.has_errors());
     assert!(rep.codes().contains(&cgra_analyze::Code::A301OpOnDeadPage));
