@@ -37,12 +37,12 @@ fn main() {
     });
     let engine = Engine::new(cfg);
     let obs = ObsFlags::from_args(&args);
-    let cache = MapCache::for_config(cfg, obs.tracer.clone());
+    let cache = MapCache::for_config(cfg);
 
     if args.iter().any(|a| a == "--strict") {
         println!("## Ablation — strict 1-step discipline vs stable-column (4x4, page 4)\n");
         println!("kernel    II(stable)  II(strict)");
-        for (name, stable, strict) in fig8::strict_ablation(&engine, &cache, 4, 4) {
+        for (name, stable, strict) in fig8::strict_ablation(&engine, &cache, 4, 4, &obs.tracer) {
             println!(
                 "{name:>8}  {stable:>10}  {}",
                 strict
@@ -54,7 +54,7 @@ fn main() {
         obs.finish();
         return;
     }
-    let points = fig8::run_all(&engine, &cache);
+    let points = fig8::run_all(&engine, &cache, &obs.tracer);
     // Cache statistics go to stderr so stdout stays byte-deterministic.
     eprintln!("mapcache: {:?}", cache.stats());
 

@@ -57,7 +57,7 @@ fn main() {
     });
     let engine = Engine::new(cfg);
     let obs = ObsFlags::from_args(&args);
-    let cache = MapCache::for_config(cfg, obs.tracer.clone());
+    let cache = MapCache::for_config(cfg);
 
     let mut params = Fig9Params::default();
     if args.iter().any(|a| a == "--smoke") {
@@ -69,7 +69,7 @@ fn main() {
     if args.iter().any(|a| a == "--ablation-overhead") {
         println!("## Ablation A1 — switch-transformation overhead (8x8, page 4, 8 threads, need 87.5%)\n");
         println!("overhead_cycles, improvement_pct");
-        for (overhead, imp) in fig9::ablation_overhead(&cache, 8, 4) {
+        for (overhead, imp) in fig9::ablation_overhead(&cache, 8, 4, &obs.tracer) {
             println!("{overhead:>8}, {imp:+.1}%");
         }
         obs.finish();
@@ -77,7 +77,7 @@ fn main() {
     }
     if args.iter().any(|a| a == "--ablation-policy") {
         println!("## Ablation A2 — expansion policy (8x8, page 4, 8 threads, need 87.5%)\n");
-        for (name, imp) in fig9::ablation_policy(&cache, 8, 4) {
+        for (name, imp) in fig9::ablation_policy(&cache, 8, 4, &obs.tracer) {
             println!("{name:>16}: {imp:+.1}%");
         }
         obs.finish();

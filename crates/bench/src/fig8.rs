@@ -15,6 +15,7 @@ use crate::engine::Engine;
 use crate::grid_fabric;
 use crate::mapcache::MapCache;
 use cgra_mapper::{map_constrained_strict, MapOptions};
+use cgra_obs::{InOrder, Tracer};
 use serde::{Deserialize, Serialize};
 
 /// One bar of Figure 8.
@@ -39,8 +40,19 @@ impl Fig8Point {
     }
 }
 
-fn point(cache: &MapCache, dim: u16, page_size: usize, kernel: &cgra_dfg::Dfg) -> Fig8Point {
-    let profile = cache.profile(kernel, &grid_fabric(dim, page_size), &MapOptions::default());
+fn point(
+    cache: &MapCache,
+    dim: u16,
+    page_size: usize,
+    kernel: &cgra_dfg::Dfg,
+    tracer: &Tracer,
+) -> Fig8Point {
+    let profile = cache.profile(
+        kernel,
+        &grid_fabric(dim, page_size),
+        &MapOptions::default(),
+        tracer,
+    );
     Fig8Point {
         dim,
         page_size,
@@ -56,14 +68,17 @@ fn point(cache: &MapCache, dim: u16, page_size: usize, kernel: &cgra_dfg::Dfg) -
 /// Panics if `(dim, page_size)` names no fabric (see [`fabric`](cgra_arch::fabric)).
 pub fn run_config(engine: &Engine, cache: &MapCache, dim: u16, page_size: usize) -> Vec<Fig8Point> {
     let kernels = cgra_dfg::kernels::all();
-    engine.run(&kernels, |k| point(cache, dim, page_size, k))
+    engine.run(&kernels, |k| {
+        point(cache, dim, page_size, k, &Tracer::off())
+    })
 }
 
 /// Ablation: the strict 1-step discipline (Algorithm 1's input form)
 /// against the default stable-column discipline, on one fabric. Returns
 /// `(kernel, ii_stable, Option<ii_strict>)` — `None` when the kernel does
 /// not fit under strict rules. The stable II comes from the cache; the
-/// strict mapping is ablation-only and always computed fresh.
+/// strict mapping is ablation-only and always computed fresh. Profile
+/// compilations reach `tracer` in kernel order on any number of workers.
 ///
 /// # Panics
 /// Panics if `(dim, page_size)` names no fabric (see [`fabric`](cgra_arch::fabric)).
@@ -72,12 +87,17 @@ pub fn strict_ablation(
     cache: &MapCache,
     dim: u16,
     page_size: usize,
+    tracer: &Tracer,
 ) -> Vec<(String, u32, Option<u32>)> {
     let fabric = grid_fabric(dim, page_size);
     let opts = MapOptions::default();
-    let kernels = cgra_dfg::kernels::all();
-    engine.run(&kernels, |k| {
-        let stable = cache.profile(k, &fabric, &opts).ii_constrained;
+    let kernels: Vec<(usize, cgra_dfg::Dfg)> =
+        cgra_dfg::kernels::all().into_iter().enumerate().collect();
+    let in_order = InOrder::new(tracer);
+    engine.run(&kernels, |(i, k)| {
+        let stable = in_order
+            .batched(*i, |t| cache.profile(k, &fabric, &opts, t))
+            .ii_constrained;
         let strict = map_constrained_strict(k, &fabric, &opts).ok();
         (k.name.clone(), stable, strict.map(|r| r.ii()))
     })
@@ -85,8 +105,9 @@ pub fn strict_ablation(
 
 /// Run the complete Fig. 8 grid (all sub-figures), flattened to
 /// `(dim, page_size, kernel)` points so every mapping is an
-/// independently scheduled unit of work.
-pub fn run_all(engine: &Engine, cache: &MapCache) -> Vec<Fig8Point> {
+/// independently scheduled unit of work. Compilations reach `tracer` in
+/// point order on any number of workers.
+pub fn run_all(engine: &Engine, cache: &MapCache, tracer: &Tracer) -> Vec<Fig8Point> {
     let kernels = cgra_dfg::kernels::all();
     let mut points: Vec<(u16, usize, &cgra_dfg::Dfg)> = Vec::new();
     for &(dim, sizes) in &cgra_arch::PAPER_GRID {
@@ -96,7 +117,11 @@ pub fn run_all(engine: &Engine, cache: &MapCache) -> Vec<Fig8Point> {
             }
         }
     }
-    engine.run(&points, |&(dim, s, k)| point(cache, dim, s, k))
+    let numbered: Vec<(usize, _)> = points.into_iter().enumerate().collect();
+    let in_order = InOrder::new(tracer);
+    engine.run(&numbered, |&(i, (dim, s, k))| {
+        in_order.batched(i, |t| point(cache, dim, s, k, t))
+    })
 }
 
 /// Geometric-mean performance per `(dim, page_size)` — the summary rows

@@ -106,7 +106,8 @@ impl Default for Fig9Params {
     }
 }
 
-/// Measure one Fig. 9 point, emitting every multithreaded run to
+/// Measure one Fig. 9 point, emitting the compilation of its fabric's
+/// library (if it is not cached yet) and every multithreaded run to
 /// `tracer` (the baseline FCFS runs stay untraced — they are the fixed
 /// reference).
 ///
@@ -125,7 +126,11 @@ pub fn run_point(
     params: &Fig9Params,
     tracer: &Tracer,
 ) -> Result<Fig9Point, SimError> {
-    let lib = cache.library(&grid_fabric(at.dim, at.page_size), &MapOptions::default());
+    let lib = cache.library(
+        &grid_fabric(at.dim, at.page_size),
+        &MapOptions::default(),
+        tracer,
+    );
     let runs = (0..params.seeds)
         .map(|seed| {
             // Seeded from the point's coordinates only — never from
@@ -173,12 +178,11 @@ pub fn run_point(
     })
 }
 
-/// Run `points` through `engine`, every multithreaded run emitted to
-/// `tracer`. Each point's events form one contiguous batch, and the
-/// batches reach `tracer` in point order whatever order the workers
-/// finish in, so a traced sweep writes the same trace on any number of
-/// workers.
-/// Compile events reach the trace only if `cache` itself is traced.
+/// Run `points` through `engine`, every compilation and multithreaded
+/// run emitted to `tracer`. Each fabric's compilation, then each point,
+/// forms one contiguous batch, and the batches reach `tracer` in point
+/// order whatever order the workers finish in, so a traced sweep writes
+/// the same trace on any number of workers.
 ///
 /// Each point carries its own `Result`: one poisoned point (a fault
 /// schedule that starves a thread, a profile hole) reports its
@@ -194,17 +198,20 @@ pub fn sweep(
     tracer: &Tracer,
 ) -> Vec<Result<Fig9Point, SimError>> {
     // Phase 1: compile each distinct fabric's library once, in point
-    // order. Parallel across fabrics; the mapping cache deduplicates
-    // shared per-kernel profiles, so no compilation happens twice even
-    // when two fabrics race.
+    // order. Parallel across fabrics (no two share a profile), and each
+    // fabric's compile events reach `tracer` in that order.
     let mut fabrics: Vec<(u16, usize)> = Vec::new();
     for p in points {
         if !fabrics.contains(&(p.dim, p.page_size)) {
             fabrics.push((p.dim, p.page_size));
         }
     }
-    engine.run(&fabrics, |&(dim, s)| {
-        cache.library(&grid_fabric(dim, s), &MapOptions::default());
+    let numbered: Vec<(usize, &(u16, usize))> = fabrics.iter().enumerate().collect();
+    let in_order = InOrder::new(tracer);
+    engine.run(&numbered, |&(i, &(dim, s))| {
+        in_order.batched(i, |t| {
+            cache.library(&grid_fabric(dim, s), &MapOptions::default(), t);
+        });
     });
 
     // Phase 2: the simulation points, self-scheduled across workers.
@@ -300,9 +307,16 @@ pub fn headline(points: &[Fig9Point]) -> Vec<(u16, f64)> {
         .collect()
 }
 
-/// Ablation A1: improvement vs switch-transformation overhead.
-pub fn ablation_overhead(cache: &MapCache, dim: u16, page_size: usize) -> Vec<(u64, f64)> {
+/// Ablation A1: improvement vs switch-transformation overhead. The
+/// fabric's compilation is emitted to `tracer`; the runs are untraced.
+pub fn ablation_overhead(
+    cache: &MapCache,
+    dim: u16,
+    page_size: usize,
+    tracer: &Tracer,
+) -> Vec<(u64, f64)> {
     let at = Coord::new(dim, page_size, CgraNeed::High, 8);
+    cache.library(&grid_fabric(dim, page_size), &MapOptions::default(), tracer);
     [0u64, 10, 100, 1_000, 10_000]
         .iter()
         .map(|&overhead| {
@@ -320,9 +334,16 @@ pub fn ablation_overhead(cache: &MapCache, dim: u16, page_size: usize) -> Vec<(u
         .collect()
 }
 
-/// Ablation A2: improvement vs expansion policy.
-pub fn ablation_policy(cache: &MapCache, dim: u16, page_size: usize) -> Vec<(String, f64)> {
+/// Ablation A2: improvement vs expansion policy. The fabric's
+/// compilation is emitted to `tracer`; the runs are untraced.
+pub fn ablation_policy(
+    cache: &MapCache,
+    dim: u16,
+    page_size: usize,
+    tracer: &Tracer,
+) -> Vec<(String, f64)> {
     let at = Coord::new(dim, page_size, CgraNeed::High, 8);
+    cache.library(&grid_fabric(dim, page_size), &MapOptions::default(), tracer);
     [
         ("smallest-first", ExpandPolicy::SmallestFirst),
         ("largest-first", ExpandPolicy::LargestFirst),
@@ -550,13 +571,12 @@ mod tests {
             Coord::new(8, 4, CgraNeed::High, 16),
             Coord::new(8, 4, CgraNeed::High, 1),
         ];
-        let cache = MapCache::in_memory();
         let trace = |jobs| {
             let ring = Arc::new(RingSink::unbounded());
             let tracer = Tracer::new(ring.clone());
             let results = sweep(
                 &Engine::with_jobs(jobs),
-                &cache,
+                &MapCache::in_memory(),
                 &points,
                 &quick_params(),
                 &tracer,

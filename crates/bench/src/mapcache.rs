@@ -113,11 +113,6 @@ pub struct MapCache {
     libraries: RwLock<HashMap<(u16, usize, u64), Cell<KernelLibrary>>>,
     /// `None` = memory only; `Some(dir)` = also read/write JSON entries.
     disk_dir: Option<PathBuf>,
-    /// Receives mapper/transform events for every *compilation* (memory
-    /// and disk hits emit nothing — the search they would describe never
-    /// ran). Each profile's events are forwarded as one contiguous batch,
-    /// so traces stay segment-ordered even under concurrent misses.
-    tracer: Tracer,
     mem_hits: AtomicU64,
     disk_hits: AtomicU64,
     misses: AtomicU64,
@@ -139,7 +134,6 @@ impl MapCache {
             profiles: RwLock::new(HashMap::new()),
             libraries: RwLock::new(HashMap::new()),
             disk_dir,
-            tracer: Tracer::off(),
             mem_hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -160,19 +154,11 @@ impl MapCache {
     /// The cache a sweep binary runs on: persisted under
     /// `$CGRA_MAPCACHE_DIR` if set, else `target/mapcache` relative to the
     /// working directory, and memory-only under `--no-cache`.
-    ///
-    /// Every compilation is emitted to `tracer`. Cache hits (memory or
-    /// disk) emit nothing: the events describe a search, and a hit means
-    /// no search ran.
-    pub fn for_config(cfg: EngineConfig, tracer: Tracer) -> Self {
-        let dir = cfg.use_cache.then(|| {
+    pub fn for_config(cfg: EngineConfig) -> Self {
+        Self::with(cfg.use_cache.then(|| {
             std::env::var_os("CGRA_MAPCACHE_DIR")
                 .map_or_else(|| PathBuf::from("target/mapcache"), PathBuf::from)
-        });
-        MapCache {
-            tracer,
-            ..Self::with(dir)
-        }
+        }))
     }
 
     /// Counters so far.
@@ -189,11 +175,24 @@ impl MapCache {
     /// `page_size`-PE pages under `opts` — computed at most once per
     /// process per key.
     ///
+    /// A compilation emits its mapper and transform events to `tracer`.
+    /// Cache hits (memory or disk) emit nothing: the events describe a
+    /// search, and a hit means no search ran. When calls race on one
+    /// key, the events go to the tracer of the call that compiles, so a
+    /// parallel sweep that wants a reproducible trace gives each key to
+    /// one numbered batch ([`cgra_obs::InOrder`]).
+    ///
     /// # Panics
     /// Panics if the kernel fails to map (same contract as
     /// [`KernelProfile::compile`]'s callers in the sweeps: the benchmark
     /// suite is expected to map on every grid fabric).
-    pub fn profile(&self, dfg: &Dfg, cgra: &CgraConfig, opts: &MapOptions) -> Arc<KernelProfile> {
+    pub fn profile(
+        &self,
+        dfg: &Dfg,
+        cgra: &CgraConfig,
+        opts: &MapOptions,
+        tracer: &Tracer,
+    ) -> Arc<KernelProfile> {
         let dim = mesh_dim(cgra);
         let key = Key {
             kernel: dfg.name.clone(),
@@ -213,7 +212,9 @@ impl MapCache {
                 return Arc::new(profile);
             }
             self.misses.fetch_add(1, Ordering::Relaxed);
-            let profile = compile(dfg, cgra, opts, &self.tracer);
+            let profile = Compiled::new(dfg, cgra, opts, tracer)
+                .unwrap_or_else(|e| panic!("profile {} on {:?}: {e}", dfg.name, cgra))
+                .into_profile(cgra);
             self.store(&key, &profile);
             Arc::new(profile)
         })
@@ -221,8 +222,14 @@ impl MapCache {
     }
 
     /// The full benchmark library for a fabric, assembled from (and
-    /// sharing) the per-kernel profile cache.
-    pub fn library(&self, cgra: &CgraConfig, opts: &MapOptions) -> Arc<KernelLibrary> {
+    /// sharing) the per-kernel profile cache; compilations emit to
+    /// `tracer` in kernel order, as in [`MapCache::profile`].
+    pub fn library(
+        &self,
+        cgra: &CgraConfig,
+        opts: &MapOptions,
+        tracer: &Tracer,
+    ) -> Arc<KernelLibrary> {
         let key = (
             mesh_dim(cgra),
             cgra.layout().shape().size(),
@@ -232,7 +239,7 @@ impl MapCache {
             .get_or_init(|| {
                 let profiles = cgra_dfg::kernels::all()
                     .iter()
-                    .map(|k| (*self.profile(k, cgra, opts)).clone())
+                    .map(|k| (*self.profile(k, cgra, opts, tracer)).clone())
                     .collect();
                 Arc::new(KernelLibrary {
                     profiles,
@@ -280,16 +287,6 @@ fn cell<K: Clone + Eq + std::hash::Hash, T>(map: &RwLock<HashMap<K, Cell<T>>>, k
         .entry(key.clone())
         .or_default()
         .clone()
-}
-
-fn compile(dfg: &Dfg, cgra: &CgraConfig, opts: &MapOptions, tracer: &Tracer) -> KernelProfile {
-    // Batched so concurrent misses interleave at whole-profile
-    // granularity in a shared sink, never event-by-event.
-    tracer.batched(|t| {
-        Compiled::new(dfg, cgra, opts, t)
-            .unwrap_or_else(|e| panic!("profile {} on {:?}: {e}", dfg.name, cgra))
-            .into_profile(cgra)
-    })
 }
 
 fn mesh_dim(cgra: &CgraConfig) -> u16 {
@@ -422,8 +419,8 @@ mod tests {
         let fabric = fabric(4, 4).unwrap();
         let opts = MapOptions::default();
         let k = cgra_dfg::kernels::mpeg2();
-        let a = cache.profile(&k, &fabric, &opts);
-        let b = cache.profile(&k, &fabric, &opts);
+        let a = cache.profile(&k, &fabric, &opts, &Tracer::off());
+        let b = cache.profile(&k, &fabric, &opts, &Tracer::off());
         assert!(Arc::ptr_eq(&a, &b));
         let s = cache.stats();
         assert_eq!((s.misses, s.mem_hits), (1, 1));
@@ -438,12 +435,12 @@ mod tests {
         let k = cgra_dfg::kernels::fir();
 
         let first = MapCache::persistent_at(&dir);
-        let computed = first.profile(&k, &fabric, &opts);
+        let computed = first.profile(&k, &fabric, &opts, &Tracer::off());
         assert_eq!(first.stats().misses, 1);
 
         // A fresh cache instance must serve the same profile from disk.
         let second = MapCache::persistent_at(&dir);
-        let loaded = second.profile(&k, &fabric, &opts);
+        let loaded = second.profile(&k, &fabric, &opts, &Tracer::off());
         assert_eq!(*computed, *loaded);
         assert_eq!(second.stats().disk_hits, 1);
         assert_eq!(second.stats().misses, 0);
@@ -453,14 +450,14 @@ mod tests {
             std::fs::write(entry.unwrap().path(), "{not json").unwrap();
         }
         let third = MapCache::persistent_at(&dir);
-        let recomputed = third.profile(&k, &fabric, &opts);
+        let recomputed = third.profile(&k, &fabric, &opts, &Tracer::off());
         assert_eq!(*computed, *recomputed);
         let s = third.stats();
         assert_eq!((s.misses, s.disk_rejects), (1, 1));
 
         // And the rewrite healed the entry.
         let fourth = MapCache::persistent_at(&dir);
-        fourth.profile(&k, &fabric, &opts);
+        fourth.profile(&k, &fabric, &opts, &Tracer::off());
         assert_eq!(fourth.stats().disk_hits, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -480,7 +477,7 @@ mod tests {
         let k = cgra_dfg::kernels::fir();
 
         let first = MapCache::persistent_at(&dir);
-        let computed = first.profile(&k, &fabric, &opts);
+        let computed = first.profile(&k, &fabric, &opts, &Tracer::off());
 
         // Truncate every entry mid-file and plant a stale temp file, as
         // a writer killed between `write` and `rename` would leave.
@@ -495,7 +492,7 @@ mod tests {
 
         // The sweep must recompute, not fail.
         let second = MapCache::persistent_at(&dir);
-        let recomputed = second.profile(&k, &fabric, &opts);
+        let recomputed = second.profile(&k, &fabric, &opts, &Tracer::off());
         assert_eq!(*computed, *recomputed);
         let s = second.stats();
         assert_eq!((s.misses, s.disk_rejects), (1, 1));
@@ -503,7 +500,10 @@ mod tests {
         // The recompute healed the entry in place; the stale temp file
         // is inert (it is never a cache key) and must not be served.
         let third = MapCache::persistent_at(&dir);
-        assert_eq!(*computed, *third.profile(&k, &fabric, &opts));
+        assert_eq!(
+            *computed,
+            *third.profile(&k, &fabric, &opts, &Tracer::off())
+        );
         assert_eq!(third.stats().disk_hits, 1);
         assert_eq!(third.stats().disk_rejects, 0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -521,7 +521,7 @@ mod tests {
         let k = cgra_dfg::kernels::fir();
 
         let first = MapCache::persistent_at(&dir);
-        let computed = first.profile(&k, &fabric, &opts);
+        let computed = first.profile(&k, &fabric, &opts, &Tracer::off());
 
         for entry in std::fs::read_dir(&dir).unwrap() {
             let path = entry.unwrap().path();
@@ -536,7 +536,7 @@ mod tests {
         }
 
         let second = MapCache::persistent_at(&dir);
-        let recomputed = second.profile(&k, &fabric, &opts);
+        let recomputed = second.profile(&k, &fabric, &opts, &Tracer::off());
         assert_eq!(*computed, *recomputed);
         let s = second.stats();
         assert_eq!((s.misses, s.disk_rejects), (1, 1));
@@ -550,12 +550,15 @@ mod tests {
         let opts = MapOptions::default();
         // Warm one kernel's profile, then build the library: only the
         // remaining kernels should be misses.
-        cache.profile(&cgra_dfg::kernels::mpeg2(), &fabric, &opts);
-        let lib = cache.library(&fabric, &opts);
+        cache.profile(&cgra_dfg::kernels::mpeg2(), &fabric, &opts, &Tracer::off());
+        let lib = cache.library(&fabric, &opts, &Tracer::off());
         assert_eq!(lib.len(), cgra_dfg::kernels::all().len());
         assert_eq!(cache.stats().misses, lib.len() as u64);
         // Same Arc on the second library request.
-        assert!(Arc::ptr_eq(&lib, &cache.library(&fabric, &opts)));
+        assert!(Arc::ptr_eq(
+            &lib,
+            &cache.library(&fabric, &opts, &Tracer::off())
+        ));
     }
 
     #[test]
@@ -563,8 +566,8 @@ mod tests {
         let cache = MapCache::in_memory();
         let fabric = fabric(4, 4).unwrap();
         let k = cgra_dfg::kernels::sobel();
-        cache.profile(&k, &fabric, &MapOptions::default());
-        cache.profile(&k, &fabric, &MapOptions::fast());
+        cache.profile(&k, &fabric, &MapOptions::default(), &Tracer::off());
+        cache.profile(&k, &fabric, &MapOptions::fast(), &Tracer::off());
         assert_eq!(cache.stats().misses, 2);
     }
 }

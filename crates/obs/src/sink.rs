@@ -77,31 +77,6 @@ impl Tracer {
             sink.flush();
         }
     }
-
-    /// Run `f` with a tracer that buffers locally, then forward the
-    /// buffered events to this tracer's sink as one atomic batch.
-    ///
-    /// Parallel workers share one trace file this way: each batch lands
-    /// contiguously regardless of worker interleaving, in the order the
-    /// batches finish ([`InOrder`] fixes that order). When this tracer
-    /// is off, `f` just runs with it.
-    pub fn batched<R>(&self, f: impl FnOnce(&Tracer) -> R) -> R {
-        match &self.0 {
-            None => f(self),
-            Some(sink) => {
-                let (result, events) = buffered(f);
-                sink.record_batch(events);
-                result
-            }
-        }
-    }
-}
-
-/// Run `f` with a tracer that buffers locally: its result and the events.
-fn buffered<R>(f: impl FnOnce(&Tracer) -> R) -> (R, Vec<TraceEvent>) {
-    let ring = Arc::new(RingSink::unbounded());
-    let result = f(&Tracer::new(ring.clone()));
-    (result, ring.drain())
 }
 
 /// Forwards numbered batches to a [`Tracer`] in number order, whatever
@@ -125,16 +100,19 @@ impl<'a> InOrder<'a> {
         }
     }
 
-    /// [`Tracer::batched`] as batch `index`: the events are forwarded
-    /// once every batch numbered below it has been.
+    /// Run `f` as batch `index` with a tracer that buffers locally; the
+    /// events are forwarded as one atomic batch once every batch
+    /// numbered below it has been. When the tracer is off, `f` just
+    /// runs with it.
     pub fn batched<R>(&self, index: usize, f: impl FnOnce(&Tracer) -> R) -> R {
         let Some(sink) = &self.tracer.0 else {
             return f(self.tracer);
         };
-        let (result, events) = buffered(f);
+        let ring = Arc::new(RingSink::unbounded());
+        let result = f(&Tracer::new(ring.clone()));
         let mut waiting = self.waiting.lock().expect("trace batch lock poisoned");
         let (next, done) = &mut *waiting;
-        done.insert(index, events);
+        done.insert(index, ring.drain());
         while let Some(batch) = done.remove(next) {
             sink.record_batch(batch);
             *next += 1;
@@ -155,7 +133,7 @@ impl std::fmt::Debug for Tracer {
 
 /// An in-memory ring buffer of events. With a capacity, the oldest
 /// events are dropped (and counted) once full; unbounded, it keeps
-/// everything — the capture buffer for tests and [`Tracer::batched`].
+/// everything — the capture buffer for tests and [`InOrder`] batches.
 pub struct RingSink {
     capacity: usize,
     buf: Mutex<VecDeque<TraceEvent>>,
@@ -315,20 +293,6 @@ mod tests {
         assert_eq!(ring.dropped(), 1);
         assert_eq!(ring.drain(), vec![ev(2), ev(3)]);
         assert!(ring.is_empty());
-    }
-
-    #[test]
-    fn batched_forwards_once_as_a_unit() {
-        let outer = Arc::new(RingSink::unbounded());
-        let tracer = Tracer::new(outer.clone());
-        let result = tracer.batched(|t| {
-            t.emit(|| ev(1));
-            assert_eq!(outer.len(), 0, "events must buffer until the batch ends");
-            t.emit(|| ev(2));
-            "done"
-        });
-        assert_eq!(result, "done");
-        assert_eq!(outer.drain(), vec![ev(1), ev(2)]);
     }
 
     #[test]

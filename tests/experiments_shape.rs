@@ -77,7 +77,7 @@ fn fig9_single_thread_pays_constraint_cost() {
 /// small overheads are indeed negligible (the paper's assumption).
 #[test]
 fn ablation_overhead_negligible_when_small() {
-    let sweep = fig9::ablation_overhead(&MapCache::in_memory(), 8, 4);
+    let sweep = fig9::ablation_overhead(&MapCache::in_memory(), 8, 4, &Tracer::off());
     let at0 = sweep[0].1;
     let at10 = sweep[1].1;
     assert!(
