@@ -6,32 +6,9 @@
 //! Refresh intentionally with
 //! `UPDATE_GOLDEN=1 cargo test -p cgra-analyze --test golden_diagnostics`.
 
-use std::path::PathBuf;
-
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name)
-}
-
-fn check_golden(name: &str, actual: &str) {
-    let path = golden_path(name);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); regenerate with UPDATE_GOLDEN=1",
-            path.display()
-        )
-    });
-    assert_eq!(
-        actual, expected,
-        "snapshot {name} diverged; if intentional, rerun with UPDATE_GOLDEN=1"
-    );
-}
+#[path = "../../../tests/common/mod.rs"]
+mod common;
+use common::check_golden;
 
 #[test]
 fn broken_fir_diagnostics_match_golden() {

@@ -30,20 +30,14 @@ use cgra_core::transform::{transform, Strategy};
 use cgra_core::{validate_plan, PagedSchedule, ShrinkPlan, TransformError};
 use cgra_mapper::{map_constrained_strict, MapOptions};
 use std::fmt::Write as _;
-use std::path::PathBuf;
+
+#[path = "../../../tests/common/mod.rs"]
+mod common;
+use common::{check_golden, fnv1a};
 
 /// Fabrics whose strict mappings feed the grid (as in the mapper's
 /// golden snapshot).
 const STRICT_FABRICS: [(u16, usize); 3] = [(4, 4), (6, 9), (8, 8)];
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 /// A seeded index below `len` (`len > 0`).
 fn pick(state: &mut u64, len: usize) -> usize {
@@ -194,28 +188,6 @@ fn ring_lines(out: &mut String, n: u16, ii: u32, wrap: bool, ms: &[u16]) {
     for &m in ms {
         line(out, &label, &p, m);
     }
-}
-
-fn check_golden(name: &str, actual: &str) {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); regenerate with UPDATE_GOLDEN=1",
-            path.display()
-        )
-    });
-    assert_eq!(
-        actual, expected,
-        "snapshot {name} diverged; if intentional, rerun with UPDATE_GOLDEN=1 \
-         and bump cgra-bench::mapcache::SCHEMA in the same commit"
-    );
 }
 
 #[test]

@@ -30,7 +30,10 @@ use cgra_mapper::{map_baseline, map_constrained, map_constrained_strict, MapOpti
 use cgra_mapper::{validate_mapping, MapDfg, MapError, MapMode};
 use cgra_obs::Tracer;
 use std::fmt::Write as _;
-use std::path::PathBuf;
+
+#[path = "../../../tests/common/mod.rs"]
+mod common;
+use common::{check_golden, fnv1a};
 
 /// Fabrics that also run strict mode.
 const STRICT_FABRICS: [(u16, usize); 3] = [(4, 4), (6, 9), (8, 8)];
@@ -48,15 +51,6 @@ fn fabric(dim: u16, page_size: usize) -> CgraConfig {
     CgraConfig::square(dim)
         .with_page_size(page_size)
         .expect("grid fabric")
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// Options tight enough that constrained mapping spills adaptively on
@@ -156,27 +150,6 @@ fn spill_lines(out: &mut String, dim: u16, page_size: usize, modes: &[MapMode]) 
             stats_line(out, dim, page_size, dfg, mode);
         }
     }
-}
-
-fn check_golden(name: &str, actual: &str) {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); regenerate with UPDATE_GOLDEN=1",
-            path.display()
-        )
-    });
-    assert_eq!(
-        actual, expected,
-        "snapshot {name} diverged; if intentional, rerun with UPDATE_GOLDEN=1"
-    );
 }
 
 #[test]

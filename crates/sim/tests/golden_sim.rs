@@ -27,8 +27,11 @@ use cgra_sim::{
 };
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::sync::Arc;
+
+#[path = "../../../tests/common/mod.rs"]
+mod common;
+use common::{check_golden, fnv1a};
 
 /// Thread counts of Fig. 9.
 const THREADS: [usize; 5] = [1, 2, 4, 8, 16];
@@ -63,14 +66,6 @@ fn fault_specs() -> [FaultSpec; 4] {
             kind: FaultKind::Degrade,
         },
     ]
-}
-
-fn fnv1a(bytes: &[u8], mut h: u64) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// Page·cycles integrated from a run's trace: each thread holds
@@ -185,9 +180,8 @@ fn line(
             let _ = write!(out, "error: {e}");
         }
     }
-    let digest = events.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, ev| {
-        fnv1a(b"\n", fnv1a(ev.to_jsonl().as_bytes(), h))
-    });
+    let jsonl: String = events.iter().map(|ev| ev.to_jsonl() + "\n").collect();
+    let digest = fnv1a(jsonl.as_bytes());
     let _ = writeln!(out, " events={} trace={digest:016x}", events.len());
 }
 
@@ -255,27 +249,6 @@ fn fabric_lines(out: &mut String, dim: u16, page_size: usize) {
     };
     let spec = fault_specs()[2];
     line(out, &fabric, &lib, &wl, spec, cfg);
-}
-
-fn check_golden(name: &str, actual: &str) {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); regenerate with UPDATE_GOLDEN=1",
-            path.display()
-        )
-    });
-    assert_eq!(
-        actual, expected,
-        "snapshot {name} diverged; if intentional, rerun with UPDATE_GOLDEN=1"
-    );
 }
 
 #[test]

@@ -19,22 +19,13 @@ use cgra_mt::prelude::*;
 use std::fmt::Write as _;
 
 mod common;
-use common::check_golden;
+use common::{check_golden, fnv1a};
 
 /// Rotating registers per PE: enough for every fold of the grid.
 const RF: u16 = 64;
 
 /// Iterations each fold executes against the interpreter.
 const ITERS: usize = 12;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 /// One snapshot line: the fold's `II_q`, peak RF need and digest, or the
 /// mapping error.
