@@ -14,13 +14,13 @@
 //!   extraction.
 //! * [`validate`] — an independent checker for every §VI-C constraint
 //!   (slot exclusivity, dependence timing and column adjacency, capacity
-//!   bound), plus the dead-page checks for degraded plans.
-//! * [`degrade`] — [`DegradedPlan`]: shrinking onto the surviving
-//!   contiguous run of a faulty page region instead of panicking when
-//!   pages die.
-//! * [`recovery`] — [`RecoveryPlan`]: the undo, re-expanding onto
-//!   repaired pages back toward the full-ring schedule, with the
-//!   quarantine/iteration bookkeeping the analyzer audits (codes
+//!   bound).
+//! * [`degrade`] — [`DegradedPlan`]: a shrink plan placed on the
+//!   surviving contiguous run of a faulty page region (the plan and the
+//!   run's first page) instead of a panic when pages die.
+//! * [`recovery`] — [`RecoveryPlan`]: the undo, the same shrink plan on
+//!   a run of the healed region back toward the full-ring schedule, with
+//!   the quarantine/iteration bookkeeping the analyzer audits (codes
 //!   A310–A312).
 //! * [`fold`] — the PE-level shrink-to-one-page of Fig. 6, with
 //!   intra-page mirroring: a mapping on the one-page fabric, which the
