@@ -18,9 +18,10 @@
 //!      in every case at the earliest free time in that column after
 //!      both producers have executed.
 //! 3. **Steady state**: cells are placed for a warm-up window of
-//!    iterations; the transformation succeeds when the column pattern and
-//!    inter-iteration time shift become periodic. The periodic tail is
-//!    returned as the [`ShrinkPlan`].
+//!    iterations (512; [`Strategy::Auto`] caps it at `4·N` on open
+//!    rings, see [`crate::transform`]); the transformation succeeds when
+//!    the column pattern and inter-iteration time shift become periodic.
+//!    The periodic tail is returned as the [`ShrinkPlan`].
 //!
 //! `placePage` does constant work per cell: `findDependencyColumns` is
 //! one read of a precomputed column table (only the zero-hop case also
@@ -44,8 +45,9 @@ use crate::paged::{Discipline, PagedSchedule};
 use crate::transform::{CellPlacement, ShrinkPlan, Strategy, TransformError};
 use cgra_arch::fault::splitmix64;
 
-/// Iterations simulated before giving up on steady state.
-const WARMUP_ITERS: u32 = 512;
+/// Iterations [`transform_pagemaster`] simulates before giving up on
+/// steady state.
+pub(crate) const WARMUP_ITERS: u32 = 512;
 /// Longest period searched for. The drifting placement tends to rotate
 /// pages around the columns, giving periods up to ~2·M·N in the worst
 /// observed cases.
@@ -176,7 +178,7 @@ struct Drift {
 }
 
 impl Drift {
-    fn new(n: u16, ii: u32) -> Self {
+    fn new(n: u16, ii: u32, iters: u32) -> Self {
         let (n, ii) = (n as usize, ii as usize);
         let cells = n * ii;
         let mut state = 0;
@@ -192,7 +194,7 @@ impl Drift {
             time: Vec::with_capacity(cells * 16),
             coef,
             b_sum,
-            sig: vec![0; WARMUP_ITERS as usize],
+            sig: vec![0; iters as usize],
         }
     }
 
@@ -336,6 +338,18 @@ fn term((a, b): (u64, u64), col: u16, time: u64) -> u64 {
 
 /// Transform a canonical schedule with the paper's drifting algorithm.
 pub fn transform_pagemaster(p: &PagedSchedule, m: u16) -> Result<ShrinkPlan, TransformError> {
+    transform_pagemaster_within(p, m, WARMUP_ITERS)
+}
+
+/// [`transform_pagemaster`] with a warm-up of `iters` iterations, a
+/// multiple of 4 and at least 8 so that the last one is a checkpoint:
+/// the drift reports [`TransformError::NoSteadyState`] once it has
+/// placed `iters` iterations without a period.
+pub(crate) fn transform_pagemaster_within(
+    p: &PagedSchedule,
+    m: u16,
+    iters: u32,
+) -> Result<ShrinkPlan, TransformError> {
     if m == 0 || m > p.num_pages {
         return Err(TransformError::BadTargetSize { m });
     }
@@ -372,7 +386,7 @@ pub fn transform_pagemaster(p: &PagedSchedule, m: u16) -> Result<ShrinkPlan, Tra
         return Err(TransformError::NoSteadyState);
     }
     let mut cols = Columns::new(m);
-    let mut drift = Drift::new(n, p.ii);
+    let mut drift = Drift::new(n, p.ii, iters);
 
     // --- Phase 1: initialization of (n, step 0). ---
     drift.push_row();
@@ -430,7 +444,7 @@ pub fn transform_pagemaster(p: &PagedSchedule, m: u16) -> Result<ShrinkPlan, Tra
         .collect();
     let table = column_table(m);
     let (mut iter, mut slot) = (0, 0);
-    for step in 0..WARMUP_ITERS as usize * ii {
+    for step in 0..iters as usize * ii {
         if step > 0 {
             drift.place_row(&mut cols, &table, &order, (iter, slot))?;
         }
@@ -463,8 +477,8 @@ pub fn transform_pagemaster(p: &PagedSchedule, m: u16) -> Result<ShrinkPlan, Tra
             }
         }
     }
-    // The last step completes iteration WARMUP_ITERS, a checkpoint: the
-    // whole window has been searched.
+    // The last step completes iteration `iters`, a checkpoint: the whole
+    // window has been searched.
     Err(TransformError::NoSteadyState)
 }
 
@@ -622,7 +636,8 @@ mod tests {
     #[test]
     fn open_ring_without_steady_state_falls_back_to_block() {
         // The full open ring N=18 → 17 keeps drifting for the whole warm-up
-        // window; `Auto` then hands out the block plan (2 rounds per slot).
+        // window; `Auto` stops its drift after 4·N = 72 iterations and
+        // hands out the block plan (2 rounds per slot).
         let p = PagedSchedule::synthetic_canonical(18, 1, false);
         assert_eq!(
             transform_pagemaster(&p, 17).unwrap_err(),

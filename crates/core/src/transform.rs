@@ -24,11 +24,30 @@
 //!   ring 9 → 8: 4.5 against 2), and on some rings it finds none at all
 //!   (EXPERIMENTS.md, C2).
 //!
-//! [`Strategy::Auto`] takes Block wherever Block is provably optimal
-//! (`M | N`, no wrap dependences) or Algorithm 1 cannot run (not
-//! canonical), and otherwise tries Algorithm 1 first.
+//! [`Strategy::Auto`] returns the better of the two:
+//!
+//! * Block wherever Block is provably optimal (`M | N`, no wrap
+//!   dependences) or Algorithm 1 cannot run (not canonical);
+//! * on a wrap ring, which Block cannot shrink, Algorithm 1 with its full
+//!   warm-up, falling back to Block (and its error) when the drift finds
+//!   no steady state;
+//! * on every other open ring, the drifting plan only when its `II_q` is
+//!   strictly lower than Block's, compared exactly as
+//!   `span_d · period_b < span_b · period_d`; a tie goes to Block.
+//!
+//! There the drift runs at most `min(4·N, 512)` iterations, because a
+//! re-plan has no use for a steady state that cannot beat Block. The cap
+//! is a measurement, not a proof. Over every open synthetic ring with
+//! N 2–33 and II_p 1–4 and the strict paper kernels, at every M, the
+//! drift beats Block only at M = 2 (on the synthetic rings those with N
+//! odd, where it reaches the capacity bound `N·II_p/2`), and each such
+//! period closes by iteration `2N + 6`.
+//! The `#[ignore]`d `auto_full_grid` test of `golden_transforms` checks
+//! on each of those cases that the capped `Auto` equals the better of the
+//! full drift and Block.
 
 use crate::paged::{Discipline, PagedSchedule};
+use crate::pagemaster::{transform_pagemaster, transform_pagemaster_within, WARMUP_ITERS};
 use cgra_obs::{TraceEvent, Tracer};
 use serde::{Deserialize, Serialize};
 
@@ -39,9 +58,12 @@ pub enum Strategy {
     Block,
     /// The paper's drifting Algorithm 1 (canonical schedules only).
     PageMaster,
+    /// The lower-`II_q` of Block and PageMaster, ties going to Block:
     /// Block when it is optimal (`M | N` and no wrap dependences) or the
-    /// schedule is not canonical; otherwise PageMaster, falling back to
-    /// Block when the drifting search finds no steady state.
+    /// schedule is not canonical; PageMaster on a wrap ring, falling back
+    /// to Block when the drift finds no steady state; otherwise the
+    /// drift, capped at `min(4·N, 512)` iterations, only where it beats
+    /// Block (see the [module docs](crate::transform)).
     Auto,
 }
 
@@ -235,8 +257,11 @@ pub fn transform_block(p: &PagedSchedule, m: u16) -> Result<ShrinkPlan, Transfor
 /// [`Strategy::Auto`] returns the block plan when `M` divides `N` and
 /// the schedule has no wrap dependences: Block then reaches the
 /// capacity optimum `II_p·N/M` with period 1, so the drifting search
-/// could not do better. Non-canonical schedules also take Block. Every
-/// other case tries Algorithm 1 and falls back to Block when it fails.
+/// could not do better. Non-canonical schedules also take Block. A wrap
+/// ring tries Algorithm 1 and falls back to Block when it fails. Any
+/// other ring builds Block, runs Algorithm 1 for at most `4·N`
+/// iterations, and keeps the drifting plan only when it is strictly
+/// better.
 pub fn transform(
     p: &PagedSchedule,
     m: u16,
@@ -244,13 +269,26 @@ pub fn transform(
 ) -> Result<ShrinkPlan, TransformError> {
     match strategy {
         Strategy::Block => transform_block(p, m),
-        Strategy::PageMaster => crate::pagemaster::transform_pagemaster(p, m),
+        Strategy::PageMaster => transform_pagemaster(p, m),
         Strategy::Auto => {
-            let block_optimal = p.num_pages.checked_rem(m) == Some(0) && !p.has_wrap_deps();
+            let wrap = p.has_wrap_deps();
+            let block_optimal = p.num_pages.checked_rem(m) == Some(0) && !wrap;
             if p.discipline != Discipline::Canonical || block_optimal {
                 transform_block(p, m)
+            } else if wrap {
+                transform_pagemaster(p, m).or_else(|_| transform_block(p, m))
             } else {
-                crate::pagemaster::transform_pagemaster(p, m).or_else(|_| transform_block(p, m))
+                let block = transform_block(p, m)?;
+                let cap = (4 * u32::from(p.num_pages)).min(WARMUP_ITERS);
+                Ok(match transform_pagemaster_within(p, m, cap) {
+                    Ok(drift)
+                        if drift.span * u64::from(block.period)
+                            < block.span * u64::from(drift.period) =>
+                    {
+                        drift
+                    }
+                    _ => block,
+                })
             }
         }
     }

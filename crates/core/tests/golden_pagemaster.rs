@@ -168,13 +168,19 @@ fn drifting_plans_match_golden_and_validate() {
     }
 }
 
-/// A drifting plan remapped around a dead page.
+/// A drifting plan remapped around a dead page. Algorithm 1's 8 → 7
+/// plan (`II_q` 2.5) loses to Block's (2), so `Auto` takes Block there
+/// and the drift is asked for by name.
 #[test]
 fn drifting_degraded_plan_matches_golden() {
     let p = PagedSchedule::synthetic_canonical(8, 1, false);
     let mut faults = FaultMap::new(p.num_pages);
     faults.mark_page(0, PageHealth::Dead);
-    let degraded = transform_degraded(&p, &faults, p.num_pages, Strategy::Auto).expect("survives");
+    let auto = transform_degraded(&p, &faults, p.num_pages, Strategy::Auto).expect("survives");
+    assert_eq!(auto.plan.strategy, Strategy::Block);
+    assert_eq!((auto.plan.period, auto.plan.span), (1, 2));
+    let degraded =
+        transform_degraded(&p, &faults, p.num_pages, Strategy::PageMaster).expect("survives");
     assert_eq!(degraded.plan.strategy, Strategy::PageMaster);
     let report = cgra_analyze::analyze_degraded(&p, &degraded, &faults);
     assert!(!report.has_errors(), "{}", report.render());

@@ -15,7 +15,11 @@
 //! II_p 1–2 and every M. The `#[ignore]`d grid adds N up to 33 and II_p
 //! up to 4 at M ∈ {N−1, N−2, N/2, N/4, 3}, and the strict-mapped
 //! (canonical) paper kernels at every M: run it in release with
-//! `--include-ignored`.
+//! `--include-ignored`. Two more `#[ignore]`d tests write no snapshot:
+//! `auto_full_grid` checks `Strategy::Auto` against the full drift and
+//! Block on every ring and strict kernel at every M, and
+//! `grid_plans_never_drift` checks that no shrink plan of the compiled
+//! paper grid comes from Algorithm 1.
 //!
 //! The corruptions break a plan the way the plan operators of
 //! `cgra-analyze`'s `mutate` module do (drop a cell, move a column out of
@@ -25,15 +29,20 @@
 //! from a `splitmix64` stream seeded per case.
 
 use cgra_arch::fault::splitmix64;
-use cgra_arch::CgraConfig;
+use cgra_arch::{CgraConfig, PAPER_GRID};
 use cgra_core::transform::{transform, Strategy};
 use cgra_core::{validate_plan, PagedSchedule, ShrinkPlan, TransformError};
 use cgra_mapper::{map_constrained_strict, MapOptions};
+use cgra_obs::Tracer;
+use cgra_sim::Compiled;
 use std::fmt::Write as _;
 
 #[path = "../../../tests/common/mod.rs"]
 mod common;
 use common::{check_golden, fnv1a};
+
+#[path = "../../../tests/common/auto.rs"]
+mod auto;
 
 /// Fabrics whose strict mappings feed the grid (as in the mapper's
 /// golden snapshot).
@@ -204,6 +213,29 @@ fn transforms_small() {
     check_golden("transforms_small.txt", &out);
 }
 
+/// The strict-mapped paper kernels' page schedules, each with its
+/// label, or the label and the mapping error.
+fn strict_kernels() -> Vec<(String, Result<PagedSchedule, String>)> {
+    let mut out = Vec::new();
+    for (dim, page_size) in STRICT_FABRICS {
+        let cgra = CgraConfig::square(dim)
+            .with_page_size(page_size)
+            .expect("grid fabric");
+        for dfg in cgra_dfg::kernels::all() {
+            let label = format!("{dim}x{dim}/p{page_size} {} strict", dfg.name);
+            let p = map_constrained_strict(&dfg, &cgra, &MapOptions::default())
+                .map(|r| {
+                    PagedSchedule::from_mapping(&r, &cgra)
+                        .expect("extracts")
+                        .trimmed()
+                })
+                .map_err(|e| e.to_string());
+            out.push((label, p));
+        }
+    }
+    out
+}
+
 #[test]
 #[ignore = "N up to 33 and the strict paper kernels: slow in debug; run in release with --include-ignored"]
 fn transforms_grid() {
@@ -221,25 +253,74 @@ fn transforms_grid() {
             }
         }
     }
-    for (dim, page_size) in STRICT_FABRICS {
-        let cgra = CgraConfig::square(dim)
-            .with_page_size(page_size)
-            .expect("grid fabric");
-        for dfg in cgra_dfg::kernels::all() {
-            let label = format!("{dim}x{dim}/p{page_size} {} strict", dfg.name);
-            let p = match map_constrained_strict(&dfg, &cgra, &MapOptions::default()) {
-                Ok(r) => PagedSchedule::from_mapping(&r, &cgra)
-                    .expect("extracts")
-                    .trimmed(),
-                Err(e) => {
-                    let _ = writeln!(out, "{label}: error: {e}");
-                    continue;
-                }
-            };
-            for m in 1..=p.num_pages {
-                line(&mut out, &label, &p, m);
+    for (label, p) in strict_kernels() {
+        match p {
+            Ok(p) => (1..=p.num_pages).for_each(|m| line(&mut out, &label, &p, m)),
+            Err(e) => {
+                let _ = writeln!(out, "{label}: error: {e}");
             }
         }
     }
     check_golden("transforms_grid.txt", &out);
+}
+
+/// `Strategy::Auto`, whose drift stops after `4·N` iterations, on every
+/// synthetic ring with N 2–33 and II_p 1–4, open and wrap, and on every
+/// strict paper kernel, at every M from 0 to N + 1: each case satisfies
+/// [`auto::check_auto`], and the drift beats Block on an open ring only
+/// at M = 2.
+#[test]
+#[ignore = "thousands of full drifts: run in release with --include-ignored"]
+fn auto_full_grid() {
+    let rings = (2u16..=33).flat_map(|n| {
+        (1u32..=4).flat_map(move |ii| {
+            [false, true].map(|wrap| {
+                let label = format!("N={n} ii={ii} {}", if wrap { "wrap" } else { "open" });
+                (label, Ok(PagedSchedule::synthetic_canonical(n, ii, wrap)))
+            })
+        })
+    });
+    let mut wins = Vec::new();
+    for (label, p) in rings.chain(strict_kernels()) {
+        let Ok(p) = p else { continue };
+        for m in 0..=p.num_pages + 1 {
+            let case = format!("{label} M={m}");
+            if auto::check_auto(&p, m, &case) {
+                wins.push(case);
+            }
+        }
+    }
+    assert!(!wins.is_empty(), "the drift beats Block nowhere");
+    let off = wins
+        .iter()
+        .filter(|c| !c.ends_with(" M=2"))
+        .collect::<Vec<_>>();
+    assert!(off.is_empty(), "the drift beats Block at M > 2: {off:?}");
+}
+
+/// No shrink plan the compile stage makes for the 99 kernel × fabric
+/// pairs of the paper grid comes from Algorithm 1: every constrained
+/// mapping is Stable, so `Auto` takes Block, and a change to the drift
+/// cannot move fig8, fig9 or a mapcache entry.
+#[test]
+#[ignore = "compiles the whole paper grid: run in release with --include-ignored"]
+fn grid_plans_never_drift() {
+    let (mut pairs, mut plans) = (0, 0);
+    for &(dim, sizes) in &PAPER_GRID {
+        for &page_size in sizes {
+            let cgra = cgra_arch::fabric(dim, page_size).expect("grid fabric");
+            for k in cgra_dfg::kernels::all() {
+                let label = format!("{dim}x{dim}/p{page_size} {}", k.name);
+                let c = Compiled::new(&k, &cgra, &MapOptions::default(), &Tracer::off())
+                    .unwrap_or_else(|e| panic!("{label} compiles: {e}"));
+                for plan in &c.plans {
+                    assert_ne!(plan.strategy, Strategy::PageMaster, "{label} M={}", plan.m);
+                }
+                pairs += 1;
+                plans += c.plans.len();
+            }
+        }
+    }
+    assert_eq!(pairs, 99);
+    assert!(plans > 0, "no grid pair needed a shrink plan");
 }
