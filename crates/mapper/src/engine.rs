@@ -11,54 +11,77 @@
 //!
 //! Placement visits its `(time, PE)` candidates lazily and stops at the
 //! first one that commits, so a node that places early costs only the
-//! candidates it tried. The candidate PEs are sorted once by page
-//! distance (from the node's target page), affinity and id; the walk then
-//! runs time-major (time outer, PEs inner) or page-major (per
-//! page-distance group, time outer, the group's PEs inner). That is the
-//! order of sorting every `(time, PE)` pair by `(time, page distance,
-//! affinity, PE)` or `(page distance, time, affinity, PE)`, without
-//! building the list, so the first pair that commits is the same; the
-//! random draws happen once per PE, before the walk. Like the routing
-//! pruning of [`crate::route`], this saves work without changing a
-//! decision.
+//! candidates it tried. The candidate PEs are ordered by page distance
+//! (from the node's target page), affinity and id; the walk then runs
+//! time-major (time outer, PEs inner) or page-major (per page-distance
+//! group, time outer, the group's PEs inner). That is the order of
+//! sorting every `(time, PE)` pair by `(time, page distance, affinity,
+//! PE)` or `(page distance, time, affinity, PE)`, without building the
+//! list, so the first pair that commits is the same; the random draws
+//! happen once per PE, before the walk. The PEs themselves are ordered as
+//! the walk reaches them: it picks each of the first few by a scan for the
+//! smallest key, and sorts the rest only if it gets that far. Like the
+//! routing pruning of [`crate::route`], this saves work without changing
+//! a decision.
 //!
 //! One [`schedule`] call owns a `Workspace`: the [`Router`] every
-//! attempt routes through, the routable-SCC ids (a property of the graph,
-//! not of the II or the restart), the PE×PE mesh distances, and the
-//! buffers placement fills per node — incident edges, neighbour PEs,
-//! candidate PEs and fanout sites. An attempt allocates only its own MRT,
-//! placement and route tables, and a routed chain only its hop list. The
-//! router answers each request exactly as a fresh search would (see
-//! [`crate::route`]), and the buffers are cleared before each use, so
-//! every decision — and every traced event — is the same as with fresh
-//! allocations.
+//! attempt routes through (with the fabric's closed-form geometry, see
+//! [`crate::route`]), the routable-SCC ids (a property of the graph, not
+//! of the II or the restart), and the buffers placement fills per node —
+//! incident edges, neighbour PEs, candidate PEs, their gates and fanout
+//! sites. An attempt allocates only its own MRT, placement and route
+//! tables, and a routed chain only its hop list. The router answers each
+//! request exactly as a fresh search would (see [`crate::route`]), and the
+//! buffers are cleared before each use, so every decision — and every
+//! traced event — is the same as with fresh allocations.
 //!
 //! **Per-node set-up.** Most candidates fail, so a candidate costs only
 //! what depends on it. While one node's `(time, PE)` walk runs, the
 //! placements and committed routes read at the start of each candidate do
 //! not change: a candidate that fails rolls back everything it reserved,
-//! and the first that commits ends the walk. So the node's *incident
-//! edges* (those whose other end is placed) are gathered once per node,
-//! and so are the fanout sites of the first of them, which is routed
-//! before anything of the candidate is committed. The sites of later
-//! edges can include routes the candidate itself just committed, so they
-//! are gathered per candidate, as before. A candidate PE's sort key packs
-//! its page distance, affinity and id into one `u64`, ordered as the
-//! `(page distance, affinity, PE)` tuple is.
+//! and the first that commits ends the walk. So `place_node` gathers once
+//! per node the node's *incident edges* (those whose other end is
+//! placed), the fanout sites of the first of them, which is routed before
+//! anything of the candidate is committed, and one *gate* per candidate
+//! PE (below). The sites of later edges can include routes the candidate
+//! itself just committed, so they are gathered per candidate, as before.
+//! A candidate PE's sort key packs its page distance, affinity and id
+//! into one `u64`, ordered as the `(page distance, affinity, PE)` tuple
+//! is.
 //!
-//! **Reject before reserving.** The first incident edge fails without a
-//! search when its timing cannot hold (a memory edge read before the
-//! datum is visible, or a consumer before its producer) or when
-//! [`Router::rejects`] its request. None of these checks reads the MRT,
-//! so they give the same answer before the candidate's own slot is
-//! reserved as after. `try_commit` therefore runs them first, and a
-//! rejected candidate counts one routing failure on that edge — as the
-//! full path would — and returns without reserving, gathering or rolling
-//! back anything.
+//! **Reject by bit tests.** A candidate `(t, PE)` reserves a slot and
+//! routes only if three tests pass, in this order:
+//!
+//! 1. the PE's bit is clear in the MRT's busy word of phase `t mod II`;
+//! 2. for a memory op, its bit is clear in that phase's saturated-bus
+//!    word;
+//! 3. `t` lies in the PE's gate: the times at which the first incident
+//!    edge's timing can hold (a memory edge is not read before the datum
+//!    is visible, a consumer does not read before its producer) and
+//!    [`Router::rejects`] does not hold for its request.
+//!
+//! A candidate that fails test 3 counts one routing failure on that edge,
+//! as the full path would, and reserves, gathers and rolls back nothing.
+//! The gate is one time interval per PE because, with the PE fixed, only
+//! `t` moves the first edge's request, and the producer, its `avail`,
+//! `d·II` and the fanout sites stay fixed. Both the request's
+//! `avail` and its deadline are `t` or a constant, so its slack
+//! `deadline − avail` and its deadline move with `t` by −1, 0 or +1. The
+//! checks bound them to intervals: the slack to at least 0 (or 1 on a
+//! memory edge) and to `Router::slack_range` for the producer's site,
+//! the deadline to at most `u32::MAX` and to at least
+//! `Router::site_deadline` for a fanout site. For a consumer the
+//! deadline `t + d·II` rises with `t`; for a producer `avail = t + 1`
+//! does; in strict mode the slack is bounded on both ends (zero steps
+//! only where the consumer can read, at most the chain budget). None of
+//! the checks reads the MRT, so a gate computed before the walk answers
+//! as the old per-candidate `edge_need` and [`Router::rejects`] did; the
+//! test `gate_matches_edge_need_and_rejects` checks every `(t, PE)` of
+//! random partial attempts against them.
 
 use crate::error::MapError;
 use crate::mapping::{MapMode, Mapping, Placement, RouteHop};
-use crate::mrt::{Mrt, SlotUse};
+use crate::mrt::{has, Mrt, SlotUse};
 use crate::opts::MapOptions;
 use crate::route::{RoutePlan, RouteRequest, Router, ValueSite};
 use crate::spill::MapDfg;
@@ -127,6 +150,23 @@ pub struct FailureStats {
     pub edge_route_failures: Vec<u32>,
 }
 
+/// How many pages the kernel needs at `ii`: enough PE slots for all ops,
+/// and enough tile rows that memory ops do not saturate the row buses
+/// within one II window.
+fn used_pages_estimate(mdfg: &MapDfg, cgra: &CgraConfig, ii: u32) -> u16 {
+    let layout = cgra.layout();
+    let total = layout.num_pages();
+    let shape = layout.shape();
+    let ii = ii as usize;
+    let nodes = mdfg.dfg.num_nodes();
+    let pages_for_ops = nodes.div_ceil(ii * shape.size());
+    let pages_per_tile_row = (cgra.mesh().cols() / shape.w) as usize;
+    let mem_slots_per_tile_row = ii * shape.h as usize * cgra.mem().buses_per_row() as usize;
+    let mem_ops = mdfg.dfg.num_mem_ops();
+    let pages_for_mem = mem_ops.div_ceil(mem_slots_per_tile_row.max(1)) * pages_per_tile_row;
+    pages_for_ops.max(pages_for_mem).max(1).min(total) as u16
+}
+
 /// SCC ids over the *routable* (non-memory) edges. Under the ring path
 /// constraint a recurrence cycle can never advance pages, so all members
 /// of a routable SCC must share one page.
@@ -151,14 +191,12 @@ fn routable_scc_of(mdfg: &MapDfg) -> Vec<usize> {
     comp_of
 }
 
-/// What every attempt of one [`schedule`] call shares: the router, the
-/// fabric's distance table and the buffers placement refills per node.
-struct Workspace<'a> {
-    router: Router<'a>,
+/// What every attempt of one [`schedule`] call shares: the router and
+/// the buffers placement refills per node.
+struct Workspace {
+    router: Router,
     /// Routable-SCC id per node (ring modes only).
     scc_of: Vec<usize>,
-    /// `distance[a·n + b]`: the mesh distance between PEs `a` and `b`.
-    distance: Vec<u32>,
     /// The incident edges of the node being placed.
     node: NodeEdges,
     /// PEs of the placed neighbours of the node being placed.
@@ -166,13 +204,17 @@ struct Workspace<'a> {
     /// Candidate PEs of the node being placed, as sort keys (see
     /// `place_node`).
     pes: Vec<u64>,
+    /// The gate of each candidate PE, in `pes` order.
+    gates: Vec<Gate>,
+    /// The PEs the node being placed cannot take at the walk's current
+    /// phase, as MRT words.
+    blocked: Vec<u64>,
     /// Fanout sites of the edge being routed, past the first.
     sites: Vec<ValueSite>,
 }
 
-impl<'a> Workspace<'a> {
-    fn new(mdfg: &MapDfg, cgra: &'a CgraConfig, mode: MapMode, opts: &MapOptions) -> Self {
-        let mesh = cgra.mesh();
+impl Workspace {
+    fn new(mdfg: &MapDfg, cgra: &CgraConfig, mode: MapMode, opts: &MapOptions) -> Self {
         Workspace {
             router: Router::new(cgra, mode, opts.chain_budget),
             scc_of: if mode.ring_constrained() {
@@ -180,13 +222,11 @@ impl<'a> Workspace<'a> {
             } else {
                 Vec::new()
             },
-            distance: mesh
-                .pes()
-                .flat_map(|a| mesh.pes().map(move |b| mesh.distance(a, b)))
-                .collect(),
             node: NodeEdges::default(),
             neighbour_pes: Vec::new(),
             pes: Vec::new(),
+            gates: Vec::new(),
+            blocked: Vec::new(),
             sites: Vec::new(),
         }
     }
@@ -227,6 +267,51 @@ fn fanout_sites(
     );
 }
 
+/// An inclusive interval of placement times, empty when its start is
+/// after its end. Its ends stay within `±INF`, far beyond any `u32` time,
+/// so the arithmetic of [`solve`] cannot overflow.
+type Gate = (i64, i64);
+
+/// The end of an interval that is open on that side.
+const INF: i64 = 1 << 48;
+/// Every time.
+const ALWAYS: Gate = (-INF, INF);
+/// No time.
+const NEVER: Gate = (1, 0);
+/// A gate not computed yet.
+const UNSET: Gate = (INF, -INF);
+
+/// `{t : lo ≤ c + k·t ≤ hi}` for `k` in `−1..=1`.
+fn solve(c: i64, k: i64, lo: i64, hi: i64) -> Gate {
+    match k {
+        0 if (lo..=hi).contains(&c) => ALWAYS,
+        0 => NEVER,
+        1 => (lo - c, hi - c),
+        _ => (c - hi, c - lo),
+    }
+}
+
+/// The times in both `a` and `b`.
+fn meet(a: Gate, b: Gate) -> Gate {
+    (a.0.max(b.0), a.1.min(b.1))
+}
+
+/// The times in `a` or `b`, which must overlap or touch unless one is
+/// empty.
+fn join(a: Gate, b: Gate) -> Gate {
+    if a.0 > a.1 {
+        return b;
+    }
+    if b.0 > b.1 {
+        return a;
+    }
+    debug_assert!(
+        a.0 <= b.1 + 1 && b.0 <= a.1 + 1,
+        "{a:?} and {b:?} leave a gap"
+    );
+    (a.0.min(b.0), a.1.max(b.1))
+}
+
 /// What an edge asks of the router for one tentative placement.
 enum EdgeNeed {
     /// A memory edge whose timing holds: nothing to route.
@@ -237,12 +322,32 @@ enum EdgeNeed {
     Route(RouteRequest),
 }
 
+/// Candidates a node's walk picks by a scan for the smallest key before
+/// it sorts the rest: most nodes place within the first few candidates.
+const SELECT_FIRST: usize = 4;
+
+/// Put the smallest key of `keys[*sorted..]` at `*sorted` and advance it,
+/// or, past the first [`SELECT_FIRST`] keys, sort all the rest. Keys are
+/// distinct (each ends in its PE id), so the walk sees them in exactly
+/// the order a full sort would give.
+fn settle_next(keys: &mut [u64], sorted: &mut usize) {
+    let rest = &mut keys[*sorted..];
+    if *sorted < SELECT_FIRST {
+        let smallest = (0..rest.len()).min_by_key(|&i| rest[i]).unwrap_or(0);
+        rest.swap(0, smallest);
+        *sorted += 1;
+    } else {
+        rest.sort_unstable();
+        *sorted = keys.len();
+    }
+}
+
 struct Attempt<'a, 'w> {
     mdfg: &'a MapDfg,
     cgra: &'a CgraConfig,
     mode: MapMode,
     ii: u32,
-    ws: &'w mut Workspace<'a>,
+    ws: &'w mut Workspace,
     mrt: Mrt,
     placed: Vec<Option<Placement>>,
     routes: Vec<Option<Vec<RouteHop>>>,
@@ -252,6 +357,9 @@ struct Attempt<'a, 'w> {
     /// Restart-diversity knob: order all candidates time-major (see
     /// `place_node`).
     time_major: bool,
+    /// `target_page`'s scale, fixed for the attempt: the pages the kernel
+    /// needs less one, and the largest ASAP time (at least 1).
+    wavefront: (u64, u64),
 }
 
 impl<'a, 'w> Attempt<'a, 'w> {
@@ -260,9 +368,11 @@ impl<'a, 'w> Attempt<'a, 'w> {
         cgra: &'a CgraConfig,
         mode: MapMode,
         ii: u32,
-        ws: &'w mut Workspace<'a>,
+        asap: &[u32],
+        ws: &'w mut Workspace,
     ) -> Self {
         let num_sccs = ws.scc_of.iter().copied().max().map_or(0, |m| m + 1);
+        let used_pages = used_pages_estimate(mdfg, cgra, ii);
         Attempt {
             mrt: Mrt::new(cgra.mesh(), ii, cgra.mem().buses_per_row()),
             placed: vec![None; mdfg.dfg.num_nodes()],
@@ -272,6 +382,10 @@ impl<'a, 'w> Attempt<'a, 'w> {
             },
             scc_page: vec![None; num_sccs],
             time_major: false,
+            wavefront: (
+                used_pages as u64 - 1,
+                asap.iter().copied().max().unwrap_or(0).max(1) as u64,
+            ),
             mdfg,
             cgra,
             mode,
@@ -362,6 +476,45 @@ impl<'a, 'w> Attempt<'a, 'w> {
         })
     }
 
+    /// The times at which `v` on `pe` passes the checks of its incident
+    /// edge `edge_index`, whose fanout sites are `sites`: the times `t` at
+    /// which [`Attempt::edge_need`] of `(t, pe)` is not `Infeasible` and
+    /// [`Router::rejects`] does not hold for its request (see the module
+    /// docs).
+    fn gate(&self, edge_index: usize, v: NodeId, pe: PeId, sites: &[ValueSite]) -> Gate {
+        let e = self.mdfg.dfg.edge(cgra_dfg::EdgeId(edge_index as u32));
+        let dii = e.distance as i64 * self.ii as i64;
+        // With `v` at time `t`, the value is available at `a0 + ka·t` on
+        // `from`, and consumed at `c0 + kc·t` on `to`.
+        let (from, a0, ka) = if e.src == v {
+            (pe, 1, 1)
+        } else {
+            let pu = self.placed[e.src.index()].expect("src placed");
+            (pu.pe, pu.time as i64 + 1, 0)
+        };
+        let (to, c0, kc) = if e.dst == v {
+            (pe, dii, 1)
+        } else {
+            let pw = self.placed[e.dst.index()].expect("dst placed");
+            (pw.pe, pw.time as i64 + dii, 0)
+        };
+        // The slack `consume − avail` is `s0 + ks·t`.
+        let (s0, ks) = (c0 - a0, kc - ka);
+        if self.mdfg.is_mem_edge(edge_index) {
+            // Timing only: consume ≥ t_u + 2, one past `avail`.
+            return solve(s0, ks, 1, INF);
+        }
+        let timely = meet(solve(s0, ks, 0, INF), solve(c0, kc, -INF, u32::MAX as i64));
+        let router = &self.ws.router;
+        let producer = router
+            .slack_range(from, to)
+            .map_or(NEVER, |(lo, hi)| solve(s0, ks, lo as i64, hi as i64));
+        let site = router
+            .site_deadline(to, sites)
+            .map_or(NEVER, |earliest| solve(c0, kc, earliest as i64, INF));
+        meet(timely, join(producer, site))
+    }
+
     /// Route one edge incident to a tentative placement of `v` at `cand`.
     /// `sites` are the value's fanout sites if the caller gathered them;
     /// otherwise they are gathered here. Returns the plan, or `None`
@@ -431,29 +584,11 @@ impl<'a, 'w> Attempt<'a, 'w> {
         true
     }
 
-    /// Try to commit `v` at `cand`: reserve its slot, route and reserve
-    /// every edge of `node` (gathered by `place_node`). Rolls back on
-    /// failure.
+    /// Try to commit `v` at `cand`, whose slot (and bus, for a memory op)
+    /// is free: reserve its slot, route and reserve every edge of `node`
+    /// (gathered by `place_node`). Rolls back on failure.
     fn try_commit(&mut self, v: NodeId, cand: Placement, node: &NodeEdges) -> bool {
         let op = self.mdfg.dfg.node(v).op;
-        if !self.mrt.pe_free(cand.pe, cand.time as u64) {
-            return false;
-        }
-        if op.is_mem() && !self.mrt.bus_free(cand.pe, cand.time as u64) {
-            return false;
-        }
-        // Reject before reserving (see the module docs).
-        if let Some(&e0) = node.incident.first() {
-            let rejected = match self.edge_need(e0, v, cand) {
-                EdgeNeed::Nothing => false,
-                EdgeNeed::Infeasible => true,
-                EdgeNeed::Route(req) => self.ws.router.rejects(req, &node.first_sites),
-            };
-            if rejected {
-                self.stats.edge_route_failures[e0] += 1;
-                return false;
-            }
-        }
         self.mrt.reserve(
             cand.pe,
             cand.time as u64,
@@ -503,38 +638,21 @@ impl<'a, 'w> Attempt<'a, 'w> {
         Ok(())
     }
 
-    /// How many pages the kernel actually needs: enough PE slots for all
-    /// ops, and enough tile rows that memory ops do not saturate the row
-    /// buses within one II window.
-    fn used_pages_estimate(&self) -> u16 {
-        let layout = self.cgra.layout();
-        let total = layout.num_pages();
-        let shape = layout.shape();
-        let ii = self.ii as usize;
-        let nodes = self.mdfg.dfg.num_nodes();
-        let pages_for_ops = nodes.div_ceil(ii * shape.size());
-        let pages_per_tile_row = (self.cgra.mesh().cols() / shape.w) as usize;
-        let mem_slots_per_tile_row =
-            ii * shape.h as usize * self.cgra.mem().buses_per_row() as usize;
-        let mem_ops = self.mdfg.dfg.num_mem_ops();
-        let pages_for_mem = mem_ops.div_ceil(mem_slots_per_tile_row.max(1)) * pages_per_tile_row;
-        pages_for_ops.max(pages_for_mem).max(1).min(total) as u16
-    }
-
     /// The page a node would ideally sit on: proportional to its ASAP
     /// depth across the pages the kernel needs, so dataflow sweeps the
     /// ring as a wavefront with small per-edge page advances while still
     /// spreading memory ops over enough tile rows.
-    fn target_page(&self, v: NodeId, asap: &[u32], used_pages: u16) -> u16 {
-        let max_asap = asap.iter().copied().max().unwrap_or(0).max(1);
-        ((asap[v.index()] as u64 * (used_pages as u64 - 1)) / max_asap as u64) as u16
+    fn target_page(&self, v: NodeId, asap: &[u32]) -> u16 {
+        let (last_used, max_asap) = self.wavefront;
+        (asap[v.index()] as u64 * last_used / max_asap) as u16
     }
 
-    fn place_node(&mut self, v: NodeId, asap: &[u32], rng: &mut StdRng) -> bool {
+    /// The times `v` may take given its placed neighbours, as the
+    /// inclusive range the walk tries (at most `2·II` long), or `None`
+    /// when they leave none.
+    fn window(&self, v: NodeId, asap: &[u32]) -> Option<(i64, i64)> {
         let dfg = &self.mdfg.dfg;
         let ii = self.ii as i64;
-
-        // Time window from placed neighbours.
         let mut lo = asap[v.index()] as i64;
         let mut hi = i64::MAX;
         for e in dfg.pred_edges(v) {
@@ -557,74 +675,13 @@ impl<'a, 'w> Attempt<'a, 'w> {
             }
         }
         lo = lo.max(0);
-        if hi < lo {
-            return false;
-        }
-        let hi_window = hi.min(lo + 2 * ii - 1);
+        (hi >= lo).then(|| (lo, hi.min(lo + 2 * ii - 1)))
+    }
 
-        // Candidate PEs: within the legal page range, ordered by page
-        // (earliest legal page first — compact forward flow), then by
-        // mesh affinity to placed neighbours.
-        let (page_lo, page_hi) = self.page_bounds(v);
-        if page_hi < page_lo {
-            return false;
-        }
-        let neighbour_pes = &mut self.ws.neighbour_pes;
-        neighbour_pes.clear();
-        neighbour_pes.extend(
-            dfg.pred_edges(v)
-                .map(|e| dfg.edge(e).src)
-                .chain(dfg.succ_edges(v).map(|e| dfg.edge(e).dst))
-                .filter(|&n| n != v)
-                .filter_map(|n| self.placed[n.index()].map(|p| p.pe)),
-        );
-        let mesh = self.cgra.mesh();
-        let layout = self.cgra.layout();
-        // Ring modes flow forward as a wavefront: prefer pages near the
-        // ASAP-proportional target. Baseline placement is page-agnostic
-        // (affinity only).
-        let target = self.mode.ring_constrained().then(|| {
-            self.target_page(v, asap, self.used_pages_estimate())
-                .clamp(page_lo, page_hi)
-        });
-        // Each candidate's key is `page_key << 48 | affinity << 16 | pe`:
-        // 16, 32 and 16 bits, so sorting the keys sorts by
-        // `(page_key, affinity, pe)`.
-        let n = mesh.num_pes();
-        let ws = &mut *self.ws;
-        let (neighbour_pes, distance) = (&ws.neighbour_pes, &ws.distance);
-        let pes = &mut ws.pes;
-        pes.clear();
-        pes.extend(
-            mesh.pes()
-                .filter(|&pe| {
-                    let p = layout.page_of(pe).0;
-                    (page_lo..=page_hi).contains(&p)
-                })
-                .map(|pe| {
-                    let distance = &distance[pe.index() * n..][..n];
-                    let affinity: u32 = neighbour_pes.iter().map(|&np| distance[np.index()]).sum();
-                    let page_key = target.map_or(0, |target| layout.page_of(pe).0.abs_diff(target));
-                    let aff = affinity + rng.gen_range(0..3);
-                    (page_key as u64) << 48 | (aff as u64) << 16 | pe.0 as u64
-                }),
-        );
-        pes.sort_unstable();
-        let pes = std::mem::take(pes);
-        // Candidate order. For *source* ops (no placed producers — loads,
-        // constants) the best page comes first: time-major ordering would
-        // exhaust each row bus's slot 0 across the whole array, scattering
-        // co-consumed loads onto far pages. For ops with placed producers
-        // the earliest time comes first (tight schedules), with the page
-        // preference breaking ties.
-        let time_major = self.time_major
-            || dfg.pred_edges(v).any(|e| {
-                let src = dfg.edge(e).src;
-                src != v && self.placed[src.index()].is_some() && !self.mdfg.is_mem_edge(e.index())
-            });
-        // Per-node set-up (see the module docs): the incident edges and
-        // the first one's fanout sites.
-        let mut node = std::mem::take(&mut self.ws.node);
+    /// Fill `node` with `v`'s incident edges and the fanout sites of the
+    /// first of them (see the module docs).
+    fn gather_edges(&self, v: NodeId, node: &mut NodeEdges) {
+        let dfg = &self.mdfg.dfg;
         node.incident.clear();
         node.incident.extend(
             dfg.pred_edges(v)
@@ -648,21 +705,138 @@ impl<'a, 'w> Attempt<'a, 'w> {
             ),
             None => node.first_sites.clear(),
         }
+    }
+
+    fn place_node(&mut self, v: NodeId, asap: &[u32], rng: &mut StdRng) -> bool {
+        let dfg = &self.mdfg.dfg;
+        let ii = self.ii as i64;
+        let Some((lo, hi_window)) = self.window(v, asap) else {
+            return false;
+        };
+
+        // Candidate PEs: within the legal page range, ordered by page
+        // (earliest legal page first — compact forward flow), then by
+        // mesh affinity to placed neighbours.
+        let (page_lo, page_hi) = self.page_bounds(v);
+        if page_hi < page_lo {
+            return false;
+        }
+        let neighbour_pes = &mut self.ws.neighbour_pes;
+        neighbour_pes.clear();
+        neighbour_pes.extend(
+            dfg.pred_edges(v)
+                .map(|e| dfg.edge(e).src)
+                .chain(dfg.succ_edges(v).map(|e| dfg.edge(e).dst))
+                .filter(|&n| n != v)
+                .filter_map(|n| self.placed[n.index()].map(|p| p.pe)),
+        );
+        let mesh = self.cgra.mesh();
+        let layout = self.cgra.layout();
+        // Ring modes flow forward as a wavefront: prefer pages near the
+        // ASAP-proportional target. Baseline placement is page-agnostic
+        // (affinity only).
+        let target = self
+            .mode
+            .ring_constrained()
+            .then(|| self.target_page(v, asap).clamp(page_lo, page_hi));
+        // Each candidate's key is `page_key << 48 | affinity << 16 | pe`:
+        // 16, 32 and 16 bits, so sorting the keys sorts by
+        // `(page_key, affinity, pe)`.
+        let ws = &mut *self.ws;
+        let (neighbour_pes, geometry) = (&ws.neighbour_pes, ws.router.geometry());
+        let pes = &mut ws.pes;
+        pes.clear();
+        pes.extend(
+            mesh.pes()
+                .filter(|&pe| {
+                    let p = layout.page_of(pe).0;
+                    (page_lo..=page_hi).contains(&p)
+                })
+                .map(|pe| {
+                    let affinity: u32 = neighbour_pes
+                        .iter()
+                        .map(|&np| geometry.distance(pe, np))
+                        .sum();
+                    let page_key = target.map_or(0, |target| layout.page_of(pe).0.abs_diff(target));
+                    let aff = affinity + rng.gen_range(0..3);
+                    (page_key as u64) << 48 | (aff as u64) << 16 | pe.0 as u64
+                }),
+        );
+        let mut pes = std::mem::take(pes);
+        // Candidate order. For *source* ops (no placed producers — loads,
+        // constants) the best page comes first: time-major ordering would
+        // exhaust each row bus's slot 0 across the whole array, scattering
+        // co-consumed loads onto far pages. For ops with placed producers
+        // the earliest time comes first (tight schedules), with the page
+        // preference breaking ties.
+        let time_major = self.time_major
+            || dfg.pred_edges(v).any(|e| {
+                let src = dfg.edge(e).src;
+                src != v && self.placed[src.index()].is_some() && !self.mdfg.is_mem_edge(e.index())
+            });
+        // Per-node set-up (see the module docs): the incident edges and
+        // the first one's fanout sites.
+        let mut node = std::mem::take(&mut self.ws.node);
+        self.gather_edges(v, &mut node);
+        // The first edge's gate per candidate PE (see the module docs),
+        // computed when the walk first needs it.
+        let first = node.incident.first().copied();
+        let mut gates = std::mem::take(&mut self.ws.gates);
+        gates.clear();
+        gates.resize(pes.len(), if first.is_some() { UNSET } else { ALWAYS });
         // Walk `(t, pe)` lazily and stop at the first commit: page-major
         // tries each `page_key` group at every time before the next group;
         // time-major is the same walk over one group holding every PE.
-        let placed = pes
-            .chunk_by(|a, b| time_major || a >> 48 == b >> 48)
-            .flat_map(|group| {
-                (lo..=hi_window).flat_map(move |t| group.iter().map(move |&key| (t, key as u16)))
-            })
-            .map(|(t, pe)| Placement {
-                pe: PeId(pe),
-                time: t as u32,
-            })
-            .find(|&cand| self.try_commit(v, cand, &node));
+        let is_mem = dfg.node(v).op.is_mem();
+        let mut blocked = std::mem::take(&mut self.ws.blocked);
+        let mut placed = None;
+        // `pes[..sorted]` holds the smallest keys in order; the walk sorts
+        // the rest as it reaches them (see `settle_next`).
+        let mut sorted = 0;
+        let mut start = 0;
+        'walk: while start < pes.len() {
+            // The group's end, found by the walk's first time step.
+            let mut end = pes.len();
+            for t in lo..=hi_window {
+                // A candidate that fails rolls back what it reserved, so
+                // the blocked PEs stay fixed while the walk stays at `t`.
+                self.mrt
+                    .blocked_at_phase((t % ii) as u32, is_mem, &mut blocked);
+                for i in start..end {
+                    if i == sorted {
+                        settle_next(&mut pes, &mut sorted);
+                    }
+                    let key = pes[i];
+                    if !time_major && key >> 48 != pes[start] >> 48 {
+                        end = i;
+                        break;
+                    }
+                    let pe = PeId(key as u16);
+                    if has(&blocked, pe) {
+                        continue;
+                    }
+                    let gate = &mut gates[i];
+                    if let (UNSET, Some(e0)) = (*gate, first) {
+                        *gate = self.gate(e0, v, pe, &node.first_sites);
+                    }
+                    if !(gate.0..=gate.1).contains(&t) {
+                        // Only a first incident edge closes a gate.
+                        self.stats.edge_route_failures[node.incident[0]] += 1;
+                        continue;
+                    }
+                    let cand = Placement { pe, time: t as u32 };
+                    if self.try_commit(v, cand, &node) {
+                        placed = Some(cand);
+                        break 'walk;
+                    }
+                }
+            }
+            start = end;
+        }
         self.ws.node = node;
         self.ws.pes = pes;
+        self.ws.gates = gates;
+        self.ws.blocked = blocked;
         let Some(cand) = placed else {
             return false;
         };
@@ -731,7 +905,7 @@ pub fn schedule(
                     n.0,
                 )
             });
-            let mut attempt = Attempt::new(mdfg, cgra, mode, ii, &mut ws);
+            let mut attempt = Attempt::new(mdfg, cgra, mode, ii, &asap, &mut ws);
             // Alternate candidate-ordering strategy across restarts: some
             // kernels pack better page-major (bus-heavy), others
             // time-major (dependence-heavy).
@@ -847,6 +1021,97 @@ mod tests {
         let m = out.mapping.expect("kernel maps");
         assert!(validate_mapping(mdfg, &cgra, &m, mode).is_empty());
         m
+    }
+
+    /// Seeded random partial attempts on every fabric of the paper grid,
+    /// in all three modes, on kernels with random spills (memory edges)
+    /// and random chain budgets: before each node's walk, for every PE and
+    /// every time of the node's window widened by II on each side, the
+    /// gate of the first incident edge holds exactly when the checks it
+    /// replaces pass, which this test keeps as its reference: `edge_need`
+    /// is not `Infeasible`, and `Router::rejects` does not hold for the
+    /// request.
+    #[test]
+    fn gate_matches_edge_need_and_rejects() {
+        let mut rng = StdRng::seed_from_u64(0x6A7E_5EED);
+        let kernels = cgra_dfg::kernels::all();
+        let modes = [
+            MapMode::Baseline,
+            MapMode::Constrained,
+            MapMode::ConstrainedStrict,
+        ];
+        let (mut open, mut shut, mut nodes) = (0u64, 0u64, 0u64);
+        for (dim, sizes) in cgra_arch::PAPER_GRID {
+            for &size in sizes {
+                let cgra = cgra_arch::fabric(dim, size).unwrap();
+                for mode in modes {
+                    for attempt_no in 0..8 {
+                        let kernel = &kernels[rng.gen_range(0..kernels.len())];
+                        let spills = (0..kernel.num_edges())
+                            .filter(|_| rng.gen_bool(0.2))
+                            .collect();
+                        let mdfg = MapDfg::with_spills(kernel, &spills);
+                        let opts = MapOptions {
+                            chain_budget: rng.gen_range(0..12),
+                            ..MapOptions::default()
+                        };
+                        let ii = mii_with_mem(&mdfg, &cgra) + rng.gen_range(0..3);
+                        let asap = asap_with_mem(&mdfg, ii).expect("II at or above the MII");
+                        let mut order: Vec<NodeId> = mdfg.dfg.node_ids().collect();
+                        order.sort_by_key(|n| (asap[n.index()], n.0));
+                        let mut ws = Workspace::new(&mdfg, &cgra, mode, &opts);
+                        let mut attempt = Attempt::new(&mdfg, &cgra, mode, ii, &asap, &mut ws);
+                        attempt.time_major = rng.gen_bool(0.5);
+                        let why = format!(
+                            "{dim}x{dim}/p{size} {mode:?} #{attempt_no} {} II {ii}",
+                            kernel.name
+                        );
+                        for &v in &order {
+                            let Some((lo, hi)) = attempt.window(v, &asap) else {
+                                break;
+                            };
+                            let mut node = NodeEdges::default();
+                            attempt.gather_edges(v, &mut node);
+                            if let Some(&e0) = node.incident.first() {
+                                nodes += 1;
+                                let span = (lo - ii as i64).max(0)..=hi + ii as i64;
+                                for pe in cgra.mesh().pes() {
+                                    let gate = attempt.gate(e0, v, pe, &node.first_sites);
+                                    for t in span.clone() {
+                                        let cand = Placement { pe, time: t as u32 };
+                                        let passes = match attempt.edge_need(e0, v, cand) {
+                                            EdgeNeed::Nothing => true,
+                                            EdgeNeed::Infeasible => false,
+                                            EdgeNeed::Route(req) => {
+                                                !attempt.ws.router.rejects(req, &node.first_sites)
+                                            }
+                                        };
+                                        assert_eq!(
+                                            (gate.0..=gate.1).contains(&t),
+                                            passes,
+                                            "{why}: node {v:?} edge {e0} at ({pe}, {t}), gate {gate:?}"
+                                        );
+                                        if passes {
+                                            open += 1;
+                                        } else {
+                                            shut += 1;
+                                        }
+                                    }
+                                }
+                            }
+                            if !attempt.place_node(v, &asap, &mut rng) {
+                                break;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // Both verdicts are exercised many times.
+        assert!(
+            nodes > 1500 && open > 200_000 && shut > 200_000,
+            "{nodes} {open} {shut}"
+        );
     }
 
     #[test]

@@ -41,17 +41,28 @@
 //! `None` at the top exactly when it holds (a site that could be read
 //! directly has `h = 0` and is within both limits, so a rejected request
 //! has none), and it depends only on the request, the sites and the
-//! fabric, never on the MRT. The engine therefore asks it before it
-//! reserves anything for a candidate placement. The property test
+//! fabric, never on the MRT. The property test
 //! `rejects_exactly_what_route_fails_unsearched` checks both directions.
+//! It is written in two parts that the engine also reads on their own:
+//! the producer's site passes when the slack `deadline − avail` lies in
+//! `Router::slack_range`, and a fanout site passes when the deadline is
+//! at least `Router::site_deadline`. Each part is monotone in the
+//! request's times, so the engine turns them into one time interval per
+//! candidate PE before it walks a node's candidates (see
+//! [`crate::engine`]).
 //!
 //! **Lifetime.** The mapping engine builds one [`Router`] per schedule
 //! search and routes every edge of every attempt through it, so the
 //! search's bookkeeping is paid once, not per request:
 //!
-//! * `h` depends only on the fabric and the consumer's PE, so the router
-//!   keeps it as a table with one row per consumer PE, filled the first
-//!   time a request names that consumer.
+//! * The fabric is one `(row, column, page)` entry per PE (`Geometry`),
+//!   built in O(PEs) with the router, from which the mesh distance and
+//!   `h` follow in closed form, with no division and nothing PE×PE
+//!   computed up front. The searches read `h` towards their consumer
+//!   once per state, so the router keeps it as a row per consumer PE,
+//!   filled in O(PEs) from the closed form the first time a request
+//!   names that consumer; the per-candidate checks (`Router::rejects`
+//!   and its parts) compute it directly.
 //! * The per-state cost, parent and seen marks live in one buffer that
 //!   grows to the largest window seen and is never cleared. Each search
 //!   takes a fresh epoch, and a cell counts as seen only when its stamp
@@ -62,8 +73,8 @@
 //! * Each PE's ring-legal mesh neighbours are listed once, in
 //!   [`Mesh::neighbors`] order, so a search pushes the same states in the
 //!   same order as when it filtered the mesh's neighbours per pop. A
-//!   popped state reduces its time modulo II once and reads the MRT slots
-//!   of all its neighbours at that phase.
+//!   popped state reduces its time modulo II once and tests its
+//!   neighbours' bits in the MRT's busy words at that phase.
 //!
 //! A reused search is exact: the stamp test answers "seen in this search"
 //! exactly as a freshly filled buffer would, the bound row holds the
@@ -73,7 +84,7 @@
 //! checks this against freshly allocating reference searches.
 
 use crate::mapping::{MapMode, RouteHop};
-use crate::mrt::Mrt;
+use crate::mrt::{has, Mrt};
 use cgra_arch::page::PageLayout;
 use cgra_arch::topology::{Mesh, PeId};
 use cgra_arch::CgraConfig;
@@ -126,27 +137,75 @@ fn ring_ok(ring: Option<&PageLayout>, from: PeId, to: PeId) -> bool {
 /// consumers without re-routing from the producer).
 pub type ValueSite = (PeId, u32);
 
-/// A lower bound on the hops a value on `pe` still needs before the
-/// consumer on `to` can read it, or `None` when no path exists. Each hop
-/// moves one link, so at least `distance − 1` hops remain (the consumer
-/// reads across the last link). Under the ring, each hop advances at most
-/// one page and never goes back, so at least `page(to) − page(pe) − 1`
-/// hops remain, and a consumer on an earlier page is out of reach. The
-/// bound is 0 exactly on the PEs the consumer can read from.
-fn hops_lower_bound(mesh: Mesh, ring: Option<&PageLayout>, pe: PeId, to: PeId) -> Option<u32> {
-    let links = mesh.distance(pe, to).saturating_sub(1);
-    let Some(layout) = ring else {
-        return Some(links);
-    };
-    let (from_page, to_page) = (layout.page_of(pe).0, layout.page_of(to).0);
-    let pages = to_page.checked_sub(from_page)?.saturating_sub(1);
-    Some(links.max(pages as u32))
-}
-
-/// [`hops_lower_bound`]'s `None` in the router's bound table.
+/// [`Geometry::bound`] when no path exists.
 const UNREACHABLE: u32 = u32::MAX;
 /// A cell's parent when the search started there.
 const NO_PARENT: u32 = u32::MAX;
+
+/// Where one PE sits: its mesh row and column, and its page.
+#[derive(Debug, Clone, Copy)]
+struct Spot {
+    r: u16,
+    c: u16,
+    page: u16,
+}
+
+/// The fabric as the mapper measures it: one [`Spot`] per PE, from which
+/// mesh distances and hop bounds follow in closed form, with no division
+/// and no PE×PE table.
+#[derive(Debug)]
+pub(crate) struct Geometry {
+    spots: Vec<Spot>,
+    /// Whether the ring's page order bounds the hops (ring modes).
+    ring: bool,
+}
+
+impl Geometry {
+    /// The geometry of `cgra`; `ring` adds the page term of the bound.
+    pub(crate) fn new(cgra: &CgraConfig, ring: bool) -> Self {
+        let (mesh, layout) = (cgra.mesh(), cgra.layout());
+        let spots = mesh
+            .pes()
+            .map(|pe| {
+                let pos = mesh.pos(pe);
+                Spot {
+                    r: pos.r,
+                    c: pos.c,
+                    page: layout.page_of(pe).0,
+                }
+            })
+            .collect();
+        Geometry { spots, ring }
+    }
+
+    /// The Manhattan distance between PEs `a` and `b`: [`Mesh::distance`].
+    #[inline]
+    pub(crate) fn distance(&self, a: PeId, b: PeId) -> u32 {
+        let (a, b) = (self.spots[a.index()], self.spots[b.index()]);
+        a.r.abs_diff(b.r) as u32 + a.c.abs_diff(b.c) as u32
+    }
+
+    /// A lower bound on the hops a value on `pe` still needs before the
+    /// consumer on `to` can read it, or [`UNREACHABLE`]. Each hop moves
+    /// one link, so at least `distance − 1` hops remain (the consumer
+    /// reads across the last link). Under the ring, each hop advances at
+    /// most one page and never goes back, so at least
+    /// `page(to) − page(pe) − 1` hops remain, and a consumer on an earlier
+    /// page is out of reach. The bound is 0 exactly on the PEs the
+    /// consumer can read from.
+    #[inline]
+    pub(crate) fn bound(&self, pe: PeId, to: PeId) -> u32 {
+        let links = self.distance(pe, to).saturating_sub(1);
+        if !self.ring {
+            return links;
+        }
+        let (from_page, to_page) = (self.spots[pe.index()].page, self.spots[to.index()].page);
+        match to_page.checked_sub(from_page) {
+            Some(pages) => links.max(pages.saturating_sub(1) as u32),
+            None => UNREACHABLE,
+        }
+    }
+}
 
 /// One search state's bookkeeping. It is meaningful only while `stamp`
 /// equals the current epoch; otherwise the state is unseen.
@@ -232,14 +291,14 @@ impl Neighbours {
 /// the module docs for why reuse returns exactly what a fresh search
 /// would).
 #[derive(Debug)]
-pub struct Router<'a> {
+pub struct Router {
     mesh: Mesh,
-    /// The page layout under the ring constraint; `None` in baseline mode.
-    ring: Option<&'a PageLayout>,
     mode: MapMode,
     chain_budget: u32,
-    /// `bounds[to·n + pe]` = `h(pe)` towards consumer `to`, or
-    /// [`UNREACHABLE`]; row `to` is valid once `bound_rows[to]` is set.
+    /// Distances and hop bounds, with the page term in ring modes.
+    geometry: Geometry,
+    /// `bounds[to·n + pe]` = `h(pe)` towards consumer `to`, as the
+    /// searches read it; row `to` is valid once `bound_rows[to]` is set.
     bounds: Vec<u32>,
     bound_rows: Vec<bool>,
     /// The mesh neighbours a value may hop to under this mode's ring rule.
@@ -247,19 +306,19 @@ pub struct Router<'a> {
     scratch: Scratch,
 }
 
-impl<'a> Router<'a> {
+impl Router {
     /// A router for `mode` on `cgra`. Ring-constrained routes take at most
     /// `chain_budget` hops; strict chains take at most `chain_budget`
     /// steps.
-    pub fn new(cgra: &'a CgraConfig, mode: MapMode, chain_budget: u32) -> Self {
+    pub fn new(cgra: &CgraConfig, mode: MapMode, chain_budget: u32) -> Self {
         let mesh = cgra.mesh();
         let n = mesh.num_pes();
         let ring = mode.ring_constrained().then(|| cgra.layout());
         Router {
             mesh,
-            ring,
             mode,
             chain_budget,
+            geometry: Geometry::new(cgra, ring.is_some()),
             bounds: vec![0; n * n],
             bound_rows: vec![false; n],
             neighbours: Neighbours::new(mesh, ring),
@@ -270,10 +329,15 @@ impl<'a> Router<'a> {
     /// A router whose epoch counter starts at `epoch`, so a test can
     /// cross the wrap without four billion searches.
     #[cfg(test)]
-    fn with_epoch(cgra: &'a CgraConfig, mode: MapMode, chain_budget: u32, epoch: u32) -> Self {
+    fn with_epoch(cgra: &CgraConfig, mode: MapMode, chain_budget: u32, epoch: u32) -> Self {
         let mut router = Router::new(cgra, mode, chain_budget);
         router.scratch.epoch = epoch;
         router
+    }
+
+    /// The fabric's distances and hop bounds under this router's mode.
+    pub(crate) fn geometry(&self) -> &Geometry {
+        &self.geometry
     }
 
     /// Route `req` on the current `mrt`. Returns `None` if no legal
@@ -301,45 +365,71 @@ impl<'a> Router<'a> {
     /// and the hop budget. It reads no MRT slot, so a caller can ask
     /// before reserving anything. `false` promises nothing: the search may
     /// still fail.
-    pub fn rejects(&mut self, req: RouteRequest, sites: &[ValueSite]) -> bool {
-        if req.deadline < req.avail {
+    pub fn rejects(&self, req: RouteRequest, sites: &[ValueSite]) -> bool {
+        let Some(slack) = req.deadline.checked_sub(req.avail) else {
             return true;
-        }
-        let row = self.bound_row(req.to_pe);
-        let bound = &self.bounds[row];
+        };
+        let producer = self
+            .slack_range(req.from_pe, req.to_pe)
+            .is_some_and(|(lo, hi)| (lo..=hi).contains(&slack));
+        !producer
+            && self
+                .site_deadline(req.to_pe, sites)
+                .is_none_or(|earliest| earliest > req.deadline)
+    }
+
+    /// The slacks `deadline − avail` at which a request from `from` to
+    /// `to` passes [`Router::rejects`] on its producer site, as an
+    /// inclusive range, or `None` when none does. A strict chain has
+    /// exactly `slack` steps: at most the chain budget, and zero only
+    /// when the consumer can read `from`. A waiting route needs at least
+    /// the hop bound, which must be within the hop budget.
+    pub(crate) fn slack_range(&self, from: PeId, to: PeId) -> Option<(u32, u32)> {
+        let h = self.geometry.bound(from, to);
         if self.mode == MapMode::ConstrainedStrict {
-            return match req.deadline - req.avail {
-                0 => bound[req.from_pe.index()] != 0,
-                steps => steps > self.chain_budget,
-            };
+            let least = u32::from(h != 0);
+            return (least <= self.chain_budget).then_some((least, self.chain_budget));
+        }
+        (h != UNREACHABLE && h <= self.hop_budget()).then_some((h, u32::MAX))
+    }
+
+    /// The earliest deadline at which one of the fanout `sites` passes
+    /// [`Router::rejects`] for consumer `to`: a site available at `a`
+    /// whose hop bound `h` is within the hop budget meets any deadline
+    /// from `a + h` (saturating). `None` when no site can, and always in
+    /// strict mode, which starts every chain at the producer.
+    pub(crate) fn site_deadline(&self, to: PeId, sites: &[ValueSite]) -> Option<u32> {
+        if self.mode == MapMode::ConstrainedStrict {
+            return None;
         }
         let hop_budget = self.hop_budget();
-        let reachable_from = |pe: PeId, avail: u32| {
-            let h = bound[pe.index()];
-            h != UNREACHABLE && h <= hop_budget && avail.saturating_add(h) <= req.deadline
-        };
-        !reachable_from(req.from_pe, req.avail)
-            && !sites.iter().any(|&(pe, a)| reachable_from(pe, a))
+        sites
+            .iter()
+            .filter_map(|&(pe, a)| {
+                let h = self.geometry.bound(pe, to);
+                (h != UNREACHABLE && h <= hop_budget).then(|| a.saturating_add(h))
+            })
+            .min()
     }
 
     /// The most hops a waiting route may take: the chain budget under the
     /// ring, unbounded in baseline mode.
     fn hop_budget(&self) -> u32 {
-        if self.ring.is_some() {
+        if self.mode.ring_constrained() {
             self.chain_budget
         } else {
             u32::MAX
         }
     }
 
-    /// `h` towards consumer `to` for every PE, filling the row on first
-    /// use.
+    /// `h` towards consumer `to` for every PE, filling the row from the
+    /// closed form on first use.
     fn bound_row(&mut self, to: PeId) -> std::ops::Range<usize> {
         let n = self.mesh.num_pes();
         let row = to.index() * n..(to.index() + 1) * n;
         if !self.bound_rows[to.index()] {
             for (pe, h) in self.mesh.pes().zip(&mut self.bounds[row.clone()]) {
-                *h = hops_lower_bound(self.mesh, self.ring, pe, to).unwrap_or(UNREACHABLE);
+                *h = self.geometry.bound(pe, to);
             }
             self.bound_rows[to.index()] = true;
         }
@@ -350,7 +440,7 @@ impl<'a> Router<'a> {
     /// read) is restricted to ring-path page motion. `extra_sites` are
     /// additional starting states beyond the producer.
     ///
-    /// The search is pruned with [`hops_lower_bound`] `h`, without changing
+    /// The search is pruned with [`Geometry::bound`] `h`, without changing
     /// the route it finds. A state `(pe, t)` is *dead* when
     /// `t + h(pe) > deadline`: every hop takes a cycle, so no goal is
     /// reachable from it. A hop lowers `h` by at most one and takes a cycle,
@@ -420,9 +510,9 @@ impl<'a> Router<'a> {
             }
             // Hop (cost 1) — push back. The hop op runs at `t`.
             if c < hop_budget {
-                let phase = t % mrt.ii();
+                let busy = mrt.busy_at_phase(t % mrt.ii());
                 for &nb in neighbours.of(pe) {
-                    if !mrt.pe_free_at_phase(nb, phase) || !live(nb, t + 1) {
+                    if has(busy, nb) || !live(nb, t + 1) {
                         continue;
                     }
                     let hi = idx(nb, t + 1);
@@ -486,9 +576,9 @@ impl<'a> Router<'a> {
             }
             // The hop op executes at `avail + step`. Self-hop first, then
             // the ring-legal mesh neighbours.
-            let phase = (req.avail + step) % mrt.ii();
+            let busy = mrt.busy_at_phase((req.avail + step) % mrt.ii());
             for &nb in std::iter::once(&pe).chain(neighbours.of(pe)) {
-                if !mrt.pe_free_at_phase(nb, phase) {
+                if has(busy, nb) {
                     continue;
                 }
                 let i = idx(nb, step + 1);
@@ -688,6 +778,47 @@ mod tests {
         }
         chain.reverse();
         Some(RoutePlan::Chain(chain))
+    }
+
+    /// The hop bound as the router computed it from `Mesh::distance` and
+    /// the page table, before the closed form: the reference
+    /// [`Geometry::bound`] must equal.
+    fn hops_lower_bound(mesh: Mesh, ring: Option<&PageLayout>, pe: PeId, to: PeId) -> Option<u32> {
+        let links = mesh.distance(pe, to).saturating_sub(1);
+        let Some(layout) = ring else {
+            return Some(links);
+        };
+        let (from_page, to_page) = (layout.page_of(pe).0, layout.page_of(to).0);
+        let pages = to_page.checked_sub(from_page)?.saturating_sub(1);
+        Some(links.max(pages as u32))
+    }
+
+    /// On every fabric of the paper grid, with and without the ring, the
+    /// closed-form distance and hop bound equal `Mesh::distance` and the
+    /// table-era bound for every pair of PEs.
+    #[test]
+    fn closed_form_geometry_matches_the_mesh() {
+        for (dim, sizes) in cgra_arch::PAPER_GRID {
+            for &size in sizes {
+                let cgra = cgra_arch::fabric(dim, size).unwrap();
+                let mesh = cgra.mesh();
+                for ring in [false, true] {
+                    let geometry = Geometry::new(&cgra, ring);
+                    let layout = ring.then(|| cgra.layout());
+                    for a in mesh.pes() {
+                        for b in mesh.pes() {
+                            let why = format!("{dim}x{dim}/p{size} ring={ring} {a}->{b}");
+                            assert_eq!(geometry.distance(a, b), mesh.distance(a, b), "{why}");
+                            assert_eq!(
+                                geometry.bound(a, b),
+                                hops_lower_bound(mesh, layout, a, b).unwrap_or(UNREACHABLE),
+                                "{why}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// An MRT at a random II with each slot taken with probability
