@@ -224,12 +224,16 @@ pub fn snake_col(n: u16, m: u16) -> u16 {
 /// The column-stable block transform: page `n` executes in column
 /// `snake(n)` during round `n / M` of each slot step.
 ///
-/// `II_q = II_p · ⌈N/M⌉`.
+/// `II_q = II_p · ⌈N/M⌉`. A schedule with wrap dependences folds only at
+/// `M = N` ([`TransformError::WrapUnsupported`] otherwise).
 pub fn transform_block(p: &PagedSchedule, m: u16) -> Result<ShrinkPlan, TransformError> {
     if m == 0 {
         return Err(TransformError::BadTargetSize { m });
     }
-    if p.has_wrap_deps() && m < p.num_pages {
+    // With wrap dependences only the identity size keeps the wrap's two
+    // pages on ring-adjacent columns: M < N folds them apart, and M > N
+    // leaves the wrap spanning columns N − 1 → 0 of an M-column ring.
+    if p.has_wrap_deps() && m != p.num_pages {
         return Err(TransformError::WrapUnsupported);
     }
     let n = p.num_pages;
@@ -367,6 +371,12 @@ mod tests {
         // Identity-size transform is fine even with wrap: every page keeps
         // its own column.
         assert!(transform_block(&p, 4).is_ok());
+        // More columns than pages would leave the wrap dependence spanning
+        // columns 3 → 0 of a 5-column ring.
+        assert!(matches!(
+            transform_block(&p, 5),
+            Err(TransformError::WrapUnsupported)
+        ));
     }
 
     #[test]
