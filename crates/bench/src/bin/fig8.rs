@@ -17,6 +17,8 @@
 //!   --metrics     print event counters after the sweep
 //!
 //! Any other argument exits 2, naming it.
+//! A kernel that does not compile exits 1, naming the kernel and the
+//! fabric.
 
 use cgra_bench::engine::{Engine, EngineConfig};
 use cgra_bench::fig8;
@@ -42,7 +44,8 @@ fn main() {
     if args.iter().any(|a| a == "--strict") {
         println!("## Ablation — strict 1-step discipline vs stable-column (4x4, page 4)\n");
         println!("kernel    II(stable)  II(strict)");
-        for (name, stable, strict) in fig8::strict_ablation(&engine, &cache, 4, 4, &obs.tracer) {
+        let rows = fig8::strict_ablation(&engine, &cache, 4, 4, &obs.tracer);
+        for (name, stable, strict) in cgra_bench::or_exit("fig8", rows) {
             println!(
                 "{name:>8}  {stable:>10}  {}",
                 strict
@@ -54,7 +57,7 @@ fn main() {
         obs.finish();
         return;
     }
-    let points = fig8::run_all(&engine, &cache, &obs.tracer);
+    let points = cgra_bench::or_exit("fig8", fig8::run_all(&engine, &cache, &obs.tracer));
     // Cache statistics go to stderr so stdout stays byte-deterministic.
     eprintln!("mapcache: {:?}", cache.stats());
 

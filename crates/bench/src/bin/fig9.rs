@@ -28,6 +28,8 @@
 //!   --metrics             print event counters and cycle histograms
 //!
 //! Any other argument exits 2, naming it.
+//! A kernel that does not compile exits 1, naming the kernel and the
+//! fabric.
 
 use cgra_arch::{FaultSpec, PAPER_GRID};
 use cgra_bench::engine::{Engine, EngineConfig};
@@ -69,7 +71,8 @@ fn main() {
     if args.iter().any(|a| a == "--ablation-overhead") {
         println!("## Ablation A1 — switch-transformation overhead (8x8, page 4, 8 threads, need 87.5%)\n");
         println!("overhead_cycles, improvement_pct");
-        for (overhead, imp) in fig9::ablation_overhead(&cache, 8, 4, &obs.tracer) {
+        let rows = fig9::ablation_overhead(&cache, 8, 4, &obs.tracer);
+        for (overhead, imp) in cgra_bench::or_exit("fig9", rows) {
             println!("{overhead:>8}, {imp:+.1}%");
         }
         obs.finish();
@@ -77,7 +80,8 @@ fn main() {
     }
     if args.iter().any(|a| a == "--ablation-policy") {
         println!("## Ablation A2 — expansion policy (8x8, page 4, 8 threads, need 87.5%)\n");
-        for (name, imp) in fig9::ablation_policy(&cache, 8, 4, &obs.tracer) {
+        let rows = fig9::ablation_policy(&cache, 8, 4, &obs.tracer);
+        for (name, imp) in cgra_bench::or_exit("fig9", rows) {
             println!("{name:>16}: {imp:+.1}%");
         }
         obs.finish();

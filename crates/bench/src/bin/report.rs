@@ -39,7 +39,7 @@ fn main() {
 
     // ------------------------------------------------------------------
     println!("## Figure 8 — performance impact of the paging constraints\n");
-    let f8 = fig8::run_all(&engine, &cache, &Tracer::off());
+    let f8 = cgra_bench::or_exit("report", fig8::run_all(&engine, &cache, &Tracer::off()));
     for &(dim, _) in &cgra_arch::PAPER_GRID {
         println!("### {dim}x{dim} CGRA\n");
         println!("{}", fig8::render(&f8, dim));
@@ -78,7 +78,8 @@ fn main() {
     println!("## Ablation A1 — switch-transformation overhead (8x8/p4, 8 threads, 87.5% need)\n");
     println!("| overhead (cycles) | improvement |");
     println!("|---|---|");
-    for (overhead, imp) in fig9::ablation_overhead(&cache, 8, 4, &Tracer::off()) {
+    let a1 = fig9::ablation_overhead(&cache, 8, 4, &Tracer::off());
+    for (overhead, imp) in cgra_bench::or_exit("report", a1) {
         println!("| {overhead} | {imp:+.1}% |");
     }
     println!();
@@ -86,7 +87,8 @@ fn main() {
     println!("## Ablation A2 — expansion policy (8x8/p4, 8 threads, 87.5% need)\n");
     println!("| policy | improvement |");
     println!("|---|---|");
-    for (name, imp) in fig9::ablation_policy(&cache, 8, 4, &Tracer::off()) {
+    let a2 = fig9::ablation_policy(&cache, 8, 4, &Tracer::off());
+    for (name, imp) in cgra_bench::or_exit("report", a2) {
         println!("| {name} | {imp:+.1}% |");
     }
     println!();

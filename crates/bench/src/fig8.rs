@@ -13,7 +13,7 @@
 
 use crate::engine::Engine;
 use crate::grid_fabric;
-use crate::mapcache::MapCache;
+use crate::mapcache::{CompileError, MapCache};
 use cgra_mapper::{map_constrained_strict, MapOptions};
 use cgra_obs::{InOrder, Tracer};
 use serde::{Deserialize, Serialize};
@@ -40,37 +40,70 @@ impl Fig8Point {
     }
 }
 
+/// The cached profile of `kernel` on the `dim × dim` fabric with
+/// `page_size`-PE pages under `opts`, or the [`CompileError`] naming them.
+fn profile(
+    cache: &MapCache,
+    dim: u16,
+    page_size: usize,
+    kernel: &cgra_dfg::Dfg,
+    opts: &MapOptions,
+    tracer: &Tracer,
+) -> Result<std::sync::Arc<cgra_sim::KernelProfile>, CompileError> {
+    cache
+        .profile(kernel, &grid_fabric(dim, page_size), opts, tracer)
+        .map_err(|error| CompileError {
+            kernel: kernel.name.clone(),
+            dim,
+            page_size,
+            error,
+        })
+}
+
 fn point(
     cache: &MapCache,
     dim: u16,
     page_size: usize,
     kernel: &cgra_dfg::Dfg,
     tracer: &Tracer,
-) -> Fig8Point {
-    let profile = cache.profile(
+) -> Result<Fig8Point, CompileError> {
+    let profile = profile(
+        cache,
+        dim,
+        page_size,
         kernel,
-        &grid_fabric(dim, page_size),
         &MapOptions::default(),
         tracer,
-    );
-    Fig8Point {
+    )?;
+    Ok(Fig8Point {
         dim,
         page_size,
         kernel: profile.name.clone(),
         ii_baseline: profile.ii_baseline,
         ii_constrained: profile.ii_constrained,
-    }
+    })
 }
 
 /// Run the Fig. 8 sweep for one `(dim, page_size)` sub-figure.
 ///
+/// # Errors
+/// The first kernel, in kernel order, that does not compile.
+///
 /// # Panics
 /// Panics if `(dim, page_size)` names no fabric (see [`fabric`](cgra_arch::fabric)).
-pub fn run_config(engine: &Engine, cache: &MapCache, dim: u16, page_size: usize) -> Vec<Fig8Point> {
+pub fn run_config(
+    engine: &Engine,
+    cache: &MapCache,
+    dim: u16,
+    page_size: usize,
+) -> Result<Vec<Fig8Point>, CompileError> {
     let kernels = cgra_dfg::kernels::all();
-    engine.run(&kernels, |k| {
-        point(cache, dim, page_size, k, &Tracer::off())
-    })
+    engine
+        .run(&kernels, |k| {
+            point(cache, dim, page_size, k, &Tracer::off())
+        })
+        .into_iter()
+        .collect()
 }
 
 /// Ablation: the strict 1-step discipline (Algorithm 1's input form)
@@ -80,6 +113,10 @@ pub fn run_config(engine: &Engine, cache: &MapCache, dim: u16, page_size: usize)
 /// strict mapping is ablation-only and always computed fresh. Profile
 /// compilations reach `tracer` in kernel order on any number of workers.
 ///
+/// # Errors
+/// The first kernel, in kernel order, whose stable profile does not
+/// compile.
+///
 /// # Panics
 /// Panics if `(dim, page_size)` names no fabric (see [`fabric`](cgra_arch::fabric)).
 pub fn strict_ablation(
@@ -88,26 +125,36 @@ pub fn strict_ablation(
     dim: u16,
     page_size: usize,
     tracer: &Tracer,
-) -> Vec<(String, u32, Option<u32>)> {
+) -> Result<Vec<(String, u32, Option<u32>)>, CompileError> {
     let fabric = grid_fabric(dim, page_size);
     let opts = MapOptions::default();
     let kernels: Vec<(usize, cgra_dfg::Dfg)> =
         cgra_dfg::kernels::all().into_iter().enumerate().collect();
     let in_order = InOrder::new(tracer);
-    engine.run(&kernels, |(i, k)| {
-        let stable = in_order
-            .batched(*i, |t| cache.profile(k, &fabric, &opts, t))
-            .ii_constrained;
-        let strict = map_constrained_strict(k, &fabric, &opts).ok();
-        (k.name.clone(), stable, strict.map(|r| r.ii()))
-    })
+    engine
+        .run(&kernels, |(i, k)| {
+            let stable = in_order
+                .batched(*i, |t| profile(cache, dim, page_size, k, &opts, t))?
+                .ii_constrained;
+            let strict = map_constrained_strict(k, &fabric, &opts).ok();
+            Ok((k.name.clone(), stable, strict.map(|r| r.ii())))
+        })
+        .into_iter()
+        .collect()
 }
 
 /// Run the complete Fig. 8 grid (all sub-figures), flattened to
 /// `(dim, page_size, kernel)` points so every mapping is an
 /// independently scheduled unit of work. Compilations reach `tracer` in
 /// point order on any number of workers.
-pub fn run_all(engine: &Engine, cache: &MapCache, tracer: &Tracer) -> Vec<Fig8Point> {
+///
+/// # Errors
+/// The first point, in point order, whose kernel does not compile.
+pub fn run_all(
+    engine: &Engine,
+    cache: &MapCache,
+    tracer: &Tracer,
+) -> Result<Vec<Fig8Point>, CompileError> {
     let kernels = cgra_dfg::kernels::all();
     let mut points: Vec<(u16, usize, &cgra_dfg::Dfg)> = Vec::new();
     for &(dim, sizes) in &cgra_arch::PAPER_GRID {
@@ -119,9 +166,12 @@ pub fn run_all(engine: &Engine, cache: &MapCache, tracer: &Tracer) -> Vec<Fig8Po
     }
     let numbered: Vec<(usize, _)> = points.into_iter().enumerate().collect();
     let in_order = InOrder::new(tracer);
-    engine.run(&numbered, |&(i, (dim, s, k))| {
-        in_order.batched(i, |t| point(cache, dim, s, k, t))
-    })
+    engine
+        .run(&numbered, |&(i, (dim, s, k))| {
+            in_order.batched(i, |t| point(cache, dim, s, k, t))
+        })
+        .into_iter()
+        .collect()
 }
 
 /// Geometric-mean performance per `(dim, page_size)` — the summary rows
@@ -186,7 +236,7 @@ mod tests {
     use super::*;
 
     fn config(dim: u16, page_size: usize) -> Vec<Fig8Point> {
-        run_config(&Engine::default(), &MapCache::in_memory(), dim, page_size)
+        run_config(&Engine::default(), &MapCache::in_memory(), dim, page_size).unwrap()
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use crate::engine::{point_seed, Engine};
 use crate::grid_fabric;
-use crate::mapcache::MapCache;
+use crate::mapcache::{CompileError, MapCache};
 use cgra_arch::{FaultSpec, PAPER_GRID};
 use cgra_mapper::MapOptions;
 use cgra_obs::{InOrder, Tracer};
@@ -26,6 +26,38 @@ use cgra_sim::{
     CgraNeed, ExpandPolicy, FaultStats, MtConfig, SimError, SimReport, WorkloadParams,
 };
 use serde::{Deserialize, Serialize};
+
+/// Why one Fig. 9 point has no result.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PointError {
+    /// A kernel of the point's fabric does not compile.
+    Compile(CompileError),
+    /// The multithreaded simulation failed.
+    Sim(SimError),
+}
+
+impl std::fmt::Display for PointError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PointError::Compile(e) => e.fmt(f),
+            PointError::Sim(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for PointError {}
+
+impl From<CompileError> for PointError {
+    fn from(e: CompileError) -> Self {
+        PointError::Compile(e)
+    }
+}
+
+impl From<SimError> for PointError {
+    fn from(e: SimError) -> Self {
+        PointError::Sim(e)
+    }
+}
 
 /// One bar of Figure 9 (mean over seeds).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -113,7 +145,8 @@ impl Default for Fig9Params {
 ///
 /// # Errors
 ///
-/// Propagates the first [`SimError`] from the multithreaded simulator —
+/// [`PointError::Compile`] when a kernel of the fabric does not compile;
+/// otherwise the first [`SimError`] from the multithreaded simulator —
 /// e.g. a fault schedule that starves a thread. A poisoned point fills
 /// its own result slot; the rest of the sweep completes.
 ///
@@ -125,12 +158,12 @@ pub fn run_point(
     at: &Coord,
     params: &Fig9Params,
     tracer: &Tracer,
-) -> Result<Fig9Point, SimError> {
+) -> Result<Fig9Point, PointError> {
     let lib = cache.library(
         &grid_fabric(at.dim, at.page_size),
         &MapOptions::default(),
         tracer,
-    );
+    )?;
     let runs = (0..params.seeds)
         .map(|seed| {
             // Seeded from the point's coordinates only — never from
@@ -185,8 +218,9 @@ pub fn run_point(
 /// the same trace on any number of workers.
 ///
 /// Each point carries its own `Result`: one poisoned point (a fault
-/// schedule that starves a thread, a profile hole) reports its
-/// [`SimError`] in its slot while every other point completes.
+/// schedule that starves a thread, a profile hole, a kernel that does not
+/// compile) reports its [`PointError`] in its slot while every other
+/// point completes.
 ///
 /// # Panics
 /// Panics if a point names no fabric (see [`fabric`](cgra_arch::fabric)).
@@ -196,7 +230,7 @@ pub fn sweep(
     points: &[Coord],
     params: &Fig9Params,
     tracer: &Tracer,
-) -> Vec<Result<Fig9Point, SimError>> {
+) -> Vec<Result<Fig9Point, PointError>> {
     // Phase 1: compile each distinct fabric's library once, in point
     // order. Parallel across fabrics (no two share a profile), and each
     // fabric's compile events reach `tracer` in that order.
@@ -210,7 +244,9 @@ pub fn sweep(
     let in_order = InOrder::new(tracer);
     engine.run(&numbered, |&(i, &(dim, s))| {
         in_order.batched(i, |t| {
-            cache.library(&grid_fabric(dim, s), &MapOptions::default(), t);
+            // A fabric that does not compile reports the error in each of
+            // its points, from the cache.
+            let _compiled = cache.library(&grid_fabric(dim, s), &MapOptions::default(), t);
         });
     });
 
@@ -241,8 +277,8 @@ pub fn grid() -> Vec<Coord> {
 /// Split sweep results into the completed points and `(index, error)`
 /// pairs for the poisoned ones, preserving point order.
 pub fn partition_results(
-    results: Vec<Result<Fig9Point, SimError>>,
-) -> (Vec<Fig9Point>, Vec<(usize, SimError)>) {
+    results: Vec<Result<Fig9Point, PointError>>,
+) -> (Vec<Fig9Point>, Vec<(usize, PointError)>) {
     let mut points = Vec::with_capacity(results.len());
     let mut errors = Vec::new();
     for (i, r) in results.into_iter().enumerate() {
@@ -309,14 +345,17 @@ pub fn headline(points: &[Fig9Point]) -> Vec<(u16, f64)> {
 
 /// Ablation A1: improvement vs switch-transformation overhead. The
 /// fabric's compilation is emitted to `tracer`; the runs are untraced.
+///
+/// # Errors
+/// The first [`PointError`] of the ablation's points.
 pub fn ablation_overhead(
     cache: &MapCache,
     dim: u16,
     page_size: usize,
     tracer: &Tracer,
-) -> Vec<(u64, f64)> {
+) -> Result<Vec<(u64, f64)>, PointError> {
     let at = Coord::new(dim, page_size, CgraNeed::High, 8);
-    cache.library(&grid_fabric(dim, page_size), &MapOptions::default(), tracer);
+    cache.library(&grid_fabric(dim, page_size), &MapOptions::default(), tracer)?;
     [0u64, 10, 100, 1_000, 10_000]
         .iter()
         .map(|&overhead| {
@@ -327,23 +366,25 @@ pub fn ablation_overhead(
                 },
                 ..Default::default()
             };
-            let p =
-                run_point(cache, &at, &params, &Tracer::off()).expect("fault-free ablation point");
-            (overhead, p.improvement_pct)
+            let p = run_point(cache, &at, &params, &Tracer::off())?;
+            Ok((overhead, p.improvement_pct))
         })
         .collect()
 }
 
 /// Ablation A2: improvement vs expansion policy. The fabric's
 /// compilation is emitted to `tracer`; the runs are untraced.
+///
+/// # Errors
+/// The first [`PointError`] of the ablation's points.
 pub fn ablation_policy(
     cache: &MapCache,
     dim: u16,
     page_size: usize,
     tracer: &Tracer,
-) -> Vec<(String, f64)> {
+) -> Result<Vec<(String, f64)>, PointError> {
     let at = Coord::new(dim, page_size, CgraNeed::High, 8);
-    cache.library(&grid_fabric(dim, page_size), &MapOptions::default(), tracer);
+    cache.library(&grid_fabric(dim, page_size), &MapOptions::default(), tracer)?;
     [
         ("smallest-first", ExpandPolicy::SmallestFirst),
         ("largest-first", ExpandPolicy::LargestFirst),
@@ -358,8 +399,8 @@ pub fn ablation_policy(
             },
             ..Default::default()
         };
-        let p = run_point(cache, &at, &params, &Tracer::off()).expect("fault-free ablation point");
-        (name.to_string(), p.improvement_pct)
+        let p = run_point(cache, &at, &params, &Tracer::off())?;
+        Ok((name.to_string(), p.improvement_pct))
     })
     .collect()
 }
@@ -430,7 +471,7 @@ pub fn curve(at: Coord) -> Vec<(String, Coord)> {
 pub fn render_curve(
     base: &FaultSpec,
     rows: &[(String, Coord)],
-    results: &[Result<Fig9Point, SimError>],
+    results: &[Result<Fig9Point, PointError>],
 ) -> String {
     let recovery = base.mttr().is_some();
     let mut headers = vec![
@@ -500,7 +541,7 @@ mod tests {
         }
     }
 
-    fn point(cache: &MapCache, at: Coord) -> Result<Fig9Point, SimError> {
+    fn point(cache: &MapCache, at: Coord) -> Result<Fig9Point, PointError> {
         run_point(cache, &at, &quick_params(), &Tracer::off())
     }
 
@@ -514,7 +555,7 @@ mod tests {
 
     /// Run the fault curve of `base` on `jobs` workers: its results and
     /// rendered table.
-    fn run_curve(base: FaultSpec, jobs: usize) -> (Vec<Result<Fig9Point, SimError>>, String) {
+    fn run_curve(base: FaultSpec, jobs: usize) -> (Vec<Result<Fig9Point, PointError>>, String) {
         let rows = curve(at(base));
         let points: Vec<Coord> = rows.iter().map(|(_, p)| *p).collect();
         let cache = MapCache::in_memory();

@@ -61,6 +61,16 @@ pub fn reject_unknown_flags(bin: &str, args: &[String], switches: &[&str], value
     }
 }
 
+/// The value of `result`, or exit 1 naming its error after `bin`: how a
+/// figure binary ends when a kernel does not compile, since the error
+/// names the kernel and the fabric.
+pub fn or_exit<T, E: std::fmt::Display>(bin: &str, result: Result<T, E>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("{bin}: {e}");
+        std::process::exit(1);
+    })
+}
+
 /// Thread counts of Fig. 9.
 pub const THREAD_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];
 

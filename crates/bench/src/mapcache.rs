@@ -23,7 +23,11 @@
 //!   keys cannot see. Bump it in the same commit as such a change.
 //!
 //! Stale, corrupt, truncated or unreadable disk entries are never
-//! errors: the profile recomputes and the entry is rewritten. Delete
+//! errors: the profile recomputes and the entry is rewritten. A kernel
+//! that does not compile is: [`MapCache::profile`] returns the mapper's
+//! [`MapError`] and [`MapCache::library`] a [`CompileError`] naming the
+//! kernel and the fabric. Both are kept in memory like a profile, and
+//! never written to disk. Delete
 //! `target/mapcache/` to force a cold run; `--no-cache` selects a
 //! memory-only cache, which neither reads nor writes the disk.
 //!
@@ -38,7 +42,7 @@
 use crate::engine::EngineConfig;
 use cgra_arch::CgraConfig;
 use cgra_dfg::Dfg;
-use cgra_mapper::MapOptions;
+use cgra_mapper::{MapError, MapOptions};
 use cgra_obs::jsonio::Json;
 use cgra_obs::Tracer;
 use cgra_sim::{Compiled, KernelLibrary, KernelProfile};
@@ -104,13 +108,42 @@ impl Key {
     }
 }
 
-/// A once-computed value shared by every lookup of its key.
-type Cell<T> = Arc<OnceLock<Arc<T>>>;
+/// A kernel that does not compile on a fabric: what a sweep reports
+/// when it cannot build a fabric's [`KernelLibrary`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CompileError {
+    /// The kernel's name.
+    pub kernel: String,
+    /// The fabric's side length.
+    pub dim: u16,
+    /// PEs per page.
+    pub page_size: usize,
+    /// Why the compilation failed.
+    pub error: MapError,
+}
+
+impl std::fmt::Display for CompileError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "kernel {} does not compile on the {2}x{2} page-{3} fabric: {1}",
+            self.kernel, self.error, self.dim, self.page_size
+        )
+    }
+}
+
+impl std::error::Error for CompileError {}
+
+/// A once-computed outcome shared by every lookup of its key.
+type Cell<T, E> = Arc<OnceLock<Result<Arc<T>, E>>>;
+
+/// The cells of one kind of entry, by key.
+type Table<K, T, E> = RwLock<HashMap<K, Cell<T, E>>>;
 
 /// Process-wide cache of compiled kernel profiles and libraries.
 pub struct MapCache {
-    profiles: RwLock<HashMap<Key, Cell<KernelProfile>>>,
-    libraries: RwLock<HashMap<(u16, usize, u64), Cell<KernelLibrary>>>,
+    profiles: Table<Key, KernelProfile, MapError>,
+    libraries: Table<(u16, usize, u64), KernelLibrary, CompileError>,
     /// `None` = memory only; `Some(dir)` = also read/write JSON entries.
     disk_dir: Option<PathBuf>,
     mem_hits: AtomicU64,
@@ -182,17 +215,17 @@ impl MapCache {
     /// parallel sweep that wants a reproducible trace gives each key to
     /// one numbered batch ([`cgra_obs::InOrder`]).
     ///
-    /// # Panics
-    /// Panics if the kernel fails to map (same contract as
-    /// [`KernelProfile::compile`]'s callers in the sweeps: the benchmark
-    /// suite is expected to map on every grid fabric).
+    /// # Errors
+    /// The [`MapError`] of [`Compiled::new`] when the kernel does not
+    /// compile under `opts`; a later lookup of the key returns it again
+    /// without compiling.
     pub fn profile(
         &self,
         dfg: &Dfg,
         cgra: &CgraConfig,
         opts: &MapOptions,
         tracer: &Tracer,
-    ) -> Arc<KernelProfile> {
+    ) -> Result<Arc<KernelProfile>, MapError> {
         let dim = mesh_dim(cgra);
         let key = Key {
             kernel: dfg.name.clone(),
@@ -209,14 +242,12 @@ impl MapCache {
         cell.get_or_init(|| {
             if let Some(profile) = self.load(&key) {
                 self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::new(profile);
+                return Ok(Arc::new(profile));
             }
             self.misses.fetch_add(1, Ordering::Relaxed);
-            let profile = Compiled::new(dfg, cgra, opts, tracer)
-                .unwrap_or_else(|e| panic!("profile {} on {:?}: {e}", dfg.name, cgra))
-                .into_profile(cgra);
+            let profile = Compiled::new(dfg, cgra, opts, tracer)?.into_profile(cgra);
             self.store(&key, &profile);
-            Arc::new(profile)
+            Ok(Arc::new(profile))
         })
         .clone()
     }
@@ -224,27 +255,35 @@ impl MapCache {
     /// The full benchmark library for a fabric, assembled from (and
     /// sharing) the per-kernel profile cache; compilations emit to
     /// `tracer` in kernel order, as in [`MapCache::profile`].
+    ///
+    /// # Errors
+    /// A [`CompileError`] naming the first kernel, in kernel order, that
+    /// does not compile; the kernels after it are not compiled.
     pub fn library(
         &self,
         cgra: &CgraConfig,
         opts: &MapOptions,
         tracer: &Tracer,
-    ) -> Arc<KernelLibrary> {
-        let key = (
-            mesh_dim(cgra),
-            cgra.layout().shape().size(),
-            opts.fingerprint(),
-        );
-        cell(&self.libraries, &key)
+    ) -> Result<Arc<KernelLibrary>, CompileError> {
+        let (dim, page_size) = (mesh_dim(cgra), cgra.layout().shape().size());
+        cell(&self.libraries, &(dim, page_size, opts.fingerprint()))
             .get_or_init(|| {
                 let profiles = cgra_dfg::kernels::all()
                     .iter()
-                    .map(|k| (*self.profile(k, cgra, opts, tracer)).clone())
-                    .collect();
-                Arc::new(KernelLibrary {
+                    .map(|k| match self.profile(k, cgra, opts, tracer) {
+                        Ok(profile) => Ok((*profile).clone()),
+                        Err(error) => Err(CompileError {
+                            kernel: k.name.clone(),
+                            dim,
+                            page_size,
+                            error,
+                        }),
+                    })
+                    .collect::<Result<_, _>>()?;
+                Ok(Arc::new(KernelLibrary {
                     profiles,
                     num_pages: cgra.layout().num_pages() as u16,
-                })
+                }))
             })
             .clone()
     }
@@ -278,7 +317,7 @@ impl MapCache {
 
 /// The cell for `key`, inserted empty on first sight. Lookups take the
 /// read lock; only a first sight takes the write lock.
-fn cell<K: Clone + Eq + std::hash::Hash, T>(map: &RwLock<HashMap<K, Cell<T>>>, key: &K) -> Cell<T> {
+fn cell<K: Clone + Eq + std::hash::Hash, T, E>(map: &Table<K, T, E>, key: &K) -> Cell<T, E> {
     if let Some(cell) = map.read().expect("cache lock").get(key) {
         return cell.clone();
     }
@@ -413,14 +452,62 @@ mod tests {
         assert_eq!(profile_from_json(&profile_to_json(&p)), Some(p));
     }
 
+    /// A kernel that does not compile is a typed error, not a panic.
+    /// 8×8/p2 `swim` has MII 2, while its baseline search needs II 3 and
+    /// its constrained one II 11; with no II slack, one restart and no
+    /// spill round, its profile is the mapper's error, kept in memory
+    /// like a profile, and the fabric's library names the first kernel
+    /// that fails and the fabric.
+    #[test]
+    fn unmappable_kernel_is_a_typed_error() {
+        let cache = MapCache::in_memory();
+        let fabric = fabric(8, 2).unwrap();
+        let opts = MapOptions {
+            max_ii_slack: 0,
+            restarts: 1,
+            spill_rounds: 0,
+            ..Default::default()
+        };
+        let swim = cgra_dfg::kernels::swim();
+        let expected = MapError::NoScheduleFound {
+            mii: 2,
+            max_ii_tried: 2,
+        };
+        for _ in 0..2 {
+            let err = cache.profile(&swim, &fabric, &opts, &Tracer::off());
+            assert_eq!(err, Err(expected.clone()));
+        }
+        let s = cache.stats();
+        assert_eq!((s.misses, s.mem_hits), (1, 1));
+        // `mpeg2`, first in kernel order, already needs II 2 (MII 1).
+        let err = cache.library(&fabric, &opts, &Tracer::off()).unwrap_err();
+        assert_eq!(
+            err,
+            CompileError {
+                kernel: "mpeg2".into(),
+                dim: 8,
+                page_size: 2,
+                error: MapError::NoScheduleFound {
+                    mii: 1,
+                    max_ii_tried: 1
+                },
+            }
+        );
+        assert!(
+            err.to_string()
+                .starts_with("kernel mpeg2 does not compile on the 8x8 page-2 fabric: "),
+            "{err}"
+        );
+    }
+
     #[test]
     fn memory_cache_computes_once() {
         let cache = MapCache::in_memory();
         let fabric = fabric(4, 4).unwrap();
         let opts = MapOptions::default();
         let k = cgra_dfg::kernels::mpeg2();
-        let a = cache.profile(&k, &fabric, &opts, &Tracer::off());
-        let b = cache.profile(&k, &fabric, &opts, &Tracer::off());
+        let a = cache.profile(&k, &fabric, &opts, &Tracer::off()).unwrap();
+        let b = cache.profile(&k, &fabric, &opts, &Tracer::off()).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         let s = cache.stats();
         assert_eq!((s.misses, s.mem_hits), (1, 1));
@@ -435,12 +522,12 @@ mod tests {
         let k = cgra_dfg::kernels::fir();
 
         let first = MapCache::persistent_at(&dir);
-        let computed = first.profile(&k, &fabric, &opts, &Tracer::off());
+        let computed = first.profile(&k, &fabric, &opts, &Tracer::off()).unwrap();
         assert_eq!(first.stats().misses, 1);
 
         // A fresh cache instance must serve the same profile from disk.
         let second = MapCache::persistent_at(&dir);
-        let loaded = second.profile(&k, &fabric, &opts, &Tracer::off());
+        let loaded = second.profile(&k, &fabric, &opts, &Tracer::off()).unwrap();
         assert_eq!(*computed, *loaded);
         assert_eq!(second.stats().disk_hits, 1);
         assert_eq!(second.stats().misses, 0);
@@ -450,14 +537,14 @@ mod tests {
             std::fs::write(entry.unwrap().path(), "{not json").unwrap();
         }
         let third = MapCache::persistent_at(&dir);
-        let recomputed = third.profile(&k, &fabric, &opts, &Tracer::off());
+        let recomputed = third.profile(&k, &fabric, &opts, &Tracer::off()).unwrap();
         assert_eq!(*computed, *recomputed);
         let s = third.stats();
         assert_eq!((s.misses, s.disk_rejects), (1, 1));
 
         // And the rewrite healed the entry.
         let fourth = MapCache::persistent_at(&dir);
-        fourth.profile(&k, &fabric, &opts, &Tracer::off());
+        fourth.profile(&k, &fabric, &opts, &Tracer::off()).unwrap();
         assert_eq!(fourth.stats().disk_hits, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -477,7 +564,7 @@ mod tests {
         let k = cgra_dfg::kernels::fir();
 
         let first = MapCache::persistent_at(&dir);
-        let computed = first.profile(&k, &fabric, &opts, &Tracer::off());
+        let computed = first.profile(&k, &fabric, &opts, &Tracer::off()).unwrap();
 
         // Truncate every entry mid-file and plant a stale temp file, as
         // a writer killed between `write` and `rename` would leave.
@@ -492,7 +579,7 @@ mod tests {
 
         // The sweep must recompute, not fail.
         let second = MapCache::persistent_at(&dir);
-        let recomputed = second.profile(&k, &fabric, &opts, &Tracer::off());
+        let recomputed = second.profile(&k, &fabric, &opts, &Tracer::off()).unwrap();
         assert_eq!(*computed, *recomputed);
         let s = second.stats();
         assert_eq!((s.misses, s.disk_rejects), (1, 1));
@@ -502,7 +589,7 @@ mod tests {
         let third = MapCache::persistent_at(&dir);
         assert_eq!(
             *computed,
-            *third.profile(&k, &fabric, &opts, &Tracer::off())
+            *third.profile(&k, &fabric, &opts, &Tracer::off()).unwrap()
         );
         assert_eq!(third.stats().disk_hits, 1);
         assert_eq!(third.stats().disk_rejects, 0);
@@ -521,7 +608,7 @@ mod tests {
         let k = cgra_dfg::kernels::fir();
 
         let first = MapCache::persistent_at(&dir);
-        let computed = first.profile(&k, &fabric, &opts, &Tracer::off());
+        let computed = first.profile(&k, &fabric, &opts, &Tracer::off()).unwrap();
 
         for entry in std::fs::read_dir(&dir).unwrap() {
             let path = entry.unwrap().path();
@@ -536,7 +623,7 @@ mod tests {
         }
 
         let second = MapCache::persistent_at(&dir);
-        let recomputed = second.profile(&k, &fabric, &opts, &Tracer::off());
+        let recomputed = second.profile(&k, &fabric, &opts, &Tracer::off()).unwrap();
         assert_eq!(*computed, *recomputed);
         let s = second.stats();
         assert_eq!((s.misses, s.disk_rejects), (1, 1));
@@ -550,14 +637,16 @@ mod tests {
         let opts = MapOptions::default();
         // Warm one kernel's profile, then build the library: only the
         // remaining kernels should be misses.
-        cache.profile(&cgra_dfg::kernels::mpeg2(), &fabric, &opts, &Tracer::off());
-        let lib = cache.library(&fabric, &opts, &Tracer::off());
+        cache
+            .profile(&cgra_dfg::kernels::mpeg2(), &fabric, &opts, &Tracer::off())
+            .unwrap();
+        let lib = cache.library(&fabric, &opts, &Tracer::off()).unwrap();
         assert_eq!(lib.len(), cgra_dfg::kernels::all().len());
         assert_eq!(cache.stats().misses, lib.len() as u64);
         // Same Arc on the second library request.
         assert!(Arc::ptr_eq(
             &lib,
-            &cache.library(&fabric, &opts, &Tracer::off())
+            &cache.library(&fabric, &opts, &Tracer::off()).unwrap()
         ));
     }
 
@@ -566,8 +655,12 @@ mod tests {
         let cache = MapCache::in_memory();
         let fabric = fabric(4, 4).unwrap();
         let k = cgra_dfg::kernels::sobel();
-        cache.profile(&k, &fabric, &MapOptions::default(), &Tracer::off());
-        cache.profile(&k, &fabric, &MapOptions::fast(), &Tracer::off());
+        cache
+            .profile(&k, &fabric, &MapOptions::default(), &Tracer::off())
+            .unwrap();
+        cache
+            .profile(&k, &fabric, &MapOptions::fast(), &Tracer::off())
+            .unwrap();
         assert_eq!(cache.stats().misses, 2);
     }
 }

@@ -25,7 +25,8 @@ fn improvement(cache: &MapCache, dim: u16, page_size: usize, threads: usize) -> 
 
 /// Geometric-mean Fig. 8 performance of one fabric.
 fn fig8_geomean(dim: u16, page_size: usize) -> f64 {
-    let points = fig8::run_config(&Engine::default(), &MapCache::in_memory(), dim, page_size);
+    let points =
+        fig8::run_config(&Engine::default(), &MapCache::in_memory(), dim, page_size).unwrap();
     fig8::summary(&points)[0].2
 }
 
@@ -77,7 +78,7 @@ fn fig9_single_thread_pays_constraint_cost() {
 /// small overheads are indeed negligible (the paper's assumption).
 #[test]
 fn ablation_overhead_negligible_when_small() {
-    let sweep = fig9::ablation_overhead(&MapCache::in_memory(), 8, 4, &Tracer::off());
+    let sweep = fig9::ablation_overhead(&MapCache::in_memory(), 8, 4, &Tracer::off()).unwrap();
     let at0 = sweep[0].1;
     let at10 = sweep[1].1;
     assert!(

@@ -16,8 +16,8 @@ use std::sync::Arc;
 
 /// The reduced Fig. 8 grid: two page sizes on the 4x4.
 fn fig8_reduced(engine: &Engine, cache: &MapCache) -> Vec<fig8::Fig8Point> {
-    let mut points = fig8::run_config(engine, cache, 4, 2);
-    points.extend(fig8::run_config(engine, cache, 4, 8));
+    let mut points = fig8::run_config(engine, cache, 4, 2).unwrap();
+    points.extend(fig8::run_config(engine, cache, 4, 8).unwrap());
     points
 }
 
