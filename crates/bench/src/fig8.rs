@@ -40,26 +40,6 @@ impl Fig8Point {
     }
 }
 
-/// The cached profile of `kernel` on the `dim × dim` fabric with
-/// `page_size`-PE pages under `opts`, or the [`CompileError`] naming them.
-fn profile(
-    cache: &MapCache,
-    dim: u16,
-    page_size: usize,
-    kernel: &cgra_dfg::Dfg,
-    opts: &MapOptions,
-    tracer: &Tracer,
-) -> Result<std::sync::Arc<cgra_sim::KernelProfile>, CompileError> {
-    cache
-        .profile(kernel, &grid_fabric(dim, page_size), opts, tracer)
-        .map_err(|error| CompileError {
-            kernel: kernel.name.clone(),
-            dim,
-            page_size,
-            error,
-        })
-}
-
 fn point(
     cache: &MapCache,
     dim: u16,
@@ -67,14 +47,10 @@ fn point(
     kernel: &cgra_dfg::Dfg,
     tracer: &Tracer,
 ) -> Result<Fig8Point, CompileError> {
-    let profile = profile(
-        cache,
-        dim,
-        page_size,
-        kernel,
-        &MapOptions::default(),
-        tracer,
-    )?;
+    let cgra = grid_fabric(dim, page_size);
+    let profile = cache
+        .profile(kernel, &cgra, &MapOptions::default(), tracer)
+        .map_err(|error| CompileError::new(kernel, &cgra, error))?;
     Ok(Fig8Point {
         dim,
         page_size,
@@ -134,7 +110,8 @@ pub fn strict_ablation(
     engine
         .run(&kernels, |(i, k)| {
             let stable = in_order
-                .batched(*i, |t| profile(cache, dim, page_size, k, &opts, t))?
+                .batched(*i, |t| cache.profile(k, &fabric, &opts, t))
+                .map_err(|error| CompileError::new(k, &fabric, error))?
                 .ii_constrained;
             let strict = map_constrained_strict(k, &fabric, &opts).ok();
             Ok((k.name.clone(), stable, strict.map(|r| r.ii())))

@@ -122,6 +122,19 @@ pub struct CompileError {
     pub error: MapError,
 }
 
+impl CompileError {
+    /// `kernel` failed with `error` on `cgra`, named by its side length
+    /// and page size.
+    pub fn new(kernel: &Dfg, cgra: &CgraConfig, error: MapError) -> Self {
+        CompileError {
+            kernel: kernel.name.clone(),
+            dim: mesh_dim(cgra),
+            page_size: cgra.layout().shape().size(),
+            error,
+        }
+    }
+}
+
 impl std::fmt::Display for CompileError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -270,14 +283,10 @@ impl MapCache {
             .get_or_init(|| {
                 let profiles = cgra_dfg::kernels::all()
                     .iter()
-                    .map(|k| match self.profile(k, cgra, opts, tracer) {
-                        Ok(profile) => Ok((*profile).clone()),
-                        Err(error) => Err(CompileError {
-                            kernel: k.name.clone(),
-                            dim,
-                            page_size,
-                            error,
-                        }),
+                    .map(|k| {
+                        self.profile(k, cgra, opts, tracer)
+                            .map(|profile| (*profile).clone())
+                            .map_err(|error| CompileError::new(k, cgra, error))
                     })
                     .collect::<Result<_, _>>()?;
                 Ok(Arc::new(KernelLibrary {

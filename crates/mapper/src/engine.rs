@@ -18,11 +18,8 @@
 //! sorting every `(time, PE)` pair by `(time, page distance, affinity,
 //! PE)` or `(page distance, time, affinity, PE)`, without building the
 //! list, so the first pair that commits is the same; the random draws
-//! happen once per PE, before the walk. The PEs themselves are ordered as
-//! the walk reaches them: it picks each of the first few by a scan for the
-//! smallest key, and sorts the rest only if it gets that far. Like the
-//! routing pruning of [`crate::route`], this saves work without changing
-//! a decision.
+//! happen once per PE, before the walk. Like the routing pruning of
+//! [`crate::route`], this saves work without changing a decision.
 //!
 //! One [`schedule`] call owns a `Workspace`: the [`Router`] every
 //! attempt routes through (with the fabric's closed-form geometry, see
@@ -320,26 +317,6 @@ enum EdgeNeed {
     Infeasible,
     /// A route to search for.
     Route(RouteRequest),
-}
-
-/// Candidates a node's walk picks by a scan for the smallest key before
-/// it sorts the rest: most nodes place within the first few candidates.
-const SELECT_FIRST: usize = 4;
-
-/// Put the smallest key of `keys[*sorted..]` at `*sorted` and advance it,
-/// or, past the first [`SELECT_FIRST`] keys, sort all the rest. Keys are
-/// distinct (each ends in its PE id), so the walk sees them in exactly
-/// the order a full sort would give.
-fn settle_next(keys: &mut [u64], sorted: &mut usize) {
-    let rest = &mut keys[*sorted..];
-    if *sorted < SELECT_FIRST {
-        let smallest = (0..rest.len()).min_by_key(|&i| rest[i]).unwrap_or(0);
-        rest.swap(0, smallest);
-        *sorted += 1;
-    } else {
-        rest.sort_unstable();
-        *sorted = keys.len();
-    }
 }
 
 struct Attempt<'a, 'w> {
@@ -763,6 +740,7 @@ impl<'a, 'w> Attempt<'a, 'w> {
                 }),
         );
         let mut pes = std::mem::take(pes);
+        pes.sort_unstable();
         // Candidate order. For *source* ops (no placed producers — loads,
         // constants) the best page comes first: time-major ordering would
         // exhaust each row bus's slot 0 across the whole array, scattering
@@ -790,9 +768,6 @@ impl<'a, 'w> Attempt<'a, 'w> {
         let is_mem = dfg.node(v).op.is_mem();
         let mut blocked = std::mem::take(&mut self.ws.blocked);
         let mut placed = None;
-        // `pes[..sorted]` holds the smallest keys in order; the walk sorts
-        // the rest as it reaches them (see `settle_next`).
-        let mut sorted = 0;
         let mut start = 0;
         'walk: while start < pes.len() {
             // The group's end, found by the walk's first time step.
@@ -803,9 +778,6 @@ impl<'a, 'w> Attempt<'a, 'w> {
                 self.mrt
                     .blocked_at_phase((t % ii) as u32, is_mem, &mut blocked);
                 for i in start..end {
-                    if i == sorted {
-                        settle_next(&mut pes, &mut sorted);
-                    }
                     let key = pes[i];
                     if !time_major && key >> 48 != pes[start] >> 48 {
                         end = i;

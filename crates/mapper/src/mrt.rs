@@ -32,8 +32,10 @@ pub(crate) fn has(words: &[u64], pe: PeId) -> bool {
     words[pe.index() / 64] >> (pe.index() % 64) & 1 != 0
 }
 
-/// Modulo reservation table for one fabric at one II.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Modulo reservation table for one fabric at one II. Only
+/// [`Mrt::reserve`] and [`Mrt::release`] change it (it has no serde
+/// form), so its bitsets always agree with its slot table.
+#[derive(Debug, Clone)]
 pub struct Mrt {
     ii: u32,
     mesh: Mesh,

@@ -61,8 +61,11 @@
 //!   computed up front. The searches read `h` towards their consumer
 //!   once per state, so the router keeps it as a row per consumer PE,
 //!   filled in O(PEs) from the closed form the first time a request
-//!   names that consumer; the per-candidate checks (`Router::rejects`
-//!   and its parts) compute it directly.
+//!   names that consumer: a table read per state is cheaper than the
+//!   closed form, whose page term branches on the mode (perfbench
+//!   `compile` ran about 9 % slower with the closed form per state, see
+//!   `BENCH_25.json`). The per-candidate checks (`Router::rejects` and
+//!   its parts) compute `h` directly.
 //! * The per-state cost, parent and seen marks live in one buffer that
 //!   grows to the largest window seen and is never cleared. Each search
 //!   takes a fresh epoch, and a cell counts as seen only when its stamp
