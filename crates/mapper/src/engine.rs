@@ -46,6 +46,17 @@
 //! into one `u64`, ordered as the `(page distance, affinity, PE)` tuple
 //! is.
 //!
+//! **One route search per walk.** When the node consumes its first
+//! incident edge from another node, over a routed edge in a waiting
+//! mode, `place_node` begins a walk in the router for that edge and
+//! routes it itself, before the candidate reserves anything, handing the
+//! route to `try_commit`; a failure counts on the edge as before and
+//! skips the candidate. The router answers a short walk per candidate,
+//! with the pruned search, and a long one from one shared search (see
+//! [`crate::route`] for when it switches and why both answer alike).
+//! The test `walk_search_matches_route` checks the shared search on
+//! every `(t, PE)` of random partial attempts against [`Router::route`].
+//!
 //! **Reject by bit tests.** A candidate `(t, PE)` reserves a slot and
 //! routes only if three tests pass, in this order:
 //!
@@ -527,19 +538,12 @@ impl<'a, 'w> Attempt<'a, 'w> {
         plan
     }
 
-    /// Route edge `ei` of `v`'s tentative placement `cand` and reserve the
-    /// route's hops. On failure nothing of the edge stays reserved.
-    fn commit_edge(
-        &mut self,
-        ei: usize,
-        v: NodeId,
-        cand: Placement,
-        sites: Option<&[ValueSite]>,
-    ) -> bool {
-        let hops = match self.route_edge(ei, v, cand, sites) {
-            None => return false,
-            Some(RoutePlan::Direct) => Vec::new(),
-            Some(RoutePlan::Chain(hops)) => hops,
+    /// Reserve the hops of edge `ei`'s route `plan`. On failure nothing of
+    /// the edge stays reserved.
+    fn commit_edge(&mut self, ei: usize, plan: RoutePlan) -> bool {
+        let hops = match plan {
+            RoutePlan::Direct => Vec::new(),
+            RoutePlan::Chain(hops) => hops,
         };
         // Reserve hop slots; an intra-chain modulo alias is a commit
         // failure (rare; the restart will re-roll).
@@ -563,8 +567,15 @@ impl<'a, 'w> Attempt<'a, 'w> {
 
     /// Try to commit `v` at `cand`, whose slot (and bus, for a memory op)
     /// is free: reserve its slot, route and reserve every edge of `node`
-    /// (gathered by `place_node`). Rolls back on failure.
-    fn try_commit(&mut self, v: NodeId, cand: Placement, node: &NodeEdges) -> bool {
+    /// (gathered by `place_node`), the first by `first` when the walk has
+    /// routed it already. Rolls back on failure.
+    fn try_commit(
+        &mut self,
+        v: NodeId,
+        cand: Placement,
+        node: &NodeEdges,
+        mut first: Option<RoutePlan>,
+    ) -> bool {
         let op = self.mdfg.dfg.node(v).op;
         self.mrt.reserve(
             cand.pe,
@@ -578,8 +589,11 @@ impl<'a, 'w> Attempt<'a, 'w> {
             .iter()
             .enumerate()
             .take_while(|&(i, &ei)| {
-                let sites = (i == 0).then_some(&node.first_sites[..]);
-                self.commit_edge(ei, v, cand, sites)
+                let plan = first.take().or_else(|| {
+                    let sites = (i == 0).then_some(&node.first_sites[..]);
+                    self.route_edge(ei, v, cand, sites)
+                });
+                plan.is_some_and(|plan| self.commit_edge(ei, plan))
             })
             .count();
         let ok = committed == node.incident.len();
@@ -602,6 +616,23 @@ impl<'a, 'w> Attempt<'a, 'w> {
             );
         }
         ok
+    }
+
+    /// Whether `v`'s walk shares one search for its first incident edge
+    /// `e0`: `v` consumes it from another node over a routed edge, in a
+    /// waiting mode. If so, begin the router's walk for it, whose last
+    /// time is `hi_window` and whose fanout sites are `sites` (see the
+    /// module docs).
+    fn begin_walk(&mut self, e0: usize, v: NodeId, hi_window: i64, sites: &[ValueSite]) -> bool {
+        let e = self.mdfg.dfg.edge(cgra_dfg::EdgeId(e0 as u32));
+        if !self.mode.allows_waiting() || self.mdfg.is_mem_edge(e0) || e.dst != v || e.src == v {
+            return false;
+        }
+        let pu = self.placed[e.src.index()].expect("src placed");
+        let last = hi_window + e.distance as i64 * self.ii as i64;
+        let last = last.min(u32::MAX as i64) as u32;
+        self.ws.router.walk_begin(pu.pe, pu.time + 1, sites, last);
+        true
     }
 
     /// Place every node in `order`; `Err` carries the node that could
@@ -762,6 +793,7 @@ impl<'a, 'w> Attempt<'a, 'w> {
         let mut gates = std::mem::take(&mut self.ws.gates);
         gates.clear();
         gates.resize(pes.len(), if first.is_some() { UNSET } else { ALWAYS });
+        let shared = first.filter(|&e0| self.begin_walk(e0, v, hi_window, &node.first_sites));
         // Walk `(t, pe)` lazily and stop at the first commit: page-major
         // tries each `page_key` group at every time before the next group;
         // time-major is the same walk over one group holding every PE.
@@ -797,7 +829,19 @@ impl<'a, 'w> Attempt<'a, 'w> {
                         continue;
                     }
                     let cand = Placement { pe, time: t as u32 };
-                    if self.try_commit(v, cand, &node) {
+                    // A shared first edge is routed before `try_commit`
+                    // reserves anything (see the module docs).
+                    let mut plan = None;
+                    if let Some(e0) = shared {
+                        if let EdgeNeed::Route(req) = self.edge_need(e0, v, cand) {
+                            plan = self.ws.router.walk_route(&self.mrt, req);
+                        }
+                        if plan.is_none() {
+                            self.stats.edge_route_failures[e0] += 1;
+                            continue;
+                        }
+                    }
+                    if self.try_commit(v, cand, &node, plan) {
                         placed = Some(cand);
                         break 'walk;
                     }
@@ -1083,6 +1127,134 @@ mod tests {
         assert!(
             nodes > 1500 && open > 200_000 && shut > 200_000,
             "{nodes} {open} {shut}"
+        );
+    }
+
+    /// Check the walk search of `v`'s walk in `attempt`, whose window is
+    /// `lo..=hi`, against `Router::route` (see `walk_search_matches_route`),
+    /// counting the direct, chained and failed answers in `counts`.
+    /// Returns whether the walk shares its first edge and has a candidate.
+    fn check_walk(
+        attempt: &mut Attempt<'_, '_>,
+        v: NodeId,
+        (lo, hi): (i64, i64),
+        rng: &mut StdRng,
+        counts: &mut [u64; 3],
+        why: &str,
+    ) -> bool {
+        let mut node = NodeEdges::default();
+        attempt.gather_edges(v, &mut node);
+        let sites = &node.first_sites[..];
+        let Some(e0) = node.incident.first().copied() else {
+            return false;
+        };
+        if !attempt.begin_walk(e0, v, hi, sites) {
+            return false;
+        }
+        let is_mem = attempt.mdfg.dfg.node(v).op.is_mem();
+        let mut queries = Vec::new();
+        for t in lo..=hi {
+            for pe in attempt.cgra.mesh().pes() {
+                let gate = attempt.gate(e0, v, pe, sites);
+                let free = attempt.mrt.pe_free(pe, t as u64)
+                    && (!is_mem || attempt.mrt.bus_free(pe, t as u64));
+                if free && (gate.0..=gate.1).contains(&t) {
+                    queries.push(Placement { pe, time: t as u32 });
+                }
+            }
+        }
+        for shuffled in [false, true] {
+            if shuffled {
+                for i in (1..queries.len()).rev() {
+                    queries.swap(i, rng.gen_range(0..i + 1));
+                }
+            }
+            attempt.begin_walk(e0, v, hi, sites);
+            attempt.ws.router.walk_search_now();
+            for &cand in &queries {
+                let EdgeNeed::Route(req) = attempt.edge_need(e0, v, cand) else {
+                    panic!("{why}: an open gate at {cand:?} makes no request");
+                };
+                let shared = attempt.ws.router.walk_route(&attempt.mrt, req);
+                let before = attempt.ws.router.route(&attempt.mrt, req, sites);
+                let slot = SlotUse::Compute(v.0);
+                attempt.mrt.reserve(cand.pe, cand.time as u64, slot, is_mem);
+                let alone = attempt.ws.router.route(&attempt.mrt, req, sites);
+                attempt.mrt.release(cand.pe, cand.time as u64, slot, is_mem);
+                let why = format!("{why}: {v:?} at {cand:?}, shuffled {shuffled}, {req:?}");
+                assert_eq!(shared, alone, "{why}, sites {sites:?}");
+                assert_eq!(before, alone, "{why}, sites {sites:?}");
+                counts[match shared {
+                    Some(RoutePlan::Direct) => 0,
+                    Some(RoutePlan::Chain(_)) => 1,
+                    None => 2,
+                }] += 1;
+            }
+        }
+        !queries.is_empty()
+    }
+
+    /// Seeded random partial attempts on every fabric of the paper grid,
+    /// in both waiting modes, on kernels with random spills (memory edges)
+    /// and random chain budgets, with the fanout sites their committed
+    /// routes leave: before each node's walk whose first incident edge the
+    /// node consumes from another node, for every `(t, PE)` of the node's
+    /// window whose gate is open and whose slot is free, the walk search
+    /// on the walk-start MRT returns what `Router::route` returns with the
+    /// candidate's compute slot reserved, and what it returns before the
+    /// slot is reserved. Each window's queries run once in time order, as
+    /// a time-major walk asks them, and once shuffled, as page-major walks
+    /// revisit earlier deadlines, each from a fresh walk search.
+    #[test]
+    fn walk_search_matches_route() {
+        let mut rng = StdRng::seed_from_u64(0x5EA2_C4ED);
+        let kernels = cgra_dfg::kernels::all();
+        let (mut counts, mut walks) = ([0u64; 3], 0);
+        for (dim, sizes) in cgra_arch::PAPER_GRID {
+            for &size in sizes {
+                let cgra = cgra_arch::fabric(dim, size).unwrap();
+                for mode in [MapMode::Baseline, MapMode::Constrained] {
+                    for attempt_no in 0..4 {
+                        let kernel = &kernels[rng.gen_range(0..kernels.len())];
+                        let spills = (0..kernel.num_edges())
+                            .filter(|_| rng.gen_bool(0.2))
+                            .collect();
+                        let mdfg = MapDfg::with_spills(kernel, &spills);
+                        let opts = MapOptions {
+                            chain_budget: rng.gen_range(0..12),
+                            ..MapOptions::default()
+                        };
+                        let ii = mii_with_mem(&mdfg, &cgra) + rng.gen_range(0..3);
+                        let asap = asap_with_mem(&mdfg, ii).expect("II at or above the MII");
+                        let mut order: Vec<NodeId> = mdfg.dfg.node_ids().collect();
+                        order.sort_by_key(|n| (asap[n.index()], n.0));
+                        let mut ws = Workspace::new(&mdfg, &cgra, mode, &opts);
+                        let mut attempt = Attempt::new(&mdfg, &cgra, mode, ii, &asap, &mut ws);
+                        attempt.time_major = rng.gen_bool(0.5);
+                        let why = format!(
+                            "{dim}x{dim}/p{size} {mode:?} #{attempt_no} {} II {ii}",
+                            kernel.name
+                        );
+                        for &v in &order {
+                            let Some(window) = attempt.window(v, &asap) else {
+                                break;
+                            };
+                            let checked =
+                                check_walk(&mut attempt, v, window, &mut rng, &mut counts, &why);
+                            walks += u64::from(checked);
+                            if !attempt.place_node(v, &asap, &mut rng) {
+                                break;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // Every answer is exercised many times.
+        let [direct, chains, none] = counts;
+        assert!(
+            walks > 500 && direct > 20_000 && chains > 20_000 && none > 20_000,
+            "{walks} {direct} {chains} {none}"
         );
     }
 

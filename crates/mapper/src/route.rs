@@ -3,8 +3,9 @@
 //! Routing finds how a value travels from its producer's PE to its
 //! consumer's PE through the mesh, cycle by cycle, reserving routing PEs
 //! along the way. Search is over states `(pe, t)` = "the value is
-//! available at `pe` at cycle `t`". [`Router::route`] is the one entry
-//! point; the router's [`MapMode`] picks the rules:
+//! available at `pe` at cycle `t`". [`Router::route`] answers one request,
+//! and the walk search (below) one node's candidates; the router's
+//! [`MapMode`] picks the rules:
 //!
 //! * **Baseline**: waiting in an RF is free (`(pe,t) → (pe,t+1)`, no
 //!   slot), moving costs a routing slot on the *destination* PE
@@ -51,6 +52,43 @@
 //! candidate PE before it walks a node's candidates (see
 //! [`crate::engine`]).
 //!
+//! **One search per walk.** While the engine walks the candidates `(t, PE)`
+//! of a node that consumes its first incident edge from another node, that
+//! edge's request changes only in its consumer PE and deadline: the
+//! producer's site, the fanout sites and the MRT (a failed candidate rolls
+//! back what it reserved) stay fixed. The engine asks `Router::walk_route`
+//! for each candidate. A short walk is answered by [`Router::route`]: a
+//! pruned search is cheap, and most walks end within a few candidates. Once
+//! those searches have popped as many states as the walk's window holds
+//! (PEs × times up to its last deadline), the walk switches to the *walk
+//! search*: the waiting-mode 0-1 BFS seeded once from the walk's sites over
+//! that window, pruning nothing and stopping at no goal. A long, failing
+//! walk thus pays for about one window of per-candidate searches and one
+//! walk search, instead of one search per candidate. For each PE, the walk
+//! search records the popped states a consumer there can read from, each
+//! earlier than all recorded before it. A query `(PE, deadline)` takes the
+//! first record at or before the deadline, advancing the search only until
+//! one exists or the queue is empty; the state that answered goes back to
+//! the queue's front unexpanded, so the next query resumes exactly. This is
+//! the route [`Router::route`] finds: it pops the states that are live for
+//! its consumer and deadline in the walk's order (a dead or late state has
+//! only dead or late successors, so leaving them out reorders nothing) and
+//! stops at the first the consumer can read from. Both run one body,
+//! `Scratch::zero_one`, with the prune row and the goal test as parameters.
+//!
+//! Sharing is exact only in the waiting modes, and only on the MRT the
+//! walk started from. A per-request waiting search never hops onto its
+//! consumer's PE, since a state that could is one the consumer reads
+//! from, where the search stops; so the candidate's own compute slot
+//! never changes its answer, and the engine may ask before reserving it.
+//! The walk search hops onto every PE, so it must run before a candidate
+//! reserves its slot: run after, it would see that slot while answering
+//! other candidates. A strict chain has no goal test before its last
+//! step and can pass through the consumer's PE at the candidate's phase,
+//! so the reserved slot does change its answer
+//! (`strict_route_depends_on_the_candidate_slot`); strict requests are
+//! routed per candidate.
+//!
 //! **Lifetime.** The mapping engine builds one [`Router`] per schedule
 //! search and routes every edge of every attempt through it, so the
 //! search's bookkeeping is paid once, not per request:
@@ -73,6 +111,10 @@
 //!   stale cell from an earlier, larger window reads as unseen. When the
 //!   epoch counter would wrap, every stamp is reset once.
 //! * The work queue is one deque, cleared per search.
+//! * The walk search keeps its own buffer, queue and records, so the
+//!   per-request searches of a node's later edges leave it intact
+//!   between queries. Its records are one list per walk, each linked to
+//!   the same consumer PE's record before it.
 //! * Each PE's ring-legal mesh neighbours are listed once, in
 //!   [`Mesh::neighbors`] order, so a search pushes the same states in the
 //!   same order as when it filtered the mesh's neighbours per pop. A
@@ -144,6 +186,8 @@ pub type ValueSite = (PeId, u32);
 const UNREACHABLE: u32 = u32::MAX;
 /// A cell's parent when the search started there.
 const NO_PARENT: u32 = u32::MAX;
+/// The end of a consumer PE's records in the walk search.
+const NO_RECORD: u32 = u32::MAX;
 
 /// Where one PE sits: its mesh row and column, and its page.
 #[derive(Debug, Clone, Copy)]
@@ -227,6 +271,8 @@ struct Scratch {
     cells: Vec<Cell>,
     epoch: u32,
     queue: VecDeque<(PeId, u32)>,
+    /// States popped by the waiting-mode searches, over all searches.
+    pops: u64,
 }
 
 impl Scratch {
@@ -261,6 +307,144 @@ impl Scratch {
     fn seen(&self, i: usize) -> bool {
         self.cells[i].stamp == self.epoch
     }
+
+    /// Push each of `sites` that `prune` keeps alive in `f`, once, at
+    /// cost 0 and in order.
+    fn seed(&mut self, f: Frame, prune: &[u32], sites: impl Iterator<Item = ValueSite>) {
+        for (pe, a) in sites {
+            if f.live(prune, pe, a) && !self.seen(f.idx(pe, a)) {
+                self.visit(f.idx(pe, a), 0, NO_PARENT, false);
+                self.queue.push_back((pe, a));
+            }
+        }
+    }
+
+    /// The waiting-mode 0-1 BFS, written once for both searches: pop
+    /// states in order of hops and return the first that `goal` accepts,
+    /// with its cell, or `None` once the queue is empty; push each other
+    /// popped state's wait (cost 0, to the front) and its hops onto
+    /// neighbours free at its phase (cost 1, to the back, within
+    /// `hop_budget`), only where `prune` keeps the new state alive in
+    /// `f`.
+    fn zero_one(
+        &mut self,
+        f: Frame,
+        mrt: &Mrt,
+        neighbours: &Neighbours,
+        hop_budget: u32,
+        prune: &[u32],
+        mut goal: impl FnMut(PeId, u32, usize) -> bool,
+    ) -> Option<(PeId, u32, usize)> {
+        while let Some((pe, t)) = self.queue.pop_front() {
+            self.pops += 1;
+            let here = f.idx(pe, t);
+            if goal(pe, t, here) {
+                return Some((pe, t, here));
+            }
+            if t == f.last {
+                continue;
+            }
+            let c = self.cells[here].cost;
+            // Wait (cost 0) — push front.
+            let wi = f.idx(pe, t + 1);
+            if f.live(prune, pe, t + 1) && (!self.seen(wi) || self.cells[wi].cost > c) {
+                self.visit(wi, c, here as u32, false);
+                self.queue.push_front((pe, t + 1));
+            }
+            // Hop (cost 1) — push back. The hop op runs at `t`.
+            if c < hop_budget {
+                let busy = mrt.busy_at_phase(t % mrt.ii());
+                for &nb in neighbours.of(pe) {
+                    if has(busy, nb) || !f.live(prune, nb, t + 1) {
+                        continue;
+                    }
+                    let hi = f.idx(nb, t + 1);
+                    if !self.seen(hi) || self.cells[hi].cost > c + 1 {
+                        self.visit(hi, c + 1, here as u32, true);
+                        self.queue.push_back((nb, t + 1));
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    /// The route to the popped state in cell `goal` of `f`, read back
+    /// along its parents.
+    fn path(&self, f: Frame, goal: usize) -> RoutePlan {
+        let mut hops = Vec::new();
+        let mut cur = goal;
+        while self.cells[cur].parent != NO_PARENT {
+            let Cell { parent, hop, .. } = self.cells[cur];
+            if hop {
+                let t = f.start + (cur / f.n) as u32;
+                let pe = PeId((cur % f.n) as u16);
+                // The hop op executes the cycle *before* the value lands.
+                hops.push(RouteHop { pe, time: t - 1 });
+            }
+            cur = parent as usize;
+        }
+        hops.reverse();
+        if hops.is_empty() {
+            return RoutePlan::Direct;
+        }
+        RoutePlan::Chain(hops)
+    }
+}
+
+/// The states of one waiting-mode search: `(pe, t)` with
+/// `start ≤ t ≤ last`, in cell `(t − start)·n + pe`.
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    start: u32,
+    last: u32,
+    n: usize,
+}
+
+impl Frame {
+    /// The frame from the earliest of the value's `sites` to `last`.
+    fn new(sites: impl Iterator<Item = ValueSite>, last: u32, n: usize) -> Self {
+        let start = sites.map(|(_, a)| a).min().unwrap_or(last);
+        debug_assert!(start <= last, "a search window from {start} to {last}");
+        Frame { start, last, n }
+    }
+
+    fn cells(self) -> usize {
+        (self.last - self.start) as usize * self.n + self.n
+    }
+
+    fn idx(self, pe: PeId, t: u32) -> usize {
+        (t - self.start) as usize * self.n + pe.index()
+    }
+
+    /// Whether `(pe, t)` can still reach a goal by `last`, with `prune`
+    /// the hops each PE still needs at least.
+    fn live(self, prune: &[u32], pe: PeId, t: u32) -> bool {
+        t.saturating_add(prune[pe.index()]) <= self.last
+    }
+}
+
+/// The first-edge requests of one node's walk (see the module docs).
+#[derive(Debug, Default)]
+struct Walk {
+    /// The producer's site, then the fanout sites.
+    sites: Vec<ValueSite>,
+    /// The walk's last deadline.
+    last: u32,
+    /// The states the per-request searches may still pop before the walk
+    /// search starts.
+    budget: u64,
+    /// The walk search's window, once it has started.
+    frame: Option<Frame>,
+    scratch: Scratch,
+    /// One zero per PE: the walk search prunes nothing.
+    zeros: Vec<u32>,
+    /// The popped states each consumer PE can read from that are earlier
+    /// than every such state popped before, in pop order, as `(time,
+    /// cell, the PE's record before)`.
+    records: Vec<(u32, u32, u32)>,
+    /// Per consumer PE, its newest record, or [`NO_RECORD`].
+    newest: Vec<u32>,
 }
 
 /// Each PE's mesh neighbours that a ring rule lets a value hop to, in
@@ -307,6 +491,7 @@ pub struct Router {
     /// The mesh neighbours a value may hop to under this mode's ring rule.
     neighbours: Neighbours,
     scratch: Scratch,
+    walk: Walk,
 }
 
 impl Router {
@@ -326,6 +511,11 @@ impl Router {
             bound_rows: vec![false; n],
             neighbours: Neighbours::new(mesh, ring),
             scratch: Scratch::default(),
+            walk: Walk {
+                zeros: vec![0; n],
+                newest: vec![NO_RECORD; n],
+                ..Walk::default()
+            },
         }
     }
 
@@ -465,85 +655,122 @@ impl Router {
         let hop_budget = self.hop_budget();
         let row = self.bound_row(req.to_pe);
         let bound = &self.bounds[row];
-        let neighbours = &self.neighbours;
-        let s = &mut self.scratch;
+        let sites = std::iter::once((req.from_pe, req.avail)).chain(extra_sites.iter().copied());
         // Direct read from the producer or any existing site.
-        let direct_from = |pe: PeId, avail: u32| avail <= req.deadline && bound[pe.index()] == 0;
-        if direct_from(req.from_pe, req.avail)
-            || extra_sites.iter().any(|&(pe, a)| direct_from(pe, a))
+        if sites
+            .clone()
+            .any(|(pe, a)| a <= req.deadline && bound[pe.index()] == 0)
         {
             return Some(RoutePlan::Direct);
         }
-        let start = req.avail.min(
-            extra_sites
-                .iter()
-                .map(|&(_, a)| a)
-                .min()
-                .unwrap_or(req.avail),
-        );
-        let window = (req.deadline - start) as usize + 1;
-        let n = self.mesh.num_pes();
-        s.begin(n * window);
-        let live = |pe: PeId, t: u32| t.saturating_add(bound[pe.index()]) <= req.deadline;
-        let idx = |pe: PeId, t: u32| (t - start) as usize * n + pe.index();
-        for (pe, a) in std::iter::once((req.from_pe, req.avail)).chain(extra_sites.iter().copied())
-        {
-            if live(pe, a) && !s.seen(idx(pe, a)) {
-                s.visit(idx(pe, a), 0, NO_PARENT, false);
-                s.queue.push_back((pe, a));
-            }
-        }
+        let f = Frame::new(sites.clone(), req.deadline, self.mesh.num_pes());
+        let s = &mut self.scratch;
+        s.begin(f.cells());
+        s.seed(f, bound, sites);
+        let (_, _, goal) =
+            s.zero_one(f, mrt, &self.neighbours, hop_budget, bound, |pe, _, _| {
+                bound[pe.index()] == 0
+            })?;
+        Some(s.path(f, goal))
+    }
 
-        let mut goal: Option<(PeId, u32)> = None;
-        while let Some((pe, t)) = s.queue.pop_front() {
-            let here = idx(pe, t);
-            let c = s.cells[here].cost;
-            if bound[pe.index()] == 0 {
-                goal = Some((pe, t));
+    /// Begin the first-edge requests of one node's walk (see the module
+    /// docs): the value available on `from` at `avail` and at the fanout
+    /// `sites`, read by consumers at deadlines up to `last`. Waiting modes
+    /// only.
+    pub(crate) fn walk_begin(&mut self, from: PeId, avail: u32, sites: &[ValueSite], last: u32) {
+        debug_assert!(self.mode.allows_waiting(), "{:?}", self.mode);
+        let w = &mut self.walk;
+        w.sites.clear();
+        w.sites.push((from, avail));
+        w.sites.extend_from_slice(sites);
+        let start = sites.iter().fold(avail, |start, &(_, a)| start.min(a));
+        let times = (last as u64 + 1).saturating_sub(start as u64);
+        (w.last, w.budget, w.frame) = (last, times * self.mesh.num_pes() as u64, None);
+    }
+
+    /// What [`Router::route`] returns for `req` with the walk's fanout
+    /// sites, where `req` comes from the walk's producer site with a
+    /// deadline up to its last, and `mrt` is the table the walk began on.
+    /// The walk asks [`Router::route`] until its searches have popped as
+    /// many states as the walk's window holds, then the walk search: the
+    /// route to the first popped state, at or before the deadline, from
+    /// which the consumer can read. That search advances only as far as
+    /// an answer needs; a request with no route runs it to the end of
+    /// its window.
+    pub(crate) fn walk_route(&mut self, mrt: &Mrt, req: RouteRequest) -> Option<RoutePlan> {
+        let hop_budget = self.hop_budget();
+        let w = &mut self.walk;
+        debug_assert!(w.sites[0] == (req.from_pe, req.avail) && req.deadline <= w.last);
+        if w.frame.is_none() && w.budget == 0 {
+            let f = Frame::new(w.sites.iter().copied(), w.last, self.mesh.num_pes());
+            w.scratch.begin(f.cells());
+            w.scratch.seed(f, &w.zeros, w.sites.iter().copied());
+            w.records.clear();
+            w.newest.fill(NO_RECORD);
+            w.frame = Some(f);
+        }
+        let Some(f) = w.frame else {
+            let (sites, popped) = (std::mem::take(&mut w.sites), self.scratch.pops);
+            let plan = self.route(mrt, req, &sites[1..]);
+            let w = &mut self.walk;
+            w.budget = w.budget.saturating_sub(self.scratch.pops - popped);
+            w.sites = sites;
+            return plan;
+        };
+        let Walk {
+            scratch,
+            zeros,
+            records,
+            newest,
+            ..
+        } = w;
+        // A PE's records run from late to early times, so the first at or
+        // before the deadline is the oldest of those at or before it.
+        let (mut found, mut r) = (None, newest[req.to_pe.index()]);
+        while let Some(&(t, cell, before)) = records.get(r as usize) {
+            if t > req.deadline {
                 break;
             }
-            if t == req.deadline {
-                continue;
-            }
-            // Wait (cost 0) — push front.
-            let wi = idx(pe, t + 1);
-            if live(pe, t + 1) && (!s.seen(wi) || s.cells[wi].cost > c) {
-                s.visit(wi, c, here as u32, false);
-                s.queue.push_front((pe, t + 1));
-            }
-            // Hop (cost 1) — push back. The hop op runs at `t`.
-            if c < hop_budget {
-                let busy = mrt.busy_at_phase(t % mrt.ii());
-                for &nb in neighbours.of(pe) {
-                    if has(busy, nb) || !live(nb, t + 1) {
-                        continue;
+            (found, r) = (Some(cell as usize), before);
+        }
+        let goal = match found {
+            Some(cell) => cell,
+            None => {
+                // The consumers that can read from `pe` are `pe` and its
+                // ring-legal neighbours, the PEs with `h = 0` towards them.
+                let neighbours = &self.neighbours;
+                let record = |pe: PeId, t: u32, cell: usize| {
+                    let mut reads = false;
+                    for &to in std::iter::once(&pe).chain(neighbours.of(pe)) {
+                        let r = &mut newest[to.index()];
+                        if records
+                            .get(*r as usize)
+                            .is_none_or(|&(earliest, ..)| t < earliest)
+                        {
+                            records.push((t, cell as u32, *r));
+                            *r = records.len() as u32 - 1;
+                        }
+                        reads |= to == req.to_pe;
                     }
-                    let hi = idx(nb, t + 1);
-                    if !s.seen(hi) || s.cells[hi].cost > c + 1 {
-                        s.visit(hi, c + 1, here as u32, true);
-                        s.queue.push_back((nb, t + 1));
-                    }
-                }
+                    reads && t <= req.deadline
+                };
+                let (pe, t, cell) =
+                    scratch.zero_one(f, mrt, neighbours, hop_budget, zeros, record)?;
+                // Put the answer back unexpanded, so the next query pops
+                // and expands it where this one stopped. Its records are
+                // made, so it answers no later query.
+                scratch.queue.push_front((pe, t));
+                cell
             }
-        }
-        let (gpe, gt) = goal?;
-        let mut hops = Vec::new();
-        let mut cur = idx(gpe, gt);
-        while s.cells[cur].parent != NO_PARENT {
-            let Cell { parent, hop, .. } = s.cells[cur];
-            if hop {
-                let t = start + (cur / n) as u32;
-                let pe = PeId((cur % n) as u16);
-                // The hop op executes the cycle *before* the value lands.
-                hops.push(RouteHop { pe, time: t - 1 });
-            }
-            cur = parent as usize;
-        }
-        hops.reverse();
-        if hops.is_empty() {
-            return Some(RoutePlan::Direct);
-        }
-        Some(RoutePlan::Chain(hops))
+        };
+        Some(scratch.path(f, goal))
+    }
+
+    /// Let the current walk's next request start the walk search.
+    #[cfg(test)]
+    pub(crate) fn walk_search_now(&mut self) {
+        self.walk.budget = 0;
     }
 
     /// Route under the strict 1-step discipline: the chain, if any, has
@@ -1304,6 +1531,35 @@ mod tests {
             4,
         );
         assert!(plan.is_none());
+    }
+
+    /// Why strict routes are not shared across a walk (see the module
+    /// docs): a strict chain can pass through the consumer's PE at the
+    /// candidate's phase. On a 4×4 at II 1 whose only reserved slot is the
+    /// producer's, on PE 0 at time 0, the one-step chain from PE 0 at
+    /// avail 1 to a consumer on PE 1 at deadline 2 hops onto PE 1 at time
+    /// 1; with the consumer's compute slot on PE 1 reserved too, there is
+    /// no chain.
+    #[test]
+    fn strict_route_depends_on_the_candidate_slot() {
+        let (c, mut mrt) = setup(1);
+        mrt.reserve(PeId(0), 0, crate::mrt::SlotUse::Compute(0), false);
+        let req = RouteRequest {
+            from_pe: PeId(0),
+            avail: 1,
+            to_pe: PeId(1),
+            deadline: 2,
+        };
+        let through = RouteHop {
+            pe: PeId(1),
+            time: 1,
+        };
+        assert_eq!(
+            strict(&c, &mrt, req, 8),
+            Some(RoutePlan::Chain(vec![through]))
+        );
+        mrt.reserve(PeId(1), 2, crate::mrt::SlotUse::Compute(1), false);
+        assert_eq!(strict(&c, &mrt, req, 8), None);
     }
 
     #[test]

@@ -190,6 +190,12 @@ fn main() {
             let dfg = load(&args);
             let cgra = fabric(&args);
             let m: u16 = flag(args.num("pages", 1));
+            let pages = cgra.layout().num_pages();
+            if !(1..=pages).contains(&(m as usize)) {
+                bad_flag(&format!(
+                    "--pages: {m} is outside 1..={pages}, the fabric's pages"
+                ));
+            }
             let mapped = map_constrained(&dfg, &cgra, &MapOptions::default())
                 .unwrap_or_else(|e| fail(&format!("mapping failed: {e}")));
             let paged = PagedSchedule::from_mapping(&mapped, &cgra)
@@ -218,6 +224,9 @@ fn main() {
             let dfg = load(&args);
             let cgra = fabric(&args);
             let iters: usize = flag(args.num("iters", 16));
+            if iters == 0 {
+                bad_flag("--iters: 0 runs nothing; give at least 1 iteration");
+            }
             let mapped = map_constrained(&dfg, &cgra, &MapOptions::default())
                 .unwrap_or_else(|e| fail(&format!("mapping failed: {e}")));
             let inputs = InputStreams::random(&dfg, iters, flag(args.num("seed", 0u64)));

@@ -16,8 +16,11 @@ fn run(args: &[&str]) -> (Option<i32>, String) {
 
 #[test]
 fn bad_flag_values_exit_2_naming_the_flag() {
-    let cases: [(&[&str], &str); 6] = [
+    let cases: [(&[&str], &str); 9] = [
         (&["shrink", "builtin:fir", "--pages", "abc"], "--pages"),
+        (&["shrink", "builtin:fir", "--pages", "0"], "--pages"),
+        (&["shrink", "builtin:fir", "--pages", "99"], "--pages"),
+        (&["exec", "builtin:fir", "--iters", "0"], "--iters"),
         (&["analyze", "builtin:fir", "--cgra", "x"], "--cgra"),
         (&["exec", "builtin:fir", "--iters", "-5"], "--iters"),
         (&["analyze", "builtin:fir", "--cgra", "0"], "--cgra"),
