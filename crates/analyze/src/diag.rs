@@ -11,7 +11,7 @@
 //! * `A3xx` — degradation analysis of a [`DegradedPlan`] against a
 //!   [`FaultMap`] (`A30x`: the pages of its run), and recovery analysis
 //!   (`A31x`) of a [`RecoveryPlan`] re-expanding onto repaired pages.
-//! * `A4xx` — profile/cache-entry semantic integrity.
+//! * `A4xx` — compiled kernel-profile semantic integrity.
 //!
 //! Codes are **stable**: external tooling may match on them, so a code
 //! is never renumbered or reused once released. New checks append.

@@ -2,7 +2,7 @@
 //!
 //! Every artifact the pipeline produces — a modulo [`Mapping`] (a Fig. 6
 //! fold is one), a page-level schedule, a §VI-C shrink plan, a degraded
-//! plan, or a cached kernel profile — can be handed to this crate and
+//! plan, or a compiled kernel profile — can be handed to this crate and
 //! re-checked **from first principles** against the
 //! architecture and dataflow models, independent of the code that
 //! produced it. Findings are structured [`Diagnostic`]s with stable
@@ -30,8 +30,8 @@
 //! * [`analyze_recovery`] — post-repair re-expansion legality: repaired
 //!   page reuse, quarantine, and iteration conservation (`A31x`), and
 //!   the inner shrink plan (`A21x`).
-//! * [`analyze_profile`] — semantic integrity of cached kernel profiles
-//!   (`A40x`).
+//! * [`analyze_profile`] — semantic integrity of compiled kernel
+//!   profiles (`A40x`).
 //!
 //! [`Mapping`]: cgra_mapper::Mapping
 

@@ -2,7 +2,7 @@
 //!
 //! Each operator takes a **known-good pipeline artifact** (a constrained
 //! FIR mapping, an extracted page-level schedule, a block shrink plan, a
-//! degraded plan, a Fig. 6 fold, a cached kernel profile), breaks
+//! degraded plan, a Fig. 6 fold, a compiled kernel profile), breaks
 //! exactly one invariant, and hands the mutant to the analyzer. The
 //! operator declares which [`Code`] class the analyzer *must* raise; a
 //! mutant whose report lacks that code has survived, and the test suite

@@ -1,5 +1,5 @@
-//! Semantic integrity analysis of a compiled kernel profile — what the
-//! mapping cache replays instead of running the mapper.
+//! Semantic integrity analysis of a compiled kernel profile — the
+//! summary the simulator runs on instead of the mappings.
 //!
 //! A profile is a pure summary (`name`, baseline/constrained IIs, page
 //! footprint, the `(M, II_q)` table over the halving chain), so the
@@ -12,13 +12,13 @@
 //!   `II_constrained ≥ II_baseline` (A402);
 //! * the II table enumerates exactly the halving-chain budgets
 //!   `N, N/2, …, 1` in order (A403) — the chain is re-derived locally,
-//!   not imported from the code that wrote the entry;
+//!   not imported from the code that built the profile;
 //! * shrinking pages never speeds a kernel up: the table's IIs are
 //!   weakly increasing as `M` falls (A404);
 //! * the claimed page footprint fits the fabric: `1 ≤ used ≤ N` (A405).
 //!
-//! Any violation means the entry was corrupted, hand-edited, or written
-//! by a buggy compiler — the cache must recompute rather than replay it.
+//! Any violation means the compile stage that built the profile is
+//! wrong; the runtime must not be handed it.
 
 use crate::diag::{Code, Diagnostic, Report, Span};
 

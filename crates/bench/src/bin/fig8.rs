@@ -9,18 +9,16 @@
 //!   --jobs N, -j  worker threads (default: available cores, capped 16);
 //!                 output is byte-identical for every N; a missing or
 //!                 non-positive value exits 2
-//!   --no-cache    keep compiled profiles in memory only; neither read
-//!                 nor write target/mapcache
 //!   --trace PATH  append every mapper/transform event to PATH as JSONL
-//!                 (disk-cache hits emit nothing; pair with --no-cache
-//!                 to trace every compilation once)
+//!                 (each profile compiles once per run, so each search
+//!                 appears once)
 //!   --metrics     print event counters after the sweep
 //!
 //! Any other argument exits 2, naming it.
 //! A kernel that does not compile exits 1, naming the kernel and the
 //! fabric.
 
-use cgra_bench::engine::{Engine, EngineConfig};
+use cgra_bench::engine::Engine;
 use cgra_bench::fig8;
 use cgra_bench::mapcache::MapCache;
 use cgra_bench::obsflags::ObsFlags;
@@ -30,16 +28,15 @@ fn main() {
     cgra_bench::reject_unknown_flags(
         "fig8",
         &args,
-        &["--csv", "--strict", "--no-cache", "--metrics"],
+        &["--csv", "--strict", "--metrics"],
         &["--jobs", "-j", "--trace"],
     );
-    let cfg = EngineConfig::from_args(&args).unwrap_or_else(|e| {
+    let engine = Engine::from_args(&args).unwrap_or_else(|e| {
         eprintln!("fig8: {e}");
         std::process::exit(2);
     });
-    let engine = Engine::new(cfg);
     let obs = ObsFlags::from_args(&args);
-    let cache = MapCache::for_config(cfg);
+    let cache = MapCache::default();
 
     if args.iter().any(|a| a == "--strict") {
         println!("## Ablation — strict 1-step discipline vs stable-column (4x4, page 4)\n");
@@ -53,13 +50,10 @@ fn main() {
                     .unwrap_or_else(|| "unmappable".into())
             );
         }
-        eprintln!("mapcache: {:?}", cache.stats());
         obs.finish();
         return;
     }
     let points = cgra_bench::or_exit("fig8", fig8::run_all(&engine, &cache, &obs.tracer));
-    // Cache statistics go to stderr so stdout stays byte-deterministic.
-    eprintln!("mapcache: {:?}", cache.stats());
 
     if args.iter().any(|a| a == "--csv") {
         let rows: Vec<Vec<String>> = points

@@ -21,8 +21,6 @@
 //!   --jobs N, -j N        worker threads (default: available cores,
 //!                         capped 16); output is byte-identical for all N;
 //!                         a missing or non-positive value exits 2
-//!   --no-cache            keep compiled profiles in memory only;
-//!                         neither read nor write target/mapcache
 //!   --trace PATH          append every mapper/transform/simulator event
 //!                         to PATH as JSONL (replayable by trace_oracle)
 //!   --metrics             print event counters and cycle histograms
@@ -32,7 +30,7 @@
 //! fabric.
 
 use cgra_arch::{FaultSpec, PAPER_GRID};
-use cgra_bench::engine::{Engine, EngineConfig};
+use cgra_bench::engine::Engine;
 use cgra_bench::fig9::{self, Coord, Fig9Params};
 use cgra_bench::mapcache::MapCache;
 use cgra_bench::obsflags::ObsFlags;
@@ -48,18 +46,16 @@ fn main() {
             "--ablation-overhead",
             "--ablation-policy",
             "--smoke",
-            "--no-cache",
             "--metrics",
         ],
         &["--faults", "--jobs", "-j", "--trace"],
     );
-    let cfg = EngineConfig::from_args(&args).unwrap_or_else(|e| {
+    let engine = Engine::from_args(&args).unwrap_or_else(|e| {
         eprintln!("fig9: {e}");
         std::process::exit(2);
     });
-    let engine = Engine::new(cfg);
     let obs = ObsFlags::from_args(&args);
-    let cache = MapCache::for_config(cfg);
+    let cache = MapCache::default();
 
     let mut params = Fig9Params::default();
     if args.iter().any(|a| a == "--smoke") {
@@ -144,15 +140,12 @@ fn main() {
             let points: Vec<Coord> = rows.iter().map(|(_, p)| *p).collect();
             let results = fig9::sweep(&engine, &cache, &points, &params, &obs.tracer);
             println!("{}", fig9::render_curve(&base, &rows, &results));
-            eprintln!("mapcache: {:?}", cache.stats());
             obs.finish();
             return;
         }
     }
 
     let results = fig9::sweep(&engine, &cache, &fig9::grid(), &params, &obs.tracer);
-    // Cache statistics go to stderr so stdout stays byte-deterministic.
-    eprintln!("mapcache: {:?}", cache.stats());
     let (points, errors) = fig9::partition_results(results);
     for (i, e) in &errors {
         eprintln!("point {i} failed: {e}");

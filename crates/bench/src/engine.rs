@@ -21,8 +21,7 @@
 //!   failures are not silently dropped.
 //!
 //! `tests/parallel_determinism.rs` enforces the contract end-to-end by
-//! diffing `--jobs 1` against `--jobs 4` runs, in-memory and on-disk
-//! cache.
+//! diffing `--jobs 1` against `--jobs 4` runs.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -57,27 +56,6 @@ pub fn point_seed(coords: &[u64]) -> u64 {
     h
 }
 
-/// Sweep-execution knobs, usually parsed from the command line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineConfig {
-    /// Worker threads (1 = fully serial; the reference for determinism
-    /// diffs).
-    pub jobs: usize,
-    /// Whether compiled profiles are read from and written to the disk
-    /// cache (`--no-cache` clears this; each profile is then compiled
-    /// once per process and kept in memory only).
-    pub use_cache: bool,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            jobs: default_jobs(),
-            use_cache: true,
-        }
-    }
-}
-
 /// A bad `--jobs` / `-j` argument.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobsError {
@@ -100,54 +78,50 @@ impl std::fmt::Display for JobsError {
 
 impl std::error::Error for JobsError {}
 
-impl EngineConfig {
-    /// Parse `--jobs N` / `-j N` and `--no-cache` from CLI arguments,
-    /// ignoring everything else (binaries layer their own flags on top).
+/// The sweep driver. Cheap to construct; holds no threads between runs.
+#[derive(Debug, Clone, Copy)]
+pub struct Engine {
+    /// Worker threads (1 = fully serial; the reference for determinism
+    /// diffs).
+    jobs: usize,
+}
+
+impl Default for Engine {
+    /// [`default_jobs`] workers.
+    fn default() -> Self {
+        Engine {
+            jobs: default_jobs(),
+        }
+    }
+}
+
+impl Engine {
+    /// An engine with `jobs` workers.
+    pub fn with_jobs(jobs: usize) -> Self {
+        Engine { jobs: jobs.max(1) }
+    }
+
+    /// Parse `--jobs N` / `-j N` from CLI arguments, ignoring everything
+    /// else (binaries layer their own flags on top); without the flag,
+    /// [`Engine::default`].
     ///
     /// # Errors
     /// [`JobsError`] if `--jobs` is missing its value or the value is not
     /// a positive integer.
     pub fn from_args<S: AsRef<str>>(args: &[S]) -> Result<Self, JobsError> {
-        let mut cfg = EngineConfig::default();
+        let mut engine = Engine::default();
         let mut it = args.iter().map(|a| a.as_ref());
         while let Some(arg) = it.next() {
-            match arg {
-                "--jobs" | "-j" => {
-                    let value = it.next().ok_or(JobsError::Missing)?;
-                    cfg.jobs = value
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| JobsError::Invalid(value.to_owned()))?;
-                }
-                "--no-cache" => cfg.use_cache = false,
-                _ => {}
+            if matches!(arg, "--jobs" | "-j") {
+                let value = it.next().ok_or(JobsError::Missing)?;
+                engine.jobs = value
+                    .parse::<usize>()
+                    .ok()
+                    .filter(|&n| n >= 1)
+                    .ok_or_else(|| JobsError::Invalid(value.to_owned()))?;
             }
         }
-        Ok(cfg)
-    }
-}
-
-/// The sweep driver. Cheap to construct; holds no threads between runs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Engine {
-    cfg: EngineConfig,
-}
-
-impl Engine {
-    /// An engine with `cfg`.
-    pub fn new(cfg: EngineConfig) -> Self {
-        Engine { cfg }
-    }
-
-    /// An engine with `jobs` workers and default caching.
-    pub fn with_jobs(jobs: usize) -> Self {
-        Engine {
-            cfg: EngineConfig {
-                jobs: jobs.max(1),
-                ..EngineConfig::default()
-            },
-        }
+        Ok(engine)
     }
 
     /// Evaluate `f` on every point, sharding across the engine's
@@ -159,7 +133,7 @@ impl Engine {
         R: Send,
         F: Fn(&P) -> R + Sync,
     {
-        run_ordered(points, self.cfg.jobs, &f)
+        run_ordered(points, self.jobs, &f)
     }
 }
 
@@ -271,20 +245,18 @@ mod tests {
 
     #[test]
     fn config_parsing() {
-        let cfg = EngineConfig::from_args(&["--csv", "--jobs", "3", "--no-cache"]).unwrap();
-        assert_eq!(cfg.jobs, 3);
-        assert!(!cfg.use_cache);
-        let cfg = EngineConfig::from_args(&["-j", "12"]).unwrap();
-        assert_eq!(cfg.jobs, 12);
-        assert!(cfg.use_cache);
-        let cfg = EngineConfig::from_args(&[] as &[&str]).unwrap();
-        assert!(cfg.jobs >= 1);
+        let engine = Engine::from_args(&["--csv", "--jobs", "3"]).unwrap();
+        assert_eq!(engine.jobs, 3);
+        let engine = Engine::from_args(&["-j", "12"]).unwrap();
+        assert_eq!(engine.jobs, 12);
+        let engine = Engine::from_args(&[] as &[&str]).unwrap();
+        assert!(engine.jobs >= 1);
     }
 
     #[test]
     fn bad_jobs_value_is_a_typed_error() {
         for bad in ["zero", "0"] {
-            let err = EngineConfig::from_args(&["--jobs", bad]).unwrap_err();
+            let err = Engine::from_args(&["--jobs", bad]).unwrap_err();
             assert_eq!(err, JobsError::Invalid(bad.to_owned()));
             assert_eq!(
                 err.to_string(),
@@ -292,7 +264,7 @@ mod tests {
             );
         }
         for flag in ["--jobs", "-j"] {
-            let err = EngineConfig::from_args(&["--csv", flag]).unwrap_err();
+            let err = Engine::from_args(&["--csv", flag]).unwrap_err();
             assert_eq!(err, JobsError::Missing);
             assert!(err.to_string().starts_with("--jobs requires a value"));
         }

@@ -213,7 +213,7 @@ mod tests {
     use super::*;
 
     fn config(dim: u16, page_size: usize) -> Vec<Fig8Point> {
-        run_config(&Engine::default(), &MapCache::in_memory(), dim, page_size).unwrap()
+        run_config(&Engine::default(), &MapCache::default(), dim, page_size).unwrap()
     }
 
     #[test]
@@ -246,7 +246,7 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_runs_agree() {
-        let cache = MapCache::in_memory();
+        let cache = MapCache::default();
         let serial = run_config(&Engine::with_jobs(1), &cache, 4, 2);
         let parallel = run_config(&Engine::with_jobs(4), &cache, 4, 2);
         assert_eq!(serial, parallel);

@@ -558,7 +558,7 @@ mod tests {
     fn run_curve(base: FaultSpec, jobs: usize) -> (Vec<Result<Fig9Point, PointError>>, String) {
         let rows = curve(at(base));
         let points: Vec<Coord> = rows.iter().map(|(_, p)| *p).collect();
-        let cache = MapCache::in_memory();
+        let cache = MapCache::default();
         let engine = Engine::with_jobs(jobs);
         let results = sweep(&engine, &cache, &points, &quick_params(), &Tracer::off());
         let rendered = render_curve(&base, &rows, &results);
@@ -567,7 +567,7 @@ mod tests {
 
     #[test]
     fn single_thread_improvement_is_small() {
-        let cache = MapCache::in_memory();
+        let cache = MapCache::default();
         let p = point(&cache, Coord::new(4, 4, CgraNeed::High, 1)).unwrap();
         // One thread cannot benefit; constrained II may even cost a bit.
         assert!(p.improvement_pct <= 5.0, "{}", p.improvement_pct);
@@ -575,14 +575,14 @@ mod tests {
 
     #[test]
     fn contention_brings_improvement_on_8x8() {
-        let cache = MapCache::in_memory();
+        let cache = MapCache::default();
         let p = point(&cache, Coord::new(8, 4, CgraNeed::High, 16)).unwrap();
         assert!(p.improvement_pct > 50.0, "got {:.1}%", p.improvement_pct);
     }
 
     #[test]
     fn improvement_grows_with_array_size() {
-        let cache = MapCache::in_memory();
+        let cache = MapCache::default();
         let p4 = point(&cache, Coord::new(4, 4, CgraNeed::High, 16)).unwrap();
         let p8 = point(&cache, Coord::new(8, 4, CgraNeed::High, 16)).unwrap();
         assert!(
@@ -595,7 +595,7 @@ mod tests {
 
     #[test]
     fn render_has_all_thread_counts() {
-        let cache = MapCache::in_memory();
+        let cache = MapCache::default();
         let pts = vec![point(&cache, Coord::new(4, 4, CgraNeed::Low, 2)).unwrap()];
         let s = render(&pts, 4);
         // The measured cell is rendered signed; everything else is "-".
@@ -617,7 +617,7 @@ mod tests {
             let tracer = Tracer::new(ring.clone());
             let results = sweep(
                 &Engine::with_jobs(jobs),
-                &MapCache::in_memory(),
+                &MapCache::default(),
                 &points,
                 &quick_params(),
                 &tracer,
@@ -637,7 +637,7 @@ mod tests {
 
     #[test]
     fn run_point_is_deterministic() {
-        let cache = MapCache::in_memory();
+        let cache = MapCache::default();
         let at = Coord::new(4, 2, CgraNeed::Medium, 4);
         assert_eq!(point(&cache, at), point(&cache, at));
         assert!(!point(&cache, at).unwrap().faults.any());
@@ -656,7 +656,7 @@ mod tests {
 
     #[test]
     fn faulty_point_reports_counters_and_degrades() {
-        let cache = MapCache::in_memory();
+        let cache = MapCache::default();
         let clean = Coord::new(8, 4, CgraNeed::High, 8);
         let faults = FaultSpec::Mtbf {
             mean: 5_000,

@@ -11,9 +11,8 @@
 //! * [`fig9`] — Figure 9(a–c): system-level improvement of the
 //!   multithreaded CGRA over the single-threaded FCFS baseline, for each
 //!   thread count, CGRA need, page size, and CGRA size.
-//! * [`mapcache`] — content-keyed kernel-profile and kernel-library
-//!   cache, persisted to `target/mapcache` (`--no-cache` keeps it in
-//!   memory).
+//! * [`mapcache`] — the per-process kernel-profile and kernel-library
+//!   cache: each key compiles once per run, in memory.
 //! * [`lint`] — the `cgra-lint` pipeline linter over `cgra-analyze`.
 //! * [`obsflags`] — `--trace <path>` / `--metrics` flag handling shared
 //!   by the figure binaries (JSONL traces, folded metrics).

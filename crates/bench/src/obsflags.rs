@@ -14,9 +14,8 @@ use std::sync::Arc;
 /// Parsed observability flags plus the live sinks behind the tracer.
 #[derive(Debug)]
 pub struct ObsFlags {
-    /// Hand this to the sweep entry points and to
-    /// [`MapCache::for_config`](crate::mapcache::MapCache::for_config).
-    /// Off when neither `--trace` nor `--metrics` was passed.
+    /// Hand this to the sweep entry points. Off when neither `--trace`
+    /// nor `--metrics` was passed.
     pub tracer: Tracer,
     metrics: Option<Arc<MetricsSink>>,
 }

@@ -8,7 +8,7 @@ use std::process::Command;
 #[test]
 fn fault_on_a_missing_page_exits_2_naming_the_clause_and_page_count() {
     let out = Command::new(env!("CARGO_BIN_EXE_fig9"))
-        .args(["--smoke", "--no-cache", "--faults", "at=5000,page=16"])
+        .args(["--smoke", "--faults", "at=5000,page=16"])
         .output()
         .expect("fig9 runs");
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -36,6 +36,17 @@ fn unknown_flags_exit_2_naming_the_flag() {
         ),
         (env!("CARGO_BIN_EXE_fig8"), &["--stirct"][..], "--stirct"),
         (env!("CARGO_BIN_EXE_report"), &["--smoke"][..], "--smoke"),
+        // A removed flag is unknown, not silently ignored.
+        (
+            env!("CARGO_BIN_EXE_fig8"),
+            &["--no-cache"][..],
+            "--no-cache",
+        ),
+        (
+            env!("CARGO_BIN_EXE_report"),
+            &["--no-cache"][..],
+            "--no-cache",
+        ),
     ] {
         let out = Command::new(bin).args(args).output().expect("binary runs");
         let stderr = String::from_utf8_lossy(&out.stderr);

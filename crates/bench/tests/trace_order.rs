@@ -1,12 +1,12 @@
-//! A cold traced sweep writes the same trace on two workers as on one,
-//! compile events included: `fig8` and `fig9 --smoke` run with
-//! `--no-cache` (so every profile compiles and emits its search) at
-//! `-j 1` and `-j 2`, and the trace files must be byte-identical.
+//! A traced sweep writes the same trace on two workers as on one,
+//! compile events included: `fig8` and `fig9 --smoke` (every profile
+//! compiles once per run and emits its search) run at `-j 1` and `-j 2`,
+//! and the trace files must be byte-identical.
 
 use std::path::Path;
 use std::process::Command;
 
-/// The trace file `bin args --no-cache -j jobs --trace <file>` writes.
+/// The trace file `bin args -j jobs --trace <file>` writes.
 fn trace(bin: &str, args: &[&str], jobs: &str, round: usize) -> Vec<u8> {
     let name = Path::new(bin).file_name().expect("binary path has a name");
     let path = std::env::temp_dir().join(format!(
@@ -16,7 +16,7 @@ fn trace(bin: &str, args: &[&str], jobs: &str, round: usize) -> Vec<u8> {
     ));
     let out = Command::new(bin)
         .args(args)
-        .args(["--no-cache", "-j", jobs, "--trace"])
+        .args(["-j", jobs, "--trace"])
         .arg(&path)
         .output()
         .expect("binary runs");

@@ -5,11 +5,9 @@
 //! `tests/golden/`.
 //!
 //! These catch *silent* behaviour changes the invariant-based validators
-//! cannot: a plan can stay valid while placing cells differently (and the
-//! mapping cache keys such semantic changes only via the `SCHEMA` bump —
-//! see `cgra-bench::mapcache`). If a change here is intentional, refresh
-//! the snapshots with `UPDATE_GOLDEN=1 cargo test -p cgra-core --test
-//! golden_pagemaster` and bump that schema constant in the same commit.
+//! cannot: a plan can stay valid while placing cells differently. If a
+//! change here is intentional, refresh the snapshots with
+//! `UPDATE_GOLDEN=1 cargo test -p cgra-core --test golden_pagemaster`.
 //!
 //! Every snapshot is cross-checked with `validate_plan` before
 //! comparison, so a stale-but-valid golden file can never mask an invalid

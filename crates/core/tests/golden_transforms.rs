@@ -8,8 +8,7 @@
 //! a placement, a period, an error or a violation list shows up here,
 //! while a pure speed-up leaves the files untouched. If a change is
 //! intentional, refresh the snapshots with `UPDATE_GOLDEN=1 cargo test
-//! --release -p cgra-core --test golden_transforms -- --include-ignored`
-//! and bump `cgra-bench::mapcache::SCHEMA` in the same commit.
+//! --release -p cgra-core --test golden_transforms -- --include-ignored`.
 //!
 //! The default test covers the synthetic canonical rings with N 2–12,
 //! II_p 1–2 and every M. The `#[ignore]`d grid adds N up to 33 and II_p
@@ -301,7 +300,7 @@ fn auto_full_grid() {
 /// No shrink plan the compile stage makes for the 99 kernel × fabric
 /// pairs of the paper grid comes from Algorithm 1: every constrained
 /// mapping is Stable, so `Auto` takes Block, and a change to the drift
-/// cannot move fig8, fig9 or a mapcache entry.
+/// cannot move fig8 or fig9.
 #[test]
 #[ignore = "compiles the whole paper grid: run in release with --include-ignored"]
 fn grid_plans_never_drift() {

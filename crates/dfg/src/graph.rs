@@ -162,8 +162,8 @@ impl Dfg {
 
     /// A stable 64-bit structural fingerprint: FNV-1a over the name,
     /// every node's op kind, and every edge's `(src, dst, distance)`.
-    /// Mapping caches key on this so a kernel edit (same name, different
-    /// body) invalidates stale entries instead of silently reusing them.
+    /// Mapping caches key on this so two kernels with one name but
+    /// different bodies never share an entry.
     /// Labels are excluded — they are display-only and do not affect
     /// mapping.
     pub fn fingerprint(&self) -> u64 {

@@ -4,9 +4,9 @@ use serde::{Deserialize, Serialize};
 
 /// Options controlling the modulo-scheduling search.
 ///
-/// `Hash`/`Eq` and [`MapOptions::fingerprint`] exist so mapping caches
-/// can key on the exact option set: two sweeps sharing a cache never
-/// cross-contaminate results produced under different knobs.
+/// `Hash`/`Eq` let mapping caches key on the exact option set: two
+/// sweeps sharing a cache never cross-contaminate results produced
+/// under different knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct MapOptions {
     /// Give up if no schedule is found at `mii + max_ii_slack`.
@@ -43,27 +43,6 @@ impl MapOptions {
             spill_rounds: 2,
             ..Default::default()
         }
-    }
-
-    /// A stable 64-bit fingerprint of every knob, suitable for on-disk
-    /// cache keys. Hand-rolled FNV-1a over the fields in declaration
-    /// order — unlike `std::hash::Hash` + `DefaultHasher`, the value is
-    /// specified and identical across processes, platforms and Rust
-    /// releases, so persisted cache entries stay valid.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = 0xCBF2_9CE4_8422_2325u64; // FNV offset basis
-        let mut eat = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3); // FNV prime
-            }
-        };
-        eat(self.max_ii_slack as u64);
-        eat(self.restarts as u64);
-        eat(self.seed);
-        eat(self.chain_budget as u64);
-        eat(self.spill_rounds as u64);
-        h
     }
 }
 

@@ -3,9 +3,8 @@
 //! The build environment has no registry access, so `serde_json` is not
 //! available; the workspace's `serde` is an offline marker shim (see
 //! `crates/serde`). This module is the real serialization layer for the
-//! workspace: trace events (JSONL, via [`Json::compact`]), the on-disk
-//! mapping cache in `cgra-bench` and the analyzer's reports (via
-//! [`Json::pretty`]). It provides a [`Json`] value tree, a strict
+//! workspace: trace events (JSONL, via [`Json::compact`]) and the
+//! analyzer's reports (via [`Json::pretty`]). It provides a [`Json`] value tree, a strict
 //! parser, and stable printers whose output is byte-deterministic
 //! (`BTreeMap` keys make object order canonical).
 
@@ -19,8 +18,8 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Integers (covers every numeric field this crate persists; floats
-    /// are intentionally unsupported so cache files never face
+    /// Integers (covers every numeric field this crate writes; floats
+    /// are intentionally unsupported so nothing written faces
     /// round-trip drift).
     Int(i64),
     /// A string.

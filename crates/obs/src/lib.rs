@@ -23,8 +23,7 @@
 //!   makespan, and no pages are handed to a thread after their death
 //!   event.
 //! * [`jsonio`] — the workspace's offline JSON codec, used for JSONL
-//!   traces, the on-disk mapping cache in `cgra-bench` and the
-//!   analyzer's JSON reports.
+//!   traces and the analyzer's JSON reports.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -10,10 +10,10 @@
 //! * the derive macros (re-exported from `serde_derive` under the
 //!   `derive` feature, exactly like the real facade) emit marker impls.
 //!
-//! Actual persistence in this workspace goes through the hand-rolled
+//! Actual serialization in this workspace goes through the hand-rolled
 //! JSON codec `cgra_obs::jsonio`: the trace events generate theirs from
-//! one declaration, and `cgra-bench`'s `mapcache` writes explicit
-//! `to_json`/`from_json` conversions for the few types that hit disk. If the real serde ever becomes available, deleting this crate
+//! one declaration, and the analyzer's reports write theirs by hand. If
+//! the real serde ever becomes available, deleting this crate
 //! and restoring the registry dependency is the only change needed: the
 //! annotations are already in place.
 

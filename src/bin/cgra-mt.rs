@@ -201,14 +201,19 @@ fn main() {
             let paged = PagedSchedule::from_mapping(&mapped, &cgra)
                 .unwrap_or_else(|e| fail(&format!("extraction failed: {e}")))
                 .trimmed();
+            if m > paged.num_pages {
+                bad_flag(&format!(
+                    "--pages: {m} is above the {} page(s) {} occupies; a shrink cannot grow it",
+                    paged.num_pages, dfg.name
+                ));
+            }
             println!(
                 "compiled: II = {}, occupies {} of {} pages",
                 mapped.ii(),
                 paged.num_pages,
                 cgra.layout().num_pages()
             );
-            let target = m.min(paged.num_pages);
-            let plan = transform(&paged, target, Strategy::Auto)
+            let plan = transform(&paged, m, Strategy::Auto)
                 .unwrap_or_else(|e| fail(&format!("transform failed: {e}")));
             let v = validate_plan(&paged, &plan);
             println!(

@@ -16,10 +16,13 @@ fn run(args: &[&str]) -> (Option<i32>, String) {
 
 #[test]
 fn bad_flag_values_exit_2_naming_the_flag() {
-    let cases: [(&[&str], &str); 9] = [
+    let cases: [(&[&str], &str); 10] = [
         (&["shrink", "builtin:fir", "--pages", "abc"], "--pages"),
         (&["shrink", "builtin:fir", "--pages", "0"], "--pages"),
         (&["shrink", "builtin:fir", "--pages", "99"], "--pages"),
+        // fir occupies 2 of the default fabric's 4 pages: shrinking to 4
+        // would grow it.
+        (&["shrink", "builtin:fir", "--pages", "4"], "--pages"),
         (&["exec", "builtin:fir", "--iters", "0"], "--iters"),
         (&["analyze", "builtin:fir", "--cgra", "x"], "--cgra"),
         (&["exec", "builtin:fir", "--iters", "-5"], "--iters"),

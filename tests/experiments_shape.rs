@@ -26,7 +26,7 @@ fn improvement(cache: &MapCache, dim: u16, page_size: usize, threads: usize) -> 
 /// Geometric-mean Fig. 8 performance of one fabric.
 fn fig8_geomean(dim: u16, page_size: usize) -> f64 {
     let points =
-        fig8::run_config(&Engine::default(), &MapCache::in_memory(), dim, page_size).unwrap();
+        fig8::run_config(&Engine::default(), &MapCache::default(), dim, page_size).unwrap();
     fig8::summary(&points)[0].2
 }
 
@@ -55,7 +55,7 @@ fn fig8_large_pages_nearly_lossless() {
 /// Fig. 9 shape: improvement grows with the array (paper's headline).
 #[test]
 fn fig9_improvement_grows_with_array_size() {
-    let cache = MapCache::in_memory();
+    let cache = MapCache::default();
     let i4 = improvement(&cache, 4, 4, 16);
     let i6 = improvement(&cache, 6, 4, 16);
     let i8 = improvement(&cache, 8, 4, 16);
@@ -70,7 +70,7 @@ fn fig9_improvement_grows_with_array_size() {
 /// cost), matching the paper's negative bars at low thread counts.
 #[test]
 fn fig9_single_thread_pays_constraint_cost() {
-    let i = improvement(&MapCache::in_memory(), 6, 2, 1);
+    let i = improvement(&MapCache::default(), 6, 2, 1);
     assert!(i <= 0.0, "got {i:+.1}%");
 }
 
@@ -78,7 +78,7 @@ fn fig9_single_thread_pays_constraint_cost() {
 /// small overheads are indeed negligible (the paper's assumption).
 #[test]
 fn ablation_overhead_negligible_when_small() {
-    let sweep = fig9::ablation_overhead(&MapCache::in_memory(), 8, 4, &Tracer::off()).unwrap();
+    let sweep = fig9::ablation_overhead(&MapCache::default(), 8, 4, &Tracer::off()).unwrap();
     let at0 = sweep[0].1;
     let at10 = sweep[1].1;
     assert!(

@@ -1,9 +1,8 @@
 //! Differential tests for the sweep engine's determinism contract: a
 //! reduced Fig. 8 / Fig. 9 grid run with `jobs = 1` must produce
-//! **byte-identical** reports to the same grid run with `jobs = 4`, with
-//! an in-memory and an on-disk mapping cache. `jobs = 1` is the
-//! pure-serial reference path (no threads, no locks), so any divergence
-//! pins the blame on scheduling- or cache-dependent state.
+//! **byte-identical** reports to the same grid run with `jobs = 4`.
+//! `jobs = 1` is the pure-serial reference path (no threads, no locks),
+//! so any divergence pins the blame on scheduling-dependent state.
 
 use cgra_bench::engine::Engine;
 use cgra_bench::fig8;
@@ -11,7 +10,6 @@ use cgra_bench::fig9::{self, Coord, Fig9Params, Fig9Point};
 use cgra_bench::mapcache::MapCache;
 use cgra_obs::{check_trace, RingSink, Tracer};
 use cgra_sim::{CgraNeed, MtConfig};
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// The reduced Fig. 8 grid: two page sizes on the 4x4.
@@ -58,77 +56,44 @@ fn fig9_reduced(engine: &Engine, cache: &MapCache) -> Vec<Fig9Point> {
     .collect()
 }
 
-/// A fresh directory for an on-disk cache, unique to `test`.
-fn scratch_dir(test: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mapcache-{test}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 #[test]
-fn fig8_is_byte_identical_across_jobs_and_cache_modes() {
-    let reference = fig8_reduced(&Engine::with_jobs(1), &MapCache::in_memory());
+fn fig8_is_byte_identical_across_jobs() {
+    let reference = fig8_reduced(&Engine::with_jobs(1), &MapCache::default());
     let reference_render = fig8::render(&reference, 4);
     let reference_summary = format!("{:?}", fig8::summary(&reference));
 
-    // The on-disk arm shares one directory: jobs=1 writes the entries,
-    // jobs=4 reads them back.
-    let dir = scratch_dir("fig8-modes");
     for jobs in [1usize, 4] {
-        for on_disk in [false, true] {
-            let cache = if on_disk {
-                MapCache::persistent_at(&dir)
-            } else {
-                MapCache::in_memory()
-            };
-            let got = fig8_reduced(&Engine::with_jobs(jobs), &cache);
-            assert_eq!(
-                got, reference,
-                "fig8 points diverge at jobs={jobs} on_disk={on_disk}"
-            );
-            assert_eq!(
-                fig8::render(&got, 4),
-                reference_render,
-                "fig8 rendered table diverges at jobs={jobs} on_disk={on_disk}"
-            );
-            assert_eq!(
-                format!("{:?}", fig8::summary(&got)),
-                reference_summary,
-                "fig8 summary diverges at jobs={jobs} on_disk={on_disk}"
-            );
-        }
+        let got = fig8_reduced(&Engine::with_jobs(jobs), &MapCache::default());
+        assert_eq!(got, reference, "fig8 points diverge at jobs={jobs}");
+        assert_eq!(
+            fig8::render(&got, 4),
+            reference_render,
+            "fig8 rendered table diverges at jobs={jobs}"
+        );
+        assert_eq!(
+            format!("{:?}", fig8::summary(&got)),
+            reference_summary,
+            "fig8 summary diverges at jobs={jobs}"
+        );
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn fig9_is_byte_identical_across_jobs_and_cache_modes() {
-    let reference = fig9_reduced(&Engine::with_jobs(1), &MapCache::in_memory());
+fn fig9_is_byte_identical_across_jobs() {
+    let reference = fig9_reduced(&Engine::with_jobs(1), &MapCache::default());
     let reference_render = fig9::render(&reference, 4);
 
-    let dir = scratch_dir("fig9-modes");
     for jobs in [1usize, 4] {
-        for on_disk in [false, true] {
-            let cache = if on_disk {
-                MapCache::persistent_at(&dir)
-            } else {
-                MapCache::in_memory()
-            };
-            let got = fig9_reduced(&Engine::with_jobs(jobs), &cache);
-            // Fig9Point holds f64 means; PartialEq equality here really is
-            // bit-level, which is exactly the contract under test.
-            assert_eq!(
-                got, reference,
-                "fig9 points diverge at jobs={jobs} on_disk={on_disk}"
-            );
-            assert_eq!(
-                fig9::render(&got, 4),
-                reference_render,
-                "fig9 rendered table diverges at jobs={jobs} on_disk={on_disk}"
-            );
-        }
+        let got = fig9_reduced(&Engine::with_jobs(jobs), &MapCache::default());
+        // Fig9Point holds f64 means; PartialEq equality here really is
+        // bit-level, which is exactly the contract under test.
+        assert_eq!(got, reference, "fig9 points diverge at jobs={jobs}");
+        assert_eq!(
+            fig9::render(&got, 4),
+            reference_render,
+            "fig9 rendered table diverges at jobs={jobs}"
+        );
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -149,7 +114,7 @@ fn sweep_compiles_each_fabric_once() {
     let curve: Vec<Coord> = curve.into_iter().map(|(_, p)| p).collect();
     for jobs in [1usize, 4] {
         let misses = |points: &[Coord]| {
-            let cache = MapCache::in_memory();
+            let cache = MapCache::default();
             let engine = Engine::with_jobs(jobs);
             let results = fig9::sweep(&engine, &cache, points, &quick_params(), &Tracer::off());
             assert!(results.iter().all(Result::is_ok), "{results:?}");
@@ -182,7 +147,7 @@ fn assert_curve_is_deterministic_and_oracle_clean(
         let sink = Arc::new(RingSink::unbounded());
         let results = fig9::sweep(
             &Engine::with_jobs(jobs),
-            &MapCache::in_memory(),
+            &MapCache::default(),
             &points,
             &quick_params(),
             &Tracer::new(sink.clone()),
@@ -245,30 +210,4 @@ fn recovery_curve_is_identical_across_jobs_and_traces_are_oracle_clean() {
         kind: cgra_arch::FaultKind::Transient { repair_after: 500 },
     };
     assert_curve_is_deterministic_and_oracle_clean(base, |p| p.faults.repairs > 0);
-}
-
-#[test]
-fn disk_cache_round_trip_is_also_identical() {
-    // A profile loaded back from target/mapcache JSON must reproduce the
-    // freshly computed report bytes too.
-    let dir = std::env::temp_dir().join(format!("mapcache-determinism-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let reference = fig8_reduced(&Engine::with_jobs(1), &MapCache::in_memory());
-
-    let writer = MapCache::persistent_at(&dir);
-    let first = fig8_reduced(&Engine::with_jobs(4), &writer);
-    assert_eq!(first, reference);
-
-    // A fresh cache over the same directory serves from disk.
-    let reader = MapCache::persistent_at(&dir);
-    let second = fig8_reduced(&Engine::with_jobs(4), &reader);
-    assert_eq!(second, reference, "disk-loaded profiles diverge");
-    assert!(
-        reader.stats().disk_hits > 0,
-        "expected disk hits, got {:?}",
-        reader.stats()
-    );
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
