@@ -14,7 +14,7 @@
 use crate::diag::{Code, Diagnostic, Report, Span};
 use cgra_arch::register::RotatingRf;
 use cgra_arch::CgraConfig;
-use cgra_mapper::{validate_mapping, MapDfg, MapMode, Mapping, Violation};
+use cgra_mapper::{edge_reads, validate_mapping, MapDfg, MapMode, Mapping, Violation};
 
 /// Lift one shallow [`Violation`] into a coded [`Diagnostic`].
 pub fn diagnostic_from_violation(v: &Violation) -> Diagnostic {
@@ -95,27 +95,18 @@ pub fn analyze_mapping(
         for n in dfg.node_ids() {
             let pu = mapping.placements[n.index()];
             let avail = pu.time as u64 + 1;
-            // The value's last read from the producer PE itself: direct
-            // consumers (plus iteration-distance shifts) and the first
-            // hop of each outgoing route.
-            let mut last_read: Option<u64> = None;
-            for eid in dfg.succ_edges(n) {
-                let ei = eid.index();
-                if mdfg.is_mem_edge(ei) {
-                    continue;
-                }
-                let e = dfg.edge(eid);
-                let read = match mapping.routes[ei].first() {
-                    Some(h) => h.time as u64,
-                    None => {
-                        mapping.placements[e.dst.index()].time as u64
-                            + e.distance as u64 * ii as u64
-                    }
-                };
-                if read >= avail {
-                    last_read = Some(last_read.map_or(read, |l| l.max(read)));
-                }
-            }
+            // The value's last read from the producer PE itself, where
+            // the mapper's read rule (`edge_reads`) takes each hop's and
+            // consumer's value from. An edge the rule rejects is already
+            // a violation above and adds no read.
+            let own = (pu.pe, pu.time + 1);
+            let last_read = dfg
+                .succ_edges(n)
+                .filter_map(|e| edge_reads(mdfg, cgra, mapping, mode, e.index()).ok())
+                .flatten()
+                .filter(|r| r.from == own)
+                .map(|r| r.time)
+                .max();
             if let Some(read) = last_read {
                 let needed = RotatingRf::registers_for_range(avail, read, ii);
                 if needed > rf {

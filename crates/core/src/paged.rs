@@ -9,7 +9,7 @@
 //! transformation needs.
 
 use cgra_arch::CgraConfig;
-use cgra_mapper::{MapMode, MapResult};
+use cgra_mapper::{edge_reads, MapMode, MapResult, Read};
 use serde::{Deserialize, Serialize};
 
 /// How disciplined the schedule's dependences are — determines which
@@ -78,8 +78,9 @@ pub enum ExtractError {
     /// The mapping was produced without the paging constraints; its
     /// dataflow need not respect the ring and cannot be transformed.
     NotConstrained,
-    /// A dependence moves backwards or skips pages — the mapping violates
-    /// the ring discipline (should be impossible for validated mappings).
+    /// A read has no legal source under the mapping's mode (impossible
+    /// for validated mappings); the dependence is the one from the
+    /// edge's own chain to the reader.
     IllegalDep(PageDep),
 }
 
@@ -179,95 +180,27 @@ impl PagedSchedule {
             ps.cell_mut(page.0, p.time % ii).compute.push(i as u32);
         }
 
-        // Dependences: walk each edge realisation exactly as the mapping
-        // validator does — including fanout sharing, where a hop or final
-        // read picks the value up from a sibling edge's route landing
-        // rather than this edge's own chain. Memory edges carry no page
-        // deps.
-        let mesh = cgra.mesh();
-        for (ei, e) in result.mdfg.dfg.edges().enumerate() {
-            if result.mdfg.is_mem_edge(ei) {
-                continue;
-            }
-            let pu = result.mapping.placements[e.src.index()];
-            let pv = result.mapping.placements[e.dst.index()];
-            let consume = pv.time + e.distance * ii;
-
-            // Sources the value can be read from: (pe, producing-step
-            // time). The producer itself, plus every sibling hop landing.
-            let mut sites: Vec<(cgra_arch::PeId, u32)> = vec![(pu.pe, pu.time)];
-            for e2 in result.mdfg.dfg.succ_edges(e.src) {
-                if e2.index() == ei || result.mdfg.is_mem_edge(e2.index()) {
-                    continue;
-                }
-                for h in &result.mapping.routes[e2.index()] {
-                    sites.push((h.pe, h.time));
-                }
-            }
-            // Prefer the edge's own chain location (first element), then
-            // sibling sites — the same rule the mapping validator uses.
-            let pick = |sources: &[(cgra_arch::PeId, u32)],
-                        to_pe: cgra_arch::PeId,
-                        read_time: u32|
-             -> Option<(cgra_arch::PeId, u32)> {
-                sources.iter().copied().find(|&(pe, t)| {
-                    (pe == to_pe || mesh.adjacent(pe, to_pe)) && read_time > t && {
-                        let (a, b) = (layout.page_of(pe), layout.page_of(to_pe));
-                        layout.is_ring_step(a, b)
-                    }
-                })
-            };
-
-            let mut loc = (pu.pe, pu.time);
-            for h in &result.mapping.routes[ei] {
+        // Dependences: one per read of every edge, from the step that
+        // published the value to the reading step, at the sources the
+        // mapper's read rule picks (`cgra_mapper::edge_reads`, fanout
+        // sharing included). Memory edges carry no page deps.
+        let dep = |r: &Read| PageDep {
+            from_page: layout.page_of(r.from.0).0,
+            from_time: r.from.1 - 1,
+            to_page: layout.page_of(r.pe).0,
+            to_time: r.time as u32,
+        };
+        for (ei, hops) in result.mapping.routes.iter().enumerate() {
+            for h in hops {
                 ps.cell_mut(layout.page_of(h.pe).0, h.time % ii).routes += 1;
-                let mut sources = vec![loc];
-                sources.extend(sites.iter().copied());
-                let (spe, st) =
-                    pick(&sources, h.pe, h.time).ok_or(ExtractError::IllegalDep(PageDep {
-                        from_page: layout.page_of(loc.0).0,
-                        from_time: loc.1,
-                        to_page: layout.page_of(h.pe).0,
-                        to_time: h.time,
-                    }))?;
-                ps.push_dep(PageDep {
-                    from_page: layout.page_of(spe).0,
-                    from_time: st,
-                    to_page: layout.page_of(h.pe).0,
-                    to_time: h.time,
-                })?;
-                loc = (h.pe, h.time);
             }
-            let mut sources = vec![loc];
-            sources.extend(sites.iter().copied());
-            let (spe, st) =
-                pick(&sources, pv.pe, consume).ok_or(ExtractError::IllegalDep(PageDep {
-                    from_page: layout.page_of(loc.0).0,
-                    from_time: loc.1,
-                    to_page: layout.page_of(pv.pe).0,
-                    to_time: consume,
-                }))?;
-            ps.push_dep(PageDep {
-                from_page: layout.page_of(spe).0,
-                from_time: st,
-                to_page: layout.page_of(pv.pe).0,
-                to_time: consume,
-            })?;
+            let reads = edge_reads(&result.mdfg, cgra, &result.mapping, result.mode, ei)
+                .map_err(|f| ExtractError::IllegalDep(dep(&f.read)))?;
+            ps.deps.extend(reads.iter().map(dep));
         }
         ps.deps.sort_unstable();
         ps.deps.dedup();
         Ok(ps)
-    }
-
-    fn push_dep(&mut self, dep: PageDep) -> Result<(), ExtractError> {
-        if dep.to_time <= dep.from_time {
-            return Err(ExtractError::IllegalDep(dep));
-        }
-        if dep.to_page != dep.from_page && dep.to_page != dep.from_page + 1 {
-            return Err(ExtractError::IllegalDep(dep));
-        }
-        self.deps.push(dep);
-        Ok(())
     }
 
     /// Drop trailing idle pages: the returned schedule has

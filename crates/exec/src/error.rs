@@ -32,7 +32,7 @@ pub enum ExecError {
         /// Instance.
         instance: u64,
     },
-    /// No legal read source could be derived for an edge (plan failure).
+    /// The mapper's read rule found no legal source for a read of an edge.
     NoReadSource {
         /// Edge index.
         edge: usize,

@@ -11,7 +11,8 @@
 //! * [`machine`] — cycle-level execution of a mapped schedule, a
 //!   PageMaster fold onto one page included (it is a mapping on the
 //!   one-page fabric): values only exist where and when their producing
-//!   steps published them; every read asserts physical presence.
+//!   steps published them; every read takes its value where the mapper's
+//!   read rule says and asserts physical presence there.
 //! * [`error`] — the shared [`ExecError`] both paths report instead of
 //!   panicking, so a bad schedule or truncated input stream stays a
 //!   value the caller can route.
@@ -38,5 +39,5 @@ pub mod semantics;
 
 pub use error::ExecError;
 pub use interp::{interpret, InputStreams, Outputs};
-pub use machine::{execute, MachineSchedule};
+pub use machine::execute;
 pub use semantics::{const_value, eval, Word};

@@ -88,7 +88,7 @@
 //! random partial attempts against them.
 
 use crate::error::MapError;
-use crate::mapping::{MapMode, Mapping, Placement, RouteHop};
+use crate::mapping::{fanout_sites, MapMode, Mapping, Placement, RouteHop};
 use crate::mrt::{has, Mrt, SlotUse};
 use crate::opts::MapOptions;
 use crate::route::{RoutePlan, RouteRequest, Router, ValueSite};
@@ -247,32 +247,6 @@ impl Workspace {
 struct NodeEdges {
     incident: Vec<usize>,
     first_sites: Vec<ValueSite>,
-}
-
-/// Fill `out` with the sites where the value of edge `edge_index` is
-/// already available besides its producer: the landings of the committed
-/// routes of its sibling edges from the same producer (fanout sharing),
-/// in modes that let a value wait.
-fn fanout_sites(
-    mdfg: &MapDfg,
-    mode: MapMode,
-    routes: &[Option<Vec<RouteHop>>],
-    edge_index: usize,
-    out: &mut Vec<ValueSite>,
-) {
-    out.clear();
-    if !mode.allows_waiting() {
-        return;
-    }
-    let src = mdfg.dfg.edge(cgra_dfg::EdgeId(edge_index as u32)).src;
-    out.extend(
-        mdfg.dfg
-            .succ_edges(src)
-            .filter(|e2| e2.index() != edge_index && !mdfg.is_mem_edge(e2.index()))
-            .filter_map(|e2| routes[e2.index()].as_ref())
-            .flatten()
-            .map(|h| (h.pe, h.time + 1)),
-    );
 }
 
 /// An inclusive interval of placement times, empty when its start is
@@ -520,13 +494,10 @@ impl<'a, 'w> Attempt<'a, 'w> {
             EdgeNeed::Route(req) => {
                 let ws = &mut *self.ws;
                 let sites = sites.unwrap_or_else(|| {
-                    fanout_sites(
-                        self.mdfg,
-                        self.mode,
-                        &self.routes,
-                        edge_index,
-                        &mut ws.sites,
-                    );
+                    let routes = |e: usize| self.routes[e].as_deref();
+                    ws.sites.clear();
+                    ws.sites
+                        .extend(fanout_sites(self.mdfg, self.mode, edge_index, routes));
                     &ws.sites
                 });
                 ws.router.route(&self.mrt, req, sites)
@@ -703,15 +674,10 @@ impl<'a, 'w> Attempt<'a, 'w> {
                 }))
                 .map(|e| e.index()),
         );
-        match node.incident.first() {
-            Some(&e0) => fanout_sites(
-                self.mdfg,
-                self.mode,
-                &self.routes,
-                e0,
-                &mut node.first_sites,
-            ),
-            None => node.first_sites.clear(),
+        node.first_sites.clear();
+        if let Some(&e0) = node.incident.first() {
+            let sites = fanout_sites(self.mdfg, self.mode, e0, |e| self.routes[e].as_deref());
+            node.first_sites.extend(sites);
         }
     }
 

@@ -41,6 +41,8 @@ pub mod spill;
 pub use constrained::{map_constrained, map_constrained_strict, map_constrained_traced};
 pub use ems::{kernel_mii, map_baseline, map_baseline_traced, MapResult};
 pub use error::MapError;
-pub use mapping::{validate_mapping, MapMode, Mapping, Placement, RouteHop, Violation};
+pub use mapping::{
+    edge_reads, validate_mapping, MapMode, Mapping, NoSource, Placement, Read, RouteHop, Violation,
+};
 pub use opts::MapOptions;
 pub use spill::MapDfg;

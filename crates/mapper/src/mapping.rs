@@ -23,6 +23,19 @@
 //!   requires `T ≥ t_store + 2` (one cycle to execute the store, one for
 //!   visibility).
 //!
+//! # The read rule
+//!
+//! Where each hop and each consumer takes its value is decided in one
+//! place, [`edge_reads`]: from the edge's own chain if that is legal,
+//! else from the first legal *fanout site* — a landing of a sibling
+//! edge's route from the same producer, in modes that let a value wait.
+//! The validator reports a violation at the read where the rule finds no
+//! source and charges RF pressure from the sources it picks; page
+//! extraction (`cgra-core`) turns the reads into page dependences, the
+//! analyzer (`cgra-analyze`) measures each value's lifetime on its
+//! producer's PE from them, and the cycle-level machine (`cgra-exec`)
+//! executes exactly these reads.
+//!
 //! # Modes
 //!
 //! [`MapMode::Baseline`] allows values to *wait* in RFs (free gaps between
@@ -39,12 +52,13 @@
 //! spilled through memory (§VI-B.1).
 
 use crate::mrt::{Mrt, SlotUse};
+use crate::route::{ring_ok, ValueSite};
 use crate::spill::MapDfg;
-use cgra_arch::page::PageLayout;
 use cgra_arch::pe::FuClass;
 use cgra_arch::register::PressureTracker;
 use cgra_arch::topology::PeId;
 use cgra_arch::CgraConfig;
+use cgra_dfg::EdgeId;
 use serde::{Deserialize, Serialize};
 
 /// Where and when one node executes.
@@ -194,8 +208,107 @@ impl std::fmt::Display for Violation {
     }
 }
 
-fn ring_step_ok(layout: &PageLayout, from: PeId, to: PeId) -> bool {
-    layout.is_ring_step(layout.page_of(from), layout.page_of(to))
+/// One read of an edge's value: by a routing hop, or by the consumer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Read {
+    /// Where the value is taken from: a PE and the cycle the value is
+    /// available there from (one past the step that published it).
+    pub from: ValueSite,
+    /// The reading PE.
+    pub pe: PeId,
+    /// The cycle it reads.
+    pub time: u64,
+}
+
+/// Why [`edge_reads`] found no legal source for one read of an edge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NoSource {
+    /// The failing read: hop `step` of the edge's route, or the
+    /// consumer's read when `step` is the route's length.
+    pub step: usize,
+    /// The read, with `from` the edge's own chain location at that step.
+    pub read: Read,
+    /// How many fanout sites were tried besides the chain.
+    pub sites: usize,
+}
+
+/// The fanout sites of edge `edge`'s value: the landings of the routes of
+/// its sibling edges from the same producer, where `route_of` gives an
+/// edge's route if it has one. None unless `mode` lets a value wait.
+pub(crate) fn fanout_sites<'a>(
+    mdfg: &'a MapDfg,
+    mode: MapMode,
+    edge: usize,
+    route_of: impl Fn(usize) -> Option<&'a [RouteHop]> + 'a,
+) -> impl Iterator<Item = ValueSite> + 'a {
+    let src = mdfg.dfg.edge(EdgeId(edge as u32)).src;
+    mdfg.dfg
+        .succ_edges(src)
+        .filter(move |e2| {
+            mode.allows_waiting() && e2.index() != edge && !mdfg.is_mem_edge(e2.index())
+        })
+        .filter_map(move |e2| route_of(e2.index()))
+        .flatten()
+        .map(|h| (h.pe, h.time + 1))
+}
+
+/// The read rule: where each hop of edge `edge` of `mapping`, and then
+/// its consumer, reads the value under `mode`, in route order with the
+/// consumer's read last (empty for a memory edge, whose value goes
+/// through memory). A reader takes the value from its edge's own chain
+/// (the producer, or the previous hop) if that is legal, else from the
+/// first legal fanout site. A source is legal when it is the reader's PE
+/// or a neighbour, holds the value by the read cycle (exactly at it under
+/// [`MapMode::ConstrainedStrict`]) and, in the ring modes, sits on the
+/// reader's page or the one before it. `mapping` must have the shape of
+/// `mdfg` and stay on `cgra`'s mesh, as [`validate_mapping`] checks.
+pub fn edge_reads(
+    mdfg: &MapDfg,
+    cgra: &CgraConfig,
+    mapping: &Mapping,
+    mode: MapMode,
+    edge: usize,
+) -> Result<Vec<Read>, NoSource> {
+    if mdfg.is_mem_edge(edge) {
+        return Ok(Vec::new());
+    }
+    let (mesh, layout) = (cgra.mesh(), cgra.layout());
+    let e = mdfg.dfg.edge(EdgeId(edge as u32));
+    let pu = mapping.placements[e.src.index()];
+    let pv = mapping.placements[e.dst.index()];
+    let sites: Vec<_> =
+        fanout_sites(mdfg, mode, edge, |e2| Some(&mapping.routes[e2][..])).collect();
+    let legal = |(pe, avail): ValueSite, to: PeId, time: u64| {
+        (pe == to || mesh.adjacent(pe, to))
+            && time >= avail as u64
+            && (mode.allows_waiting() || time == avail as u64)
+            && ring_ok(mode.ring_constrained().then_some(layout), pe, to)
+    };
+    let hops = &mapping.routes[edge];
+    let consume = pv.time as u64 + e.distance as u64 * mapping.ii as u64;
+    let readers = hops
+        .iter()
+        .map(|h| (h.pe, h.time as u64))
+        .chain([(pv.pe, consume)]);
+    let mut chain = (pu.pe, pu.time + 1);
+    let mut reads = Vec::with_capacity(hops.len() + 1);
+    for (step, (pe, time)) in readers.enumerate() {
+        let from = std::iter::once(chain)
+            .chain(sites.iter().copied())
+            .find(|&s| legal(s, pe, time))
+            .ok_or(NoSource {
+                step,
+                read: Read {
+                    from: chain,
+                    pe,
+                    time,
+                },
+                sites: sites.len(),
+            })?;
+        reads.push(Read { from, pe, time });
+        chain = (pe, time as u32 + 1);
+    }
+    Ok(reads)
 }
 
 /// Re-derive every legality condition of `mapping` for `mdfg` on `cgra`
@@ -283,39 +396,15 @@ pub fn validate_mapping(
         }
     }
 
-    // --- Per-edge dataflow legality. ---
-    // Track RF holds for baseline pressure accounting:
-    // (pe, avail_from, held_until).
+    // --- Per-edge dataflow legality, and the RF holds of every read that
+    // waits for its value: (pe, avail_from, held_until). ---
     let mut holds: Vec<(PeId, u32, u32)> = Vec::new();
-
-    // Fanout sharing (modes with waiting): a hop or final read may pick
-    // the value up from any landing of a sibling edge's route (same
-    // producer), not only from this edge's own chain. Collect the sites.
-    let sites_of = |src: cgra_dfg::NodeId, this_edge: usize| -> Vec<(PeId, u32)> {
-        if !mode.allows_waiting() {
-            return Vec::new();
-        }
-        let mut sites = Vec::new();
-        for e2 in dfg.succ_edges(src) {
-            if e2.index() == this_edge || mdfg.is_mem_edge(e2.index()) {
-                continue;
-            }
-            for h in &mapping.routes[e2.index()] {
-                sites.push((h.pe, h.time + 1));
-            }
-        }
-        sites
-    };
-
     for (ei, e) in dfg.edges().enumerate() {
-        let pu = mapping.placements[e.src.index()];
-        let pv = mapping.placements[e.dst.index()];
-        let avail0 = pu.time + 1;
-        let consume = pv.time as u64 + e.distance as u64 * ii as u64;
-        let hops = &mapping.routes[ei];
-
         if mdfg.is_mem_edge(ei) {
-            if !hops.is_empty() {
+            let pu = mapping.placements[e.src.index()];
+            let consume =
+                mapping.placements[e.dst.index()].time as u64 + e.distance as u64 * ii as u64;
+            if !mapping.routes[ei].is_empty() {
                 violations.push(Violation::BadEdge {
                     edge: ei,
                     reason: "memory edge must not be routed".into(),
@@ -334,103 +423,37 @@ pub fn validate_mapping(
             }
             continue;
         }
-
-        let sites = sites_of(e.src, ei);
-
-        // A reader at (`to`, `read_time`) may take the value from the
-        // current chain location or any sharing site. Returns the source
-        // used (for hold accounting), or None.
-        let pick_source = |loc: PeId,
-                           avail: u32,
-                           to: PeId,
-                           read_time: u64,
-                           strict_from_loc_only: bool|
-         -> Option<(PeId, u32)> {
-            let legal = |pe: PeId, a: u32| {
-                (pe == to || mesh.adjacent(pe, to))
-                    && read_time >= a as u64
-                    && (mode.allows_waiting() || read_time == a as u64)
-                    && (!mode.ring_constrained() || ring_step_ok(layout, pe, to))
-            };
-            if legal(loc, avail) {
-                return Some((loc, avail));
-            }
-            if strict_from_loc_only {
-                return None;
-            }
-            sites.iter().copied().find(|&(pe, a)| legal(pe, a))
-        };
-
-        // Walk the chain (possibly empty).
-        let mut loc = pu.pe;
-        let mut avail = avail0;
-        let mut ok = true;
-        for (hi, h) in hops.iter().enumerate() {
-            match pick_source(loc, avail, h.pe, h.time as u64, !mode.allows_waiting()) {
-                Some((spe, sa)) => {
-                    if mode.allows_waiting() && h.time > sa {
-                        holds.push((spe, sa, h.time));
-                    }
-                    avail = h.time + 1;
-                    loc = h.pe;
-                }
-                None => {
-                    // Classify: ring-only failures get the dedicated kind.
-                    let ring_blocked = mode.ring_constrained()
-                        && (loc == h.pe || mesh.adjacent(loc, h.pe))
-                        && h.time as u64 >= avail as u64
-                        && !ring_step_ok(layout, loc, h.pe);
-                    violations.push(if ring_blocked {
-                        Violation::RingViolation {
-                            edge: ei,
-                            reason: format!("hop {hi}: {} to {}", loc, h.pe),
-                        }
-                    } else {
-                        Violation::BadEdge {
-                            edge: ei,
-                            reason: format!(
-                                "hop {hi} at ({}, {}) unreachable from {} (avail {avail}) \
-                                 or any sharing site",
-                                h.pe, h.time, loc
-                            ),
-                        }
-                    });
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if !ok {
-            continue;
-        }
-        // Final read by the consumer at `consume`.
-        match pick_source(loc, avail, pv.pe, consume, !mode.allows_waiting()) {
-            Some((spe, sa)) => {
-                if mode.allows_waiting() && consume > sa as u64 {
-                    holds.push((spe, sa, consume as u32));
-                }
-            }
-            None => {
+        match edge_reads(mdfg, cgra, mapping, mode, ei) {
+            Ok(reads) if mode.allows_waiting() => holds.extend(
+                reads
+                    .iter()
+                    .filter(|r| r.time > r.from.1 as u64)
+                    .map(|r| (r.from.0, r.from.1, r.time as u32)),
+            ),
+            Ok(_) => {}
+            Err(NoSource { step, read, sites }) => {
+                let ((loc, avail), pe, time) = (read.from, read.pe, read.time);
+                // Ring-only failures get the dedicated kind.
                 let ring_blocked = mode.ring_constrained()
-                    && (loc == pv.pe || mesh.adjacent(loc, pv.pe))
-                    && consume >= avail as u64
-                    && !ring_step_ok(layout, loc, pv.pe);
+                    && (loc == pe || mesh.adjacent(loc, pe))
+                    && time >= avail as u64
+                    && !ring_ok(Some(layout), loc, pe);
+                let reason = match (ring_blocked, step < mapping.routes[ei].len()) {
+                    (true, true) => format!("hop {step}: {loc} to {pe}"),
+                    (true, false) => format!("final read: {loc} to {pe}"),
+                    (false, true) => format!(
+                        "hop {step} at ({pe}, {time}) unreachable from {loc} (avail {avail}) \
+                         or any sharing site"
+                    ),
+                    (false, false) => format!(
+                        "consumer at ({pe}, {time}) cannot read the value \
+                         (chain at {loc} from {avail}, {sites} sharing sites)"
+                    ),
+                };
                 violations.push(if ring_blocked {
-                    Violation::RingViolation {
-                        edge: ei,
-                        reason: format!("final read: {} to {}", loc, pv.pe),
-                    }
+                    Violation::RingViolation { edge: ei, reason }
                 } else {
-                    Violation::BadEdge {
-                        edge: ei,
-                        reason: format!(
-                            "consumer at ({}, {consume}) cannot read the value \
-                             (chain at {} from {avail}, {} sharing sites)",
-                            pv.pe,
-                            loc,
-                            sites.len()
-                        ),
-                    }
+                    Violation::BadEdge { edge: ei, reason }
                 });
             }
         }
@@ -477,6 +500,11 @@ mod tests {
 
     fn cgra() -> CgraConfig {
         CgraConfig::square(4)
+    }
+
+    fn hops(pairs: &[(u16, u32)]) -> Vec<RouteHop> {
+        let hop = |&(pe, time): &(u16, u32)| RouteHop { pe: PeId(pe), time };
+        pairs.iter().map(hop).collect()
     }
 
     fn place(pairs: &[(u16, u32)], ii: u32, nroutes: usize) -> Mapping {
@@ -609,6 +637,38 @@ mod tests {
         };
         assert!(validate_mapping(&m, &cgra(), &mapping, MapMode::Baseline).is_empty());
         assert!(validate_mapping(&m, &cgra(), &mapping, MapMode::ConstrainedStrict).is_empty());
+    }
+
+    #[test]
+    fn a_read_takes_a_sibling_landing_only_when_its_chain_cannot_serve() {
+        // u on PE0 feeds v1 on PE3 through hops on PE1 and PE2, and v2 on
+        // PE6, which is not next to PE0 but is next to the hop on PE2.
+        let mut b = DfgBuilder::new("t");
+        let u = b.node(OpKind::Const);
+        b.apply(OpKind::Add, &[u]);
+        b.apply(OpKind::Add, &[u]);
+        let m = MapDfg::unspilled(&b.build().unwrap());
+        let mut mapping = place(&[(0, 0), (3, 3), (6, 4)], 8, 2);
+        mapping.routes[0] = hops(&[(1, 1), (2, 2)]);
+        let read = |from: (u16, u32), pe, time| Read {
+            from: (PeId(from.0), from.1),
+            pe: PeId(pe),
+            time,
+        };
+        let reads = |mode| edge_reads(&m, &cgra(), &mapping, mode, 1);
+        let chain = [read((0, 1), 1, 1), read((1, 2), 2, 2), read((2, 3), 3, 3)];
+        assert_eq!(
+            edge_reads(&m, &cgra(), &mapping, MapMode::Baseline, 0),
+            Ok(chain.to_vec())
+        );
+        assert_eq!(reads(MapMode::Baseline), Ok(vec![read((2, 3), 6, 4)]));
+        // Strict mode shares no sites: the producer must serve the read.
+        let no_source = NoSource {
+            step: 0,
+            read: read((0, 1), 6, 4),
+            sites: 0,
+        };
+        assert_eq!(reads(MapMode::ConstrainedStrict), Err(no_source));
     }
 
     #[test]

@@ -169,7 +169,9 @@ impl RoutePlan {
     }
 }
 
-fn ring_ok(ring: Option<&PageLayout>, from: PeId, to: PeId) -> bool {
+/// Whether a step from `from` to `to` stays on its page or moves one page
+/// along `ring`'s ring; any step passes without a ring.
+pub(crate) fn ring_ok(ring: Option<&PageLayout>, from: PeId, to: PeId) -> bool {
     match ring {
         None => true,
         Some(layout) => layout.is_ring_step(layout.page_of(from), layout.page_of(to)),

@@ -16,6 +16,8 @@
 //!   last `ThreadDone` must land exactly on `SimEnd.makespan`, and
 //!   every thread must check out),
 //! * event times within a run never go backwards,
+//! * every page and thread an event names exists: a page below
+//!   `SimBegin.pages`, a thread below `SimBegin.threads`,
 //! * every run that begins either completes (`SimEnd`) or aborts
 //!   (`SimAbort`), and
 //! * mapper/transform segments are well-formed (an accepted mapping has
@@ -133,6 +135,24 @@ pub enum OracleError {
         /// Index of the unclosed `SimBegin`.
         index: usize,
     },
+    /// An event named a page the run's fabric does not have.
+    PageOutOfRange {
+        /// Offending event index.
+        index: usize,
+        /// The named page.
+        page: u16,
+        /// Pages declared by `SimBegin`.
+        pages: u16,
+    },
+    /// An event named a thread the run's workload does not have.
+    ThreadOutOfRange {
+        /// Offending event index.
+        index: usize,
+        /// The named thread.
+        thread: u32,
+        /// Threads declared by `SimBegin`.
+        threads: u32,
+    },
     /// A mapper event appeared outside any `MapBegin` segment.
     MapEventOutsideSegment {
         /// Offending event index.
@@ -231,6 +251,19 @@ impl std::fmt::Display for OracleError {
             OracleError::MissingSimEnd { index } => {
                 write!(f, "run opened at event {index} never reached SimEnd/SimAbort")
             }
+            OracleError::PageOutOfRange {
+                index,
+                page,
+                pages,
+            } => write!(f, "event {index}: page {page} is not one of the run's {pages} pages"),
+            OracleError::ThreadOutOfRange {
+                index,
+                thread,
+                threads,
+            } => write!(
+                f,
+                "event {index}: thread {thread} is not one of the run's {threads} threads"
+            ),
             OracleError::MapEventOutsideSegment { index, kind } => {
                 write!(f, "event {index}: {kind} outside any MapBegin segment")
             }
@@ -255,6 +288,7 @@ impl std::error::Error for OracleError {}
 struct RunState {
     begin_index: usize,
     threads: u32,
+    pages: u16,
     owner: BTreeMap<u16, u32>,
     held: BTreeMap<u32, Vec<u16>>,
     dead: BTreeSet<u16>,
@@ -264,10 +298,11 @@ struct RunState {
 }
 
 impl RunState {
-    fn new(begin_index: usize, threads: u32) -> Self {
+    fn new(begin_index: usize, threads: u32, pages: u16) -> Self {
         RunState {
             begin_index,
             threads,
+            pages,
             owner: BTreeMap::new(),
             held: BTreeMap::new(),
             dead: BTreeSet::new(),
@@ -277,7 +312,15 @@ impl RunState {
         }
     }
 
-    fn clock(&mut self, index: usize, time: u64) -> Result<(), OracleError> {
+    /// Check one simulation event: its time does not go back, and the
+    /// thread (if any) and every page it names exist.
+    fn step(
+        &mut self,
+        index: usize,
+        time: u64,
+        thread: Option<u32>,
+        pages: &[u16],
+    ) -> Result<(), OracleError> {
         if time < self.last_time {
             return Err(OracleError::NonMonotonicTime {
                 index,
@@ -286,7 +329,21 @@ impl RunState {
             });
         }
         self.last_time = time;
-        Ok(())
+        if let Some(thread) = thread.filter(|&t| t >= self.threads) {
+            return Err(OracleError::ThreadOutOfRange {
+                index,
+                thread,
+                threads: self.threads,
+            });
+        }
+        match pages.iter().find(|&&p| p >= self.pages) {
+            Some(&page) => Err(OracleError::PageOutOfRange {
+                index,
+                page,
+                pages: self.pages,
+            }),
+            None => Ok(()),
+        }
     }
 
     fn release(&mut self, thread: u32) {
@@ -401,17 +458,17 @@ pub fn check_trace(events: &[TraceEvent]) -> Result<OracleReport, OracleError> {
             }
 
             // ---- simulation runs --------------------------------------
-            TraceEvent::SimBegin { threads, .. } => {
+            TraceEvent::SimBegin { threads, pages } => {
                 if let Some(open) = &run {
                     return Err(OracleError::MissingSimEnd {
                         index: open.begin_index,
                     });
                 }
-                run = Some(RunState::new(index, *threads));
+                run = Some(RunState::new(index, *threads, *pages));
             }
-            TraceEvent::ThreadQueue { time, .. } => {
+            TraceEvent::ThreadQueue { time, thread, .. } => {
                 let state = open_run(&mut run, index, ev)?;
-                state.clock(index, *time)?;
+                state.step(index, *time, Some(*thread), &[])?;
             }
             TraceEvent::ThreadStart {
                 time,
@@ -420,7 +477,7 @@ pub fn check_trace(events: &[TraceEvent]) -> Result<OracleReport, OracleError> {
                 ..
             } => {
                 let state = open_run(&mut run, index, ev)?;
-                state.clock(index, *time)?;
+                state.step(index, *time, Some(*thread), pages)?;
                 state.claim(index, *thread, pages)?;
             }
             TraceEvent::ThreadShrink {
@@ -445,7 +502,7 @@ pub fn check_trace(events: &[TraceEvent]) -> Result<OracleReport, OracleError> {
                 pages,
             } => {
                 let state = open_run(&mut run, index, ev)?;
-                state.clock(index, *time)?;
+                state.step(index, *time, Some(*thread), pages)?;
                 let held = state.held.get(thread).map_or(0, Vec::len) as u16;
                 let listed = pages.len() as u16;
                 if held != *from || listed != *to {
@@ -462,19 +519,18 @@ pub fn check_trace(events: &[TraceEvent]) -> Result<OracleReport, OracleError> {
             }
             TraceEvent::ThreadFinish { time, thread, .. } => {
                 let state = open_run(&mut run, index, ev)?;
-                state.clock(index, *time)?;
+                state.step(index, *time, Some(*thread), &[])?;
                 state.release(*thread);
             }
             TraceEvent::ThreadDone { time, thread } => {
                 let state = open_run(&mut run, index, ev)?;
-                state.clock(index, *time)?;
-                let _ = thread;
+                state.step(index, *time, Some(*thread), &[])?;
                 state.done_count += 1;
                 state.last_done = state.last_done.max(*time);
             }
             TraceEvent::Fault { time, page, kind } => {
                 let state = open_run(&mut run, index, ev)?;
-                state.clock(index, *time)?;
+                state.step(index, *time, None, &[*page])?;
                 // Transient faults kill the page too; only a later
                 // PageRepaired makes it grantable again.
                 if matches!(kind, FaultKind::Kill | FaultKind::Transient { .. }) {
@@ -483,12 +539,12 @@ pub fn check_trace(events: &[TraceEvent]) -> Result<OracleReport, OracleError> {
             }
             TraceEvent::PageRepaired { time, page } => {
                 let state = open_run(&mut run, index, ev)?;
-                state.clock(index, *time)?;
+                state.step(index, *time, None, &[*page])?;
                 state.dead.remove(page);
             }
             TraceEvent::Revoke { time, thread, page } => {
                 let state = open_run(&mut run, index, ev)?;
-                state.clock(index, *time)?;
+                state.step(index, *time, Some(*thread), &[*page])?;
                 let holds = state
                     .held
                     .get(thread)
@@ -704,6 +760,59 @@ mod tests {
             },
         ];
         assert!(check_trace(&trace).is_ok());
+    }
+
+    #[test]
+    fn unknown_pages_and_threads_fire_at_their_event() {
+        let page = |page| OracleError::PageOutOfRange {
+            index: 1,
+            page,
+            pages: 4,
+        };
+        let thread = |thread| OracleError::ThreadOutOfRange {
+            index: 1,
+            thread,
+            threads: 1,
+        };
+        // One event of a run on 4 pages with 1 thread, naming a page or a
+        // thread the run does not have.
+        let cases = [
+            (
+                r#""thread_start","kernel":0,"pages":[9],"thread":5"#,
+                thread(5),
+            ),
+            (
+                r#""thread_start","kernel":0,"pages":[0,4],"thread":0"#,
+                page(4),
+            ),
+            (r#""thread_queue","kernel":0,"thread":1"#, thread(1)),
+            (
+                r#""thread_shrink","from":0,"pages":[7],"thread":0,"to":1"#,
+                page(7),
+            ),
+            (
+                r#""thread_expand","from":0,"pages":[8],"thread":0,"to":1"#,
+                page(8),
+            ),
+            (
+                r#""reexpanded","from":0,"pages":[5],"thread":0,"to":1"#,
+                page(5),
+            ),
+            (r#""thread_finish","freed":0,"thread":2"#, thread(2)),
+            (r#""thread_done","thread":3"#, thread(3)),
+            (r#""fault","kind":"kill","page":4"#, page(4)),
+            (r#""page_repaired","page":5"#, page(5)),
+            (r#""revoke","page":6,"thread":0"#, page(6)),
+        ];
+        for (event, want) in cases {
+            let trace = TraceEvent::parse_jsonl(&format!(
+                "{{\"ev\":\"sim_begin\",\"pages\":4,\"threads\":1}}\n\
+                 {{\"ev\":{event},\"time\":0}}\n\
+                 {{\"ev\":\"sim_end\",\"iterations\":0,\"makespan\":0}}"
+            ))
+            .unwrap();
+            assert_eq!(check_trace(&trace), Err(want), "{event}");
+        }
     }
 
     #[test]

@@ -26,9 +26,8 @@ fn main() {
         let cons = map_constrained(&kernel, &cgra, &opts).expect("constrained maps");
         let folded = fold_to_page(&cons, &cgra).expect("folds");
 
-        let run = |r: &MapResult, mesh: Mesh| -> bool {
-            let sched = MachineSchedule::from_mapping(&r.mapping);
-            match execute(&r.mdfg, mesh, &sched, &inputs, iters) {
+        let run = |r: &MapResult, fabric: &CgraConfig| -> bool {
+            match execute(r, fabric, &inputs, iters) {
                 Ok(out) => golden
                     .iter()
                     .all(|(store, values)| out.get(store) == Some(values)),
@@ -38,9 +37,9 @@ fn main() {
                 }
             }
         };
-        let ok_base = run(&base, cgra.mesh());
-        let ok_cons = run(&cons, cgra.mesh());
-        let ok_fold = run(&folded, cgra.page_fabric().mesh());
+        let ok_base = run(&base, &cgra);
+        let ok_cons = run(&cons, &cgra);
+        let ok_fold = run(&folded, &cgra.page_fabric());
 
         println!(
             "{:>8}   {:>5}  {:>13}  {:>8}  {:>11}  {:>6}",

@@ -92,6 +92,10 @@ fn bad_flag(msg: &str) -> ! {
     std::process::exit(2)
 }
 
+/// The most iterations `exec` runs: the machine holds every op and hop
+/// instance of the run, so its memory grows with iterations × ops.
+const MAX_ITERS: usize = 10_000;
+
 fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(1)
@@ -232,19 +236,19 @@ fn main() {
             if iters == 0 {
                 bad_flag("--iters: 0 runs nothing; give at least 1 iteration");
             }
+            if iters > MAX_ITERS {
+                bad_flag(&format!(
+                    "--iters: {iters} is above the cap of {MAX_ITERS} (the machine's \
+                     memory grows with iterations x ops)"
+                ));
+            }
             let mapped = map_constrained(&dfg, &cgra, &MapOptions::default())
                 .unwrap_or_else(|e| fail(&format!("mapping failed: {e}")));
             let inputs = InputStreams::random(&dfg, iters, flag(args.num("seed", 0u64)));
             let golden = interpret(&dfg, &inputs, iters)
                 .unwrap_or_else(|e| fail(&format!("interpretation failed: {e}")));
-            let out = execute(
-                &mapped.mdfg,
-                cgra.mesh(),
-                &MachineSchedule::from_mapping(&mapped.mapping),
-                &inputs,
-                iters,
-            )
-            .unwrap_or_else(|e| fail(&format!("execution failed: {e}")));
+            let out = execute(&mapped, &cgra, &inputs, iters)
+                .unwrap_or_else(|e| fail(&format!("execution failed: {e}")));
             let ok = golden
                 .iter()
                 .all(|(store, values)| out.get(store) == Some(values));
@@ -286,6 +290,7 @@ USAGE:
                    [--mode baseline|constrained|strict] [--placements]
   cgra-mt shrink   <kernel> --pages M           runtime PageMaster shrink
   cgra-mt exec     <kernel> [--iters K]         functional check vs interpreter
+                                                (K in 1..={MAX_ITERS}, default 16)
 
 <kernel> is a file in the kernel text format (see docs of
 cgra_mt::kernel_text) or builtin:<name>."

@@ -238,13 +238,7 @@ carried acc acc 1
         assert_eq!(cgra_exec::interpret(&dfg, &inputs, 3), want);
         let cgra = cgra_arch::CgraConfig::square(4);
         let mapped = map_baseline(&dfg, &cgra, &MapOptions::default()).unwrap();
-        let out = cgra_exec::execute(
-            &mapped.mdfg,
-            cgra.mesh(),
-            &cgra_exec::MachineSchedule::from_mapping(&mapped.mapping),
-            &inputs,
-            3,
-        );
+        let out = cgra_exec::execute(&mapped, &cgra, &inputs, 3);
         assert_eq!(out, want);
     }
 
@@ -256,14 +250,7 @@ carried acc acc 1
         let mapped = map_constrained(&dfg, &cgra, &MapOptions::default()).unwrap();
         let inputs = cgra_exec::InputStreams::random(&dfg, 6, 1);
         let golden = cgra_exec::interpret(&dfg, &inputs, 6).unwrap();
-        let out = cgra_exec::execute(
-            &mapped.mdfg,
-            cgra.mesh(),
-            &cgra_exec::MachineSchedule::from_mapping(&mapped.mapping),
-            &inputs,
-            6,
-        )
-        .unwrap();
+        let out = cgra_exec::execute(&mapped, &cgra, &inputs, 6).unwrap();
         for (store, values) in &golden {
             assert_eq!(out.get(store), Some(values));
         }

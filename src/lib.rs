@@ -72,7 +72,7 @@ pub mod prelude {
         DegradedPlan, PagedSchedule, ShrinkPlan,
     };
     pub use cgra_dfg::{Dfg, DfgBuilder, OpKind};
-    pub use cgra_exec::{execute, interpret, ExecError, InputStreams, MachineSchedule};
+    pub use cgra_exec::{execute, interpret, ExecError, InputStreams};
     pub use cgra_mapper::{
         map_baseline, map_constrained, map_constrained_strict, validate_mapping, MapMode,
         MapOptions, MapResult,

@@ -16,7 +16,7 @@ fn run(args: &[&str]) -> (Option<i32>, String) {
 
 #[test]
 fn bad_flag_values_exit_2_naming_the_flag() {
-    let cases: [(&[&str], &str); 10] = [
+    let cases: [(&[&str], &str); 11] = [
         (&["shrink", "builtin:fir", "--pages", "abc"], "--pages"),
         (&["shrink", "builtin:fir", "--pages", "0"], "--pages"),
         (&["shrink", "builtin:fir", "--pages", "99"], "--pages"),
@@ -26,6 +26,11 @@ fn bad_flag_values_exit_2_naming_the_flag() {
         (&["exec", "builtin:fir", "--iters", "0"], "--iters"),
         (&["analyze", "builtin:fir", "--cgra", "x"], "--cgra"),
         (&["exec", "builtin:fir", "--iters", "-5"], "--iters"),
+        // Above the cap: the machine would hold ~10^11 iterations' events.
+        (
+            &["exec", "builtin:fir", "--iters", "99999999999"],
+            "--iters",
+        ),
         (&["analyze", "builtin:fir", "--cgra", "0"], "--cgra"),
         (&["analyze", "builtin:fir", "--cgra", "300"], "--cgra"),
         (

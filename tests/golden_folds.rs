@@ -79,8 +79,7 @@ fn line(out: &mut String, dim: u16, page_size: usize, kernel: &Dfg) {
 
     let inputs = InputStreams::random(kernel, ITERS, 0xF01D);
     let golden = interpret(kernel, &inputs, ITERS).expect("interprets");
-    let sched = MachineSchedule::from_mapping(mapping);
-    let stores = execute(&folded.mdfg, page.mesh(), &sched, &inputs, ITERS)
+    let stores = execute(&folded, &page, &inputs, ITERS)
         .unwrap_or_else(|e| panic!("{dim}x{dim}/p{page_size} {name}: {e}"));
     for (store, values) in &golden {
         assert_eq!(

@@ -110,14 +110,8 @@ fn extra_kernels_survive_the_full_pipeline() {
         // Execute functionally.
         let inputs = InputStreams::random(&kernel, iters, 0xE57);
         let golden = interpret(&kernel, &inputs, iters).unwrap();
-        let out = execute(
-            &mapped.mdfg,
-            cgra.mesh(),
-            &MachineSchedule::from_mapping(&mapped.mapping),
-            &inputs,
-            iters,
-        )
-        .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
+        let out = execute(&mapped, &cgra, &inputs, iters)
+            .unwrap_or_else(|e| panic!("{}: {e}", kernel.name));
         for (store, values) in &golden {
             assert_eq!(out.get(store), Some(values), "{}: n{store}", kernel.name);
         }

@@ -229,8 +229,7 @@ fn random_dfgs_execute_equivalently() {
             map_constrained(&dfg, &cgra, &opts),
         ] {
             let Ok(mapped) = result else { continue };
-            let sched = MachineSchedule::from_mapping(&mapped.mapping);
-            let out = execute(&mapped.mdfg, cgra.mesh(), &sched, &inputs, iters);
+            let out = execute(&mapped, &cgra, &inputs, iters);
             let out = out.unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
             for (store, values) in &golden {
                 assert_eq!(

@@ -59,9 +59,7 @@ fn strict_schedules_execute_correctly() {
             map_constrained_strict(&kernel, &cgra, &opts).unwrap_or_else(|e| panic!("{name}: {e}"));
         let inputs = InputStreams::random(&kernel, iters, 0x57);
         let golden = interpret(&kernel, &inputs, iters).unwrap();
-        let sched = MachineSchedule::from_mapping(&mapped.mapping);
-        let out = execute(&mapped.mdfg, cgra.mesh(), &sched, &inputs, iters)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let out = execute(&mapped, &cgra, &inputs, iters).unwrap_or_else(|e| panic!("{name}: {e}"));
         for (store, values) in &golden {
             assert_eq!(out.get(store), Some(values), "{name}: store n{store}");
         }
