@@ -207,7 +207,7 @@ pub struct FaultEvent {
 /// * `mtbf=<mean>,count=<n>[,seed=<s>][,degrade]` — `n` faults with
 ///   exponentially distributed inter-arrival times of mean `mean`
 ///   cycles, striking uniformly random pages; fully determined by `s`
-///   (default 0)
+///   (default 0). `n` is at most [`FaultSpec::MAX_COUNT`]
 /// * either form may append `mttr=<cycles>` to make the faults
 ///   transient: a struck page begins repair `cycles` after the strike
 ///   and returns to the free pool once repaired (incompatible with
@@ -272,6 +272,16 @@ pub enum FaultSpecError {
         /// The earlier clause it clashes with.
         with: &'static str,
     },
+    /// A `count=` clause asks for more faults than
+    /// [`FaultSpec::MAX_COUNT`].
+    CountAboveCap {
+        /// The full offending clause, e.g. `count=100000`.
+        clause: String,
+        /// Byte offset of the clause in the input.
+        offset: usize,
+        /// The largest count accepted.
+        cap: u32,
+    },
     /// The clauses parsed individually but do not assemble into a
     /// complete spec (e.g. `at=` without `page=`).
     Incomplete {
@@ -287,7 +297,8 @@ impl FaultSpecError {
         match self {
             FaultSpecError::BadValue { clause, offset, .. }
             | FaultSpecError::UnknownClause { clause, offset }
-            | FaultSpecError::Conflict { clause, offset, .. } => (*offset, clause.len()),
+            | FaultSpecError::Conflict { clause, offset, .. }
+            | FaultSpecError::CountAboveCap { clause, offset, .. } => (*offset, clause.len()),
             FaultSpecError::Incomplete { clause } => (0, clause.len()),
         }
     }
@@ -318,6 +329,14 @@ impl std::fmt::Display for FaultSpecError {
                 f,
                 "bad fault spec: `{clause}` at byte {offset} conflicts with `{with}`"
             ),
+            FaultSpecError::CountAboveCap {
+                clause,
+                offset,
+                cap,
+            } => write!(
+                f,
+                "bad fault spec: `{clause}` at byte {offset}: at most {cap} faults"
+            ),
             FaultSpecError::Incomplete { clause } => write!(
                 f,
                 "bad fault spec `{clause}`: expected `off`, \
@@ -346,6 +365,12 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 }
 
 impl FaultSpec {
+    /// The most faults a `count=` clause may ask for. [`FaultSpec::schedule`]
+    /// materialises every fault, so an unbounded count could exhaust
+    /// memory; ten thousand faults is far past where any fabric of the
+    /// paper grid keeps a page alive.
+    pub const MAX_COUNT: u32 = 10_000;
+
     /// Parse a `--faults` spec string (see the type-level grammar).
     /// Errors are typed and carry the offending clause plus its byte
     /// offset into `input`, so callers can underline the bad span.
@@ -387,6 +412,13 @@ impl FaultSpec {
                     _ => return Err(bad("a positive cycle count")),
                 },
                 Some(("count", v)) => match v.parse() {
+                    Ok(c) if c > FaultSpec::MAX_COUNT => {
+                        return Err(FaultSpecError::CountAboveCap {
+                            clause: part.to_string(),
+                            offset: at,
+                            cap: FaultSpec::MAX_COUNT,
+                        })
+                    }
                     Ok(c) => count = Some(c),
                     Err(_) => return Err(bad("a fault count")),
                 },
@@ -711,6 +743,29 @@ mod tests {
     }
 
     #[test]
+    fn counts_above_the_cap_are_rejected_naming_clause_and_cap() {
+        let cap = FaultSpec::MAX_COUNT;
+        assert!(FaultSpec::parse(&format!("mtbf=1,count={cap}")).is_ok());
+        let err = FaultSpec::parse(&format!("mtbf=1, count={}", cap + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            FaultSpecError::CountAboveCap {
+                clause: format!("count={}", cap + 1),
+                offset: 8,
+                cap,
+            }
+        );
+        assert_eq!(err.span(), (8, 11));
+        assert!(err.to_string().contains("at most 10000 faults"), "{err}");
+        // The largest count that parses at all is still over the cap.
+        let err = FaultSpec::parse(&format!("mtbf=1,count={}", u32::MAX)).unwrap_err();
+        assert!(
+            matches!(err, FaultSpecError::CountAboveCap { .. }),
+            "{err:?}"
+        );
+    }
+
+    #[test]
     fn parse_errors_carry_clause_and_span() {
         // The typed error names the offending clause and its byte
         // offset in the *original* input, including leading whitespace
@@ -917,7 +972,7 @@ mod tests {
                 }
             }
             for mean in [1u64, 500, u64::MAX] {
-                for count in [0u32, 1, u32::MAX] {
+                for count in [0u32, 1, FaultSpec::MAX_COUNT] {
                     for seed in [0u64, 42, u64::MAX] {
                         specs.push(FaultSpec::Mtbf {
                             mean,

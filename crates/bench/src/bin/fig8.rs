@@ -7,6 +7,7 @@
 //!   --csv         emit CSV instead of tables
 //!   --strict      run the strict-discipline ablation instead
 //!   --jobs N, -j  worker threads (default: available cores, capped 16);
+//!                 the mapper uses the cores the workers leave idle;
 //!                 output is byte-identical for every N; a missing or
 //!                 non-positive value exits 2
 //!   --trace PATH  append every mapper/transform event to PATH as JSONL

@@ -19,8 +19,10 @@
 //!                         instead; `off` runs the plain fault-free grid
 //!   --smoke               reduced seeds/work (fast CI smoke run)
 //!   --jobs N, -j N        worker threads (default: available cores,
-//!                         capped 16); output is byte-identical for all N;
-//!                         a missing or non-positive value exits 2
+//!                         capped 16); the mapper uses the cores the
+//!                         workers leave idle; output is byte-identical
+//!                         for all N; a missing or non-positive value
+//!                         exits 2
 //!   --trace PATH          append every mapper/transform/simulator event
 //!                         to PATH as JSONL (replayable by trace_oracle)
 //!   --metrics             print event counters and cycle histograms

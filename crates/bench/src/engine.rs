@@ -20,19 +20,30 @@
 //! * a panic inside one point propagates after the scope joins, so
 //!   failures are not silently dropped.
 //!
+//! ## Cores
+//!
+//! Each worker (the calling thread, at one job) holds a core of the
+//! process's core budget ([`cgra_mapper::cores`]) while it runs. A
+//! mapper search inside a point runs its speculative attempts on helper
+//! threads only on the cores the workers leave idle: at `--jobs 1` on a
+//! machine with N cores a search gets N − 1 helpers, at `--jobs N` none,
+//! and as workers run out of points their cores go to the searches still
+//! running. The search's result does not depend on how many helpers it
+//! gets, so neither does the report.
+//!
 //! `tests/parallel_determinism.rs` enforces the contract end-to-end by
 //! diffing `--jobs 1` against `--jobs 4` runs.
 
+use cgra_mapper::cores;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// How many workers to use when the caller does not say: the machine's
-/// available parallelism, capped at 16 (the sweep grids rarely benefit
+/// available parallelism as the core budget counts it (see
+/// [`cgra_mapper::cores`]), capped at 16 (the sweep grids rarely benefit
 /// beyond that, and the cap keeps shared-runner behaviour polite).
 pub fn default_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get().min(16))
-        .unwrap_or(1)
+    cores::available().min(16)
 }
 
 /// A deterministic 64-bit seed from a point's coordinates (FNV-1a).
@@ -152,6 +163,7 @@ where
     if jobs == 1 {
         // The serial reference path: no threads, no locks — this is the
         // byte-level ground truth the parallel path must reproduce.
+        let _core = cores::hold_thread();
         return points.iter().map(f).collect();
     }
 
@@ -159,11 +171,14 @@ where
     let slots: Vec<Mutex<Option<R>>> = points.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(p) = points.get(i) else { break };
-                let r = f(p);
-                *slots[i].lock().expect("slot lock poisoned") = Some(r);
+            scope.spawn(|| {
+                let _core = cores::hold_thread();
+                loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(p) = points.get(i) else { break };
+                    let r = f(p);
+                    *slots[i].lock().expect("slot lock poisoned") = Some(r);
+                }
             });
         }
     });

@@ -1,7 +1,7 @@
 //! The figure binaries reject bad input with exit status 2 instead of
 //! running something other than what was asked: `fig9` a targeted fault
-//! on a page its curve's fabric does not have, and every binary a flag
-//! it does not know.
+//! on a page its curve's fabric does not have or a fault count above the
+//! cap, and every binary a flag it does not know.
 
 use std::process::Command;
 
@@ -17,6 +17,32 @@ fn fault_on_a_missing_page_exits_2_naming_the_clause_and_page_count() {
     assert!(
         stderr.contains("16 pages"),
         "must name the page count: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "no curve may be printed");
+}
+
+#[test]
+fn fault_count_above_the_cap_exits_2_naming_the_clause_and_cap() {
+    let clause = format!("count={}", cgra_arch::FaultSpec::MAX_COUNT + 1);
+    let out = Command::new(env!("CARGO_BIN_EXE_fig9"))
+        .args([
+            "--smoke",
+            "-j",
+            "1",
+            "--faults",
+            &format!("mtbf=1,{clause}"),
+        ])
+        .output()
+        .expect("fig9 runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains(&clause), "must name the clause: {stderr}");
+    assert!(
+        stderr.contains(&format!(
+            "at most {} faults",
+            cgra_arch::FaultSpec::MAX_COUNT
+        )),
+        "must name the cap: {stderr}"
     );
     assert!(out.stdout.is_empty(), "no curve may be printed");
 }

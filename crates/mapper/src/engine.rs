@@ -21,8 +21,38 @@
 //! happen once per PE, before the walk. Like the routing pruning of
 //! [`crate::route`], this saves work without changing a decision.
 //!
-//! One [`schedule`] call owns a `Workspace`: the [`Router`] every
-//! attempt routes through (with the fabric's closed-form geometry, see
+//! **Speculative parallel attempts.** Attempt `i` of a search is restart
+//! `i % restarts` at II `mii + i / restarts`, and what it decides is a
+//! pure function of the graph, the fabric, the options and `i`: its RNG
+//! is seeded from `(seed, II, restart)` and it reads nothing another
+//! attempt wrote. So [`schedule`] runs attempts on the calling thread and
+//! on helper threads, one per core the process's core budget leaves idle
+//! (see [`crate::cores`]; the calling thread takes another helper before
+//! each attempt it claims, as cores free up). Each thread claims the next
+//! `i` from one atomic cursor and keeps its attempts' outcomes: mapped
+//! and validated, evicted with its violation count, or backtracked at an
+//! op, each failure with its per-edge routing-failure counts. Nothing is
+//! traced while they run.
+//!
+//! *Cancellation.* A validated success lowers the shared lowest success
+//! with `fetch_min`. A thread claims nothing above it, and an attempt
+//! above it stops before its next node; either way its outcome is never
+//! read.
+//!
+//! *The commit is exact.* The cursor hands out indices in order, so when
+//! the threads have joined every attempt below the lowest success was
+//! claimed, and none of them was cancelled, since the lowest success
+//! only falls. The calling thread replays their outcomes in index order:
+//! it emits each `Backtrack` or `Evict` and sums the failure counts, then
+//! emits the winner's placements, routes and `MapEnd`; with no success it
+//! replays every attempt. Those are the events, statistics and result of
+//! trying the attempts one by one, which
+//! `tests::parallel_search_matches_serial` checks against that loop.
+//! With no idle core, the same code runs every attempt on the calling
+//! thread.
+//!
+//! Each thread owns a `Workspace`: the [`Router`] its attempts route
+//! through (with the fabric's closed-form geometry, see
 //! [`crate::route`]), the routable-SCC ids (a property of the graph, not
 //! of the II or the restart), and the buffers placement fills per node —
 //! incident edges, neighbour PEs, candidate PEs, their gates and fanout
@@ -30,7 +60,7 @@
 //! tables, and a routed chain only its hop list. The router answers each
 //! request exactly as a fresh search would (see [`crate::route`]), and the
 //! buffers are cleared before each use, so every decision — and every
-//! traced event — is the same as with fresh allocations.
+//! traced event — is the same whichever workspace an attempt runs on.
 //!
 //! **Per-node set-up.** Most candidates fail, so a candidate costs only
 //! what depends on it. While one node's `(time, PE)` walk runs, the
@@ -87,6 +117,7 @@
 //! test `gate_matches_edge_need_and_rejects` checks every `(t, PE)` of
 //! random partial attempts against them.
 
+use crate::cores;
 use crate::error::MapError;
 use crate::mapping::{fanout_sites, MapMode, Mapping, Placement, RouteHop};
 use crate::mrt::{has, Mrt, SlotUse};
@@ -98,6 +129,7 @@ use cgra_dfg::graph::NodeId;
 use cgra_obs::{TraceEvent, Tracer};
 use rand::prelude::*;
 use rand::rngs::StdRng;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Edge latency: memory edges take 2 cycles (store execute + visibility),
 /// everything else 1.
@@ -199,8 +231,8 @@ fn routable_scc_of(mdfg: &MapDfg) -> Vec<usize> {
     comp_of
 }
 
-/// What every attempt of one [`schedule`] call shares: the router and
-/// the buffers placement refills per node.
+/// What the attempts one thread of a [`schedule`] call runs share: the
+/// router and the buffers placement refills per node.
 struct Workspace {
     router: Router,
     /// Routable-SCC id per node (ring modes only).
@@ -606,17 +638,6 @@ impl<'a, 'w> Attempt<'a, 'w> {
         true
     }
 
-    /// Place every node in `order`; `Err` carries the node that could
-    /// not be placed (the backtrack point).
-    fn run(&mut self, order: &[NodeId], asap: &[u32], rng: &mut StdRng) -> Result<(), NodeId> {
-        for &v in order {
-            if !self.place_node(v, asap, rng) {
-                return Err(v);
-            }
-        }
-        Ok(())
-    }
-
     /// The page a node would ideally sit on: proportional to its ASAP
     /// depth across the pages the kernel needs, so dataflow sweeps the
     /// ring as a wavefront with small per-edge page advances while still
@@ -843,13 +864,189 @@ pub struct ScheduleOutcome {
 ///
 /// The search's decisions — begin, backtracks, validator evictions,
 /// final placements/routes, end — are emitted to `tracer`. With the
-/// tracer off, events are never constructed.
+/// tracer off, events are never constructed. Attempts run on the calling
+/// thread and on helpers on idle cores (see the module docs); the result,
+/// the statistics and the events are those of trying every attempt in
+/// turn.
 pub fn schedule(
     mdfg: &MapDfg,
     cgra: &CgraConfig,
     mode: MapMode,
     opts: &MapOptions,
     tracer: &Tracer,
+) -> ScheduleOutcome {
+    search(mdfg, cgra, mode, opts, tracer, Helpers::Idle)
+}
+
+/// Where a search's helper threads come from.
+#[derive(Clone, Copy)]
+enum Helpers {
+    /// One per idle core of the budget, taken before each of the calling
+    /// thread's attempts (see [`crate::cores`]).
+    Idle,
+    /// Exactly this many, started with the search, whatever the budget.
+    #[cfg(test)]
+    Exactly(usize),
+}
+
+/// What one attempt came to.
+enum Outcome {
+    /// Its II has no ASAP schedule.
+    Skipped,
+    /// Placement could not place this op.
+    Backtracked { op: u32, stats: FailureStats },
+    /// Every op placed, but the validator found this many violations.
+    Evicted {
+        violations: u32,
+        stats: FailureStats,
+    },
+    /// Mapped and validated.
+    Mapped(Mapping),
+    /// Stopped because a lower attempt mapped; never committed.
+    Cancelled,
+}
+
+/// The attempts of one [`schedule`] call: attempt `i` is restart
+/// `i % restarts` at II `mii + i / restarts`.
+struct Search<'a> {
+    mdfg: &'a MapDfg,
+    cgra: &'a CgraConfig,
+    mode: MapMode,
+    opts: &'a MapOptions,
+    mii: u32,
+    heights: Vec<u32>,
+    /// How many attempts there are.
+    tasks: usize,
+    /// The next attempt to claim.
+    cursor: AtomicUsize,
+    /// The lowest attempt that mapped so far, or `usize::MAX`.
+    ///
+    /// Both atomics are `Relaxed`: they publish no data. Each only falls
+    /// or only rises, so a stale read costs at most one attempt that is
+    /// then never read, and the outcomes reach the calling thread through
+    /// the helpers' joins.
+    best: AtomicUsize,
+}
+
+impl Search<'_> {
+    /// The `(II, restart)` of attempt `i`.
+    fn coords(&self, i: usize) -> (u32, u32) {
+        let restarts = self.opts.restarts as usize;
+        (self.mii + (i / restarts) as u32, (i % restarts) as u32)
+    }
+
+    /// Whether another helper would find work beside the calling thread
+    /// and its `helpers` helpers: no attempt has mapped, and more attempts
+    /// are left to claim than they take next.
+    fn has_spare(&self, helpers: usize) -> bool {
+        self.best.load(Ordering::Relaxed) == usize::MAX
+            && self.cursor.load(Ordering::Relaxed) + 1 + helpers < self.tasks
+    }
+
+    /// Claim attempts and run them on `ws` until none is left below the
+    /// lowest success; `before` runs ahead of each claim. Returns each
+    /// run attempt's index and outcome, in claim order.
+    fn work(&self, ws: &mut Workspace, mut before: impl FnMut()) -> Vec<(usize, Outcome)> {
+        let mut done = Vec::new();
+        let mut asap: Option<(u32, Option<Vec<u32>>)> = None;
+        loop {
+            before();
+            let i = self.cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= self.tasks || i > self.best.load(Ordering::Relaxed) {
+                return done;
+            }
+            let (ii, _) = self.coords(i);
+            if asap.as_ref().is_none_or(|&(at, _)| at != ii) {
+                asap = Some((ii, asap_with_mem(self.mdfg, ii)));
+            }
+            let outcome = match asap.as_ref().and_then(|(_, a)| a.as_deref()) {
+                None => Outcome::Skipped,
+                Some(asap) => self.attempt(i, asap, ws),
+            };
+            if let Outcome::Mapped(_) = outcome {
+                self.best.fetch_min(i, Ordering::Relaxed);
+            }
+            done.push((i, outcome));
+        }
+    }
+
+    /// Run attempt `i`, whose II's ASAP times are `asap`, on `ws`. It
+    /// stops at its next node once a lower attempt has mapped.
+    fn attempt(&self, i: usize, asap: &[u32], ws: &mut Workspace) -> Outcome {
+        let (mdfg, heights) = (self.mdfg, &self.heights);
+        let (ii, restart) = self.coords(i);
+        // Height-first order (ties by ASAP then id), jittered per restart.
+        let mut rng = StdRng::seed_from_u64(self.opts.seed ^ (ii as u64) << 32 ^ restart as u64);
+        let mut order: Vec<NodeId> = mdfg.dfg.node_ids().collect();
+        let jitter: Vec<u32> = order
+            .iter()
+            .map(|_| if restart == 0 { 0 } else { rng.gen_range(0..3) })
+            .collect();
+        // ASAP-primary keeps producers ahead of their intra-iteration
+        // consumers (a consumer placed first would box its producers
+        // into a tiny time window); height breaks ties toward the
+        // critical path, jittered across restarts for diversity.
+        order.sort_by_key(|n| {
+            (
+                asap[n.index()],
+                std::cmp::Reverse(heights[n.index()] + jitter[n.index()]),
+                n.0,
+            )
+        });
+        let mut attempt = Attempt::new(mdfg, self.cgra, self.mode, ii, asap, ws);
+        // Alternate candidate-ordering strategy across restarts: some
+        // kernels pack better page-major (bus-heavy), others
+        // time-major (dependence-heavy).
+        attempt.time_major = restart % 2 == 1;
+        for &v in &order {
+            if i > self.best.load(Ordering::Relaxed) {
+                return Outcome::Cancelled;
+            }
+            if !attempt.place_node(v, asap, &mut rng) {
+                return Outcome::Backtracked {
+                    op: v.0,
+                    stats: attempt.stats,
+                };
+            }
+        }
+        let mapping = Mapping {
+            ii,
+            placements: attempt
+                .placed
+                .into_iter()
+                .map(|p| p.expect("all nodes placed on success"))
+                .collect(),
+            routes: attempt
+                .routes
+                .into_iter()
+                .map(|r| r.unwrap_or_default())
+                .collect(),
+        };
+        // Acceptance gate: the engine does not track RF pressure
+        // incrementally (waiting values accumulate per PE), so a
+        // "successful" attempt can still overflow a register file.
+        // Re-check everything with the independent validator; on
+        // failure, roll the dice again.
+        let violations = crate::mapping::validate_mapping(mdfg, self.cgra, &mapping, self.mode);
+        if violations.is_empty() {
+            Outcome::Mapped(mapping)
+        } else {
+            Outcome::Evicted {
+                violations: violations.len() as u32,
+                stats: attempt.stats,
+            }
+        }
+    }
+}
+
+/// [`schedule`], with helper threads from `helpers`.
+fn search(
+    mdfg: &MapDfg,
+    cgra: &CgraConfig,
+    mode: MapMode,
+    opts: &MapOptions,
+    tracer: &Tracer,
+    helpers: Helpers,
 ) -> ScheduleOutcome {
     tracer.emit(|| TraceEvent::MapBegin {
         kernel: mdfg.dfg.name.clone(),
@@ -858,112 +1055,91 @@ pub fn schedule(
     });
     let mii = mii_with_mem(mdfg, cgra);
     let hi = mii + opts.max_ii_slack;
+    let search = Search {
+        mdfg,
+        cgra,
+        mode,
+        opts,
+        mii,
+        heights: cgra_dfg::analysis::heights(&mdfg.dfg),
+        tasks: (hi - mii + 1) as usize * opts.restarts as usize,
+        cursor: AtomicUsize::new(0),
+        best: AtomicUsize::new(usize::MAX),
+    };
+
+    // Run the attempts: this thread holds a core of its own unless it
+    // already does, and each helper holds the idle core it runs on.
+    let _own = cores::hold_thread();
+    let mut ws = Workspace::new(mdfg, cgra, mode, opts);
+    let mut slots = std::thread::scope(|scope| {
+        let search = &search;
+        // A helper is optional: if the thread cannot start, its core is
+        // released and the other threads run its attempts.
+        let helper = |core: Option<cores::Hold>| {
+            std::thread::Builder::new()
+                .spawn_scoped(scope, move || {
+                    let _core = core;
+                    search.work(&mut Workspace::new(mdfg, cgra, mode, opts), || {})
+                })
+                .ok()
+        };
+        let mut started = Vec::new();
+        #[cfg(test)]
+        if let Helpers::Exactly(n) = helpers {
+            started.extend((0..n).filter_map(|_| helper(None)));
+        }
+        // One more helper before each attempt this thread claims, so a
+        // search that maps early starts few threads on a many-core machine.
+        let mut slots = search.work(&mut ws, || {
+            if matches!(helpers, Helpers::Idle) && search.has_spare(started.len()) {
+                started.extend(cores::take_idle().and_then(|c| helper(Some(c))));
+            }
+        });
+        for h in started {
+            slots.extend(h.join().expect("search helper panicked"));
+        }
+        slots
+    });
+
+    // Commit in attempt order: every attempt up to the lowest success ran
+    // to its end, so replaying them gives the serial search's events and
+    // statistics, and its winner.
+    slots.sort_unstable_by_key(|&(i, _)| i);
     let mut stats = FailureStats {
         edge_route_failures: vec![0; mdfg.dfg.num_edges()],
     };
-    let heights = cgra_dfg::analysis::heights(&mdfg.dfg);
-    let mut ws = Workspace::new(mdfg, cgra, mode, opts);
-
-    for ii in mii..=hi {
-        let Some(asap) = asap_with_mem(mdfg, ii) else {
-            continue;
+    for (k, (i, outcome)) in slots.into_iter().enumerate() {
+        debug_assert_eq!(k, i, "attempt {k} never ran");
+        let (ii, restart) = search.coords(i);
+        let failed = match outcome {
+            Outcome::Skipped => continue,
+            Outcome::Backtracked { op, stats } => {
+                tracer.emit(|| TraceEvent::Backtrack { ii, restart, op });
+                stats
+            }
+            Outcome::Evicted { violations, stats } => {
+                tracer.emit(|| TraceEvent::Evict {
+                    ii,
+                    restart,
+                    violations,
+                });
+                stats
+            }
+            Outcome::Mapped(mapping) => {
+                emit_mapping(mdfg, cgra, &mapping, tracer);
+                return ScheduleOutcome {
+                    mapping: Ok(mapping),
+                    stats,
+                };
+            }
+            Outcome::Cancelled => unreachable!("attempt {i} below the lowest success stopped"),
         };
-        // Height-first order (ties by ASAP then id), jittered per restart.
-        for restart in 0..opts.restarts {
-            let mut rng = StdRng::seed_from_u64(opts.seed ^ (ii as u64) << 32 ^ restart as u64);
-            let mut order: Vec<NodeId> = mdfg.dfg.node_ids().collect();
-            let jitter: Vec<u32> = order
-                .iter()
-                .map(|_| if restart == 0 { 0 } else { rng.gen_range(0..3) })
-                .collect();
-            // ASAP-primary keeps producers ahead of their intra-iteration
-            // consumers (a consumer placed first would box its producers
-            // into a tiny time window); height breaks ties toward the
-            // critical path, jittered across restarts for diversity.
-            order.sort_by_key(|n| {
-                (
-                    asap[n.index()],
-                    std::cmp::Reverse(heights[n.index()] + jitter[n.index()]),
-                    n.0,
-                )
-            });
-            let mut attempt = Attempt::new(mdfg, cgra, mode, ii, &asap, &mut ws);
-            // Alternate candidate-ordering strategy across restarts: some
-            // kernels pack better page-major (bus-heavy), others
-            // time-major (dependence-heavy).
-            attempt.time_major = restart % 2 == 1;
-            match attempt.run(&order, &asap, &mut rng) {
-                Ok(()) => {
-                    let mapping = Mapping {
-                        ii,
-                        placements: attempt
-                            .placed
-                            .into_iter()
-                            .map(|p| p.expect("all nodes placed on success"))
-                            .collect(),
-                        routes: attempt
-                            .routes
-                            .into_iter()
-                            .map(|r| r.unwrap_or_default())
-                            .collect(),
-                    };
-                    // Acceptance gate: the engine does not track RF pressure
-                    // incrementally (waiting values accumulate per PE), so a
-                    // "successful" attempt can still overflow a register
-                    // file. Re-check everything with the independent
-                    // validator; on failure, roll the dice again.
-                    let violations = crate::mapping::validate_mapping(mdfg, cgra, &mapping, mode);
-                    if violations.is_empty() {
-                        if tracer.is_on() {
-                            let layout = cgra.layout();
-                            for (op, p) in mapping.placements.iter().enumerate() {
-                                tracer.emit(|| TraceEvent::Place {
-                                    op: op as u32,
-                                    pe: p.pe.0 as u32,
-                                    page: layout.page_of(p.pe).0,
-                                    time: p.time,
-                                });
-                            }
-                            for (edge, hops) in mapping.routes.iter().enumerate() {
-                                if !hops.is_empty() {
-                                    tracer.emit(|| TraceEvent::Route {
-                                        edge: edge as u32,
-                                        hops: hops.len() as u32,
-                                    });
-                                }
-                            }
-                        }
-                        tracer.emit(|| TraceEvent::MapEnd {
-                            kernel: mdfg.dfg.name.clone(),
-                            ii,
-                            success: true,
-                        });
-                        return ScheduleOutcome {
-                            mapping: Ok(mapping),
-                            stats,
-                        };
-                    }
-                    tracer.emit(|| TraceEvent::Evict {
-                        ii,
-                        restart,
-                        violations: violations.len() as u32,
-                    });
-                }
-                Err(failed) => {
-                    tracer.emit(|| TraceEvent::Backtrack {
-                        ii,
-                        restart,
-                        op: failed.0,
-                    });
-                }
-            }
-            for (a, b) in stats
-                .edge_route_failures
-                .iter_mut()
-                .zip(&attempt.stats.edge_route_failures)
-            {
-                *a += *b;
-            }
+        for (a, b) in stats
+            .edge_route_failures
+            .iter_mut()
+            .zip(&failed.edge_route_failures)
+        {
+            *a += *b;
         }
     }
     tracer.emit(|| TraceEvent::MapEnd {
@@ -978,6 +1154,35 @@ pub fn schedule(
         }),
         stats,
     }
+}
+
+/// Emit the winning `mapping`'s placements and routes, and the search's
+/// successful end.
+fn emit_mapping(mdfg: &MapDfg, cgra: &CgraConfig, mapping: &Mapping, tracer: &Tracer) {
+    if tracer.is_on() {
+        let layout = cgra.layout();
+        for (op, p) in mapping.placements.iter().enumerate() {
+            tracer.emit(|| TraceEvent::Place {
+                op: op as u32,
+                pe: p.pe.0 as u32,
+                page: layout.page_of(p.pe).0,
+                time: p.time,
+            });
+        }
+        for (edge, hops) in mapping.routes.iter().enumerate() {
+            if !hops.is_empty() {
+                tracer.emit(|| TraceEvent::Route {
+                    edge: edge as u32,
+                    hops: hops.len() as u32,
+                });
+            }
+        }
+    }
+    tracer.emit(|| TraceEvent::MapEnd {
+        kernel: mdfg.dfg.name.clone(),
+        ii: mapping.ii,
+        success: true,
+    });
 }
 
 #[cfg(test)]
@@ -1221,6 +1426,192 @@ mod tests {
         assert!(
             walks > 500 && direct > 20_000 && chains > 20_000 && none > 20_000,
             "{walks} {direct} {chains} {none}"
+        );
+    }
+
+    /// The serial search that [`schedule`] replaced, kept as the
+    /// reference of `parallel_search_matches_serial`: every attempt in
+    /// `(II, restart)` order on one workspace, emitting each event as it
+    /// decides it, until one maps and validates.
+    fn serial_schedule(
+        mdfg: &MapDfg,
+        cgra: &CgraConfig,
+        mode: MapMode,
+        opts: &MapOptions,
+        tracer: &Tracer,
+    ) -> ScheduleOutcome {
+        tracer.emit(|| TraceEvent::MapBegin {
+            kernel: mdfg.dfg.name.clone(),
+            ops: mdfg.dfg.num_nodes() as u32,
+            mode: format!("{mode:?}"),
+        });
+        let mii = mii_with_mem(mdfg, cgra);
+        let hi = mii + opts.max_ii_slack;
+        let mut stats = FailureStats {
+            edge_route_failures: vec![0; mdfg.dfg.num_edges()],
+        };
+        let heights = cgra_dfg::analysis::heights(&mdfg.dfg);
+        let mut ws = Workspace::new(mdfg, cgra, mode, opts);
+        for ii in mii..=hi {
+            let Some(asap) = asap_with_mem(mdfg, ii) else {
+                continue;
+            };
+            for restart in 0..opts.restarts {
+                let mut rng = StdRng::seed_from_u64(opts.seed ^ (ii as u64) << 32 ^ restart as u64);
+                let mut order: Vec<NodeId> = mdfg.dfg.node_ids().collect();
+                let jitter: Vec<u32> = order
+                    .iter()
+                    .map(|_| if restart == 0 { 0 } else { rng.gen_range(0..3) })
+                    .collect();
+                order.sort_by_key(|n| {
+                    (
+                        asap[n.index()],
+                        std::cmp::Reverse(heights[n.index()] + jitter[n.index()]),
+                        n.0,
+                    )
+                });
+                let mut attempt = Attempt::new(mdfg, cgra, mode, ii, &asap, &mut ws);
+                attempt.time_major = restart % 2 == 1;
+                let failed = order
+                    .iter()
+                    .copied()
+                    .find(|&v| !attempt.place_node(v, &asap, &mut rng));
+                if let Some(op) = failed {
+                    tracer.emit(|| TraceEvent::Backtrack {
+                        ii,
+                        restart,
+                        op: op.0,
+                    });
+                } else {
+                    let mapping = Mapping {
+                        ii,
+                        placements: attempt.placed.iter().map(|p| p.unwrap()).collect(),
+                        routes: attempt
+                            .routes
+                            .iter()
+                            .map(|r| r.clone().unwrap_or_default())
+                            .collect(),
+                    };
+                    let violations = validate_mapping(mdfg, cgra, &mapping, mode);
+                    if violations.is_empty() {
+                        emit_mapping(mdfg, cgra, &mapping, tracer);
+                        return ScheduleOutcome {
+                            mapping: Ok(mapping),
+                            stats,
+                        };
+                    }
+                    tracer.emit(|| TraceEvent::Evict {
+                        ii,
+                        restart,
+                        violations: violations.len() as u32,
+                    });
+                }
+                for (a, b) in stats
+                    .edge_route_failures
+                    .iter_mut()
+                    .zip(&attempt.stats.edge_route_failures)
+                {
+                    *a += *b;
+                }
+            }
+        }
+        tracer.emit(|| TraceEvent::MapEnd {
+            kernel: mdfg.dfg.name.clone(),
+            ii: hi,
+            success: false,
+        });
+        ScheduleOutcome {
+            mapping: Err(MapError::NoScheduleFound {
+                mii,
+                max_ii_tried: hi,
+            }),
+            stats,
+        }
+    }
+
+    /// Run `search` with a recording tracer: its outcome and events.
+    fn recorded(
+        search: impl FnOnce(&Tracer) -> ScheduleOutcome,
+    ) -> (ScheduleOutcome, Vec<TraceEvent>) {
+        let sink = std::sync::Arc::new(cgra_obs::RingSink::unbounded());
+        let out = search(&Tracer::new(sink.clone()));
+        (out, sink.drain())
+    }
+
+    /// Seeded random and paper kernels with random spills, on every
+    /// fabric of the paper grid, in all three modes, under tight options
+    /// (0–2 IIs of slack, 1–4 restarts, short chains) so that many
+    /// searches fail or map only after failed attempts: the search with 0,
+    /// 1 and 3 helpers returns the serial search's mapping, failure
+    /// statistics and events.
+    #[test]
+    fn parallel_search_matches_serial() {
+        let mut rng = StdRng::seed_from_u64(0x5EA2_0A11);
+        let mut kernels = cgra_dfg::kernels::all();
+        kernels.extend((0..6).map(|seed| {
+            let params = cgra_dfg::random::RandomDfgParams {
+                recurrences: seed as usize % 3,
+                ..Default::default()
+            };
+            cgra_dfg::random::random_dfg(seed, params)
+        }));
+        let modes = [
+            MapMode::Baseline,
+            MapMode::Constrained,
+            MapMode::ConstrainedStrict,
+        ];
+        let (mut mapped, mut failed, mut after_failures) = (0, 0, 0);
+        for (dim, sizes) in cgra_arch::PAPER_GRID {
+            for &size in sizes {
+                let cgra = cgra_arch::fabric(dim, size).unwrap();
+                for mode in modes {
+                    for _ in 0..4 {
+                        let kernel = &kernels[rng.gen_range(0..kernels.len())];
+                        let spills = (0..kernel.num_edges())
+                            .filter(|_| rng.gen_bool(0.15))
+                            .collect();
+                        let mdfg = MapDfg::with_spills(kernel, &spills);
+                        let opts = MapOptions {
+                            max_ii_slack: rng.gen_range(0..3),
+                            restarts: rng.gen_range(1..5),
+                            seed: rng.next_u64(),
+                            chain_budget: rng.gen_range(1..6),
+                            ..MapOptions::default()
+                        };
+                        let why = format!("{dim}x{dim}/p{size} {mode:?} {} {opts:?}", kernel.name);
+                        let (want, want_events) =
+                            recorded(|t| serial_schedule(&mdfg, &cgra, mode, &opts, t));
+                        for n in [0, 1, 3] {
+                            let (got, events) = recorded(|t| {
+                                search(&mdfg, &cgra, mode, &opts, t, Helpers::Exactly(n))
+                            });
+                            let why = format!("{why}, {n} helpers");
+                            assert_eq!(got.mapping, want.mapping, "{why}");
+                            assert_eq!(
+                                got.stats.edge_route_failures, want.stats.edge_route_failures,
+                                "{why}"
+                            );
+                            assert_eq!(events, want_events, "{why}");
+                        }
+                        let attempts_failed = want_events
+                            .iter()
+                            .filter(|e| {
+                                matches!(e, TraceEvent::Backtrack { .. } | TraceEvent::Evict { .. })
+                            })
+                            .count();
+                        match want.mapping {
+                            Ok(_) if attempts_failed > 0 => after_failures += 1,
+                            Ok(_) => mapped += 1,
+                            Err(_) => failed += 1,
+                        }
+                    }
+                }
+            }
+        }
+        // Searches that map at once, after failed attempts, and not at all.
+        assert!(
+            mapped > 15 && after_failures > 15 && failed > 30,
+            "{mapped} {after_failures} {failed}"
         );
     }
 

@@ -13,6 +13,9 @@
 //!
 //! Every mapping can be re-checked from scratch with
 //! [`validate_mapping`]; nothing downstream trusts the search engine.
+//! A search runs its restarts on the cores the process leaves idle
+//! ([`cores`]) and returns what trying them one by one returns (see
+//! [`engine`]).
 //!
 //! ```
 //! use cgra_arch::CgraConfig;
@@ -29,6 +32,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod constrained;
+pub mod cores;
 pub mod ems;
 pub mod engine;
 pub mod error;
