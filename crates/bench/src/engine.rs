@@ -24,12 +24,16 @@
 //!
 //! Each worker (the calling thread, at one job) holds a core of the
 //! process's core budget ([`cgra_mapper::cores`]) while it runs. A
-//! mapper search inside a point runs its speculative attempts on helper
-//! threads only on the cores the workers leave idle: at `--jobs 1` on a
-//! machine with N cores a search gets N − 1 helpers, at `--jobs N` none,
-//! and as workers run out of points their cores go to the searches still
-//! running. The search's result does not depend on how many helpers it
-//! gets, so neither does the report.
+//! compile inside a point runs its baseline search beside its
+//! constrained one, and a mapper search runs its speculative attempts on
+//! helpers, only on the cores the workers leave idle; both are jobs on
+//! the budget's pool of parked threads. At `--jobs 1` on a machine with N
+//! cores a point's compile and searches share N − 1 spare cores, at
+//! `--jobs N` they get none, and as workers run out of points their
+//! cores go to the compiles still running. A worker blocked on a
+//! side-by-side search lends its core to it. Neither the searches'
+//! results nor their traced events depend on where they ran, so neither
+//! does the report.
 //!
 //! `tests/parallel_determinism.rs` enforces the contract end-to-end by
 //! diffing `--jobs 1` against `--jobs 4` runs.

@@ -1,30 +1,51 @@
-//! The process's core budget: one count of the cores that sweep workers
-//! and mapper searches keep busy, against the machine's available
-//! parallelism, so that a search runs its speculative attempts (see
-//! [`crate::engine`]) only on cores nothing else is using.
+//! The process's core budget, and the pool of parked worker threads that
+//! runs work on the cores it hands out.
+//!
+//! **The budget** is one count of the cores that sweep workers and mapper
+//! searches keep busy, against the machine's available parallelism, so
+//! that a search runs its speculative attempts (see [`crate::engine`])
+//! only on cores nothing else is using.
 //!
 //! A thread that runs work of its own — a sweep worker, a search's own
 //! thread — holds one core with [`hold_thread`] while it runs. The hold
 //! nests for free: a search on a thread that already holds a core takes
-//! nothing more. A search's helper threads each run on a core taken with
-//! `take_idle`, which hands out only cores nobody holds. So busy cores
+//! nothing more. Work started on another thread runs on a core taken with
+//! [`take_idle`], which hands out only cores nobody holds. So busy cores
 //! never exceed [`available`]; a thread that finds every core busy runs
-//! without a hold, as it would have without the budget.
+//! without a hold, as it would have without the budget. A thread that
+//! blocks until such work is done lends its core meanwhile (see
+//! [`Pending::wait`]), so the work it waits for can use it.
 //!
 //! The core count is read once and cached: `available_parallelism` reads
 //! cgroup files on every call, which alone costs a short search more
-//! than its helpers save.
+//! than its helpers save. The budget trusts that count: on a host that
+//! gives the process's cores less than one core's time each, helpers and
+//! side-by-side searches time-share with the threads they were meant to
+//! run beside, and cost time instead of saving it.
+//!
+//! **The pool** runs jobs — a search's helper, the baseline search of a
+//! compile run beside its constrained search — on parked worker threads,
+//! so starting one costs a hand-off, not a thread spawn. A job is handed
+//! to a parked worker if there is one; otherwise a new worker starts with
+//! it. So the pool never has more workers than the most jobs ever in
+//! flight at once, and a worker that finishes its job parks until the
+//! next. A job owns everything it reads (a search's helper holds an
+//! `Arc` of the search, with its own copies of the graph and the fabric)
+//! and the core it runs on, which it gives back when it ends. Nobody
+//! waits for a job to end unless they need its result.
 
 use std::cell::Cell;
+use std::collections::VecDeque;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{mpsc, Condvar, Mutex, OnceLock};
 
-/// Cores held by some thread, process-wide. `Relaxed`: a count that
-/// publishes no other data.
+/// Cores held by some thread or job, process-wide. `Relaxed`: a count
+/// that publishes no other data.
 static BUSY: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
-    /// Whether this thread holds a core through [`hold_thread`].
+    /// Whether this thread holds a core of its own (see [`hold_thread`]).
     static HOLDS: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -39,25 +60,47 @@ pub fn idle() -> usize {
     available().saturating_sub(BUSY.load(Ordering::Relaxed))
 }
 
-/// A core held until the value is dropped, or nothing when
-/// [`hold_thread`] took none.
+/// A core held until the value is dropped, or nothing when none was
+/// taken.
 #[must_use = "the core is released when the hold is dropped"]
 #[derive(Debug)]
-pub struct Hold {
-    /// Whether a core was taken.
-    core: bool,
-    /// Whether the hold marks its thread (see [`hold_thread`]).
-    thread: bool,
+pub struct Hold(Kind);
+
+#[derive(Debug, PartialEq)]
+enum Kind {
+    /// No core was taken.
+    Nothing,
+    /// The core of the thread that took it, while the thread holds it
+    /// (see [`hold_thread`]).
+    Thread,
+    /// A core for work on another thread (see [`take_idle`]).
+    Core,
 }
 
 impl Drop for Hold {
     fn drop(&mut self) {
-        if self.thread {
-            HOLDS.with(|h| h.set(false));
-        }
-        if self.core {
+        let release = match self.0 {
+            Kind::Nothing => false,
+            // A thread that lent its core and found none to take back
+            // holds nothing to release.
+            Kind::Thread => HOLDS.with(|h| h.replace(false)),
+            Kind::Core => true,
+        };
+        if release {
             BUSY.fetch_sub(1, Ordering::Relaxed);
         }
+    }
+}
+
+impl Hold {
+    /// Make a core taken with [`take_idle`] the core of the thread it
+    /// runs on, so that a hold the thread takes nests in it for free.
+    fn on_this_thread(mut self) -> Hold {
+        if self.0 == Kind::Core && !HOLDS.with(Cell::get) {
+            HOLDS.with(|h| h.set(true));
+            self.0 = Kind::Thread;
+        }
+        self
     }
 }
 
@@ -73,21 +116,171 @@ fn take() -> bool {
 /// nothing if the thread already holds one (the hold nests for free) or
 /// if no core is idle.
 pub fn hold_thread() -> Hold {
-    let core = !HOLDS.with(Cell::get) && take();
-    if core {
-        HOLDS.with(|h| h.set(true));
+    if HOLDS.with(Cell::get) || !take() {
+        return Hold(Kind::Nothing);
     }
-    Hold { core, thread: core }
+    HOLDS.with(|h| h.set(true));
+    Hold(Kind::Thread)
 }
 
-/// One idle core for a helper thread to run on, or `None` when every core
-/// is busy. The hold may move to the helper, which keeps it while it runs.
-pub(crate) fn take_idle() -> Option<Hold> {
+/// One idle core for work on another thread, or `None` when every core is
+/// busy. The hold moves with the work (see [`spawn`]), which keeps it
+/// while it runs.
+pub fn take_idle() -> Option<Hold> {
     // Built lazily: a `Hold` releases its core when dropped.
-    take().then(|| Hold {
-        core: true,
-        thread: false,
-    })
+    take().then(|| Hold(Kind::Core))
+}
+
+/// Run `wait`, which blocks without computing, with the calling thread's
+/// core lent to the budget meanwhile; afterwards the thread takes a core
+/// back if one is idle, and runs without one if not.
+pub(crate) fn lending<R>(wait: impl FnOnce() -> R) -> R {
+    if !HOLDS.with(|h| h.replace(false)) {
+        return wait();
+    }
+    BUSY.fetch_sub(1, Ordering::Relaxed);
+    let result = wait();
+    if take() {
+        HOLDS.with(|h| h.set(true));
+    }
+    result
+}
+
+/// A job for a pool worker.
+type Job = Box<dyn FnOnce() + Send>;
+
+/// The pool's jobs and workers.
+struct Pool {
+    /// Jobs handed to parked workers and not yet picked up, the parked
+    /// workers with no job handed to them, and the counts the pool test
+    /// reads.
+    state: Mutex<PoolState>,
+    /// Wakes a parked worker when a job is handed to it.
+    wake: Condvar,
+}
+
+struct PoolState {
+    queued: VecDeque<Job>,
+    parked: usize,
+    /// Jobs handed out.
+    jobs: usize,
+    /// Jobs handed out and not finished.
+    in_flight: usize,
+    /// The most jobs ever in flight at once.
+    peak: usize,
+    /// Workers started.
+    workers: usize,
+}
+
+static POOL: Pool = Pool {
+    state: Mutex::new(PoolState {
+        queued: VecDeque::new(),
+        parked: 0,
+        jobs: 0,
+        in_flight: 0,
+        peak: 0,
+        workers: 0,
+    }),
+    wake: Condvar::new(),
+};
+
+impl Pool {
+    fn lock(&self) -> std::sync::MutexGuard<'_, PoolState> {
+        self.state.lock().expect("pool lock poisoned")
+    }
+}
+
+/// Hand `job` to a parked worker, or start a worker with it; `false` if
+/// no worker could be started.
+fn submit(job: Job) -> bool {
+    let mut pool = POOL.lock();
+    pool.jobs += 1;
+    pool.in_flight += 1;
+    pool.peak = pool.peak.max(pool.in_flight);
+    if pool.parked > 0 {
+        pool.parked -= 1;
+        pool.queued.push_back(job);
+        drop(pool);
+        POOL.wake.notify_one();
+        return true;
+    }
+    pool.workers += 1;
+    drop(pool);
+    let started = std::thread::Builder::new().spawn(move || work(job)).is_ok();
+    if !started {
+        let mut pool = POOL.lock();
+        pool.workers -= 1;
+        pool.jobs -= 1;
+        pool.in_flight -= 1;
+    }
+    started
+}
+
+/// A pool worker: run `job`, then each job handed to it, parking between
+/// them.
+fn work(mut job: Job) {
+    loop {
+        // A job that panics drops its result, which its waiter reports;
+        // the worker lives on.
+        let _ = std::panic::catch_unwind(AssertUnwindSafe(job));
+        let mut pool = POOL.lock();
+        pool.in_flight -= 1;
+        pool.parked += 1;
+        job = loop {
+            if let Some(next) = pool.queued.pop_front() {
+                break next;
+            }
+            pool = POOL.wake.wait(pool).expect("pool lock poisoned");
+        };
+    }
+}
+
+/// The result of a job started with [`spawn`].
+#[must_use = "a pending result is read with `wait`"]
+pub struct Pending<R>(mpsc::Receiver<R>);
+
+impl<R> Pending<R> {
+    /// Block until the job's result is in. The calling thread lends its
+    /// core to the budget while it blocks.
+    ///
+    /// # Panics
+    /// If the job panicked.
+    pub fn wait(self) -> R {
+        lending(|| self.0.recv()).expect("pool job panicked")
+    }
+}
+
+/// Run `job` on a pool worker, holding `core` while it runs (see
+/// [`take_idle`]). Returns `None`, dropping the job and its core unrun,
+/// if no worker could be started.
+pub fn spawn<R: Send + 'static>(
+    core: Option<Hold>,
+    job: impl FnOnce() -> R + Send + 'static,
+) -> Option<Pending<R>> {
+    let (tx, rx) = mpsc::sync_channel(1);
+    let started = submit(Box::new(move || {
+        let core = core.map(Hold::on_this_thread);
+        let result = job();
+        // Given back before the result is sent, so whoever wakes for the
+        // result finds the core idle.
+        drop(core);
+        let _ = tx.send(result);
+    }));
+    started.then_some(Pending(rx))
+}
+
+/// Jobs run, workers started and the most jobs ever in flight at once,
+/// for the pool test.
+#[cfg(test)]
+pub(crate) fn stats() -> (usize, usize, usize) {
+    let pool = POOL.lock();
+    (pool.jobs, pool.workers, pool.peak)
+}
+
+/// Cores held now, for the budget tests.
+#[cfg(test)]
+pub(crate) fn busy() -> usize {
+    BUSY.load(Ordering::Relaxed)
 }
 
 #[cfg(test)]
@@ -100,13 +293,13 @@ mod tests {
             // Searches in other tests hold cores for a while at most.
             let outer = loop {
                 let hold = hold_thread();
-                if hold.core {
+                if hold.0 == Kind::Thread {
                     break hold;
                 }
                 std::thread::yield_now();
             };
             let inner = hold_thread();
-            assert!(!inner.core, "a nested hold takes no core");
+            assert_eq!(inner.0, Kind::Nothing, "a nested hold takes no core");
             drop(inner);
             // Dropping the nested hold leaves the thread's hold in place.
             assert!(HOLDS.with(Cell::get));
@@ -125,8 +318,11 @@ mod tests {
                     for _ in 0..2000 {
                         let own = hold_thread();
                         let helpers: Vec<Hold> = std::iter::from_fn(take_idle).take(3).collect();
-                        assert!(BUSY.load(Ordering::Relaxed) <= available());
-                        assert!(usize::from(own.core) + helpers.len() <= available());
+                        assert!(busy() <= available());
+                        assert!(usize::from(own.0 == Kind::Thread) + helpers.len() <= available());
+                        // A lent core may go to anyone; the count stays
+                        // within the budget either way.
+                        lending(|| assert!(busy() <= available()));
                     }
                 })
             })
@@ -134,6 +330,6 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        assert!(BUSY.load(Ordering::Relaxed) <= available());
+        assert!(busy() <= available());
     }
 }

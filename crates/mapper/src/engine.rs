@@ -26,13 +26,19 @@
 //! pure function of the graph, the fabric, the options and `i`: its RNG
 //! is seeded from `(seed, II, restart)` and it reads nothing another
 //! attempt wrote. So [`schedule`] runs attempts on the calling thread and
-//! on helper threads, one per core the process's core budget leaves idle
-//! (see [`crate::cores`]; the calling thread takes another helper before
-//! each attempt it claims, as cores free up). Each thread claims the next
-//! `i` from one atomic cursor and keeps its attempts' outcomes: mapped
-//! and validated, evicted with its violation count, or backtracked at an
-//! op, each failure with its per-edge routing-failure counts. Nothing is
-//! traced while they run.
+//! on helpers, one per core the process's core budget leaves idle (see
+//! [`crate::cores`]; the calling thread takes another helper before each
+//! attempt it claims, as cores free up). A helper is a job on the pool of
+//! parked worker threads that [`crate::cores`] keeps, holding the idle
+//! core it runs on: starting one hands it to a parked worker instead of
+//! spawning a thread. The job holds an `Arc` of the search, which owns
+//! its own copies of the graph, the fabric and the options, so it needs
+//! nothing from the calling thread's stack and may outlive the call.
+//! Each thread claims the next `i` from one atomic cursor and records its
+//! attempts' outcomes in the search, by index: mapped and validated,
+//! evicted with its violation count, or backtracked at an op, each
+//! failure with its per-edge routing-failure counts. Nothing is traced
+//! while they run.
 //!
 //! *Cancellation.* A validated success lowers the shared lowest success
 //! with `fetch_min`. A thread claims nothing above it, and an attempt
@@ -40,16 +46,19 @@
 //! read.
 //!
 //! *The commit is exact.* The cursor hands out indices in order, so when
-//! the threads have joined every attempt below the lowest success was
-//! claimed, and none of them was cancelled, since the lowest success
-//! only falls. The calling thread replays their outcomes in index order:
-//! it emits each `Backtrack` or `Evict` and sums the failure counts, then
-//! emits the winner's placements, routes and `MapEnd`; with no success it
-//! replays every attempt. Those are the events, statistics and result of
-//! trying the attempts one by one, which
-//! `tests::parallel_search_matches_serial` checks against that loop.
-//! With no idle core, the same code runs every attempt on the calling
-//! thread.
+//! the calling thread finds nothing left to claim, every attempt up to
+//! the lowest success has been claimed, and none of them is cancelled,
+//! since the lowest success only falls. The calling thread waits until
+//! each of those attempts has recorded its outcome — not for the helpers
+//! to end: one still finishing an attempt above the lowest success, or
+//! not yet started, is not waited for, and gives its core back when it
+//! ends. It then replays the outcomes in index order: it emits each
+//! `Backtrack` or `Evict` and sums the failure counts, then emits the
+//! winner's placements, routes and `MapEnd`; with no success it replays
+//! every attempt. Those are the events, statistics and result of trying
+//! the attempts one by one, which `tests::parallel_search_matches_serial`
+//! checks against that loop. With no idle core, the same code runs every
+//! attempt on the calling thread.
 //!
 //! Each thread owns a `Workspace`: the [`Router`] its attempts route
 //! through (with the fabric's closed-form geometry, see
@@ -129,7 +138,9 @@ use cgra_dfg::graph::NodeId;
 use cgra_obs::{TraceEvent, Tracer};
 use rand::prelude::*;
 use rand::rngs::StdRng;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// Edge latency: memory edges take 2 cycles (store execute + visibility),
 /// everything else 1.
@@ -865,9 +876,9 @@ pub struct ScheduleOutcome {
 /// The search's decisions — begin, backtracks, validator evictions,
 /// final placements/routes, end — are emitted to `tracer`. With the
 /// tracer off, events are never constructed. Attempts run on the calling
-/// thread and on helpers on idle cores (see the module docs); the result,
-/// the statistics and the events are those of trying every attempt in
-/// turn.
+/// thread and on pooled helpers on idle cores (see the module docs); the
+/// result, the statistics and the events are those of trying every
+/// attempt in turn.
 pub fn schedule(
     mdfg: &MapDfg,
     cgra: &CgraConfig,
@@ -878,13 +889,14 @@ pub fn schedule(
     search(mdfg, cgra, mode, opts, tracer, Helpers::Idle)
 }
 
-/// Where a search's helper threads come from.
+/// Where a search's helpers come from.
 #[derive(Clone, Copy)]
 enum Helpers {
-    /// One per idle core of the budget, taken before each of the calling
-    /// thread's attempts (see [`crate::cores`]).
+    /// One pool job per idle core of the budget, taken before each of the
+    /// calling thread's attempts (see [`crate::cores`]).
     Idle,
-    /// Exactly this many, started with the search, whatever the budget.
+    /// Exactly this many pool jobs, holding no core, started with the
+    /// search, whatever the budget.
     #[cfg(test)]
     Exactly(usize),
 }
@@ -904,15 +916,20 @@ enum Outcome {
     Mapped(Mapping),
     /// Stopped because a lower attempt mapped; never committed.
     Cancelled,
+    /// Panicked, with this payload, which the commit re-raises on the
+    /// calling thread.
+    Panicked(Box<dyn std::any::Any + Send>),
 }
 
 /// The attempts of one [`schedule`] call: attempt `i` is restart
-/// `i % restarts` at II `mii + i / restarts`.
-struct Search<'a> {
-    mdfg: &'a MapDfg,
-    cgra: &'a CgraConfig,
+/// `i % restarts` at II `mii + i / restarts`. The search owns what its
+/// attempts read, so its helpers, which share it through an `Arc`, can
+/// outlive the call.
+struct Search {
+    mdfg: MapDfg,
+    cgra: CgraConfig,
     mode: MapMode,
-    opts: &'a MapOptions,
+    opts: MapOptions,
     mii: u32,
     heights: Vec<u32>,
     /// How many attempts there are.
@@ -924,11 +941,25 @@ struct Search<'a> {
     /// Both atomics are `Relaxed`: they publish no data. Each only falls
     /// or only rises, so a stale read costs at most one attempt that is
     /// then never read, and the outcomes reach the calling thread through
-    /// the helpers' joins.
+    /// the `outcomes` lock.
     best: AtomicUsize,
+    outcomes: Mutex<Outcomes>,
+    /// Signalled when an outcome is recorded while the calling thread
+    /// waits.
+    ran: Condvar,
 }
 
-impl Search<'_> {
+/// The outcomes of a search's attempts so far.
+#[derive(Default)]
+struct Outcomes {
+    /// Each attempt's outcome once it has run, by index (as far as the
+    /// highest that has).
+    ran: Vec<Option<Outcome>>,
+    /// Whether the calling thread waits for more of them.
+    waiting: bool,
+}
+
+impl Search {
     /// The `(II, restart)` of attempt `i`.
     fn coords(&self, i: usize) -> (u32, u32) {
         let restarts = self.opts.restarts as usize;
@@ -943,37 +974,73 @@ impl Search<'_> {
             && self.cursor.load(Ordering::Relaxed) + 1 + helpers < self.tasks
     }
 
+    /// A workspace for this search's attempts.
+    fn workspace(&self) -> Workspace {
+        Workspace::new(&self.mdfg, &self.cgra, self.mode, &self.opts)
+    }
+
     /// Claim attempts and run them on `ws` until none is left below the
-    /// lowest success; `before` runs ahead of each claim. Returns each
-    /// run attempt's index and outcome, in claim order.
-    fn work(&self, ws: &mut Workspace, mut before: impl FnMut()) -> Vec<(usize, Outcome)> {
-        let mut done = Vec::new();
+    /// lowest success, recording each outcome; `before` runs ahead of
+    /// each claim.
+    fn work(&self, ws: &mut Workspace, mut before: impl FnMut()) {
         let mut asap: Option<(u32, Option<Vec<u32>>)> = None;
         loop {
             before();
             let i = self.cursor.fetch_add(1, Ordering::Relaxed);
             if i >= self.tasks || i > self.best.load(Ordering::Relaxed) {
-                return done;
+                return;
             }
             let (ii, _) = self.coords(i);
             if asap.as_ref().is_none_or(|&(at, _)| at != ii) {
-                asap = Some((ii, asap_with_mem(self.mdfg, ii)));
+                asap = Some((ii, asap_with_mem(&self.mdfg, ii)));
             }
             let outcome = match asap.as_ref().and_then(|(_, a)| a.as_deref()) {
                 None => Outcome::Skipped,
-                Some(asap) => self.attempt(i, asap, ws),
+                // Caught so that the calling thread, which waits for this
+                // outcome, panics too instead of waiting forever.
+                Some(asap) => {
+                    std::panic::catch_unwind(AssertUnwindSafe(|| self.attempt(i, asap, &mut *ws)))
+                        .unwrap_or_else(Outcome::Panicked)
+                }
             };
             if let Outcome::Mapped(_) = outcome {
                 self.best.fetch_min(i, Ordering::Relaxed);
             }
-            done.push((i, outcome));
+            let mut outcomes = self.outcomes.lock().expect("outcome lock poisoned");
+            let ran = &mut outcomes.ran;
+            if ran.len() <= i {
+                ran.resize_with(i + 1, || None);
+            }
+            ran[i] = Some(outcome);
+            if outcomes.waiting {
+                self.ran.notify_one();
+            }
+        }
+    }
+
+    /// Wait until every attempt up to the lowest success (or every
+    /// attempt, when none mapped) has run, and take their outcomes in
+    /// index order. Attempts above it may still be running; they are
+    /// never read.
+    fn committable(&self) -> Vec<Outcome> {
+        let mut outcomes = self.outcomes.lock().expect("outcome lock poisoned");
+        loop {
+            let end = self.best.load(Ordering::Relaxed).saturating_add(1);
+            let ran = &mut outcomes.ran[..];
+            if let Some(ran) = ran.get_mut(..end.min(self.tasks)) {
+                if ran.iter().all(Option::is_some) {
+                    return ran.iter_mut().filter_map(Option::take).collect();
+                }
+            }
+            outcomes.waiting = true;
+            outcomes = self.ran.wait(outcomes).expect("outcome lock poisoned");
         }
     }
 
     /// Run attempt `i`, whose II's ASAP times are `asap`, on `ws`. It
     /// stops at its next node once a lower attempt has mapped.
     fn attempt(&self, i: usize, asap: &[u32], ws: &mut Workspace) -> Outcome {
-        let (mdfg, heights) = (self.mdfg, &self.heights);
+        let (mdfg, heights) = (&self.mdfg, &self.heights);
         let (ii, restart) = self.coords(i);
         // Height-first order (ties by ASAP then id), jittered per restart.
         let mut rng = StdRng::seed_from_u64(self.opts.seed ^ (ii as u64) << 32 ^ restart as u64);
@@ -993,7 +1060,7 @@ impl Search<'_> {
                 n.0,
             )
         });
-        let mut attempt = Attempt::new(mdfg, self.cgra, self.mode, ii, asap, ws);
+        let mut attempt = Attempt::new(mdfg, &self.cgra, self.mode, ii, asap, ws);
         // Alternate candidate-ordering strategy across restarts: some
         // kernels pack better page-major (bus-heavy), others
         // time-major (dependence-heavy).
@@ -1027,7 +1094,7 @@ impl Search<'_> {
         // "successful" attempt can still overflow a register file.
         // Re-check everything with the independent validator; on
         // failure, roll the dice again.
-        let violations = crate::mapping::validate_mapping(mdfg, self.cgra, &mapping, self.mode);
+        let violations = crate::mapping::validate_mapping(mdfg, &self.cgra, &mapping, self.mode);
         if violations.is_empty() {
             Outcome::Mapped(mapping)
         } else {
@@ -1039,7 +1106,7 @@ impl Search<'_> {
     }
 }
 
-/// [`schedule`], with helper threads from `helpers`.
+/// [`schedule`], with helpers from `helpers`.
 fn search(
     mdfg: &MapDfg,
     cgra: &CgraConfig,
@@ -1055,61 +1122,53 @@ fn search(
     });
     let mii = mii_with_mem(mdfg, cgra);
     let hi = mii + opts.max_ii_slack;
-    let search = Search {
-        mdfg,
-        cgra,
+    let tasks = (hi - mii + 1) as usize * opts.restarts as usize;
+    let search = Arc::new(Search {
+        mdfg: mdfg.clone(),
+        cgra: cgra.clone(),
         mode,
-        opts,
+        opts: *opts,
         mii,
         heights: cgra_dfg::analysis::heights(&mdfg.dfg),
-        tasks: (hi - mii + 1) as usize * opts.restarts as usize,
+        tasks,
         cursor: AtomicUsize::new(0),
         best: AtomicUsize::new(usize::MAX),
-    };
+        outcomes: Mutex::default(),
+        ran: Condvar::new(),
+    });
 
     // Run the attempts: this thread holds a core of its own unless it
-    // already does, and each helper holds the idle core it runs on.
-    let _own = cores::hold_thread();
-    let mut ws = Workspace::new(mdfg, cgra, mode, opts);
-    let mut slots = std::thread::scope(|scope| {
-        let search = &search;
-        // A helper is optional: if the thread cannot start, its core is
-        // released and the other threads run its attempts.
-        let helper = |core: Option<cores::Hold>| {
-            std::thread::Builder::new()
-                .spawn_scoped(scope, move || {
-                    let _core = core;
-                    search.work(&mut Workspace::new(mdfg, cgra, mode, opts), || {})
-                })
-                .ok()
-        };
-        let mut started = Vec::new();
-        #[cfg(test)]
-        if let Helpers::Exactly(n) = helpers {
-            started.extend((0..n).filter_map(|_| helper(None)));
+    // already does, and each helper is a pool job holding the idle core it
+    // runs on. A helper that cannot start runs nothing, and the other
+    // threads run its attempts.
+    let own = cores::hold_thread();
+    let helper = |core: Option<cores::Hold>| {
+        let search = Arc::clone(&search);
+        cores::spawn(core, move || search.work(&mut search.workspace(), || {})).is_some()
+    };
+    let mut started = 0;
+    #[cfg(test)]
+    if let Helpers::Exactly(n) = helpers {
+        started = (0..n).filter(|_| helper(None)).count();
+    }
+    // One more helper before each attempt this thread claims, so a search
+    // that maps early starts few helpers on a many-core machine.
+    search.work(&mut search.workspace(), || {
+        if matches!(helpers, Helpers::Idle) && search.has_spare(started) {
+            started += usize::from(cores::take_idle().is_some_and(|core| helper(Some(core))));
         }
-        // One more helper before each attempt this thread claims, so a
-        // search that maps early starts few threads on a many-core machine.
-        let mut slots = search.work(&mut ws, || {
-            if matches!(helpers, Helpers::Idle) && search.has_spare(started.len()) {
-                started.extend(cores::take_idle().and_then(|c| helper(Some(c))));
-            }
-        });
-        for h in started {
-            slots.extend(h.join().expect("search helper panicked"));
-        }
-        slots
     });
+    // This thread computes nothing while it waits for its helpers.
+    drop(own);
+    let outcomes = cores::lending(|| search.committable());
 
     // Commit in attempt order: every attempt up to the lowest success ran
     // to its end, so replaying them gives the serial search's events and
     // statistics, and its winner.
-    slots.sort_unstable_by_key(|&(i, _)| i);
     let mut stats = FailureStats {
         edge_route_failures: vec![0; mdfg.dfg.num_edges()],
     };
-    for (k, (i, outcome)) in slots.into_iter().enumerate() {
-        debug_assert_eq!(k, i, "attempt {k} never ran");
+    for (i, outcome) in outcomes.into_iter().enumerate() {
         let (ii, restart) = search.coords(i);
         let failed = match outcome {
             Outcome::Skipped => continue,
@@ -1133,6 +1192,7 @@ fn search(
                 };
             }
             Outcome::Cancelled => unreachable!("attempt {i} below the lowest success stopped"),
+            Outcome::Panicked(payload) => std::panic::resume_unwind(payload),
         };
         for (a, b) in stats
             .edge_route_failures
@@ -1543,7 +1603,7 @@ mod tests {
     /// (0–2 IIs of slack, 1–4 restarts, short chains) so that many
     /// searches fail or map only after failed attempts: the search with 0,
     /// 1 and 3 helpers returns the serial search's mapping, failure
-    /// statistics and events.
+    /// statistics and events, the helpers running as pool jobs.
     #[test]
     fn parallel_search_matches_serial() {
         let mut rng = StdRng::seed_from_u64(0x5EA2_0A11);
@@ -1612,6 +1672,50 @@ mod tests {
         assert!(
             mapped > 15 && after_failures > 15 && failed > 30,
             "{mapped} {after_failures} {failed}"
+        );
+    }
+
+    /// 200 back-to-back searches, each starting pool jobs (three with no
+    /// core, or helpers on idle cores): the pool starts no more workers
+    /// than the most jobs ever in flight at once, however many jobs it
+    /// ran, and busy cores never exceed the machine's.
+    #[test]
+    fn pooled_helpers_start_no_more_workers_than_jobs_in_flight() {
+        let cgra = cgra_arch::CgraConfig::square(4);
+        let opts = MapOptions {
+            max_ii_slack: 1,
+            restarts: 4,
+            ..MapOptions::default()
+        };
+        let kernels = cgra_dfg::kernels::all();
+        for n in 0..200 {
+            let mdfg = MapDfg::unspilled(&kernels[n % kernels.len()]);
+            let helpers = if n % 2 == 0 {
+                Helpers::Exactly(3)
+            } else {
+                Helpers::Idle
+            };
+            search(
+                &mdfg,
+                &cgra,
+                MapMode::Baseline,
+                &opts,
+                &Tracer::off(),
+                helpers,
+            );
+            assert!(cores::busy() <= cores::available());
+            let (_, workers, peak) = cores::stats();
+            assert!(
+                workers <= peak,
+                "{workers} workers, at most {peak} jobs in flight"
+            );
+        }
+        // Other tests share the pool: its counts include their jobs.
+        let (jobs, workers, peak) = cores::stats();
+        assert!(jobs >= 300, "{jobs} jobs");
+        assert!(
+            workers <= peak,
+            "{workers} workers, at most {peak} jobs in flight"
         );
     }
 

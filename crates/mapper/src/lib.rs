@@ -13,9 +13,9 @@
 //!
 //! Every mapping can be re-checked from scratch with
 //! [`validate_mapping`]; nothing downstream trusts the search engine.
-//! A search runs its restarts on the cores the process leaves idle
-//! ([`cores`]) and returns what trying them one by one returns (see
-//! [`engine`]).
+//! A search runs its restarts on the cores the process leaves idle, as
+//! jobs on a pool of parked threads ([`cores`]), and returns what trying
+//! them one by one returns (see [`engine`]).
 //!
 //! ```
 //! use cgra_arch::CgraConfig;

@@ -18,9 +18,12 @@ use cgra_analyze::{analyze_mapping, analyze_paged, analyze_plan, analyze_profile
 use cgra_arch::CgraConfig;
 use cgra_core::transform::{transform_traced, Strategy};
 use cgra_core::{PagedSchedule, ShrinkPlan};
-use cgra_mapper::{map_baseline_traced, map_constrained_traced, MapError, MapOptions, MapResult};
-use cgra_obs::Tracer;
+use cgra_mapper::{
+    cores, map_baseline_traced, map_constrained_traced, MapError, MapOptions, MapResult,
+};
+use cgra_obs::{RingSink, Tracer};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// The page budgets the allocator hands out: `N, N/2, N/4, …, 1`
 /// (integer halving, §VII-B.1's policy).
@@ -106,22 +109,60 @@ pub struct Compiled {
     pub profile: KernelProfile,
 }
 
+/// Where [`Compiled::new`] runs its baseline search.
+#[derive(Debug, Clone, Copy)]
+enum Baseline {
+    /// Beside the constrained search when a core is idle, else before it.
+    OnIdleCore,
+    /// Before the constrained search, on the calling thread.
+    #[cfg(test)]
+    First,
+    /// Beside the constrained search on a pool worker, whatever the
+    /// budget.
+    #[cfg(test)]
+    Beside,
+}
+
 impl Compiled {
     /// Compile `dfg` for `cgra`: both mapper searches and every
     /// halving-chain transform, each emitted to `tracer`.
     ///
+    /// The baseline search runs beside the constrained one when the
+    /// process has an idle core ([`cores::take_idle`]): on a pool worker
+    /// holding that core, while the constrained search runs on the calling
+    /// thread. Whichever ends first gives its core back, and the other
+    /// search takes it for a helper. With no idle core the baseline search
+    /// runs first, on the calling thread. Either way the result, the
+    /// events and the error are those of running the baseline search and
+    /// then the constrained one: side by side, each search buffers its
+    /// events, and the baseline's reach `tracer` first, then the
+    /// constrained's. If the baseline search fails, its events are
+    /// forwarded and its error returned, and the constrained search's
+    /// events are dropped, as the serial order never runs it.
+    ///
     /// # Errors
-    /// The mapper's [`MapError`] if either search fails;
-    /// [`MapError::Unmappable`] if the page-level schedule cannot be
-    /// extracted or a transform fails.
+    /// The mapper's [`MapError`] if either search fails (the baseline's
+    /// if both do); [`MapError::Unmappable`] if the page-level schedule
+    /// cannot be extracted or a transform fails.
     pub fn new(
         dfg: &cgra_dfg::Dfg,
         cgra: &CgraConfig,
         opts: &MapOptions,
         tracer: &Tracer,
     ) -> Result<Self, MapError> {
-        let base = map_baseline_traced(dfg, cgra, opts, tracer)?;
-        let cons = map_constrained_traced(dfg, cgra, opts, tracer)?;
+        Self::compile(dfg, cgra, opts, tracer, Baseline::OnIdleCore)
+    }
+
+    /// [`Compiled::new`], with the baseline search run as `baseline`
+    /// says.
+    fn compile(
+        dfg: &cgra_dfg::Dfg,
+        cgra: &CgraConfig,
+        opts: &MapOptions,
+        tracer: &Tracer,
+        baseline: Baseline,
+    ) -> Result<Self, MapError> {
+        let (base, cons) = map_both(dfg, cgra, opts, tracer, baseline)?;
         let paged = PagedSchedule::from_mapping(&cons, cgra)
             .map_err(|e| MapError::Unmappable {
                 reason: e.to_string(),
@@ -212,6 +253,56 @@ impl Compiled {
     }
 }
 
+/// The baseline and constrained mappings of `dfg`, the baseline search
+/// run as `baseline` says (see [`Compiled::new`]).
+fn map_both(
+    dfg: &cgra_dfg::Dfg,
+    cgra: &CgraConfig,
+    opts: &MapOptions,
+    tracer: &Tracer,
+    baseline: Baseline,
+) -> Result<(MapResult, MapResult), MapError> {
+    let core = match baseline {
+        Baseline::OnIdleCore => cores::take_idle().map(Some),
+        #[cfg(test)]
+        Baseline::First => None,
+        #[cfg(test)]
+        Baseline::Beside => Some(None),
+    };
+    let one_then_the_other = || {
+        let base = map_baseline_traced(dfg, cgra, opts, tracer)?;
+        Ok((base, map_constrained_traced(dfg, cgra, opts, tracer)?))
+    };
+    let Some(core) = core else {
+        return one_then_the_other();
+    };
+    // Side by side, each search buffers its events, forwarded in order.
+    let buffer = || tracer.is_on().then(|| Arc::new(RingSink::unbounded()));
+    let (base_events, cons_events) = (buffer(), buffer());
+    let to = |events: &Option<Arc<RingSink>>| {
+        events
+            .as_ref()
+            .map_or_else(Tracer::off, |ring| Tracer::new(ring.clone()))
+    };
+    let base_tracer = to(&base_events);
+    let (job_dfg, job_cgra, job_opts) = (dfg.clone(), cgra.clone(), *opts);
+    let baseline = move || map_baseline_traced(&job_dfg, &job_cgra, &job_opts, &base_tracer);
+    let Some(pending) = cores::spawn(core, baseline) else {
+        return one_then_the_other();
+    };
+    let cons = map_constrained_traced(dfg, cgra, opts, &to(&cons_events));
+    let forward = |events: Option<Arc<RingSink>>| {
+        for event in events.map(|ring| ring.drain()).unwrap_or_default() {
+            tracer.emit(|| event);
+        }
+    };
+    let base = pending.wait();
+    forward(base_events);
+    let base = base?;
+    forward(cons_events);
+    Ok((base, cons?))
+}
+
 /// The compiled library: one profile per benchmark kernel.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelLibrary {
@@ -259,6 +350,72 @@ impl KernelLibrary {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use cgra_obs::TraceEvent;
+
+    /// Compile `dfg` with its baseline search run as `baseline`, and the
+    /// events it traced.
+    fn recorded(
+        dfg: &cgra_dfg::Dfg,
+        cgra: &CgraConfig,
+        opts: &MapOptions,
+        baseline: Baseline,
+    ) -> (Result<Compiled, MapError>, Vec<TraceEvent>) {
+        let ring = Arc::new(RingSink::unbounded());
+        let compiled = Compiled::compile(dfg, cgra, opts, &Tracer::new(ring.clone()), baseline);
+        (compiled, ring.drain())
+    }
+
+    /// Every kernel on 4x4 and on 8x8/p2: the baseline search beside the
+    /// constrained one (on a pool worker, and on an idle core when there
+    /// is one) gives the same mappings, schedule, plans and profile, and
+    /// the same events, as running it first.
+    #[test]
+    fn side_by_side_matches_one_then_the_other() {
+        let opts = MapOptions::default();
+        for cgra in [CgraConfig::square(4), cgra_arch::fabric(8, 2).unwrap()] {
+            for kernel in cgra_dfg::kernels::all() {
+                let why = format!("{} on {} pages", kernel.name, cgra.layout().num_pages());
+                let (want, want_events) = recorded(&kernel, &cgra, &opts, Baseline::First);
+                let want = format!("{:?}", want.expect("compiles"));
+                for baseline in [Baseline::Beside, Baseline::OnIdleCore] {
+                    let (got, events) = recorded(&kernel, &cgra, &opts, baseline);
+                    let why = format!("{why}, baseline {baseline:?}");
+                    assert_eq!(format!("{:?}", got.expect("compiles")), want, "{why}");
+                    assert_eq!(events, want_events, "{why}");
+                }
+            }
+        }
+    }
+
+    /// mpeg2 on 4x4 with one attempt at the MII: the baseline search
+    /// fails and the constrained one maps (after spilling). Beside it or
+    /// first, the compile returns the baseline's error with its events
+    /// only.
+    #[test]
+    fn a_failed_baseline_search_returns_its_error_and_its_events_only() {
+        let cgra = CgraConfig::square(4);
+        let kernel = cgra_dfg::kernels::mpeg2();
+        let opts = MapOptions {
+            max_ii_slack: 0,
+            restarts: 1,
+            ..MapOptions::default()
+        };
+        assert!(cgra_mapper::map_constrained(&kernel, &cgra, &opts).is_ok());
+        let (want, want_events) = recorded(&kernel, &cgra, &opts, Baseline::First);
+        let want = want.expect_err("the baseline search fails");
+        let (got, events) = recorded(&kernel, &cgra, &opts, Baseline::Beside);
+        assert_eq!(got.expect_err("the baseline search fails"), want);
+        assert_eq!(events, want_events);
+        let modes: Vec<&str> = events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::MapBegin { mode, .. } => Some(mode.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(modes, ["Baseline"], "no constrained-search events");
+    }
 
     #[test]
     fn halving_chains() {

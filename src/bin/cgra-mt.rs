@@ -17,32 +17,88 @@ use cgra_mt::arch::FabricError;
 use cgra_mt::kernel_text;
 use cgra_mt::prelude::*;
 
+/// What a command accepts: whether it takes a kernel, its flags that
+/// take a value, and its switches (flag names without the `--`).
+struct Accepts {
+    kernel: bool,
+    valued: &'static [&'static str],
+    switches: &'static [&'static str],
+}
+
+/// The flags of every command that builds a fabric (see [`fabric`]).
+const FABRIC: [&str; 3] = ["cgra", "page-size", "rf"];
+
+impl Accepts {
+    /// What `command` accepts, or `None` for an unknown command.
+    fn of(command: &str) -> Option<Accepts> {
+        let (kernel, valued, switches): (bool, &[&str], &[&str]) = match command {
+            "kernels" => (false, &[], &[]),
+            "dot" => (true, &[], &[]),
+            "analyze" => (true, &FABRIC, &[]),
+            "map" => (true, &["cgra", "page-size", "rf", "mode"], &["placements"]),
+            "shrink" => (true, &["cgra", "page-size", "rf", "pages"], &[]),
+            "exec" => (true, &["cgra", "page-size", "rf", "iters", "seed"], &[]),
+            _ => return None,
+        };
+        Some(Accepts {
+            kernel,
+            valued,
+            switches,
+        })
+    }
+
+    /// The command's arguments, for error messages.
+    fn describe(&self) -> String {
+        let args: Vec<String> = (self.kernel.then(|| "<kernel>".to_string()).into_iter())
+            .chain(self.valued.iter().map(|f| format!("--{f} <value>")))
+            .chain(self.switches.iter().map(|f| format!("--{f}")))
+            .collect();
+        if args.is_empty() {
+            "no arguments".into()
+        } else {
+            args.join(", ")
+        }
+    }
+}
+
 struct Args {
-    positional: Vec<String>,
+    kernel: Option<String>,
     flags: std::collections::HashMap<String, String>,
 }
 
 impl Args {
-    fn parse() -> Args {
-        let mut positional = Vec::new();
+    /// Parse the arguments after `command`, which `accepts` describes.
+    ///
+    /// # Errors
+    /// A message naming an unknown flag or a stray argument (and listing
+    /// what the command takes), or a valued flag whose value is missing.
+    fn parse(
+        command: &str,
+        accepts: &Accepts,
+        args: impl IntoIterator<Item = String>,
+    ) -> Result<Args, String> {
+        let mut kernel = None;
         let mut flags = std::collections::HashMap::new();
-        let mut it = std::env::args().skip(1).peekable();
+        let mut it = args.into_iter().peekable();
+        let takes = || format!("{command} takes {}", accepts.describe());
         while let Some(a) = it.next() {
             if let Some(key) = a.strip_prefix("--") {
-                let value = it
-                    .peek()
-                    .filter(|v| !v.starts_with("--"))
-                    .cloned()
-                    .inspect(|_v| {
-                        it.next();
-                    })
-                    .unwrap_or_else(|| "true".into());
+                let value = if accepts.switches.contains(&key) {
+                    "true".to_string()
+                } else if accepts.valued.contains(&key) {
+                    it.next_if(|v| !v.starts_with("--"))
+                        .ok_or_else(|| format!("{a}: the value is missing"))?
+                } else {
+                    return Err(format!("{command}: unknown flag {a}; {}", takes()));
+                };
                 flags.insert(key.to_string(), value);
+            } else if accepts.kernel && kernel.is_none() {
+                kernel = Some(a);
             } else {
-                positional.push(a);
+                return Err(format!("{command}: unexpected argument {a:?}; {}", takes()));
             }
         }
-        Args { positional, flags }
+        Ok(Args { kernel, flags })
     }
 
     /// The numeric value of `--key`, or `default` when the flag is absent.
@@ -102,12 +158,18 @@ fn fail(msg: &str) -> ! {
 }
 
 fn main() {
-    let args = Args::parse();
-    let Some(cmd) = args.positional.first().map(String::as_str) else {
+    let mut argv = std::env::args().skip(1);
+    let Some(cmd) = argv.next() else {
         print_usage();
         return;
     };
-    match cmd {
+    let Some(accepts) = Accepts::of(&cmd) else {
+        eprintln!("unknown command '{cmd}'\n");
+        print_usage();
+        std::process::exit(2);
+    };
+    let args = flag(Args::parse(&cmd, &accepts, argv));
+    match cmd.as_str() {
         "kernels" => {
             for k in cgra_mt::dfg::kernels::all() {
                 println!(
@@ -263,16 +325,12 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        other => {
-            eprintln!("unknown command '{other}'\n");
-            print_usage();
-            std::process::exit(2);
-        }
+        _ => unreachable!("`Accepts::of` knows every command"),
     }
 }
 
 fn load(args: &Args) -> cgra_mt::dfg::Dfg {
-    let Some(arg) = args.positional.get(1) else {
+    let Some(arg) = &args.kernel else {
         fail("missing kernel argument (path or builtin:<name>)");
     };
     kernel_text::load(arg).unwrap_or_else(|e| fail(&e))
@@ -284,13 +342,17 @@ fn print_usage() {
 
 USAGE:
   cgra-mt kernels                               list builtin benchmark kernels
-  cgra-mt analyze  <kernel> [--cgra N]          II bounds and structure
+  cgra-mt analyze  <kernel> [FABRIC]            II bounds and structure
   cgra-mt dot      <kernel>                     Graphviz dump
-  cgra-mt map      <kernel> [--cgra N] [--page-size S]
+  cgra-mt map      <kernel> [FABRIC]
                    [--mode baseline|constrained|strict] [--placements]
-  cgra-mt shrink   <kernel> --pages M           runtime PageMaster shrink
-  cgra-mt exec     <kernel> [--iters K]         functional check vs interpreter
+  cgra-mt shrink   <kernel> [FABRIC] --pages M  runtime PageMaster shrink
+  cgra-mt exec     <kernel> [FABRIC] [--iters K] [--seed S]
+                                                functional check vs interpreter
                                                 (K in 1..={MAX_ITERS}, default 16)
+
+FABRIC is [--cgra N] [--page-size S] [--rf R] (default 4, 4, 32). A
+command exits 2 on any other flag or argument.
 
 <kernel> is a file in the kernel text format (see docs of
 cgra_mt::kernel_text) or builtin:<name>."

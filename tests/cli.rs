@@ -55,3 +55,29 @@ fn good_flags_still_run() {
     let (code, stderr) = run(&["shrink", "builtin:fir", "--pages", "2"]);
     assert_eq!(code, Some(0), "{stderr}");
 }
+
+/// Each command takes only its own flags and arguments: any other flag
+/// or a stray argument exits 2 naming it and listing what the command
+/// takes, and a flag that takes a value says when the value is missing.
+#[test]
+fn unknown_flags_stray_arguments_and_missing_values_exit_2() {
+    let cases: [(&[&str], &[&str]); 5] = [
+        // Underscore for dash: not `--page-size`, so not silently the
+        // default 4-PE pages.
+        (
+            &["map", "builtin:fir", "--page_size", "2"],
+            &["--page_size", "--page-size", "--mode", "--placements"],
+        ),
+        (&["map", "builtin:fir", "--bogus"], &["--bogus", "--cgra"]),
+        (&["map", "builtin:fir", "extra"], &["\"extra\"", "<kernel>"]),
+        (&["kernels", "extra"], &["\"extra\"", "no arguments"]),
+        (&["map", "builtin:fir", "--cgra"], &["--cgra", "missing"]),
+    ];
+    for (args, names) in cases {
+        let (code, stderr) = run(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        for name in names {
+            assert!(stderr.contains(name), "{args:?} must name {name}: {stderr}");
+        }
+    }
+}
