@@ -18,9 +18,10 @@
 //!      in every case at the earliest free time in that column after
 //!      both producers have executed.
 //! 3. **Steady state**: cells are placed for a warm-up window of
-//!    iterations (512; [`Strategy::Auto`] caps it at `4·N` on open
-//!    rings, see [`crate::transform`]); the transformation succeeds when
-//!    the column pattern and inter-iteration time shift become periodic.
+//!    iterations (512; [`Strategy::Auto`] runs the drift on an open ring
+//!    only at `M = 2`, capped at `4·N`, see [`crate::transform`]); the
+//!    transformation succeeds when the column pattern and
+//!    inter-iteration time shift become periodic.
 //!    The periodic tail is returned as the [`ShrinkPlan`].
 //!
 //! `placePage` does constant work per cell: `findDependencyColumns` is
@@ -523,10 +524,10 @@ mod tests {
         });
     }
 
-    /// `(placements, words, max words)` of one transform on this thread.
-    fn place_min_counts(p: &PagedSchedule, m: u16) -> (u64, u64, u64) {
+    /// `(placements, words, max words)` of `run` on this thread.
+    fn place_min_counts(run: impl FnOnce()) -> (u64, u64, u64) {
         PLACE_MIN.with(|c| c.set((0, 0, 0)));
-        let _ = transform_pagemaster(p, m);
+        run();
         PLACE_MIN.with(Cell::get)
     }
 
@@ -542,7 +543,9 @@ mod tests {
             .chain([(32, false, 31)]);
         for (n, wrap, m) in cases {
             let p = PagedSchedule::synthetic_canonical(n, 1, wrap);
-            let (cells, words, max) = place_min_counts(&p, m);
+            let (cells, words, max) = place_min_counts(|| {
+                let _ = transform_pagemaster(&p, m);
+            });
             assert!(
                 cells >= n as u64 * 8,
                 "N={n} M={m}: only {cells} placements"
@@ -551,6 +554,31 @@ mod tests {
                 words <= cells * 11 / 10 && max <= 2,
                 "N={n} M={m}: {words} words over {cells} placements, max {max}"
             );
+        }
+    }
+
+    /// A runtime re-plan pays for Algorithm 1 only where the drift can win:
+    /// on an open ring `Auto` places no drifting cell at any `M ∤ N` but
+    /// `M = 2`, and at `M = 2` with `N` odd it still runs the drift.
+    #[test]
+    fn auto_runs_the_drift_on_open_rings_only_at_m2() {
+        let auto_placements = |p: &PagedSchedule, m: u16| {
+            place_min_counts(|| {
+                crate::transform::transform(p, m, Strategy::Auto).expect("Auto plans");
+            })
+            .0
+        };
+        for n in 3u16..=33 {
+            for ii in 1..=3 {
+                let p = PagedSchedule::synthetic_canonical(n, ii, false);
+                for m in (3..n).filter(|m| n % m != 0) {
+                    let placed = auto_placements(&p, m);
+                    assert_eq!(placed, 0, "N={n} ii={ii} M={m}: {placed} cells placed");
+                }
+                if n % 2 == 1 {
+                    assert!(auto_placements(&p, 2) > 0, "N={n} ii={ii} M=2: no drift");
+                }
+            }
         }
     }
 
@@ -636,8 +664,8 @@ mod tests {
     #[test]
     fn open_ring_without_steady_state_falls_back_to_block() {
         // The full open ring N=18 → 17 keeps drifting for the whole warm-up
-        // window; `Auto` stops its drift after 4·N = 72 iterations and
-        // hands out the block plan (2 rounds per slot).
+        // window; `Auto` runs no drift at M ≠ 2 and hands out the block
+        // plan (2 rounds per slot).
         let p = PagedSchedule::synthetic_canonical(18, 1, false);
         assert_eq!(
             transform_pagemaster(&p, 17).unwrap_err(),

@@ -31,20 +31,24 @@
 //! * on a wrap ring, which Block cannot shrink, Algorithm 1 with its full
 //!   warm-up, falling back to Block (and its error) when the drift finds
 //!   no steady state;
-//! * on every other open ring, the drifting plan only when its `II_q` is
-//!   strictly lower than Block's, compared exactly as
-//!   `span_d · period_b < span_b · period_d`; a tie goes to Block.
+//! * on an open ring at M = 2 with N odd, the drifting plan only when its
+//!   `II_q` is strictly lower than Block's, compared exactly as
+//!   `span_d · period_b < span_b · period_d`; a tie goes to Block;
+//! * on every other open ring, Block, without running the drift.
 //!
-//! There the drift runs at most `min(4·N, 512)` iterations, because a
-//! re-plan has no use for a steady state that cannot beat Block. The cap
-//! is a measurement, not a proof. Over every open synthetic ring with
-//! N 2–33 and II_p 1–4 and the strict paper kernels, at every M, the
-//! drift beats Block only at M = 2 (on the synthetic rings those with N
-//! odd, where it reaches the capacity bound `N·II_p/2`), and each such
-//! period closes by iteration `2N + 6`.
+//! A re-plan has no use for a steady state that cannot beat Block, so
+//! `Auto` runs the drift on an open ring only where it has been seen to
+//! win, and there for at most `min(4·N, 512)` iterations. The rule and
+//! the cap are measurements, not proofs. Over every open synthetic ring
+//! with N 2–64 and II_p 1–4 and the strict paper kernels, at every M,
+//! the drift beats Block only at M = 2 (on the synthetic rings those with
+//! N odd, where it reaches the capacity bound `N·II_p/2`), and each such
+//! period closes by iteration `2N + 6`. At every other M the drift either
+//! finds no steady state or one no better than Block's, and its warm-up
+//! was the larger part of a runtime re-plan.
 //! The `#[ignore]`d `auto_full_grid` test of `golden_transforms` checks
-//! on each of those cases that the capped `Auto` equals the better of the
-//! full drift and Block.
+//! on each of those cases that `Auto` equals the better of the full drift
+//! and Block.
 
 use crate::paged::{Discipline, PagedSchedule};
 use crate::pagemaster::{transform_pagemaster, transform_pagemaster_within, WARMUP_ITERS};
@@ -59,11 +63,13 @@ pub enum Strategy {
     /// The paper's drifting Algorithm 1 (canonical schedules only).
     PageMaster,
     /// The lower-`II_q` of Block and PageMaster, ties going to Block:
-    /// Block when it is optimal (`M | N` and no wrap dependences) or the
-    /// schedule is not canonical; PageMaster on a wrap ring, falling back
-    /// to Block when the drift finds no steady state; otherwise the
-    /// drift, capped at `min(4·N, 512)` iterations, only where it beats
-    /// Block (see the [module docs](crate::transform)).
+    /// PageMaster on a canonical wrap ring, falling back to Block when the
+    /// drift finds no steady state; on an open canonical ring at `M = 2`
+    /// with `N` odd, the drift, capped at `min(4·N, 512)` iterations, only
+    /// where it beats Block; Block everywhere else, without running the
+    /// drift, since it is optimal at `M | N` and the drift has not been
+    /// seen to beat it at any other `M` (see the
+    /// [module docs](crate::transform)).
     Auto,
 }
 
@@ -238,14 +244,14 @@ pub fn transform_block(p: &PagedSchedule, m: u16) -> Result<ShrinkPlan, Transfor
     }
     let n = p.num_pages;
     let k = n.div_ceil(m) as u64; // rounds per slot step
-    let row = (0..n)
-        .flat_map(|page| {
-            (0..p.ii).map(move |slot| CellPlacement {
-                col: snake_col(page, m),
-                time: slot as u64 * k + (page / m) as u64,
-            })
-        })
-        .collect();
+    let mut row = Vec::with_capacity(n as usize * p.ii as usize);
+    for page in 0..n {
+        let (col, round) = (snake_col(page, m), u64::from(page / m));
+        row.extend((0..u64::from(p.ii)).map(|slot| CellPlacement {
+            col,
+            time: slot * k + round,
+        }));
+    }
     Ok(ShrinkPlan {
         m,
         ii_p: p.ii,
@@ -258,14 +264,15 @@ pub fn transform_block(p: &PagedSchedule, m: u16) -> Result<ShrinkPlan, Transfor
 
 /// Transform with the requested strategy.
 ///
-/// [`Strategy::Auto`] returns the block plan when `M` divides `N` and
-/// the schedule has no wrap dependences: Block then reaches the
-/// capacity optimum `II_p·N/M` with period 1, so the drifting search
-/// could not do better. Non-canonical schedules also take Block. A wrap
-/// ring tries Algorithm 1 and falls back to Block when it fails. Any
-/// other ring builds Block, runs Algorithm 1 for at most `4·N`
-/// iterations, and keeps the drifting plan only when it is strictly
-/// better.
+/// [`Strategy::Auto`] on a canonical wrap ring tries Algorithm 1 and
+/// falls back to Block when it fails. On an open canonical ring at
+/// `M = 2` with `N` odd it builds Block, runs Algorithm 1 for at most
+/// `min(4·N, 512)` iterations, and keeps the drifting plan only when it
+/// is strictly better. Everything else takes Block without running the
+/// drift: non-canonical schedules, `M | N` (Block then reaches the
+/// capacity optimum `II_p·N/M` with period 1), and every other `M ∤ N`
+/// on an open ring, where the drift is not known to beat Block (see the
+/// [module docs](crate::transform)).
 pub fn transform(
     p: &PagedSchedule,
     m: u16,
@@ -275,13 +282,10 @@ pub fn transform(
         Strategy::Block => transform_block(p, m),
         Strategy::PageMaster => transform_pagemaster(p, m),
         Strategy::Auto => {
-            let wrap = p.has_wrap_deps();
-            let block_optimal = p.num_pages.checked_rem(m) == Some(0) && !wrap;
-            if p.discipline != Discipline::Canonical || block_optimal {
-                transform_block(p, m)
-            } else if wrap {
+            let canonical = p.discipline == Discipline::Canonical;
+            if canonical && p.has_wrap_deps() {
                 transform_pagemaster(p, m).or_else(|_| transform_block(p, m))
-            } else {
+            } else if canonical && m == 2 && p.num_pages % 2 == 1 {
                 let block = transform_block(p, m)?;
                 let cap = (4 * u32::from(p.num_pages)).min(WARMUP_ITERS);
                 Ok(match transform_pagemaster_within(p, m, cap) {
@@ -293,6 +297,8 @@ pub fn transform(
                     }
                     _ => block,
                 })
+            } else {
+                transform_block(p, m)
             }
         }
     }

@@ -217,12 +217,11 @@ fn submit(job: Job) -> bool {
 }
 
 /// A pool worker: run `job`, then each job handed to it, parking between
-/// them.
+/// them. A job never unwinds: [`spawn`] catches its panic and sends it to
+/// the waiter.
 fn work(mut job: Job) {
     loop {
-        // A job that panics drops its result, which its waiter reports;
-        // the worker lives on.
-        let _ = std::panic::catch_unwind(AssertUnwindSafe(job));
+        job();
         let mut pool = POOL.lock();
         pool.in_flight -= 1;
         pool.parked += 1;
@@ -235,18 +234,23 @@ fn work(mut job: Job) {
     }
 }
 
-/// The result of a job started with [`spawn`].
+/// The result of a job started with [`spawn`]: its value, or the payload
+/// of its panic.
 #[must_use = "a pending result is read with `wait`"]
-pub struct Pending<R>(mpsc::Receiver<R>);
+pub struct Pending<R>(mpsc::Receiver<std::thread::Result<R>>);
 
 impl<R> Pending<R> {
     /// Block until the job's result is in. The calling thread lends its
     /// core to the budget while it blocks.
     ///
     /// # Panics
-    /// If the job panicked.
+    /// If the job panicked, with the job's own payload, as if it had run
+    /// on the calling thread.
     pub fn wait(self) -> R {
-        lending(|| self.0.recv()).expect("pool job panicked")
+        match lending(|| self.0.recv()).expect("a started job sends its result") {
+            Ok(result) => result,
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
     }
 }
 
@@ -260,7 +264,7 @@ pub fn spawn<R: Send + 'static>(
     let (tx, rx) = mpsc::sync_channel(1);
     let started = submit(Box::new(move || {
         let core = core.map(Hold::on_this_thread);
-        let result = job();
+        let result = std::panic::catch_unwind(AssertUnwindSafe(job));
         // Given back before the result is sent, so whoever wakes for the
         // result finds the core idle.
         drop(core);
@@ -308,6 +312,31 @@ mod tests {
         })
         .join()
         .unwrap();
+    }
+
+    /// A job's panic reaches its waiter with the job's own payload, and
+    /// the worker that ran it parks for the next job.
+    #[test]
+    fn a_panicking_job_reraises_its_payload_on_the_waiter() {
+        let parked = || POOL.lock().parked > 0;
+        loop {
+            let boom: Pending<()> = spawn(None, || panic!("boom")).expect("a worker");
+            let payload = std::panic::catch_unwind(AssertUnwindSafe(|| boom.wait()))
+                .expect_err("the job panicked");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
+            while !parked() {
+                std::thread::yield_now();
+            }
+            let (jobs, workers, _) = stats();
+            assert_eq!(spawn(None, || 7).expect("a worker").wait(), 7);
+            let (jobs_after, workers_after, _) = stats();
+            // Other tests share the pool: judge only a window in which
+            // no job of theirs started.
+            if jobs_after == jobs + 1 {
+                assert_eq!(workers_after, workers, "the next job started a worker");
+                break;
+            }
+        }
     }
 
     #[test]
