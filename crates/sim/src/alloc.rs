@@ -1057,12 +1057,43 @@ pub(crate) mod tests {
         }
     }
 
+    /// The selection `request` made before its one-pass scan, kept as the
+    /// reference it must agree with: the tenant with the most pages, ties
+    /// to the lowest id.
+    fn victim_reference(a: &Allocator) -> Option<(usize, u16)> {
+        a.tenants().max_by_key(|&(id, pages)| (pages, Reverse(id)))
+    }
+
+    /// [`Allocator::request`] for a thread off the CGRA, with its shrink
+    /// victim picked by [`victim_reference`].
+    fn request_reference(a: &mut Allocator, thread: usize, want: u16) -> RequestOutcome {
+        if let Some(pages) = a.largest_chain_at_most(a.free_pages().min(want)) {
+            a.take_free(thread, pages);
+            return RequestOutcome::Granted { pages };
+        }
+        let Some((victim, victim_was)) = victim_reference(a) else {
+            return RequestOutcome::Queued;
+        };
+        let Some(victim_pages) = a.chain_below(victim_was) else {
+            return RequestOutcome::Queued;
+        };
+        a.give_back(victim, victim_was - victim_pages);
+        let pages = a.largest_chain_at_most(a.free_pages().min(want)).unwrap();
+        a.take_free(thread, pages);
+        RequestOutcome::Shrunk {
+            victim,
+            victim_was,
+            victim_pages,
+            pages,
+        }
+    }
+
     /// A consistent allocator with random tenants (budgets on the chain,
     /// pages scattered over the fabric, some pages dead or repairing), and a random
     /// want per thread id, some of them off the chain.
     fn random_tenants(rng: &mut rand::rngs::StdRng) -> (Allocator, Vec<u16>) {
         use rand::Rng;
-        let n = rng.gen_range(1..=20u16);
+        let n = rng.gen_range(1..=140u16);
         let mut a = Allocator::new(n);
         let mut order: Vec<usize> = (0..n as usize).collect();
         for i in (1..order.len()).rev() {
@@ -1120,6 +1151,30 @@ pub(crate) mod tests {
                 assert_eq!(actual.free, expected.free, "seed {seed}, {order:?}");
                 actual.check_invariant().unwrap();
             }
+        }
+    }
+    #[test]
+    fn request_picks_what_the_victim_reference_picks() {
+        use rand::{Rng, SeedableRng};
+        for seed in 0..1000 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let (start, wants) = random_tenants(&mut rng);
+            // Any thread off the CGRA may ask, for any budget on the chain.
+            let idle: Vec<usize> = (0..=wants.len())
+                .filter(|&t| start.allocation(t).is_none())
+                .collect();
+            let thread = idle[rng.gen_range(0..idle.len())];
+            let chain = halving_chain(start.health.num_pages());
+            let want = chain[rng.gen_range(0..chain.len())];
+            let mut expected = start.clone();
+            let reference = request_reference(&mut expected, thread, want);
+            let mut actual = start.clone();
+            let outcome = actual.request(thread, want).unwrap();
+            let why = format!("seed {seed}, thread {thread} wants {want}");
+            assert_eq!(outcome, reference, "{why}");
+            assert_eq!(actual.owned, expected.owned, "{why}");
+            assert_eq!(actual.free, expected.free, "{why}");
+            actual.check_invariant().unwrap();
         }
     }
 }
