@@ -161,11 +161,24 @@ impl FaultMap {
     }
 
     /// The longest surviving run (ties: earliest start), if any page
-    /// survives at all.
+    /// survives at all, found in one walk over the pages.
     pub fn longest_surviving_run(&self) -> Option<(u16, u16)> {
-        self.surviving_runs()
-            .into_iter()
-            .max_by_key(|&(start, len)| (len, std::cmp::Reverse(start)))
+        let (mut longest, mut run) = (None, (0, 0));
+        for p in 0..self.num_pages {
+            if !self.is_usable(p) {
+                run.1 = 0;
+                continue;
+            }
+            if run.1 == 0 {
+                run.0 = p;
+            }
+            run.1 += 1;
+            // A later run replaces the longest only once it is longer.
+            if run.1 > longest.map_or(0, |(_, len)| len) {
+                longest = Some(run);
+            }
+        }
+        longest
     }
 }
 

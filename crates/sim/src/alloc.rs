@@ -10,9 +10,11 @@
 //! Repairing → Healthy cycle; the allocator reads its usable and
 //! degraded words in place. Its owner column has one bitset per thread
 //! id: a thread's budget is the bitset's popcount, and the thread is a
-//! tenant exactly when the bitset is non-empty. Tenants are scanned in
-//! ascending id order, so every tie goes to the lowest id. The free
-//! pages are one more bitset, so finding a page's owner or whether a
+//! tenant exactly when the bitset is non-empty. Each pick — the shrink
+//! victim, the tenant to grow — is one pass over the slots in ascending
+//! id order that counts each slot's pages; a later tenant replaces the
+//! best so far only when it is strictly better, so every tie goes to
+//! the lowest id. The free pages are one more bitset, so finding a page's owner or whether a
 //! thread [holds a degraded page](Allocator::holds_degraded) is a word
 //! test, and the free and busy counts are popcounts. Grants take the
 //! lowest free pages; shrinks return a thread's highest pages — both
@@ -26,7 +28,6 @@
 use crate::error::SimError;
 use cgra_arch::{FaultMap, PageHealth};
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
 
 /// How freed pages are redistributed when a thread leaves the CGRA.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -179,13 +180,6 @@ impl Allocator {
         Some(count(self.slot(thread))).filter(|&pages| pages > 0)
     }
 
-    /// The threads on the CGRA and their budgets, ascending by id.
-    fn tenants(&self) -> impl Iterator<Item = (usize, u16)> + '_ {
-        let budget =
-            |(t, slot): (usize, &[u64])| slot.iter().any(|&w| w != 0).then(|| (t, count(slot)));
-        self.owned.chunks(self.words).enumerate().filter_map(budget)
-    }
-
     /// The page bitset of `thread` (empty beyond the owner column).
     fn slot(&self, thread: usize) -> &[u64] {
         let at = thread * self.words;
@@ -286,19 +280,21 @@ impl Allocator {
             return Ok(RequestOutcome::Granted { pages });
         }
         // Shrink the thread using the most pages (ties: lowest id).
-        let victim = self
-            .tenants()
-            .max_by_key(|&(id, pages)| (pages, Reverse(id)));
-        let Some((victim, victim_was)) = victim else {
-            return Ok(RequestOutcome::Queued);
-        };
+        let (mut victim, mut victim_was) = (0, 0);
+        for (id, slot) in self.owned.chunks_exact(self.words).enumerate() {
+            let pages = count(slot);
+            if pages > victim_was {
+                (victim, victim_was) = (id, pages);
+            }
+        }
+        // No tenant (a budget of 0), or everyone already at 1 page.
         let Some(new_pages) = self.chain_below(victim_was) else {
-            return Ok(RequestOutcome::Queued); // everyone already at 1 page
+            return Ok(RequestOutcome::Queued);
         };
         self.give_back(victim, victim_was - new_pages);
         let pages = self
             .largest_chain_at_most(self.free_pages().min(want))
-            .ok_or(SimError::InvariantViolated {
+            .ok_or_else(|| SimError::InvariantViolated {
                 detail: "shrink freed no usable budget".to_string(),
             })?;
         self.take_free(thread, pages);
@@ -413,15 +409,23 @@ impl Allocator {
         if free == 0 || order == Growth::Policy(ExpandPolicy::None) {
             return Ok(None);
         }
-        let pick = self
-            .tenants()
-            .filter_map(|(id, pages)| {
-                let desired = want(id);
-                let up = self.chain_above(pages)?.min(desired);
-                (up > pages && up - pages <= free).then(|| ((key(pages, desired), id), pages, up))
-            })
-            .min_by_key(|&(key, ..)| key);
-        let Some(((_, thread), from_pages, to_pages)) = pick else {
+        // The first tenant with the least key (ties: lowest id).
+        let mut pick: Option<(i32, usize, u16, u16)> = None;
+        for (id, slot) in self.owned.chunks_exact(self.words).enumerate() {
+            let pages = count(slot);
+            if pages == 0 {
+                continue;
+            }
+            let desired = want(id);
+            let Some(up) = self.chain_above(pages).map(|above| above.min(desired)) else {
+                continue;
+            };
+            let k = key(pages, desired);
+            if up > pages && up - pages <= free && pick.is_none_or(|(best, ..)| k < best) {
+                pick = Some((k, id, pages, up));
+            }
+        }
+        let Some((_, thread, from_pages, to_pages)) = pick else {
             return Ok(None);
         };
         self.take_free(thread, to_pages - from_pages);
@@ -472,7 +476,8 @@ impl Allocator {
                 .checked_shr(64 - n.saturating_sub(64 * w as u32).min(64))
                 .unwrap_or(0);
             let unusable = fabric & !usable[w];
-            pages += owned.count_ones() + self.free[w].count_ones() + unusable.count_ones();
+            // The clauses above make the three sets disjoint.
+            pages += (owned | self.free[w] | unusable).count_ones();
             let any = usable[w] | degraded[w] | repairing[w];
             malformed |= degraded[w] & !usable[w] | repairing[w] & usable[w] | any & !fabric != 0;
         }
@@ -490,6 +495,7 @@ impl Allocator {
 pub(crate) mod tests {
     use super::*;
     use crate::kernel_lib::halving_chain;
+    use std::cmp::Reverse;
 
     thread_local! {
         /// Calls to [`Allocator::check_invariant`] on this thread.
@@ -1005,6 +1011,15 @@ pub(crate) mod tests {
         a.request(0, 65).unwrap();
         a.owned.push(0);
         assert_eq!(violation(&a), "the owner column holds a partial slot");
+    }
+
+    impl Allocator {
+        /// The threads on the CGRA and their budgets, ascending by id.
+        fn tenants(&self) -> impl Iterator<Item = (usize, u16)> + '_ {
+            let budget =
+                |(t, slot): (usize, &[u64])| slot.iter().any(|&w| w != 0).then(|| (t, count(slot)));
+            self.owned.chunks(self.words).enumerate().filter_map(budget)
+        }
     }
 
     /// Every [`Allocator::grow`] step in `order` until none applies.
