@@ -281,6 +281,12 @@ pub(crate) fn stats() -> (usize, usize, usize) {
     (pool.jobs, pool.workers, pool.peak)
 }
 
+/// Parked workers with no job handed to them, for the pool tests.
+#[cfg(test)]
+pub(crate) fn parked() -> usize {
+    POOL.lock().parked
+}
+
 /// Cores held now, for the budget tests.
 #[cfg(test)]
 pub(crate) fn busy() -> usize {

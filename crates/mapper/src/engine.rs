@@ -901,6 +901,13 @@ enum Helpers {
     Exactly(usize),
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Makes attempt `k` of every search this thread starts panic, on
+    /// whichever thread runs it, with the payload `"attempt k"`.
+    static PANIC_AT: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
+}
+
 /// What one attempt came to.
 enum Outcome {
     /// Its II has no ASAP schedule.
@@ -947,6 +954,9 @@ struct Search {
     /// Signalled when an outcome is recorded while the calling thread
     /// waits.
     ran: Condvar,
+    /// The attempt that panics (see [`PANIC_AT`]).
+    #[cfg(test)]
+    panic_at: Option<usize>,
 }
 
 /// The outcomes of a search's attempts so far.
@@ -1040,6 +1050,10 @@ impl Search {
     /// Run attempt `i`, whose II's ASAP times are `asap`, on `ws`. It
     /// stops at its next node once a lower attempt has mapped.
     fn attempt(&self, i: usize, asap: &[u32], ws: &mut Workspace) -> Outcome {
+        #[cfg(test)]
+        if self.panic_at == Some(i) {
+            panic!("attempt {i}");
+        }
         let (mdfg, heights) = (&self.mdfg, &self.heights);
         let (ii, restart) = self.coords(i);
         // Height-first order (ties by ASAP then id), jittered per restart.
@@ -1135,6 +1149,8 @@ fn search(
         best: AtomicUsize::new(usize::MAX),
         outcomes: Mutex::default(),
         ran: Condvar::new(),
+        #[cfg(test)]
+        panic_at: PANIC_AT.get(),
     });
 
     // Run the attempts: this thread holds a core of its own unless it
@@ -1717,6 +1733,105 @@ mod tests {
             workers <= peak,
             "{workers} workers, at most {peak} jobs in flight"
         );
+    }
+
+    /// Attempt `k` panics, on a helper or on the calling thread, with two
+    /// helpers and with none, for every attempt the search commits: the
+    /// caller sees the attempt's own payload, no core stays held, and the
+    /// next 20 searches map as before without starting a worker.
+    #[test]
+    fn a_panicking_attempt_reraises_its_payload_and_leaves_the_pool_whole() {
+        let cgra = cgra_arch::CgraConfig::square(4);
+        let opts = MapOptions {
+            max_ii_slack: 1,
+            restarts: 4,
+            ..MapOptions::default()
+        };
+        let mode = MapMode::Constrained;
+        // A kernel that maps only after failed attempts, so that the
+        // attempt that maps is not the first.
+        let (mdfg, want, last) = cgra_dfg::kernels::all()
+            .iter()
+            .find_map(|kernel| {
+                let mdfg = MapDfg::unspilled(kernel);
+                let serial = |t: &Tracer| search(&mdfg, &cgra, mode, &opts, t, Helpers::Exactly(0));
+                let (want, events) = recorded(serial);
+                let failed = events
+                    .iter()
+                    .filter(|e| {
+                        matches!(e, TraceEvent::Backtrack { .. } | TraceEvent::Evict { .. })
+                    })
+                    .count();
+                (want.mapping.is_ok() && failed > 0).then_some((mdfg, want, failed))
+            })
+            .expect("a kernel that maps after failed attempts");
+        // Waits until `n` parked workers could take the next search's
+        // helpers; other tests' jobs hold a worker for a while at most.
+        let settle = |n: usize| {
+            while cores::parked() < n {
+                std::thread::yield_now();
+            }
+        };
+        for n in [0, 2] {
+            for k in 0..=last {
+                PANIC_AT.set(Some(k));
+                let payload = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    search(
+                        &mdfg,
+                        &cgra,
+                        mode,
+                        &opts,
+                        &Tracer::off(),
+                        Helpers::Exactly(n),
+                    )
+                }))
+                .map(|_| ())
+                .expect_err("the attempt panicked");
+                PANIC_AT.set(None);
+                let why = format!("attempt {k} of {n} helpers");
+                assert_eq!(
+                    payload.downcast_ref::<String>(),
+                    Some(&format!("attempt {k}"))
+                );
+                // Other tests hold cores for a while at most; a core the
+                // unwind left held never comes back.
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+                while cores::busy() != 0 {
+                    assert!(
+                        std::time::Instant::now() < deadline,
+                        "{why}: a core stays held"
+                    );
+                    std::thread::yield_now();
+                }
+                loop {
+                    settle(n);
+                    let (jobs, workers, _) = cores::stats();
+                    for _ in 0..20 {
+                        settle(n);
+                        let out = search(
+                            &mdfg,
+                            &cgra,
+                            mode,
+                            &opts,
+                            &Tracer::off(),
+                            Helpers::Exactly(n),
+                        );
+                        assert_eq!(out.mapping, want.mapping, "{why}");
+                        assert_eq!(
+                            out.stats.edge_route_failures, want.stats.edge_route_failures,
+                            "{why}"
+                        );
+                    }
+                    let (jobs_after, workers_after, _) = cores::stats();
+                    // Other tests share the pool: judge only a window in
+                    // which no job of theirs started.
+                    if jobs_after == jobs + 20 * n {
+                        assert_eq!(workers_after, workers, "{why}: a search started a worker");
+                        break;
+                    }
+                }
+            }
+        }
     }
 
     #[test]
