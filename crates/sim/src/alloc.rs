@@ -14,9 +14,10 @@
 //! victim, the tenant to grow — is one pass over the slots in ascending
 //! id order that counts each slot's pages; a later tenant replaces the
 //! best so far only when it is strictly better, so every tie goes to
-//! the lowest id. The free pages are one more bitset, so finding a page's owner or whether a
-//! thread [holds a degraded page](Allocator::holds_degraded) is a word
-//! test, and the free and busy counts are popcounts. Grants take the
+//! the lowest id. The free pages are one more bitset, so finding a
+//! page's owner or whether a thread
+//! [holds a degraded page](Allocator::holds_degraded) is a word test,
+//! and the free and busy counts are popcounts. Grants take the
 //! lowest free pages; shrinks return a thread's highest pages — both
 //! deterministic. Budgets drive every policy decision.
 //!
@@ -1168,6 +1169,7 @@ pub(crate) mod tests {
             }
         }
     }
+
     #[test]
     fn request_picks_what_the_victim_reference_picks() {
         use rand::{Rng, SeedableRng};
