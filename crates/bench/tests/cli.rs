@@ -1,7 +1,8 @@
 //! The figure binaries reject bad input with exit status 2 instead of
 //! running something other than what was asked: `fig9` a targeted fault
 //! on a page its curve's fabric does not have or a fault count above the
-//! cap, and every binary a flag it does not know.
+//! cap, and every binary a flag it does not know, a valued flag whose
+//! value is missing and a flag given twice.
 
 use std::process::Command;
 
@@ -83,4 +84,57 @@ fn unknown_flags_exit_2_naming_the_flag() {
         );
         assert!(out.stdout.is_empty(), "{bin} {args:?} printed output");
     }
+}
+
+/// A valued flag never takes the next flag as its value, and a flag given
+/// twice (`-j` and `--jobs` are one flag) is not resolved silently: each
+/// exits 2 naming the flag, before any output and before any file is
+/// written.
+#[test]
+fn missing_values_and_repeated_flags_exit_2_naming_the_flag() {
+    let dir = std::env::temp_dir().join(format!("bench-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for (bin, args, names) in [
+        (
+            env!("CARGO_BIN_EXE_fig8"),
+            &["--trace", "--metrics"][..],
+            &["--trace", "missing"][..],
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig9"),
+            &["--smoke", "--trace", "-j", "2"][..],
+            &["--trace", "missing"][..],
+        ),
+        (
+            env!("CARGO_BIN_EXE_cgra-lint"),
+            &["--dim", "4", "--dim", "8"][..],
+            &["--dim", "more than once"][..],
+        ),
+        (
+            env!("CARGO_BIN_EXE_report"),
+            &["-j", "1", "--jobs", "2"][..],
+            &["--jobs", "more than once"][..],
+        ),
+    ] {
+        let out = Command::new(bin)
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+        for name in names {
+            assert!(
+                stderr.contains(name),
+                "{bin} {args:?} must name {name}: {stderr}"
+            );
+        }
+        assert!(out.stdout.is_empty(), "{bin} {args:?} printed output");
+    }
+    let written: Vec<_> = std::fs::read_dir(&dir)
+        .expect("temp dir")
+        .map(|e| e.expect("entry").file_name())
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(written.is_empty(), "files written: {written:?}");
 }

@@ -58,10 +58,11 @@ fn good_flags_still_run() {
 
 /// Each command takes only its own flags and arguments: any other flag
 /// or a stray argument exits 2 naming it and listing what the command
-/// takes, and a flag that takes a value says when the value is missing.
+/// takes, a flag that takes a value says when the value is missing, and
+/// a flag given twice exits 2 naming it.
 #[test]
 fn unknown_flags_stray_arguments_and_missing_values_exit_2() {
-    let cases: [(&[&str], &[&str]); 5] = [
+    let cases: [(&[&str], &[&str]); 6] = [
         // Underscore for dash: not `--page-size`, so not silently the
         // default 4-PE pages.
         (
@@ -72,6 +73,10 @@ fn unknown_flags_stray_arguments_and_missing_values_exit_2() {
         (&["map", "builtin:fir", "extra"], &["\"extra\"", "<kernel>"]),
         (&["kernels", "extra"], &["\"extra\"", "no arguments"]),
         (&["map", "builtin:fir", "--cgra"], &["--cgra", "missing"]),
+        (
+            &["analyze", "builtin:fir", "--cgra", "4", "--cgra", "6"],
+            &["--cgra", "more than once"],
+        ),
     ];
     for (args, names) in cases {
         let (code, stderr) = run(args);
