@@ -16,43 +16,32 @@
 //!   --page S   page size in PEs (default 4)
 //!   --grid     lint every configuration of the paper grid instead
 //!   --json     emit the findings as one JSON document
+//!
+//! A valued flag's value is never a flag, and a flag given twice
+//! (`--dim 4 --dim 8`) exits 2, naming it.
 
 use cgra_arch::FabricError;
+use cgra_bench::cli::Spec;
 use cgra_bench::lint::{self, LintError};
-use std::str::FromStr;
 
-fn arg_value<T: FromStr>(args: &[String], flag: &str) -> Option<T> {
-    let i = args.iter().position(|a| a == flag)?;
-    let v = args.get(i + 1).unwrap_or_else(|| {
-        eprintln!("{flag} requires a value");
-        std::process::exit(2);
-    });
-    v.parse().ok().or_else(|| {
-        eprintln!("{flag}: not a valid number: {v}");
-        std::process::exit(2);
-    })
-}
+const FLAGS: Spec = Spec {
+    switches: &["--grid", "--json"],
+    valued: &["--dim", "--page"],
+    positional: None,
+};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    cgra_bench::reject_unknown_flags(
-        "cgra-lint",
-        &args,
-        &["--grid", "--json"],
-        &["--dim", "--page"],
-    );
-    let dim = arg_value(&args, "--dim").unwrap_or(4);
-    let page = arg_value(&args, "--page").unwrap_or(4);
-    let grid = args.iter().any(|a| a == "--grid");
+    let args = FLAGS.parse_env("cgra-lint", 1);
+    let dim = args.or_exit(args.value("--dim")).unwrap_or(4);
+    let page = args.or_exit(args.value("--page")).unwrap_or(4);
 
-    let findings = lint::lint(dim, page, grid).unwrap_or_else(|e| match e {
+    let findings = lint::lint(dim, page, args.switch("--grid")).unwrap_or_else(|e| match e {
         LintError::Fabric(e) => {
             let flag = match e {
                 FabricError::Dim(_) => "--dim",
                 FabricError::PageSize(..) => "--page",
             };
-            eprintln!("cgra-lint: {flag}: {e}");
-            std::process::exit(2);
+            args.exit(format!("{flag}: {e}"))
         }
         LintError::Kernel { .. } => {
             eprintln!("cgra-lint: {e}");
@@ -60,7 +49,7 @@ fn main() {
         }
     });
     let (text, errors) = lint::render(&findings);
-    if args.iter().any(|a| a == "--json") {
+    if args.switch("--json") {
         println!("{}", lint::render_json(&findings));
         eprint!("{text}");
     } else {

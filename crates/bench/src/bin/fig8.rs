@@ -15,31 +15,30 @@
 //!                 appears once)
 //!   --metrics     print event counters after the sweep
 //!
-//! Any other argument exits 2, naming it.
+//! A valued flag's value is never a flag: `--trace --metrics` exits 2,
+//! naming the missing `--trace` path. A flag given twice, or any other
+//! argument, exits 2, naming it.
 //! A kernel that does not compile exits 1, naming the kernel and the
 //! fabric.
 
-use cgra_bench::engine::Engine;
+use cgra_bench::cli::Spec;
 use cgra_bench::fig8;
 use cgra_bench::mapcache::MapCache;
 use cgra_bench::obsflags::ObsFlags;
 
+const FLAGS: Spec = Spec {
+    switches: &["--csv", "--strict", "--metrics"],
+    valued: &["--jobs", "--trace"],
+    positional: None,
+};
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    cgra_bench::reject_unknown_flags(
-        "fig8",
-        &args,
-        &["--csv", "--strict", "--metrics"],
-        &["--jobs", "-j", "--trace"],
-    );
-    let engine = Engine::from_args(&args).unwrap_or_else(|e| {
-        eprintln!("fig8: {e}");
-        std::process::exit(2);
-    });
-    let obs = ObsFlags::from_args(&args);
+    let args = FLAGS.parse_env("fig8", 1);
+    let engine = args.or_exit(args.engine());
+    let obs = args.or_exit(ObsFlags::new(args.str("--trace"), args.switch("--metrics")));
     let cache = MapCache::default();
 
-    if args.iter().any(|a| a == "--strict") {
+    if args.switch("--strict") {
         println!("## Ablation — strict 1-step discipline vs stable-column (4x4, page 4)\n");
         println!("kernel    II(stable)  II(strict)");
         let rows = fig8::strict_ablation(&engine, &cache, 4, 4, &obs.tracer);
@@ -56,7 +55,7 @@ fn main() {
     }
     let points = cgra_bench::or_exit("fig8", fig8::run_all(&engine, &cache, &obs.tracer));
 
-    if args.iter().any(|a| a == "--csv") {
+    if args.switch("--csv") {
         let rows: Vec<Vec<String>> = points
             .iter()
             .map(|p| {

@@ -27,46 +27,45 @@
 //!                         to PATH as JSONL (replayable by trace_oracle)
 //!   --metrics             print event counters and cycle histograms
 //!
-//! Any other argument exits 2, naming it.
+//! A valued flag's value is never a flag: `--trace -j 2` exits 2, naming
+//! the missing `--trace` path. A flag given twice, or any other argument,
+//! exits 2, naming it.
 //! A kernel that does not compile exits 1, naming the kernel and the
 //! fabric.
 
 use cgra_arch::{FaultSpec, PAPER_GRID};
-use cgra_bench::engine::Engine;
+use cgra_bench::cli::Spec;
 use cgra_bench::fig9::{self, Coord, Fig9Params};
 use cgra_bench::mapcache::MapCache;
 use cgra_bench::obsflags::ObsFlags;
 use cgra_sim::CgraNeed;
 
+const FLAGS: Spec = Spec {
+    switches: &[
+        "--csv",
+        "--ablation-overhead",
+        "--ablation-policy",
+        "--smoke",
+        "--metrics",
+    ],
+    valued: &["--faults", "--jobs", "--trace"],
+    positional: None,
+};
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    cgra_bench::reject_unknown_flags(
-        "fig9",
-        &args,
-        &[
-            "--csv",
-            "--ablation-overhead",
-            "--ablation-policy",
-            "--smoke",
-            "--metrics",
-        ],
-        &["--faults", "--jobs", "-j", "--trace"],
-    );
-    let engine = Engine::from_args(&args).unwrap_or_else(|e| {
-        eprintln!("fig9: {e}");
-        std::process::exit(2);
-    });
-    let obs = ObsFlags::from_args(&args);
+    let args = FLAGS.parse_env("fig9", 1);
+    let engine = args.or_exit(args.engine());
+    let obs = args.or_exit(ObsFlags::new(args.str("--trace"), args.switch("--metrics")));
     let cache = MapCache::default();
 
     let mut params = Fig9Params::default();
-    if args.iter().any(|a| a == "--smoke") {
+    if args.switch("--smoke") {
         params.seeds = 2;
         params.work_per_thread = 20_000;
         params.bursts = 2;
     }
 
-    if args.iter().any(|a| a == "--ablation-overhead") {
+    if args.switch("--ablation-overhead") {
         println!("## Ablation A1 — switch-transformation overhead (8x8, page 4, 8 threads, need 87.5%)\n");
         println!("overhead_cycles, improvement_pct");
         let rows = fig9::ablation_overhead(&cache, 8, 4, &obs.tracer);
@@ -76,7 +75,7 @@ fn main() {
         obs.finish();
         return;
     }
-    if args.iter().any(|a| a == "--ablation-policy") {
+    if args.switch("--ablation-policy") {
         println!("## Ablation A2 — expansion policy (8x8, page 4, 8 threads, need 87.5%)\n");
         let rows = fig9::ablation_policy(&cache, 8, 4, &obs.tracer);
         for (name, imp) in cgra_bench::or_exit("fig9", rows) {
@@ -88,11 +87,7 @@ fn main() {
 
     // --faults: a fault curve at the highest-contention operating point,
     // instead of the full grid.
-    if let Some(i) = args.iter().position(|a| a == "--faults") {
-        let raw = args.get(i + 1).unwrap_or_else(|| {
-            eprintln!("--faults requires a spec, e.g. --faults mtbf=20000,count=4");
-            std::process::exit(2);
-        });
+    if let Some(raw) = args.str("--faults") {
         let base = FaultSpec::parse(raw).unwrap_or_else(|e| {
             // Point at the offending clause: the typed error carries its
             // byte span within the spec string.
@@ -153,7 +148,7 @@ fn main() {
         eprintln!("point {i} failed: {e}");
     }
 
-    if args.iter().any(|a| a == "--csv") {
+    if args.switch("--csv") {
         let rows: Vec<Vec<String>> = points
             .iter()
             .map(|p| {

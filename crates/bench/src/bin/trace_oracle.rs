@@ -6,15 +6,22 @@
 //! Usage: `cargo run -p cgra-bench --bin trace_oracle -- TRACE.jsonl`
 //!
 //! Exits 0 with a summary on a clean trace, 1 with the first violation
-//! (event index and precise reason) otherwise, 2 on usage/parse errors.
+//! (event index and precise reason) otherwise, 2 on usage/parse errors:
+//! a missing path, a flag or a second argument.
 
+use cgra_bench::cli::Spec;
 use cgra_obs::{check_trace, TraceEvent};
 
+const ARGS: Spec = Spec {
+    switches: &[],
+    valued: &[],
+    positional: Some("TRACE.jsonl"),
+};
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let [path] = args.as_slice() else {
-        eprintln!("usage: trace_oracle TRACE.jsonl");
-        std::process::exit(2);
+    let args = ARGS.parse_env("trace_oracle", 1);
+    let Some(path) = args.positional() else {
+        args.exit("the TRACE.jsonl argument is missing");
     };
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("{path}: {e}");

@@ -71,34 +71,12 @@ pub fn point_seed(coords: &[u64]) -> u64 {
     h
 }
 
-/// A bad `--jobs` / `-j` argument.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JobsError {
-    /// The flag is the last argument, with no value after it.
-    Missing,
-    /// The value is not a positive integer.
-    Invalid(String),
-}
-
-impl std::fmt::Display for JobsError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            JobsError::Missing => write!(f, "--jobs requires a value, e.g. --jobs 4"),
-            JobsError::Invalid(value) => {
-                write!(f, "--jobs expects a positive integer, got {value:?}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for JobsError {}
-
 /// The sweep driver. Cheap to construct; holds no threads between runs.
 #[derive(Debug, Clone, Copy)]
 pub struct Engine {
     /// Worker threads (1 = fully serial; the reference for determinism
     /// diffs).
-    jobs: usize,
+    pub(crate) jobs: usize,
 }
 
 impl Default for Engine {
@@ -114,29 +92,6 @@ impl Engine {
     /// An engine with `jobs` workers.
     pub fn with_jobs(jobs: usize) -> Self {
         Engine { jobs: jobs.max(1) }
-    }
-
-    /// Parse `--jobs N` / `-j N` from CLI arguments, ignoring everything
-    /// else (binaries layer their own flags on top); without the flag,
-    /// [`Engine::default`].
-    ///
-    /// # Errors
-    /// [`JobsError`] if `--jobs` is missing its value or the value is not
-    /// a positive integer.
-    pub fn from_args<S: AsRef<str>>(args: &[S]) -> Result<Self, JobsError> {
-        let mut engine = Engine::default();
-        let mut it = args.iter().map(|a| a.as_ref());
-        while let Some(arg) = it.next() {
-            if matches!(arg, "--jobs" | "-j") {
-                let value = it.next().ok_or(JobsError::Missing)?;
-                engine.jobs = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| JobsError::Invalid(value.to_owned()))?;
-            }
-        }
-        Ok(engine)
     }
 
     /// Evaluate `f` on every point, sharding across the engine's
@@ -260,33 +215,6 @@ mod tests {
         }
         assert_ne!(point_seed(&[0]), point_seed(&[0, 0]));
         assert_ne!(point_seed(&[1, 2]), point_seed(&[2, 1]));
-    }
-
-    #[test]
-    fn config_parsing() {
-        let engine = Engine::from_args(&["--csv", "--jobs", "3"]).unwrap();
-        assert_eq!(engine.jobs, 3);
-        let engine = Engine::from_args(&["-j", "12"]).unwrap();
-        assert_eq!(engine.jobs, 12);
-        let engine = Engine::from_args(&[] as &[&str]).unwrap();
-        assert!(engine.jobs >= 1);
-    }
-
-    #[test]
-    fn bad_jobs_value_is_a_typed_error() {
-        for bad in ["zero", "0"] {
-            let err = Engine::from_args(&["--jobs", bad]).unwrap_err();
-            assert_eq!(err, JobsError::Invalid(bad.to_owned()));
-            assert_eq!(
-                err.to_string(),
-                format!("--jobs expects a positive integer, got \"{bad}\"")
-            );
-        }
-        for flag in ["--jobs", "-j"] {
-            let err = Engine::from_args(&["--csv", flag]).unwrap_err();
-            assert_eq!(err, JobsError::Missing);
-            assert!(err.to_string().starts_with("--jobs requires a value"));
-        }
     }
 
     /// Concurrency proof that works even on a single-core machine:

@@ -3,6 +3,8 @@
 //! Harness functions for every figure in the paper's evaluation section
 //! (§VII), shared by the `fig8`, `fig9` and `report` binaries:
 //!
+//! * [`cli`] — the one command-line parser of every binary here and of
+//!   `cgra-mt`: declared flags, typed errors, exit 2.
 //! * [`engine`] — the parallel sweep engine (`--jobs N`), with the
 //!   byte-identical-output determinism contract.
 //! * [`fig8`] — Figure 8(a–c): per-kernel performance of the
@@ -21,6 +23,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod cli;
 pub mod engine;
 pub mod fig8;
 pub mod fig9;
@@ -39,25 +42,6 @@ use cgra_arch::CgraConfig;
 /// names no fabric.
 pub(crate) fn grid_fabric(dim: u16, page_size: usize) -> CgraConfig {
     cgra_arch::fabric(dim, page_size).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Exit 2 naming the first of `args` that is none of `bin`'s flags:
-/// `switches` stand alone, and each flag in `valued` takes the argument
-/// after it as its value.
-pub fn reject_unknown_flags(bin: &str, args: &[String], switches: &[&str], valued: &[&str]) {
-    let mut it = args.iter().map(String::as_str);
-    while let Some(arg) = it.next() {
-        if valued.contains(&arg) {
-            it.next();
-        } else if !switches.contains(&arg) {
-            let known: Vec<&str> = switches.iter().chain(valued).copied().collect();
-            eprintln!(
-                "{bin}: unknown flag {arg:?}; expected one of {}",
-                known.join(" ")
-            );
-            std::process::exit(2);
-        }
-    }
 }
 
 /// The value of `result`, or exit 1 naming its error after `bin`: how a

@@ -12,120 +12,40 @@
 //!
 //! Kernel files use the format documented in
 //! [`cgra_mt::kernel_text`]; `builtin:<name>` loads a benchmark kernel.
+//!
+//! Each command's flags are read by `cgra_bench::cli`: a valued flag's
+//! value is never a flag, and a repeated flag exits 2.
 
+use cgra_bench::cli::{self, Args, Flags, Spec};
 use cgra_mt::arch::FabricError;
 use cgra_mt::kernel_text;
 use cgra_mt::prelude::*;
 
-/// What a command accepts: whether it takes a kernel, its flags that
-/// take a value, and its switches (flag names without the `--`).
-struct Accepts {
-    kernel: bool,
-    valued: &'static [&'static str],
-    switches: &'static [&'static str],
-}
-
-/// The flags of every command that builds a fabric (see [`fabric`]).
-const FABRIC: [&str; 3] = ["cgra", "page-size", "rf"];
-
-impl Accepts {
-    /// What `command` accepts, or `None` for an unknown command.
-    fn of(command: &str) -> Option<Accepts> {
-        let (kernel, valued, switches): (bool, &[&str], &[&str]) = match command {
-            "kernels" => (false, &[], &[]),
-            "dot" => (true, &[], &[]),
-            "analyze" => (true, &FABRIC, &[]),
-            "map" => (true, &["cgra", "page-size", "rf", "mode"], &["placements"]),
-            "shrink" => (true, &["cgra", "page-size", "rf", "pages"], &[]),
-            "exec" => (true, &["cgra", "page-size", "rf", "iters", "seed"], &[]),
-            _ => return None,
-        };
-        Some(Accepts {
-            kernel,
-            valued,
-            switches,
-        })
-    }
-
-    /// The command's arguments, for error messages.
-    fn describe(&self) -> String {
-        let args: Vec<String> = (self.kernel.then(|| "<kernel>".to_string()).into_iter())
-            .chain(self.valued.iter().map(|f| format!("--{f} <value>")))
-            .chain(self.switches.iter().map(|f| format!("--{f}")))
-            .collect();
-        if args.is_empty() {
-            "no arguments".into()
-        } else {
-            args.join(", ")
-        }
-    }
-}
-
-struct Args {
-    kernel: Option<String>,
-    flags: std::collections::HashMap<String, String>,
-}
-
-impl Args {
-    /// Parse the arguments after `command`, which `accepts` describes.
-    ///
-    /// # Errors
-    /// A message naming an unknown flag or a stray argument (and listing
-    /// what the command takes), or a valued flag whose value is missing.
-    fn parse(
-        command: &str,
-        accepts: &Accepts,
-        args: impl IntoIterator<Item = String>,
-    ) -> Result<Args, String> {
-        let mut kernel = None;
-        let mut flags = std::collections::HashMap::new();
-        let mut it = args.into_iter().peekable();
-        let takes = || format!("{command} takes {}", accepts.describe());
-        while let Some(a) = it.next() {
-            if let Some(key) = a.strip_prefix("--") {
-                let value = if accepts.switches.contains(&key) {
-                    "true".to_string()
-                } else if accepts.valued.contains(&key) {
-                    it.next_if(|v| !v.starts_with("--"))
-                        .ok_or_else(|| format!("{a}: the value is missing"))?
-                } else {
-                    return Err(format!("{command}: unknown flag {a}; {}", takes()));
-                };
-                flags.insert(key.to_string(), value);
-            } else if accepts.kernel && kernel.is_none() {
-                kernel = Some(a);
-            } else {
-                return Err(format!("{command}: unexpected argument {a:?}; {}", takes()));
-            }
-        }
-        Ok(Args { kernel, flags })
-    }
-
-    /// The numeric value of `--key`, or `default` when the flag is absent.
-    ///
-    /// # Errors
-    /// A message naming the flag and the value that does not parse.
-    fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.flags.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{key}: {v:?} is not a valid value")),
-        }
-    }
-
-    fn str(&self, key: &str, default: &str) -> String {
-        self.flags
-            .get(key)
-            .cloned()
-            .unwrap_or_else(|| default.into())
-    }
+/// What `command` takes, or `None` for an unknown command.
+fn spec(command: &str) -> Option<Spec> {
+    let (valued, switches): (Flags, Flags) = match command {
+        "kernels" | "dot" => (&[], &[]),
+        "analyze" => (&["--cgra", "--page-size", "--rf"], &[]),
+        "map" => (
+            &["--cgra", "--page-size", "--rf", "--mode"],
+            &["--placements"],
+        ),
+        "shrink" => (&["--cgra", "--page-size", "--rf", "--pages"], &[]),
+        "exec" => (&["--cgra", "--page-size", "--rf", "--iters", "--seed"], &[]),
+        _ => return None,
+    };
+    let positional = (command != "kernels").then_some("<kernel>");
+    Some(Spec {
+        switches,
+        valued,
+        positional,
+    })
 }
 
 fn fabric(args: &Args) -> CgraConfig {
-    let dim = flag(args.num("cgra", 4));
-    let page = flag(args.num("page-size", 4));
-    let rf = flag(args.num("rf", 32));
+    let dim = args.or_exit(args.value("--cgra")).unwrap_or(4);
+    let page = args.or_exit(args.value("--page-size")).unwrap_or(4);
+    let rf = args.or_exit(args.value("--rf")).unwrap_or(32);
     match cgra_mt::arch::fabric(dim, page) {
         Ok(cgra) => cgra.with_rf_size(rf),
         Err(e) => {
@@ -133,19 +53,9 @@ fn fabric(args: &Args) -> CgraConfig {
                 FabricError::Dim(_) => "--cgra",
                 FabricError::PageSize(..) => "--page-size",
             };
-            bad_flag(&format!("{key}: {e}"))
+            args.exit(format!("{key}: {e}"))
         }
     }
-}
-
-/// A parsed flag value, or exit 2 with the message naming the flag.
-fn flag<T>(value: Result<T, String>) -> T {
-    value.unwrap_or_else(|e| bad_flag(&e))
-}
-
-fn bad_flag(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2)
 }
 
 /// The most iterations `exec` runs: the machine holds every op and hop
@@ -158,17 +68,16 @@ fn fail(msg: &str) -> ! {
 }
 
 fn main() {
-    let mut argv = std::env::args().skip(1);
-    let Some(cmd) = argv.next() else {
+    let Some(cmd) = cli::command() else {
         print_usage();
         return;
     };
-    let Some(accepts) = Accepts::of(&cmd) else {
+    let Some(spec) = spec(&cmd) else {
         eprintln!("unknown command '{cmd}'\n");
         print_usage();
         std::process::exit(2);
     };
-    let args = flag(Args::parse(&cmd, &accepts, argv));
+    let args = spec.parse_env("cgra-mt", 2);
     match cmd.as_str() {
         "kernels" => {
             for k in cgra_mt::dfg::kernels::all() {
@@ -215,8 +124,8 @@ fn main() {
             let dfg = load(&args);
             let cgra = fabric(&args);
             let opts = MapOptions::default();
-            let mode = args.str("mode", "constrained");
-            let result = match mode.as_str() {
+            let mode = args.str("--mode").unwrap_or("constrained");
+            let result = match mode {
                 "baseline" => map_baseline(&dfg, &cgra, &opts),
                 "constrained" => map_constrained(&dfg, &cgra, &opts),
                 "strict" => map_constrained_strict(&dfg, &cgra, &opts),
@@ -239,7 +148,7 @@ fn main() {
                     format!("{} violations", violations.len())
                 }
             );
-            if args.flags.contains_key("placements") {
+            if args.switch("--placements") {
                 for (i, p) in result.mapping.placements.iter().enumerate() {
                     let node = result.mdfg.dfg.node(cgra_mt::dfg::NodeId(i as u32));
                     println!(
@@ -255,10 +164,10 @@ fn main() {
         "shrink" => {
             let dfg = load(&args);
             let cgra = fabric(&args);
-            let m: u16 = flag(args.num("pages", 1));
+            let m: u16 = args.or_exit(args.value("--pages")).unwrap_or(1);
             let pages = cgra.layout().num_pages();
             if !(1..=pages).contains(&(m as usize)) {
-                bad_flag(&format!(
+                args.exit(format!(
                     "--pages: {m} is outside 1..={pages}, the fabric's pages"
                 ));
             }
@@ -268,7 +177,7 @@ fn main() {
                 .unwrap_or_else(|e| fail(&format!("extraction failed: {e}")))
                 .trimmed();
             if m > paged.num_pages {
-                bad_flag(&format!(
+                args.exit(format!(
                     "--pages: {m} is above the {} page(s) {} occupies; a shrink cannot grow it",
                     paged.num_pages, dfg.name
                 ));
@@ -294,19 +203,20 @@ fn main() {
         "exec" => {
             let dfg = load(&args);
             let cgra = fabric(&args);
-            let iters: usize = flag(args.num("iters", 16));
+            let iters: usize = args.or_exit(args.value("--iters")).unwrap_or(16);
             if iters == 0 {
-                bad_flag("--iters: 0 runs nothing; give at least 1 iteration");
+                args.exit("--iters: 0 runs nothing; give at least 1 iteration");
             }
             if iters > MAX_ITERS {
-                bad_flag(&format!(
+                args.exit(format!(
                     "--iters: {iters} is above the cap of {MAX_ITERS} (the machine's \
                      memory grows with iterations x ops)"
                 ));
             }
             let mapped = map_constrained(&dfg, &cgra, &MapOptions::default())
                 .unwrap_or_else(|e| fail(&format!("mapping failed: {e}")));
-            let inputs = InputStreams::random(&dfg, iters, flag(args.num("seed", 0u64)));
+            let seed = args.or_exit(args.value("--seed")).unwrap_or(0);
+            let inputs = InputStreams::random(&dfg, iters, seed);
             let golden = interpret(&dfg, &inputs, iters)
                 .unwrap_or_else(|e| fail(&format!("interpretation failed: {e}")));
             let out = execute(&mapped, &cgra, &inputs, iters)
@@ -325,12 +235,12 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        _ => unreachable!("`Accepts::of` knows every command"),
+        _ => unreachable!("`spec` knows every command"),
     }
 }
 
 fn load(args: &Args) -> cgra_mt::dfg::Dfg {
-    let Some(arg) = &args.kernel else {
+    let Some(arg) = args.positional() else {
         fail("missing kernel argument (path or builtin:<name>)");
     };
     kernel_text::load(arg).unwrap_or_else(|e| fail(&e))
