@@ -253,6 +253,13 @@ impl Compiled {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Makes the side-by-side baseline job of every compile this thread
+    /// starts panic, on the pool worker, with the payload `"baseline"`.
+    static PANIC_BASELINE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
 /// The baseline and constrained mappings of `dfg`, the baseline search
 /// run as `baseline` says (see [`Compiled::new`]).
 fn map_both(
@@ -287,6 +294,14 @@ fn map_both(
     let base_tracer = to(&base_events);
     let (job_dfg, job_cgra, job_opts) = (dfg.clone(), cgra.clone(), *opts);
     let baseline = move || map_baseline_traced(&job_dfg, &job_cgra, &job_opts, &base_tracer);
+    #[cfg(test)]
+    let baseline = {
+        let panics = PANIC_BASELINE.get();
+        move || {
+            assert!(!panics, "baseline");
+            baseline()
+        }
+    };
     let Some(pending) = cores::spawn(core, baseline) else {
         return one_then_the_other();
     };
@@ -415,6 +430,35 @@ mod tests {
             })
             .collect();
         assert_eq!(modes, ["Baseline"], "no constrained-search events");
+    }
+
+    /// A side-by-side baseline job that panics reaches the caller with
+    /// its own payload, as the serial order would raise it; no core stays
+    /// held, and the next compile of the kernel is the serial order's.
+    #[test]
+    fn a_panicking_baseline_job_reraises_its_payload_and_leaves_the_budget_whole() {
+        let cgra = CgraConfig::square(4);
+        let kernel = cgra_dfg::kernels::fir();
+        let opts = MapOptions::default();
+        let (want, _) = recorded(&kernel, &cgra, &opts, Baseline::First);
+        let want = format!("{:?}", want.expect("compiles"));
+        PANIC_BASELINE.set(true);
+        let payload = std::panic::catch_unwind(|| {
+            Compiled::compile(&kernel, &cgra, &opts, &Tracer::off(), Baseline::Beside)
+        })
+        .map(|_| ())
+        .expect_err("the baseline job panicked");
+        PANIC_BASELINE.set(false);
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"baseline"));
+        // Other tests hold cores for a while at most; a core the unwind
+        // left held never comes back.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        while cores::idle() != cores::available() {
+            assert!(std::time::Instant::now() < deadline, "a core stays held");
+            std::thread::yield_now();
+        }
+        let (got, _) = recorded(&kernel, &cgra, &opts, Baseline::Beside);
+        assert_eq!(format!("{:?}", got.expect("compiles")), want);
     }
 
     #[test]
