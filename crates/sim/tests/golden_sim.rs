@@ -14,16 +14,17 @@
 //! snapshots with `UPDATE_GOLDEN=1 cargo test --release -p cgra-sim
 //! --test golden_sim -- --include-ignored`.
 //!
-//! The default test covers the 4×4 fabric with 4-PE pages. The full
-//! paper grid is `#[ignore]`d: run it in release with
-//! `--include-ignored`.
+//! The default tests cover the 4×4 fabric with 4-PE pages, and
+//! hand-built libraries of 65 and 130 pages, whose page sets span two
+//! and three words (`sim_multiword.txt`). The full paper grid is
+//! `#[ignore]`d: run it in release with `--include-ignored`.
 
 use cgra_arch::{CgraConfig, FaultKind, FaultSpec, PAPER_GRID};
 use cgra_mapper::MapOptions;
 use cgra_obs::{check_trace, RingSink, TraceEvent, Tracer};
 use cgra_sim::{
-    generate, simulate_baseline, simulate_multithreaded_faulty_traced, CgraNeed, ExpandPolicy,
-    KernelLibrary, MtConfig, WorkloadParams,
+    generate, halving_chain, simulate_baseline, simulate_multithreaded_faulty_traced, CgraNeed,
+    ExpandPolicy, KernelLibrary, KernelProfile, MtConfig, WorkloadParams,
 };
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -268,6 +269,80 @@ fn sim_full_grid() {
         }
     }
     check_golden("sim_grid.txt", &out);
+}
+
+/// A library of six kernels for an `n`-page fabric, built by hand with
+/// no mapping: kernel `k` runs at II `k + 2` on the pages it uses and
+/// proportionally slower below them, at every budget of the halving
+/// chain. Footprints run from one page to the whole fabric, so wants
+/// fall on every word of a multi-word page set.
+fn synthetic_library(n: u16) -> KernelLibrary {
+    let used = [1, 3, 9, 40, n / 2 + 1, n];
+    let profiles = used
+        .iter()
+        .zip(2u32..)
+        .map(|(&used, ii)| KernelProfile {
+            name: format!("k{used}"),
+            ii_baseline: ii - 1,
+            ii_constrained: ii,
+            used_pages: used,
+            ii_by_pages: halving_chain(n)
+                .into_iter()
+                .map(|m| (m, ii * u32::from(used.div_ceil(m))))
+                .collect(),
+        })
+        .collect();
+    KernelLibrary {
+        profiles,
+        num_pages: n,
+    }
+}
+
+/// Page sets of two and three words: fabrics of 65 and 130 pages, under
+/// no faults and seeded MTBF kills, transients and degrades that strike
+/// pages in every word, at each expansion policy.
+#[test]
+fn multi_word_page_sets() {
+    let mtbf = |kind| FaultSpec::Mtbf {
+        mean: 6_000,
+        count: 12,
+        seed: 7,
+        kind,
+    };
+    let specs = [
+        FaultSpec::Off,
+        mtbf(FaultKind::Kill),
+        mtbf(FaultKind::Transient {
+            repair_after: 3_000,
+        }),
+        mtbf(FaultKind::Degrade),
+    ];
+    let mut out = String::new();
+    for n in [65, 130] {
+        let lib = synthetic_library(n);
+        let fabric = format!("synthetic/{n}");
+        for threads in [3, 12, 40] {
+            for seed in SEEDS {
+                let wl = WorkloadParams {
+                    threads,
+                    need: CgraNeed::High,
+                    work_per_thread: 60_000,
+                    bursts: 4,
+                    seed,
+                };
+                for spec in specs {
+                    for expand in POLICIES {
+                        let cfg = MtConfig {
+                            expand,
+                            ..MtConfig::default()
+                        };
+                        line(&mut out, &fabric, &lib, &wl, spec, cfg);
+                    }
+                }
+            }
+        }
+    }
+    check_golden("sim_multiword.txt", &out);
 }
 
 /// A 16-thread high-need run on the 8×8 fabric with 2-PE pages under
