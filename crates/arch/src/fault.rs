@@ -43,15 +43,18 @@ impl FaultMap {
     /// An all-healthy map over `num_pages` pages.
     pub fn new(num_pages: u16) -> Self {
         let words = usize::from(num_pages).div_ceil(64).max(1);
-        let mut map = FaultMap {
-            num_pages,
-            bits: vec![0; 3 * words],
-        };
-        (0..num_pages).for_each(|p| map.mark_page(p, PageHealth::Healthy));
-        map
+        let mut bits = vec![0; 3 * words];
+        // The usable words: whole words of pages, then the last partial one.
+        let (full, rest) = (usize::from(num_pages / 64), num_pages % 64);
+        bits[..full].fill(u64::MAX);
+        if rest > 0 {
+            bits[full] = u64::MAX >> (64 - rest);
+        }
+        FaultMap { num_pages, bits }
     }
 
     /// Number of pages covered.
+    #[inline]
     pub fn num_pages(&self) -> u16 {
         self.num_pages
     }
@@ -61,6 +64,7 @@ impl FaultMap {
     /// of word `p / 64`. A page in none of them is dead. Each health has
     /// one encoding: degraded pages are usable, repairing pages are not,
     /// and no bit lies past the last page.
+    #[inline]
     pub fn words(&self) -> [&[u64]; 3] {
         let (usable, rest) = self.bits.split_at(self.bits.len() / 3);
         let (degraded, repairing) = rest.split_at(usable.len());
@@ -150,36 +154,56 @@ impl FaultMap {
     /// `(start, len)`. The ring path is what carries inter-page
     /// dependences (§VI-B.2), so a shrunk schedule must land on one run.
     pub fn surviving_runs(&self) -> Vec<(u16, u16)> {
-        let mut runs: Vec<(u16, u16)> = Vec::new();
-        for p in (0..self.num_pages).filter(|&p| self.is_usable(p)) {
-            match runs.last_mut() {
-                Some((start, len)) if *start + *len == p => *len += 1,
-                _ => runs.push((p, 1)),
-            }
-        }
-        runs
+        self.runs().collect()
     }
 
     /// The longest surviving run (ties: earliest start), if any page
-    /// survives at all, found in one walk over the pages.
+    /// survives at all, found in one walk over the runs.
     pub fn longest_surviving_run(&self) -> Option<(u16, u16)> {
-        let (mut longest, mut run) = (None, (0, 0));
-        for p in 0..self.num_pages {
-            if !self.is_usable(p) {
-                run.1 = 0;
-                continue;
-            }
-            if run.1 == 0 {
-                run.0 = p;
-            }
-            run.1 += 1;
-            // A later run replaces the longest only once it is longer.
-            if run.1 > longest.map_or(0, |(_, len)| len) {
-                longest = Some(run);
-            }
-        }
-        longest
+        // A later run replaces the longest only once it is longer.
+        let longer = |best: Option<(u16, u16)>, run: (u16, u16)| match best {
+            Some((_, len)) if len >= run.1 => best,
+            _ => Some(run),
+        };
+        self.runs().fold(None, longer)
     }
+
+    /// The surviving runs, walked over the usable words a run at a time:
+    /// each run starts at the next usable page and ends at the next
+    /// unusable one after it.
+    fn runs(&self) -> impl Iterator<Item = (u16, u16)> + '_ {
+        let [usable, ..] = self.words();
+        let n = usize::from(self.num_pages);
+        let mut start = next_bit(usable, 0, 0);
+        std::iter::from_fn(move || {
+            if start >= n {
+                return None;
+            }
+            // No bit lies past the last page, so every run ends by `n`.
+            let end = next_bit(usable, start, u64::MAX).min(n);
+            let run = (start as u16, (end - start) as u16);
+            start = next_bit(usable, end, 0);
+            Some(run)
+        })
+    }
+}
+
+/// The first page at or after `from` whose bit in `words`, XORed with
+/// `flip`, is set; `64 · words.len()` when there is none.
+fn next_bit(words: &[u64], from: usize, flip: u64) -> usize {
+    let mut w = from / 64;
+    let Some(&first) = words.get(w) else {
+        return 64 * words.len();
+    };
+    let mut x = (first ^ flip) & (u64::MAX << (from % 64));
+    while x == 0 {
+        w += 1;
+        let Some(&next) = words.get(w) else {
+            return 64 * words.len();
+        };
+        x = next ^ flip;
+    }
+    64 * w + x.trailing_zeros() as usize
 }
 
 /// What a fault does to its page.
