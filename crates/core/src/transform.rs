@@ -239,7 +239,8 @@ pub fn transform_block(p: &PagedSchedule, m: u16) -> Result<ShrinkPlan, Transfor
     // With wrap dependences only the identity size keeps the wrap's two
     // pages on ring-adjacent columns: M < N folds them apart, and M > N
     // leaves the wrap spanning columns N − 1 → 0 of an M-column ring.
-    if p.has_wrap_deps() && m != p.num_pages {
+    // The width test comes first: identity-width plans skip the scan.
+    if m != p.num_pages && p.has_wrap_deps() {
         return Err(TransformError::WrapUnsupported);
     }
     let n = p.num_pages;
