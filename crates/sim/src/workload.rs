@@ -129,34 +129,16 @@ impl Default for WorkloadParams {
 /// thread's total CGRA-cycle share matches `need.fraction()` of its work.
 pub fn generate(lib: &KernelLibrary, params: &WorkloadParams) -> Vec<ThreadSpec> {
     let mut rng = StdRng::seed_from_u64(params.seed);
+    let cgra_budget = (params.work_per_thread as f64 * params.need.fraction()) as u64;
+    let cpu_budget = params.work_per_thread - cgra_budget;
+    // Every thread draws its chunks into the same two buffers.
+    let (mut cpu_chunks, mut cgra_chunks) = (Vec::new(), Vec::new());
     let mut threads = Vec::with_capacity(params.threads);
     for _ in 0..params.threads {
-        let cgra_budget = (params.work_per_thread as f64 * params.need.fraction()) as u64;
-        let cpu_budget = params.work_per_thread - cgra_budget;
         let mut segments = Vec::with_capacity(params.bursts * 2);
-        // Split each budget into `bursts` jittered chunks.
-        let chunks = |total: u64, parts: usize, rng: &mut StdRng| -> Vec<u64> {
-            let base = total / parts as u64;
-            let mut v: Vec<u64> = (0..parts)
-                .map(|_| {
-                    let jitter = rng.gen_range(0.5..1.5);
-                    ((base as f64) * jitter) as u64
-                })
-                .collect();
-            // Repair the sum to hit the budget exactly.
-            let sum: u64 = v.iter().sum();
-            if sum > 0 {
-                let last = v.len() - 1;
-                v[last] = v[last].saturating_add(total.saturating_sub(sum));
-                if sum > total {
-                    v[last] = v[last].saturating_sub(sum - total);
-                }
-            }
-            v
-        };
-        let cpu_chunks = chunks(cpu_budget, params.bursts, &mut rng);
-        let cgra_chunks = chunks(cgra_budget, params.bursts, &mut rng);
-        for (cpu, cgra) in cpu_chunks.into_iter().zip(cgra_chunks) {
+        split(cpu_budget, params.bursts, &mut rng, &mut cpu_chunks);
+        split(cgra_budget, params.bursts, &mut rng, &mut cgra_chunks);
+        for (&cpu, &cgra) in cpu_chunks.iter().zip(&cgra_chunks) {
             if cpu > 0 {
                 segments.push(Segment::Cpu(cpu));
             }
@@ -168,6 +150,25 @@ pub fn generate(lib: &KernelLibrary, params: &WorkloadParams) -> Vec<ThreadSpec>
         threads.push(ThreadSpec { segments });
     }
     threads
+}
+
+/// Split `total` into `parts` chunks jittered ±50 % around the mean,
+/// written to `chunks`, with the last one repaired so they sum to `total`.
+fn split(total: u64, parts: usize, rng: &mut StdRng, chunks: &mut Vec<u64>) {
+    let base = total / parts as u64;
+    chunks.clear();
+    chunks.extend((0..parts).map(|_| {
+        let jitter = rng.gen_range(0.5..1.5);
+        ((base as f64) * jitter) as u64
+    }));
+    // Repair the sum to hit the budget exactly.
+    let sum: u64 = chunks.iter().sum();
+    if let Some(last) = chunks.last_mut().filter(|_| sum > 0) {
+        *last = last.saturating_add(total.saturating_sub(sum));
+        if sum > total {
+            *last = last.saturating_sub(sum - total);
+        }
+    }
 }
 
 #[cfg(test)]
