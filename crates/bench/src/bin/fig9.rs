@@ -55,6 +55,8 @@ const FLAGS: Spec = Spec {
 fn main() {
     let args = FLAGS.parse_env("fig9", 1);
     let engine = args.or_exit(args.engine());
+    // A bad fault spec exits 2 before `--trace` creates its file.
+    let curve = args.str("--faults").and_then(fault_curve);
     let obs = args.or_exit(ObsFlags::new(args.str("--trace"), args.switch("--metrics")));
     let cache = MapCache::default();
 
@@ -87,59 +89,23 @@ fn main() {
 
     // --faults: a fault curve at the highest-contention operating point,
     // instead of the full grid.
-    if let Some(raw) = args.str("--faults") {
-        let base = FaultSpec::parse(raw).unwrap_or_else(|e| {
-            // Point at the offending clause: the typed error carries its
-            // byte span within the spec string.
-            let (off, len) = e.span();
-            eprintln!("--faults {raw}");
-            eprintln!("         {}{} {e}", " ".repeat(off), "^".repeat(len.max(1)));
-            std::process::exit(2);
-        });
-        if base.is_off() {
-            // Fall through to the plain grid: it is fault-free by default,
-            // so `--faults off` must be byte-identical to no flag at all.
-            eprintln!("--faults off: nothing to inject; running the fault-free grid");
+    if let Some(at) = curve {
+        let base = at.faults;
+        // Transient faults (an mttr) give the degradation curve its
+        // repair dimension: fault-free and no-repair reference rows,
+        // then descending mttr.
+        let title = if base.mttr().is_some() {
+            "Degradation-and-recovery curve"
         } else {
-            let at = Coord {
-                faults: base,
-                ..Coord::new(8, 4, CgraNeed::High, 8)
-            };
-            // A targeted fault on a page the fabric does not have would
-            // strike nothing, and the curve would silently repeat its
-            // fault-free row.
-            if let FaultSpec::At { page, .. } = base {
-                let pages = cgra_arch::fabric(at.dim, at.page_size)
-                    .expect("the curve's operating point is a fabric")
-                    .layout()
-                    .num_pages();
-                if usize::from(page) >= pages {
-                    eprintln!(
-                        "--faults {raw}: page={page} is out of range: the {0}x{0} page-{1} \
-                         fabric has {pages} pages (0..={2})",
-                        at.dim,
-                        at.page_size,
-                        pages - 1
-                    );
-                    std::process::exit(2);
-                }
-            }
-            // Transient faults (an mttr) give the degradation curve its
-            // repair dimension: fault-free and no-repair reference rows,
-            // then descending mttr.
-            let title = if base.mttr().is_some() {
-                "Degradation-and-recovery curve"
-            } else {
-                "Degradation curve"
-            };
-            println!("## {title} — faults `{base}` (8x8, page 4, 8 threads, need 87.5%)\n");
-            let rows = fig9::curve(at);
-            let points: Vec<Coord> = rows.iter().map(|(_, p)| *p).collect();
-            let results = fig9::sweep(&engine, &cache, &points, &params, &obs.tracer);
-            println!("{}", fig9::render_curve(&base, &rows, &results));
-            obs.finish();
-            return;
-        }
+            "Degradation curve"
+        };
+        println!("## {title} — faults `{base}` (8x8, page 4, 8 threads, need 87.5%)\n");
+        let rows = fig9::curve(at);
+        let points: Vec<Coord> = rows.iter().map(|(_, p)| *p).collect();
+        let results = fig9::sweep(&engine, &cache, &points, &params, &obs.tracer);
+        println!("{}", fig9::render_curve(&base, &rows, &results));
+        obs.finish();
+        return;
     }
 
     let results = fig9::sweep(&engine, &cache, &fig9::grid(), &params, &obs.tracer);
@@ -195,4 +161,47 @@ fn main() {
     if !errors.is_empty() {
         std::process::exit(1);
     }
+}
+
+/// The fault curve's operating point for `--faults raw`, or `None` for
+/// `off`. A spec that does not parse, or a targeted fault on a page the
+/// fabric does not have, exits 2.
+fn fault_curve(raw: &str) -> Option<Coord> {
+    let base = FaultSpec::parse(raw).unwrap_or_else(|e| {
+        // Point at the offending clause: the typed error carries its
+        // byte span within the spec string.
+        let (off, len) = e.span();
+        eprintln!("--faults {raw}");
+        eprintln!("         {}{} {e}", " ".repeat(off), "^".repeat(len.max(1)));
+        std::process::exit(2);
+    });
+    if base.is_off() {
+        // Fall through to the plain grid: it is fault-free by default,
+        // so `--faults off` must be byte-identical to no flag at all.
+        eprintln!("--faults off: nothing to inject; running the fault-free grid");
+        return None;
+    }
+    let at = Coord {
+        faults: base,
+        ..Coord::new(8, 4, CgraNeed::High, 8)
+    };
+    // A targeted fault on a page the fabric does not have would strike
+    // nothing, and the curve would silently repeat its fault-free row.
+    if let FaultSpec::At { page, .. } = base {
+        let pages = cgra_arch::fabric(at.dim, at.page_size)
+            .expect("the curve's operating point is a fabric")
+            .layout()
+            .num_pages();
+        if usize::from(page) >= pages {
+            eprintln!(
+                "--faults {raw}: page={page} is out of range: the {0}x{0} page-{1} \
+                 fabric has {pages} pages (0..={2})",
+                at.dim,
+                at.page_size,
+                pages - 1
+            );
+            std::process::exit(2);
+        }
+    }
+    Some(at)
 }

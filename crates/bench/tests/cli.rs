@@ -1,7 +1,7 @@
 //! The figure binaries reject bad input with exit status 2 instead of
 //! running something other than what was asked: `fig9` a targeted fault
-//! on a page its curve's fabric does not have or a fault count above the
-//! cap, and every binary a flag it does not know, a valued flag whose
+//! on a page its curve's fabric does not have (before `--trace` creates
+//! its file) or a fault count above the cap, and every binary a flag it does not know, a valued flag whose
 //! value is missing and a flag given twice.
 
 use std::process::Command;
@@ -20,6 +20,26 @@ fn fault_on_a_missing_page_exits_2_naming_the_clause_and_page_count() {
         "must name the page count: {stderr}"
     );
     assert!(out.stdout.is_empty(), "no curve may be printed");
+}
+
+/// The spec is checked before `--trace` creates its file: a run that
+/// exits 2 on its fault spec leaves no trace behind.
+#[test]
+fn fault_on_a_missing_page_creates_no_trace_file() {
+    let dir = std::env::temp_dir().join(format!("bench-cli-fault-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let trace = dir.join("bad.jsonl");
+    let out = Command::new(env!("CARGO_BIN_EXE_fig9"))
+        .args(["--smoke", "--faults", "at=5000,page=16", "--trace"])
+        .arg(&trace)
+        .output()
+        .expect("fig9 runs");
+    let created = trace.exists();
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("page=16"), "must name the clause: {stderr}");
+    assert!(!created, "the trace file was created");
 }
 
 #[test]
