@@ -3,15 +3,26 @@
 //! baseline.
 //!
 //! Run with: `cargo run --release --example multithreaded_workload [dim]`
+//!
+//! `dim` is the fabric's side (default 6); a value that is not a fabric
+//! side exits 2, naming it.
 
+use cgra_bench::cli::Spec;
 use cgra_mt::prelude::*;
 
+const ARGS: Spec = Spec {
+    switches: &[],
+    valued: &[],
+    positional: Some("[dim]"),
+};
+
 fn main() {
-    let dim: u16 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(6);
-    let cgra = CgraConfig::square(dim);
+    let args = ARGS.parse_env("multithreaded_workload", 1);
+    let dim = args.or_exit(
+        args.positional()
+            .map_or(Ok(6), |v| v.parse().map_err(|e| format!("dim {v:?}: {e}"))),
+    );
+    let cgra = args.or_exit(cgra_mt::arch::fabric(dim, 4).map_err(|e| format!("dim {dim}: {e}")));
     println!(
         "Compiling the 11-kernel library for a {dim}x{dim} CGRA ({} pages)...\n",
         cgra.layout().num_pages()
