@@ -136,7 +136,8 @@ impl FaultMap {
         }
     }
 
-    /// Dead pages, in ring order.
+    /// Every unusable page, in ring order: dead and repairing pages
+    /// alike, since a page under repair is still unusable.
     pub fn dead_pages(&self) -> Vec<u16> {
         (0..self.num_pages())
             .filter(|&p| !self.is_usable(p))

@@ -1,6 +1,6 @@
 //! Regenerate the complete paper-vs-measured report backing
-//! EXPERIMENTS.md: Figure 8, Figure 9, the ablations, and the
-//! transformation-speed measurement.
+//! EXPERIMENTS.md: Figure 8, Figure 9 and its lower bound, the
+//! ablations, and the transformation-speed measurement.
 //!
 //! Usage: `cargo run -p cgra-bench --bin report --release > experiments.out`
 //!
@@ -74,6 +74,19 @@ fn main() {
     println!("### Headline (paper: >30% / >75% / >150% on 4x4 / 6x6 / 8x8)\n");
     for (dim, best) in fig9::headline(&f9) {
         println!("- {dim}x{dim}: best improvement at 16 threads = **{best:+.1}%**");
+    }
+    println!();
+
+    // The points at 8 and 16 threads, where threads contend for pages,
+    // against `cgra_sim::makespan_bound`: the ceiling on their
+    // improvement, and how close the simulator comes to the bound.
+    println!("## Figure 9 lower bound — the ceiling at 8 and 16 threads\n");
+    println!("| fabric | need | threads | improvement | ceiling | LB/MT |");
+    println!("|---|---|---|---|---|---|");
+    for p in f9.iter().filter(|p| matches!(p.threads, 8 | 16)) {
+        let (fabric, need) = (format!("{0}x{0}/p{1}", p.dim, p.page_size), p.need.label());
+        let (t, imp, ceil, lb_mt) = (p.threads, p.improvement_pct, p.ceiling_pct, p.bound_ratio);
+        println!("| {fabric} | {need} | {t} | {imp:+.1}% | {ceil:+.1}% | {lb_mt:.2} |");
     }
     println!();
 

@@ -22,8 +22,9 @@ use cgra_arch::{FaultSpec, PAPER_GRID};
 use cgra_mapper::MapOptions;
 use cgra_obs::{InOrder, Tracer};
 use cgra_sim::{
-    generate, improvement_percent, simulate_baseline, simulate_multithreaded_faulty_traced,
-    CgraNeed, ExpandPolicy, FaultStats, MtConfig, SimError, SimReport, WorkloadParams,
+    generate, improvement_percent, makespan_bound, simulate_baseline,
+    simulate_multithreaded_faulty_traced, CgraNeed, ExpandPolicy, FaultStats, KernelLibrary,
+    MtConfig, SimError, SimReport, WorkloadParams,
 };
 use serde::{Deserialize, Serialize};
 
@@ -72,6 +73,13 @@ pub struct Fig9Point {
     pub threads: usize,
     /// Mean improvement % over the baseline system.
     pub improvement_pct: f64,
+    /// Mean improvement % the baseline would show against
+    /// [`makespan_bound`]: the ceiling on `improvement_pct` of a
+    /// fault-free point.
+    pub ceiling_pct: f64,
+    /// Mean ratio of [`makespan_bound`] to the multithreaded makespan,
+    /// at most 1 on a fault-free point.
+    pub bound_ratio: f64,
     /// Mean shrink transformations per run.
     pub mean_shrinks: f64,
     /// Mean baseline makespan (cycles).
@@ -165,37 +173,11 @@ pub fn run_point(
         tracer,
     )?;
     let runs = (0..params.seeds)
-        .map(|seed| {
-            // Seeded from the point's coordinates only — never from
-            // worker identity or execution order (the engine's
-            // determinism contract).
-            let wl_seed = point_seed(&[
-                at.dim as u64,
-                at.page_size as u64,
-                at.need as u64,
-                at.threads as u64,
-                seed,
-            ]);
-            let workload = WorkloadParams {
-                threads: at.threads,
-                need: at.need,
-                work_per_thread: params.work_per_thread,
-                bursts: params.bursts,
-                seed: wl_seed,
-            };
-            let threads = generate(&lib, &workload);
-            let events = at.faults.reseeded(wl_seed).schedule(lib.num_pages);
-            Ok((
-                simulate_baseline(&lib, &threads),
-                simulate_multithreaded_faulty_traced(&lib, &threads, params.mt, &events, tracer)?,
-            ))
-        })
-        .collect::<Result<Vec<(SimReport, SimReport)>, SimError>>()?;
-    let mean = |f: fn(&(SimReport, SimReport)) -> f64| {
-        runs.iter().map(f).sum::<f64>() / params.seeds as f64
-    };
+        .map(|seed| run_seed(&lib, at, params, seed, tracer))
+        .collect::<Result<Vec<Run>, SimError>>()?;
+    let mean = |f: fn(&Run) -> f64| runs.iter().map(f).sum::<f64>() / params.seeds as f64;
     let mut faults = FaultStats::default();
-    for (_, mt) in &runs {
+    for (_, mt, _) in &runs {
         faults.absorb(&mt.faults);
     }
     Ok(Fig9Point {
@@ -203,12 +185,51 @@ pub fn run_point(
         page_size: at.page_size,
         need: at.need,
         threads: at.threads,
-        improvement_pct: mean(|(base, mt)| improvement_percent(base.makespan, mt.makespan)),
-        mean_shrinks: mean(|(_, mt)| mt.shrinks as f64),
-        base_makespan: mean(|(base, _)| base.makespan as f64),
-        mt_makespan: mean(|(_, mt)| mt.makespan as f64),
+        improvement_pct: mean(|(base, mt, _)| improvement_percent(base.makespan, mt.makespan)),
+        ceiling_pct: mean(|(base, _, lb)| improvement_percent(base.makespan, *lb)),
+        bound_ratio: mean(|(_, mt, lb)| *lb as f64 / mt.makespan as f64),
+        mean_shrinks: mean(|(_, mt, _)| mt.shrinks as f64),
+        base_makespan: mean(|(base, _, _)| base.makespan as f64),
+        mt_makespan: mean(|(_, mt, _)| mt.makespan as f64),
         faults,
     })
+}
+
+/// One seed of a point: the baseline run, the multithreaded run and
+/// [`makespan_bound`] of the seed's workload.
+type Run = (SimReport, SimReport, u64);
+
+/// Run seed `seed` of the point `at` on its fabric's library `lib`.
+fn run_seed(
+    lib: &KernelLibrary,
+    at: &Coord,
+    params: &Fig9Params,
+    seed: u64,
+    tracer: &Tracer,
+) -> Result<Run, SimError> {
+    // Seeded from the point's coordinates only — never from worker
+    // identity or execution order (the engine's determinism contract).
+    let wl_seed = point_seed(&[
+        at.dim as u64,
+        at.page_size as u64,
+        at.need as u64,
+        at.threads as u64,
+        seed,
+    ]);
+    let workload = WorkloadParams {
+        threads: at.threads,
+        need: at.need,
+        work_per_thread: params.work_per_thread,
+        bursts: params.bursts,
+        seed: wl_seed,
+    };
+    let threads = generate(lib, &workload);
+    let events = at.faults.reseeded(wl_seed).schedule(lib.num_pages);
+    Ok((
+        simulate_baseline(lib, &threads),
+        simulate_multithreaded_faulty_traced(lib, &threads, params.mt, &events, tracer)?,
+        makespan_bound(lib, &threads),
+    ))
 }
 
 /// Run `points` through `engine`, every compilation and multithreaded
@@ -563,6 +584,28 @@ mod tests {
         let results = sweep(&engine, &cache, &points, &quick_params(), &Tracer::off());
         let rendered = render_curve(&base, &rows, &results);
         (results, rendered)
+    }
+
+    /// Every seed of every Fig. 9 grid point ends no earlier than
+    /// [`makespan_bound`] of its workload.
+    #[test]
+    #[ignore = "the whole Fig. 9 grid: run in release with --include-ignored"]
+    fn grid_runs_respect_the_makespan_bound() {
+        let (cache, params) = (MapCache::default(), Fig9Params::default());
+        for at in &grid() {
+            let fabric = grid_fabric(at.dim, at.page_size);
+            let lib = cache
+                .library(&fabric, &MapOptions::default(), &Tracer::off())
+                .unwrap();
+            for seed in 0..params.seeds {
+                let (_, mt, bound) = run_seed(&lib, at, &params, seed, &Tracer::off()).unwrap();
+                assert!(
+                    mt.makespan >= bound,
+                    "{at:?} seed {seed}: makespan {} under the lower bound {bound}",
+                    mt.makespan
+                );
+            }
+        }
     }
 
     #[test]

@@ -28,23 +28,20 @@
 //! one read of a precomputed column table (only the zero-hop case also
 //! reads two column loads), the producers are read from the previous
 //! step's row of flat step-major column and time arrays, and each
-//! column's busy slots are a bitset in one shared buffer. Placing a cell
-//! also adds its term to the iteration's signature, a linear sum
-//! `Σ a_k·(col_k + 1) + Σ b_k·(t_k − t_ref)` over the iteration's cells
-//! with fixed pseudo-random coefficients, so equal iterations (same
-//! columns, uniformly shifted times) have equal signatures without a
-//! second pass over their cells. At each checkpoint the detector makes
-//! at most `MAX_PERIOD` signature compares; only a period whose three
-//! signatures agree is compared cell by cell, and a collision costs
-//! nothing but that exact compare. So placement and detection run in
-//! `O(N · II_p)` per iteration: the paper's "low-order polynomial time"
-//! claim, measured against ring size by the Claim C1 table of the
-//! `report` binary on both the steady-state and the no-steady-state path,
-//! and inside runtime re-planning by perfbench's `adapt` workload.
+//! column's busy slots are a bitset in one shared buffer. At each
+//! checkpoint the detector tries at most `MAX_PERIOD` candidate periods,
+//! each by one exact compare of three iterations a period apart: the
+//! time shift from their first cell, then every cell's column and
+//! shifted time, stopping at the first cell that differs. A candidate
+//! that is no period almost always differs within its first cells, so
+//! placement and detection run in `O(N · II_p)` per iteration: the
+//! paper's "low-order polynomial time" claim, measured against ring size
+//! by the Claim C1 table of the `report` binary on both the steady-state
+//! and the no-steady-state path, and inside runtime re-planning by
+//! perfbench's `adapt` workload.
 
 use crate::paged::{Discipline, PagedSchedule};
-use crate::transform::{CellPlacement, ShrinkPlan, Strategy, TransformError};
-use cgra_arch::fault::splitmix64;
+use crate::transform::{block_rows, CellPlacement, ShrinkPlan, Strategy, TransformError};
 
 /// Iterations [`transform_pagemaster`] simulates before giving up on
 /// steady state.
@@ -168,34 +165,18 @@ struct Drift {
     cells: usize,
     col: Vec<u16>,
     time: Vec<u64>,
-    /// Signature coefficients `(a_k, b_k)` of cell `k = slot · N + page`.
-    coef: Vec<(u64, u64)>,
-    /// `Σ b_k`, which turns `Σ b_k · t_k` into `Σ b_k · (t_k − t_ref)`.
-    b_sum: u64,
-    /// Per iteration, `Σ a_k · (col_k + 1) + Σ b_k · t_k` while it is
-    /// placed, then its shift-invariant signature once
-    /// [`Drift::complete`] has run.
-    sig: Vec<u64>,
 }
 
 impl Drift {
-    fn new(n: u16, ii: u32, iters: u32) -> Self {
+    fn new(n: u16, ii: u32) -> Self {
         let (n, ii) = (n as usize, ii as usize);
         let cells = n * ii;
-        let mut state = 0;
-        let coef: Vec<(u64, u64)> = (0..cells)
-            .map(|_| (splitmix64(&mut state), splitmix64(&mut state)))
-            .collect();
-        let b_sum = coef.iter().fold(0u64, |s, c| s.wrapping_add(c.1));
         Drift {
             n,
             ii,
             cells,
             col: Vec::with_capacity(cells * 16),
             time: Vec::with_capacity(cells * 16),
-            coef,
-            b_sum,
-            sig: vec![0; iters as usize],
         }
     }
 
@@ -210,7 +191,6 @@ impl Drift {
     fn set_first(&mut self, page: usize, col: u16, time: u64) {
         self.col[page] = col;
         self.time[page] = time;
-        self.sig[0] = self.sig[0].wrapping_add(term(self.coef[page], col, time));
     }
 
     /// PlacePage for the step `(iter, slot)`, `pages` in placement order
@@ -229,8 +209,6 @@ impl Drift {
         let (done_col, row_col) = self.col.split_at_mut(cur);
         let (done_time, row_time) = self.time.split_at_mut(cur);
         let (prev_col, prev_time) = (&done_col[cur - n..], &done_time[cur - n..]);
-        let coef = &self.coef[slot * n..(slot + 1) * n];
-        let mut sum = 0u64;
         for &(page, pred) in pages {
             let (d1, d2) = (prev_col[pred], prev_col[page]);
             let hop = (d1 as usize + 2).wrapping_sub(d2 as usize);
@@ -251,50 +229,26 @@ impl Drift {
             let t = cols.place_min(col, prev_time[pred].max(prev_time[page]) + 1);
             row_col[page] = col;
             row_time[page] = t;
-            sum = sum.wrapping_add(term(coef[page], col, t));
         }
-        self.sig[iter] = self.sig[iter].wrapping_add(sum);
         Ok(())
-    }
-
-    /// Turn a completed iteration's sum into its signature: subtract
-    /// `Σ b_k · t_ref`, `t_ref` the time of its cell (page 0, slot 0).
-    fn complete(&mut self, iter: usize) {
-        let t_ref = self.time[iter * self.cells];
-        self.sig[iter] = self.sig[iter].wrapping_sub(self.b_sum.wrapping_mul(t_ref));
     }
 
     /// Whether iterations `a`, `a + period` and `a + 2 · period` hold
     /// the same columns with their times shifted by one positive amount,
-    /// and that shift.
+    /// and that shift: the shift from cell 0, then every cell, stopping
+    /// at the first one that differs.
     fn repeats(&self, a: usize, period: usize) -> Option<u64> {
-        let (b, c) = (a + period, a + 2 * period);
-        let h = self.sig[a];
-        if self.sig[b] != h || self.sig[c] != h {
-            return None;
-        }
-        let block = |iter: usize| iter * self.cells..(iter + 1) * self.cells;
-        let shift = self.time[b * self.cells] as i64 - self.time[a * self.cells] as i64;
-        if shift <= 0 {
-            return None;
-        }
-        let (ca, cb, cc) = (
-            &self.col[block(a)],
-            &self.col[block(b)],
-            &self.col[block(c)],
-        );
-        let (ta, tb, tc) = (
-            &self.time[block(a)],
-            &self.time[block(b)],
-            &self.time[block(c)],
-        );
-        let same = (0..self.cells).all(|k| {
-            ca[k] == cb[k]
-                && cb[k] == cc[k]
-                && tb[k] as i64 - ta[k] as i64 == shift
-                && tc[k] as i64 - tb[k] as i64 == shift
-        });
-        same.then_some(shift as u64)
+        let start = |k: usize| (a + k * period) * self.cells;
+        let shift = self.time[start(1)]
+            .checked_sub(self.time[start(0)])
+            .filter(|&s| s > 0)?;
+        let same = |x: usize, y: usize| {
+            (0..self.cells).all(|k| {
+                self.col[x + k] == self.col[y + k]
+                    && self.time[y + k].wrapping_sub(self.time[x + k]) == shift
+            })
+        };
+        (same(start(0), start(1)) && same(start(1), start(2))).then_some(shift)
     }
 
     /// The plan whose period is iterations `base .. base + period`, rows
@@ -331,12 +285,6 @@ impl Drift {
     }
 }
 
-/// A cell's term `a·(col + 1) + b·time` of its iteration's signature sum.
-fn term((a, b): (u64, u64), col: u16, time: u64) -> u64 {
-    a.wrapping_mul(col as u64 + 1)
-        .wrapping_add(b.wrapping_mul(time))
-}
-
 /// Transform a canonical schedule with the paper's drifting algorithm.
 pub fn transform_pagemaster(p: &PagedSchedule, m: u16) -> Result<ShrinkPlan, TransformError> {
     transform_pagemaster_within(p, m, WARMUP_ITERS)
@@ -358,27 +306,14 @@ pub(crate) fn transform_pagemaster_within(
         return Err(TransformError::NeedsCanonical);
     }
     let n = p.num_pages;
-    if m == n {
-        // Identity: every page keeps its own column.
-        let row = (0..n)
-            .flat_map(|page| {
-                (0..p.ii).map(move |slot| CellPlacement {
-                    col: page,
-                    time: slot as u64,
-                })
-            })
-            .collect();
+    if m == n || m == 1 {
+        // Every page keeps its own column, or all run in one column in
+        // dependence order `(slot, page)` (Fig. 6): Block's rows, which a
+        // wrap dependence cannot break at either width.
         return Ok(ShrinkPlan {
-            m,
-            ii_p: p.ii,
-            period: 1,
-            span: p.ii as u64,
-            placements: vec![row],
             strategy: Strategy::PageMaster,
+            ..block_rows(p, m)
         });
-    }
-    if m == 1 {
-        return Ok(fold_to_single_column(p));
     }
 
     let ii = p.ii as usize;
@@ -387,7 +322,7 @@ pub(crate) fn transform_pagemaster_within(
         return Err(TransformError::NoSteadyState);
     }
     let mut cols = Columns::new(m);
-    let mut drift = Drift::new(n, p.ii, iters);
+    let mut drift = Drift::new(n, p.ii);
 
     // --- Phase 1: initialization of (n, step 0). ---
     drift.push_row();
@@ -453,7 +388,6 @@ pub(crate) fn transform_pagemaster_within(
         if slot < ii {
             continue;
         }
-        drift.complete(iter);
         (iter, slot) = (iter + 1, 0);
         // Iteration `iter − 1` is complete: at a checkpoint, look for a
         // period ending there.
@@ -481,28 +415,6 @@ pub(crate) fn transform_pagemaster_within(
     // The last step completes iteration `iters`, a checkpoint: the whole
     // window has been searched.
     Err(TransformError::NoSteadyState)
-}
-
-/// M = 1: execute cells sequentially in dependence order `(slot, page)`
-/// (Fig. 6). `II_q = N · II_p` exactly.
-fn fold_to_single_column(p: &PagedSchedule) -> ShrinkPlan {
-    let n = p.num_pages as u64;
-    let row = (0..n)
-        .flat_map(|page| {
-            (0..p.ii as u64).map(move |slot| CellPlacement {
-                col: 0,
-                time: slot * n + page,
-            })
-        })
-        .collect();
-    ShrinkPlan {
-        m: 1,
-        ii_p: p.ii,
-        period: 1,
-        span: n * p.ii as u64,
-        placements: vec![row],
-        strategy: Strategy::PageMaster,
-    }
 }
 
 #[cfg(test)]
@@ -623,24 +535,38 @@ mod tests {
         assert!(plan.ii_q() <= 2.0 + 1e-9, "ii_q {}", plan.ii_q());
     }
 
+    /// At M = N and M = 1 Algorithm 1 hands out Block's rows: each page
+    /// in its own column, or Fig. 6's `(slot, page)` order in one column,
+    /// on wrap rings too, where `transform_block` refuses M = 1.
     #[test]
-    fn shrink_to_one_page_is_sequential() {
-        let p = PagedSchedule::synthetic_canonical(4, 2, true);
-        let plan = transform_pagemaster(&p, 1).expect("folds");
-        assert_eq!(plan.ii_q(), 8.0);
-        // Dependence order: (n, t) before (n, t+1) and after (n-1, t).
-        let t = |page: u16, slot: u32| plan.cell(0, page, slot).unwrap().time;
-        assert!(t(1, 0) > t(0, 0));
-        assert!(t(0, 1) > t(3, 0));
-    }
-
-    #[test]
-    fn identity_transform_keeps_columns() {
-        let p = PagedSchedule::synthetic_canonical(4, 3, true);
-        let plan = transform_pagemaster(&p, 4).expect("identity");
-        assert_eq!(plan.ii_q(), 3.0);
-        for page in 0..4u16 {
-            assert_eq!(plan.cell(0, page, 0).unwrap().col, page);
+    fn identity_and_one_column_are_block_rows() {
+        for (n, ii, wrap) in (2u16..=12)
+            .flat_map(|n| (1..=3u32).flat_map(move |ii| [false, true].map(|wrap| (n, ii, wrap))))
+        {
+            let p = PagedSchedule::synthetic_canonical(n, ii, wrap);
+            for m in [n, 1] {
+                let at = format!("N={n} ii={ii} wrap={wrap} M={m}");
+                let plan = transform_pagemaster(&p, m).expect(&at);
+                let block = block_rows(&p, m);
+                let expected = ShrinkPlan {
+                    strategy: Strategy::PageMaster,
+                    ..block
+                };
+                assert_eq!(plan, expected, "{at}");
+                assert_eq!(plan.span, u64::from(ii * u32::from(n / m)), "{at}");
+                for page in 0..n {
+                    for slot in 0..ii {
+                        let (col, time) = if m == n {
+                            (page, slot)
+                        } else {
+                            (0, slot * u32::from(n) + u32::from(page))
+                        };
+                        let time = u64::from(time);
+                        let cell = Some(CellPlacement { col, time });
+                        assert_eq!(plan.cell(0, page, slot), cell, "{at}");
+                    }
+                }
+            }
         }
     }
 

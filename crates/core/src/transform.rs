@@ -243,6 +243,12 @@ pub fn transform_block(p: &PagedSchedule, m: u16) -> Result<ShrinkPlan, Transfor
     if m != p.num_pages && p.has_wrap_deps() {
         return Err(TransformError::WrapUnsupported);
     }
+    Ok(block_rows(p, m))
+}
+
+/// [`transform_block`]'s plan without its wrap test, `M ≥ 1`; at `M = 1`
+/// it is Fig. 6's one-column fold, `time = slot · N + page`.
+pub(crate) fn block_rows(p: &PagedSchedule, m: u16) -> ShrinkPlan {
     let n = p.num_pages;
     let k = n.div_ceil(m) as u64; // rounds per slot step
     let mut row = Vec::with_capacity(n as usize * p.ii as usize);
@@ -253,14 +259,14 @@ pub fn transform_block(p: &PagedSchedule, m: u16) -> Result<ShrinkPlan, Transfor
             time: slot * k + round,
         }));
     }
-    Ok(ShrinkPlan {
+    ShrinkPlan {
         m,
         ii_p: p.ii,
         period: 1,
         span: p.ii as u64 * k,
         placements: vec![row],
         strategy: Strategy::Block,
-    })
+    }
 }
 
 /// Transform with the requested strategy.

@@ -38,7 +38,7 @@ pub use baseline::simulate_baseline;
 pub use error::SimError;
 pub use kernel_lib::{halving_chain, Compiled, KernelLibrary, KernelProfile};
 pub use multithreaded::{
-    simulate_multithreaded_faulty, simulate_multithreaded_faulty_traced, MtConfig,
+    makespan_bound, simulate_multithreaded_faulty, simulate_multithreaded_faulty_traced, MtConfig,
 };
 pub use stats::{improvement_percent, FaultStats, SimReport};
 pub use workload::{generate, CgraNeed, Segment, ThreadSpec, WorkloadParams};

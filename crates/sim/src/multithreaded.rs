@@ -751,6 +751,45 @@ pub fn simulate_multithreaded_faulty_traced(
     })
 }
 
+/// A lower bound on the makespan of the fault-free multithreaded run of
+/// `threads` on `lib`, whatever the expansion policy and switch overhead:
+///
+/// `LB = max(max_t(CPU_t + Σ iters·min_M II(M)), ⌈Σ iters·min_M M·II(M) / N⌉)`,
+///
+/// `M` over each kernel's `ii_by_pages` (the only rates of a fault-free
+/// run) and `N = lib.num_pages`. A thread runs its segments in turn: its
+/// CPU cycles, and each iteration in at least `min_M II(M)` cycles (queue
+/// waits and switches only add), the first term. An iteration at `II(M)`
+/// holds `M` pages for `II(M)` cycles of the fabric's `N` pages, the
+/// second. A shrink moves the victim's pages at once while it runs its
+/// current iteration out at the old rate, so a run may undercut the
+/// second term by up to one iteration's pages per shrink; `golden_sim`
+/// and the Fig. 9 grid test check that no run does.
+///
+/// Fault-free runs only: a dead page takes `N` down for a while and a
+/// degraded one doubles `II`. Exact at one thread, which runs alone at
+/// its fastest rate; loose at 2–4 threads, too few to fill the fabric
+/// yet able to wait on each other for pages.
+pub fn makespan_bound(lib: &KernelLibrary, threads: &[ThreadSpec]) -> u64 {
+    let (mut longest, mut area) = (0, 0);
+    for thread in threads {
+        let mut own = thread.cpu_cycles();
+        for segment in &thread.segments {
+            if let Segment::Cgra { kernel, iterations } = *segment {
+                let ii_by_pages = &lib.profile(kernel).ii_by_pages;
+                let least = |cost: fn(u64, u64) -> u64| {
+                    let costs = ii_by_pages.iter().map(|&(m, ii)| cost(m.into(), ii.into()));
+                    costs.min().unwrap_or(0)
+                };
+                own += iterations * least(|_, ii| ii);
+                area += iterations * least(|m, ii| m * ii);
+            }
+        }
+        longest = longest.max(own);
+    }
+    longest.max(area.div_ceil(lib.num_pages.max(1).into()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -14,6 +14,9 @@
 //! snapshots with `UPDATE_GOLDEN=1 cargo test --release -p cgra-sim
 //! --test golden_sim -- --include-ignored`.
 //!
+//! Every fault-free run must also end no earlier than
+//! [`makespan_bound`].
+//!
 //! The default tests cover the 4×4 fabric with 4-PE pages, and
 //! hand-built libraries of 65 and 130 pages, whose page sets span two
 //! and three words (`sim_multiword.txt`). The full paper grid is
@@ -23,8 +26,9 @@ use cgra_arch::{CgraConfig, FaultKind, FaultSpec, PAPER_GRID};
 use cgra_mapper::MapOptions;
 use cgra_obs::{check_trace, RingSink, TraceEvent, Tracer};
 use cgra_sim::{
-    generate, halving_chain, simulate_baseline, simulate_multithreaded_faulty_traced, CgraNeed,
-    ExpandPolicy, KernelLibrary, KernelProfile, MtConfig, WorkloadParams,
+    generate, halving_chain, makespan_bound, simulate_baseline,
+    simulate_multithreaded_faulty_traced, CgraNeed, ExpandPolicy, KernelLibrary, KernelProfile,
+    MtConfig, WorkloadParams,
 };
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -148,6 +152,13 @@ fn line(
     }
     match result {
         Ok(r) => {
+            let bound = makespan_bound(lib, &threads);
+            assert!(
+                spec != FaultSpec::Off || r.makespan >= bound,
+                "makespan {} under the lower bound {bound}: {}",
+                r.makespan,
+                out.rsplit('\n').next().unwrap_or_default()
+            );
             assert_eq!(
                 trace_occupancy(&events),
                 r.page_cycles,
